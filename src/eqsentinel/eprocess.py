@@ -77,65 +77,81 @@ class BettingMixture:
         return int(self.lambdas.size)
 
 
+def _bet(log_wealth: np.ndarray, lambdas: np.ndarray, x) -> None:
+    """Add log(1 - lambda * x) in place; ``x`` is a scalar or an (m, 1) column.
+
+    A zero factor kills its component (-inf for good); a negative or NaN one
+    raises before anything is written.
+    """
+    factors = 1.0 - lambdas * x
+    low = factors.min()
+    if low > 0.0:
+        log_wealth += np.log(factors)
+    elif low == 0.0:
+        with np.errstate(divide="ignore"):
+            log_wealth += np.log(factors)
+    else:
+        raise DomainError(
+            "negative or undefined e-value factor: increment exceeds 1/lambda"
+        )
+
+
+def _log_mix(log_wealth: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Log mixture wealth over the last axis by max-shifted log-sum-exp; -inf
+    for a row whose components are all dead."""
+    shift = log_wealth.max(axis=-1)
+    if shift.min() == -np.inf:
+        shift = np.where(shift == -np.inf, 0.0, shift)
+        with np.errstate(divide="ignore"):
+            return shift + np.log((weights * np.exp(log_wealth - shift[..., None])).sum(axis=-1))
+    return shift + np.log((weights * np.exp(log_wealth - shift[..., None])).sum(axis=-1))
+
+
 @dataclass
 class EProcessState:
     """Per-fraction log wealth for one hypothesis, with its running extremes.
 
-    Single-writer: one logical owner feeds updates in round order. An exact
-    zero factor marks its component dead (wealth 0 from then on), which keeps
-    every stored log finite.
+    Single-writer: one logical owner feeds updates in round order. A zero
+    factor kills its component (log wealth -inf from then on). The running
+    maximum and the crossing test stay in log space: no stream overflows.
     """
 
     mixture: BettingMixture
     threshold: float | None = None
     log_wealth: np.ndarray = field(default=None)  # type: ignore[assignment]
-    dead: np.ndarray = field(default=None)  # type: ignore[assignment]
     round: int = 0
-    running_max: float = 1.0
+    log_max: float = 0.0
     crossing_time: int | None = None
 
     def __post_init__(self) -> None:
         if self.log_wealth is None:
             self.log_wealth = np.zeros(self.mixture.size)
-        if self.dead is None:
-            self.dead = np.zeros(self.mixture.size, dtype=bool)
         if self.threshold is not None and self.threshold <= 1.0:
             raise DomainError("a registered threshold must exceed 1")
 
-    @classmethod
-    def fresh(
-        cls, mixture: BettingMixture, threshold: float | None = None
-    ) -> "EProcessState":
-        return cls(mixture=mixture, threshold=threshold)
+    @property
+    def dead(self) -> np.ndarray:
+        return np.isneginf(self.log_wealth)
+
+    def log_value(self) -> float:
+        """Log mixture wealth; -inf once every component is dead."""
+        return float(_log_mix(self.log_wealth, self.mixture.weights))
 
     def value(self) -> float:
-        """Current mixture wealth, by max-shifted log-sum-exp."""
-        alive = ~self.dead
-        if not alive.any():
-            return 0.0
-        logs = self.log_wealth[alive]
-        w = self.mixture.weights[alive]
-        shift = logs.max()
-        return float(math.exp(shift) * np.sum(w * np.exp(logs - shift)))
+        """Current mixture wealth; inf at worst, never an overflow error."""
+        with np.errstate(over="ignore"):
+            return float(np.exp(self.log_value()))
 
     def update(self, x: float) -> "EProcessState":
-        factors = 1.0 - self.mixture.lambdas * x
-        if np.any(factors < 0.0):
-            raise DomainError(
-                "negative e-value factor: increment exceeds 1/lambda"
-            )
-        newly_dead = factors == 0.0
-        alive = ~(self.dead | newly_dead)
-        self.log_wealth[alive] += np.log(factors[alive])
-        self.dead |= newly_dead
+        _bet(self.log_wealth, self.mixture.lambdas, x)
         self.round += 1
-        v = self.value()
-        if v > self.running_max:
-            self.running_max = v
+        lv = self.log_value()
+        if lv > self.log_max:
+            self.log_max = lv
         if (
             self.threshold is not None
             and self.crossing_time is None
-            and v >= self.threshold
+            and lv >= math.log(self.threshold)
         ):
             self.crossing_time = self.round
         return self
@@ -165,28 +181,6 @@ def increment(
     return float(played - dev + eps_shift)
 
 
-def evalue(x: float, lam: float) -> float:
-    """Single-round betting e-value 1 - lam * x."""
-    if not 0.0 < lam <= 1.0:
-        raise DomainError("lambda must lie in (0, 1]")
-    return 1.0 - lam * x
-
-
-def eprocess_update(
-    state: EProcessState, x: float, mixture: BettingMixture
-) -> EProcessState:
-    """Advance a state by one increment, checking the mixture grids agree."""
-    if mixture.size != state.mixture.size or not np.array_equal(
-        mixture.lambdas, state.mixture.lambdas
-    ):
-        raise ShapeError("mixture grid does not match the state's grid")
-    return state.update(x)
-
-
-def mixture_value(state: EProcessState) -> float:
-    return state.value()
-
-
 def exact_uniform_mixture(xs) -> float:
     """Exact uniform-mixture wealth after the stream ``xs``.
 
@@ -204,13 +198,6 @@ def exact_uniform_mixture(xs) -> float:
         coeffs = np.convolve(coeffs, np.array([1.0, -float(x)]))
     powers = np.arange(coeffs.size, dtype=float)
     return float(np.sum(coeffs / (powers + 1.0)))
-
-
-def optimal_lambda(eta: float) -> float:
-    """Worst-case log-optimal betting fraction for slack ``eta``."""
-    if not 0.0 < eta <= 1.0:
-        raise DomainError("eta must lie in (0, 1]")
-    return eta
 
 
 def detection_bound_uniform(b: float, eta: float) -> float:

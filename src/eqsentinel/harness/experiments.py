@@ -26,7 +26,7 @@ from ..eprocess import (
 )
 from ..errors import ConfigError, DomainError
 from ..games import ActionProfile, EquilibriumMode, NormalFormGame, JointStrategy
-from ..monitors import EquilibriumMonitor, MonitorConfig, enumerate_hypotheses, fwer_step
+from ..monitors import EquilibriumMonitor, MonitorConfig, enumerate_hypotheses
 from ..stochastic import (
     Policy,
     SolverConfig,
@@ -397,7 +397,7 @@ def run_nf_slack(config: SlackConfig, out_dir: Path) -> ExperimentResult:
         profile = ActionProfile((0, 0))
         observed = -1
         for _ in range(predicted + 10):
-            decision = fwer_step(monitor, profile)
+            decision = monitor.step_fwer(profile)
             if decision.stopped:
                 observed = decision.round
                 break

@@ -1,25 +1,27 @@
 """Sequential decision layer: hypothesis enumeration, FWER and e-BH monitors.
 
 A monitor owns one e-process per deviation hypothesis and advances all of
-them on each observed action profile. The FWER procedure stops the first
-time any mixture wealth reaches m/alpha. The FDR procedure never stops: it
-recomputes the e-BH rejection level from running suprema each round, which
-makes the rejection sets nested over time.
+them as one block on each observed action profile. The FWER procedure stops
+the first time any mixture wealth reaches m/alpha. The FDR procedure never
+stops: it recomputes the e-BH rejection level from running suprema each
+round, which makes the rejection sets nested over time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eprocess import BettingMixture, EProcessState, increment
+# ``increment`` is the scalar form of the increment table; it stays importable
+# here because perfbench's --trace 1 wraps it as a monitors attribute.
+from .eprocess import WEIGHT_TOL, BettingMixture, _bet, _log_mix, increment  # noqa: F401
 from .errors import DomainError, ShapeError, StateError
 from .games import ActionProfile, EquilibriumMode, NormalFormGame
 
-WEIGHT_TOL = 1e-12
-
-SNAPSHOT_HEADER = "eqsentinel-monitor-snapshot v1"
+SNAPSHOT_HEADER = "eqsentinel-monitor-snapshot v2"
+SNAPSHOT_HEADER_V1 = "eqsentinel-monitor-snapshot v1"
 
 
 @dataclass(frozen=True)
@@ -139,6 +141,15 @@ class StepDecision:
 CONTINUE = StepDecision()
 
 
+def _ebh(crossed: np.ndarray) -> tuple[int, tuple[int, ...]]:
+    """Largest k with at least k flags in row k-1 of ``crossed``, and the
+    indices flagged in that row (0 and the empty set if there is none)."""
+    feasible = np.flatnonzero(crossed.sum(axis=1) >= np.arange(1, crossed.shape[0] + 1))
+    if not feasible.size:
+        return 0, ()
+    return int(feasible[-1]) + 1, tuple(int(i) for i in np.flatnonzero(crossed[feasible[-1]]))
+
+
 def ebh_rejection(maxima, alpha: float, weights) -> tuple[int, tuple[int, ...]]:
     """e-BH level and rejected indices from running suprema.
 
@@ -153,17 +164,17 @@ def ebh_rejection(maxima, alpha: float, weights) -> tuple[int, tuple[int, ...]]:
         raise ShapeError("maxima and weights must be 1-D arrays of equal length")
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
-    m = maxima.size
     inv_w = np.where(w > 0.0, 1.0 / (alpha * np.where(w > 0.0, w, 1.0)), np.inf)
-    for k in range(m, 0, -1):
-        crossed = maxima >= inv_w / k
-        if int(crossed.sum()) >= k:
-            return k, tuple(int(i) for i in np.nonzero(crossed)[0])
-    return 0, ()
+    return _ebh(maxima >= inv_w / np.arange(1, maxima.size + 1)[:, None])
 
 
 class EquilibriumMonitor:
-    """Single-writer monitor over all deviation hypotheses of one game."""
+    """Single-writer monitor over all deviation hypotheses of one game.
+
+    State is one block: (m, G) per-fraction ``log_wealth`` (-inf when dead),
+    (m,) running maxima ``log_max`` of the log mixture wealth and (m,)
+    ``updates`` per hypothesis. Decisions are taken in log space.
+    """
 
     def __init__(self, game: NormalFormGame, config: MonitorConfig):
         self.game = game
@@ -173,26 +184,40 @@ class EquilibriumMonitor:
         )
         self.m = len(self.hypotheses)
         if config.procedure == "fdr":
-            if config.weights is None:
-                weights = np.full(self.m, 1.0 / self.m)
-            else:
-                weights = config.weights
-                if weights.size != self.m:
-                    raise ShapeError(
-                        f"{weights.size} weights for {self.m} hypotheses"
-                    )
+            weights = np.full(self.m, 1.0 / self.m) if config.weights is None else config.weights
+            if weights.size != self.m:
+                raise ShapeError(f"{weights.size} weights for {self.m} hypotheses")
             self.weights = weights
+            # Row k-1 holds the level-k thresholds log(1 / (k * alpha * w_j)).
+            self._log_ladder = np.array([
+                [math.log(1.0 / (k * config.alpha * w)) for w in weights]
+                for k in range(1, self.m + 1)
+            ])
         else:
             self.weights = None
-        self.states = {
-            h: EProcessState.fresh(config.mixture, threshold=self.threshold)
+        self._log_threshold = math.log(self.threshold)
+        counts, u = game.action_counts, game.payoffs
+        self._strides = tuple(int(np.prod(counts[i + 1:])) for i in range(len(counts)))
+        # By flat profile: (P, m) active mask and (P, m, 1) increments, with
+        # ``increment``'s arithmetic. Off its recommendation a conditional
+        # hypothesis is inactive and its increment 0 leaves wealth as it is.
+        own = np.indices(counts).reshape(len(counts), -1)
+        self._active = np.stack(
+            [(own[h.player] == h.condition) | (h.condition is None) for h in self.hypotheses], 1
+        )
+        shift = config.eps if config.mode is EquilibriumMode.EPS_APPROX else 0.0
+        table = np.stack([
+            (u[h.player] - np.take(u[h.player], [h.deviation], axis=h.player) + shift).ravel()
             for h in self.hypotheses
-        }
+        ], 1)
+        self._table = np.where(self._active, table, 0.0)[:, :, None]
+        self.log_wealth = np.zeros((self.m, config.mixture.size))
+        self.log_max = np.zeros(self.m)
+        self.updates = np.zeros(self.m, dtype=np.int64)
         self.round = 0
         self.rejection = RejectionState()
         # Global rounds at which each hypothesis first reached m/alpha;
-        # EProcessState.crossing_time counts that hypothesis's own updates,
-        # which lags global time in conditional CE mode.
+        # ``updates`` lags global time in conditional CE mode.
         self.threshold_crossings: dict[HypothesisId, int] = {}
 
     @property
@@ -200,31 +225,30 @@ class EquilibriumMonitor:
         """FWER threshold m/alpha; derived, never stored independently."""
         return self.m / self.config.alpha
 
-    def _eps_shift(self) -> float:
-        return self.config.eps if self.config.mode is EquilibriumMode.EPS_APPROX else 0.0
-
-    def _advance(self, profile: ActionProfile) -> None:
+    def _advance(self, profile: ActionProfile) -> np.ndarray:
+        """One block step; returns the indices of hypotheses now at or above m/alpha."""
         profile.validate(self.game.action_counts)
+        idx = sum(a * s for a, s in zip(profile.actions, self._strides))
+        _bet(self.log_wealth, self.config.mixture.lambdas, self._table[idx])
         self.round += 1
-        shift = self._eps_shift()
-        for h in self.hypotheses:
-            if h.condition is not None and profile.actions[h.player] != h.condition:
-                continue
-            x = increment(self.game, profile, h.player, h.deviation, shift)
-            st = self.states[h]
-            st.update(x)
-            if h not in self.threshold_crossings and st.running_max >= self.threshold:
-                self.threshold_crossings[h] = self.round
+        self.updates += self._active[idx]
+        log_values = _log_mix(self.log_wealth, self.config.mixture.weights)
+        np.maximum(self.log_max, log_values, out=self.log_max)
+        above = np.flatnonzero(log_values >= self._log_threshold)
+        for j in above:
+            self.threshold_crossings.setdefault(self.hypotheses[j], self.round)
+        return above
 
     def step_fwer(self, profile: ActionProfile) -> StepDecision:
+        """One FWER round; rejects and stops when any wealth reaches m/alpha."""
+        if self.config.procedure != "fwer":
+            raise StateError("monitor was configured for FDR")
         if self.rejection.stopped:
             raise StateError("monitor already stopped")
-        self._advance(profile)
-        crossing = tuple(
-            h for h in self.hypotheses if self.states[h].value() >= self.threshold
-        )
-        if not crossing:
+        above = self._advance(profile)
+        if not above.size:
             return CONTINUE
+        crossing = tuple(self.hypotheses[j] for j in above)
         self.rejection.stopped = True
         self.rejection.stopping_round = self.round
         for h in crossing:
@@ -233,80 +257,82 @@ class EquilibriumMonitor:
         return StepDecision(crossing, self.round)
 
     def step_fdr(self, profile: ActionProfile) -> RejectionState:
+        """One e-BH round; accumulates evidence and never hard-stops."""
+        if self.config.procedure != "fdr":
+            raise StateError("monitor was configured for FWER")
         self._advance(profile)
-        maxima = np.array([self.states[h].running_max for h in self.hypotheses])
-        k, indices = ebh_rejection(maxima, self.config.alpha, self.weights)
-        self.rejection.k = k
-        for i in indices:
-            self.rejection.rejected.setdefault(self.hypotheses[i], self.round)
+        self.rejection.k, rejected = _ebh(self.log_max >= self._log_ladder)
+        for j in rejected:
+            self.rejection.rejected.setdefault(self.hypotheses[j], self.round)
         return self.rejection
 
     def wealth(self) -> dict[HypothesisId, float]:
-        return {h: self.states[h].value() for h in self.hypotheses}
+        """Mixture wealth per hypothesis; inf at worst, never an overflow."""
+        with np.errstate(over="ignore"):
+            values = np.exp(_log_mix(self.log_wealth, self.config.mixture.weights))
+        return dict(zip(self.hypotheses, values.tolist()))
 
     # -- snapshot ----------------------------------------------------------
 
     def to_snapshot(self) -> str:
         """Versioned text snapshot of the full monitor state."""
-        cfg = self.config
-        lines = [SNAPSHOT_HEADER]
-        lines.append(f"procedure {cfg.procedure}")
-        lines.append(f"alpha {cfg.alpha!r}")
-        lines.append(f"mode {cfg.mode.value}")
-        lines.append(f"eps {cfg.eps!r}")
-        lines.append(f"conditional_ce {int(cfg.conditional_ce)}")
-        lines.append(f"mixture {cfg.mixture.kind}")
-        lines.append("lambdas " + " ".join(repr(float(v)) for v in cfg.mixture.lambdas))
-        lines.append("mixture_weights " + " ".join(repr(float(v)) for v in cfg.mixture.weights))
+        cfg, rej = self.config, self.rejection
+        lines = [
+            SNAPSHOT_HEADER,
+            f"procedure {cfg.procedure}",
+            f"alpha {cfg.alpha!r}",
+            f"mode {cfg.mode.value}",
+            f"eps {cfg.eps!r}",
+            f"conditional_ce {int(cfg.conditional_ce)}",
+            f"mixture {cfg.mixture.kind}",
+            f"lambdas {_floats(cfg.mixture.lambdas)}",
+            f"mixture_weights {_floats(cfg.mixture.weights)}",
+        ]
         if self.weights is not None:
-            lines.append("weights " + " ".join(repr(float(v)) for v in self.weights))
-        lines.append(f"round {self.round}")
-        lines.append(f"k {self.rejection.k}")
-        lines.append(f"stopped {int(self.rejection.stopped)}")
-        lines.append(f"stopping_round {self.rejection.stopping_round or -1}")
-        for h in self.hypotheses:
-            st = self.states[h]
+            lines.append(f"weights {_floats(self.weights)}")
+        lines += [
+            f"round {self.round}",
+            f"k {rej.k}",
+            f"stopped {int(rej.stopped)}",
+            f"stopping_round {rej.stopping_round or -1}",
+        ]
+        for j, h in enumerate(self.hypotheses):
             cond = -1 if h.condition is None else h.condition
-            lines.append(f"hypothesis {h.player} {h.deviation} {cond}")
-            lines.append("logw " + " ".join(repr(float(v)) for v in st.log_wealth))
-            lines.append("dead " + " ".join(str(int(v)) for v in st.dead))
-            lines.append(f"rounds {st.round}")
-            lines.append(f"runmax {float(st.running_max)!r}")
-            lines.append(f"crossing {-1 if st.crossing_time is None else st.crossing_time}")
-            lines.append(
-                "global_crossing "
-                f"{self.threshold_crossings.get(h, -1)}"
-            )
-            lines.append(f"rejected_at {self.rejection.rejected.get(h, -1)}")
-        lines.append("end")
-        return "\n".join(lines) + "\n"
+            lines += [
+                f"hypothesis {h.player} {h.deviation} {cond}",
+                f"logw {_floats(self.log_wealth[j])}",
+                f"rounds {self.updates[j]}",
+                f"logmax {float(self.log_max[j])!r}",
+                f"global_crossing {self.threshold_crossings.get(h, -1)}",
+                f"rejected_at {rej.rejected.get(h, -1)}",
+            ]
+        return "\n".join(lines + ["end"]) + "\n"
 
     @classmethod
     def from_snapshot(cls, game: NormalFormGame, text: str) -> "EquilibriumMonitor":
+        """Restore a v2 snapshot, or a v1 one (linear running maxima)."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != SNAPSHOT_HEADER:
+        if not lines or lines[0] not in (SNAPSHOT_HEADER, SNAPSHOT_HEADER_V1):
             raise DomainError("unrecognized snapshot header")
-        fields: dict[str, str] = {}
-        i = 1
-        while i < len(lines) and not lines[i].startswith("hypothesis "):
-            key, _, value = lines[i].partition(" ")
-            fields[key] = value
-            i += 1
+        blocks: list[dict[str, str]] = [{}]
+        for line in lines[1:]:
+            key, _, value = line.partition(" ")
+            if key == "end":
+                break
+            if key == "hypothesis":
+                blocks.append({})
+            blocks[-1][key] = value
+        fields = blocks[0]
         mixture = BettingMixture(
-            fields["mixture"],
-            np.array([float(v) for v in fields["lambdas"].split()]),
-            np.array([float(v) for v in fields["mixture_weights"].split()]),
+            fields["mixture"], _parse(fields["lambdas"]), _parse(fields["mixture_weights"])
         )
-        weights = None
-        if "weights" in fields:
-            weights = np.array([float(v) for v in fields["weights"].split()])
         config = MonitorConfig(
             alpha=float(fields["alpha"]),
             mixture=mixture,
             mode=EquilibriumMode(fields["mode"]),
             eps=float(fields["eps"]),
             procedure=fields["procedure"],
-            weights=weights,
+            weights=_parse(fields["weights"]) if "weights" in fields else None,
             conditional_ce=bool(int(fields["conditional_ce"])),
         )
         monitor = cls(game, config)
@@ -315,47 +341,32 @@ class EquilibriumMonitor:
         monitor.rejection.stopped = bool(int(fields["stopped"]))
         stopping = int(fields["stopping_round"])
         monitor.rejection.stopping_round = None if stopping < 0 else stopping
-        while i < len(lines) and lines[i] != "end":
-            parts = lines[i].split()
-            if parts[0] != "hypothesis":
-                raise DomainError(f"malformed snapshot near {lines[i]!r}")
-            cond = int(parts[3])
-            h = HypothesisId(
-                int(parts[1]), int(parts[2]), None if cond < 0 else cond
-            )
-            if h not in monitor.states:
+        for block in blocks[1:]:
+            player, deviation, cond = (int(v) for v in block["hypothesis"].split())
+            h = HypothesisId(player, deviation, None if cond < 0 else cond)
+            if h not in monitor.hypotheses:
                 raise DomainError(f"snapshot hypothesis {h} not in monitor")
-            block: dict[str, str] = {}
-            i += 1
-            while i < len(lines) and not lines[i].startswith("hypothesis ") and lines[i] != "end":
-                key, _, value = lines[i].partition(" ")
-                block[key] = value
-                i += 1
-            st = monitor.states[h]
-            st.log_wealth = np.array([float(v) for v in block["logw"].split()])
-            st.dead = np.array([bool(int(v)) for v in block["dead"].split()])
-            st.round = int(block["rounds"])
-            st.running_max = float(block["runmax"])
-            crossing = int(block["crossing"])
-            st.crossing_time = None if crossing < 0 else crossing
-            global_crossing = int(block["global_crossing"])
-            if global_crossing >= 0:
-                monitor.threshold_crossings[h] = global_crossing
-            rejected_at = int(block["rejected_at"])
-            if rejected_at >= 0:
-                monitor.rejection.rejected[h] = rejected_at
+            j = monitor.hypotheses.index(h)
+            logw = _parse(block["logw"])
+            # v1 kept a dead component's last finite log wealth.
+            dead = _parse(block["dead"]) == 1.0 if "dead" in block else np.isneginf(logw)
+            if not logw.size == dead.size == mixture.size:
+                raise ShapeError(f"{logw.size} log wealth entries for {mixture.size} fractions")
+            monitor.log_wealth[j] = np.where(dead, -np.inf, logw)
+            monitor.updates[j] = int(block["rounds"])
+            monitor.log_max[j] = (
+                float(block["logmax"]) if "logmax" in block else math.log(float(block["runmax"]))
+            )
+            if int(block["global_crossing"]) >= 0:
+                monitor.threshold_crossings[h] = int(block["global_crossing"])
+            if int(block["rejected_at"]) >= 0:
+                monitor.rejection.rejected[h] = int(block["rejected_at"])
         return monitor
 
 
-def fwer_step(monitor: EquilibriumMonitor, profile: ActionProfile) -> StepDecision:
-    """One FWER round; rejects and stops when any wealth reaches m/alpha."""
-    if monitor.config.procedure != "fwer":
-        raise StateError("monitor was configured for FDR")
-    return monitor.step_fwer(profile)
+def _floats(values) -> str:
+    return " ".join(repr(float(v)) for v in values)
 
 
-def fdr_step(monitor: EquilibriumMonitor, profile: ActionProfile) -> RejectionState:
-    """One e-BH round; accumulates evidence and never hard-stops."""
-    if monitor.config.procedure != "fdr":
-        raise StateError("monitor was configured for FWER")
-    return monitor.step_fdr(profile)
+def _parse(text: str) -> np.ndarray:
+    return np.array([float(v) for v in text.split()])

@@ -19,6 +19,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from .eprocess import _log_mix
 from .errors import (
     DomainError,
     ErgodicityError,
@@ -155,14 +156,15 @@ class LRMonitorState:
 
     Components are accumulated in log space; a zero-likelihood observation
     (or a support violation) kills its component rather than erroring, so a
-    mixture survives one dead alternative.
+    mixture survives one dead alternative. The running maximum and the
+    crossing test stay in log space: no stream overflows.
     """
 
     alternatives: tuple
     prior_weights: np.ndarray
     log_lr: np.ndarray = field(default=None)  # type: ignore[assignment]
     round: int = 0
-    running_max: float = 1.0
+    log_max: float = 0.0
     crossing_time: int | None = None
 
     def __post_init__(self) -> None:
@@ -182,14 +184,14 @@ class LRMonitorState:
             prior_weights = np.full(len(alternatives), 1.0 / len(alternatives))
         return cls(alternatives=alternatives, prior_weights=prior_weights)
 
+    def log_value(self) -> float:
+        """Log mixture wealth; -inf once every component is dead."""
+        return float(_log_mix(self.log_lr, self.prior_weights))
+
     def value(self) -> float:
-        finite = np.isfinite(self.log_lr)
-        if not finite.any():
-            return 0.0
-        logs = self.log_lr[finite]
-        w = self.prior_weights[finite]
-        shift = logs.max()
-        return float(math.exp(shift) * np.sum(w * np.exp(logs - shift)))
+        """Current mixture wealth; inf at worst, never an overflow error."""
+        with np.errstate(over="ignore"):
+            return float(np.exp(self.log_value()))
 
     def update_probs(self, null_prob: float, alt_probs, threshold: float) -> "LRMonitorState":
         """Advance by one observation given the per-policy action probabilities."""
@@ -207,10 +209,10 @@ class LRMonitorState:
             # mass and die as well.
             self.log_lr[:] = -np.inf
         self.round += 1
-        v = self.value()
-        if v > self.running_max:
-            self.running_max = v
-        if self.crossing_time is None and v >= threshold:
+        lv = self.log_value()
+        if lv > self.log_max:
+            self.log_max = lv
+        if self.crossing_time is None and lv >= math.log(threshold):
             self.crossing_time = self.round
         return self
 

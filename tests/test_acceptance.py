@@ -25,7 +25,6 @@ from eqsentinel import (
     exact_uniform_mixture,
     lr_step,
     matrix_game_solve,
-    mixture_value,
     slack_lower_bound,
 )
 from eqsentinel.envs import prey, soccer
@@ -134,11 +133,11 @@ def test_criterion_07_quadrature_oracle():
     for case in range(100):
         rng = run_rng(DEFAULT_SEED, 7, case)
         xs = rng.uniform(-0.9, 0.9, size=int(rng.integers(1, 21)))
-        state = EProcessState.fresh(mixture)
+        state = EProcessState(mixture)
         for x in xs:
             state.update(x)
         exact = exact_uniform_mixture(xs)
-        worst = max(worst, abs(mixture_value(state) - exact) / exact)
+        worst = max(worst, abs(state.value() - exact) / exact)
     assert worst <= 1e-3
 
 

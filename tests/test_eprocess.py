@@ -9,14 +9,13 @@ from eqsentinel import (
     ActionProfile,
     BettingMixture,
     EProcessState,
+    EquilibriumMonitor,
+    MonitorConfig,
     detection_bound_uniform,
-    eprocess_update,
-    evalue,
     exact_uniform_mixture,
     increment,
-    mixture_value,
-    optimal_lambda,
     slack_lower_bound,
+    two_player_game,
 )
 from eqsentinel.errors import CapacityError, DomainError, ShapeError
 
@@ -42,24 +41,29 @@ class TestIncrement:
             increment(game, ActionProfile((1, 2)), 0, 0)
 
 
+def one_round_value(x: float, lam: float) -> float:
+    """Wealth after one round of a single fixed-fraction bet: 1 - lam * x."""
+    return EProcessState(BettingMixture.dirac(lam)).update(x).value()
+
+
 class TestEvalue:
     @pytest.mark.parametrize(
         "x, lam, expected",
         [(-0.6, 0.1, 1.06), (0.0, 0.7, 1.0), (1.0, 1.0, 0.0)],
     )
     def test_formula(self, x, lam, expected):
-        assert evalue(x, lam) == pytest.approx(expected)
+        assert one_round_value(x, lam) == pytest.approx(expected)
 
     def test_lambda_domain(self):
         with pytest.raises(DomainError):
-            evalue(0.0, 0.0)
+            BettingMixture.dirac(0.0)
         with pytest.raises(DomainError):
-            evalue(0.0, 1.5)
+            BettingMixture.dirac(1.5)
 
     @given(x=st.floats(-1.0, 1.0), lam=st.floats(0.001, 1.0))
     @settings(max_examples=200)
     def test_nonnegative(self, x, lam):
-        assert evalue(x, lam) >= 0.0
+        assert one_round_value(x, lam) >= 0.0
 
 
 class TestMixtureConstruction:
@@ -84,48 +88,58 @@ class TestMixtureConstruction:
 
 class TestStateUpdates:
     def test_fresh_state_value_is_one(self):
-        st_ = EProcessState.fresh(BettingMixture.uniform_grid(11))
-        assert mixture_value(st_) == 1.0
+        st_ = EProcessState(BettingMixture.uniform_grid(11))
+        assert st_.value() == 1.0
         assert st_.round == 0
 
     def test_single_factor(self):
-        st_ = EProcessState.fresh(BettingMixture.dirac(0.05))
+        st_ = EProcessState(BettingMixture.dirac(0.05))
         st_.update(-0.6)
-        assert mixture_value(st_) == pytest.approx(1.03)
+        assert st_.value() == pytest.approx(1.03)
 
     def test_zero_stream_pins_wealth(self):
-        st_ = EProcessState.fresh(BettingMixture.uniform_grid(7))
+        st_ = EProcessState(BettingMixture.uniform_grid(7))
         for _ in range(50):
             st_.update(0.0)
-        assert mixture_value(st_) == pytest.approx(1.0)
-        assert st_.running_max == pytest.approx(1.0)
+        assert st_.value() == pytest.approx(1.0)
+        assert st_.log_max == pytest.approx(0.0)
 
     def test_grid_matches_exact_integral(self):
-        st_ = EProcessState.fresh(BettingMixture.uniform_grid(1001))
+        st_ = EProcessState(BettingMixture.uniform_grid(1001))
         st_.update(-1.0)
         st_.update(-1.0)
-        assert mixture_value(st_) == pytest.approx(7.0 / 3.0, rel=1e-3)
+        assert st_.value() == pytest.approx(7.0 / 3.0, rel=1e-3)
 
     def test_single_negative_one(self):
-        st_ = EProcessState.fresh(BettingMixture.uniform_grid(101))
+        st_ = EProcessState(BettingMixture.uniform_grid(101))
         st_.update(-1.0)
-        assert mixture_value(st_) == pytest.approx(1.5, rel=1e-6)
+        assert st_.value() == pytest.approx(1.5, rel=1e-6)
 
     def test_dead_flag_on_exact_zero(self):
-        st_ = EProcessState.fresh(BettingMixture.dirac(1.0))
+        st_ = EProcessState(BettingMixture.dirac(1.0))
         st_.update(1.0)
         assert st_.dead.all()
-        assert mixture_value(st_) == 0.0
+        assert st_.value() == 0.0
         st_.update(-1.0)  # dead components stay dead
-        assert mixture_value(st_) == 0.0
+        assert st_.value() == 0.0
+
+    def test_nan_increment_rejected_before_any_write(self):
+        st_ = EProcessState(BettingMixture.uniform_grid(5))
+        with pytest.raises(DomainError):
+            st_.update(float("nan"))
+        assert st_.round == 0 and (st_.log_wealth == 0.0).all()
 
     def test_grid_mismatch_rejected(self):
-        st_ = EProcessState.fresh(BettingMixture.uniform_grid(11))
+        # A stored state whose grid differs from its mixture cannot be loaded.
+        game = two_player_game(np.full((2, 2), 0.5), np.full((2, 2), 0.5))
+        config = MonitorConfig(alpha=0.2, mixture=BettingMixture.uniform_grid(11))
+        text = EquilibriumMonitor(game, config).to_snapshot()
+        text = text.replace("logw 0.0 ", "logw 0.0 0.0 ", 1)
         with pytest.raises(ShapeError):
-            eprocess_update(st_, 0.0, BettingMixture.uniform_grid(12))
+            EquilibriumMonitor.from_snapshot(game, text)
 
     def test_crossing_time_recorded_once(self):
-        st_ = EProcessState.fresh(BettingMixture.dirac(0.5), threshold=2.0)
+        st_ = EProcessState(BettingMixture.dirac(0.5), threshold=2.0)
         for _ in range(10):
             st_.update(-1.0)
         assert st_.crossing_time == math.ceil(math.log(2.0) / math.log(1.5))
@@ -137,12 +151,12 @@ class TestStateUpdates:
     @settings(max_examples=60, deadline=None)
     def test_running_max_replays_prefix_maximum(self, xs, nodes):
         mixture = BettingMixture.uniform_grid(nodes)
-        state = EProcessState.fresh(mixture)
+        state = EProcessState(mixture)
         prefix_values = [1.0]
         for x in xs:
             state.update(x)
-            prefix_values.append(mixture_value(state))
-        assert state.running_max == pytest.approx(max(prefix_values), rel=1e-12)
+            prefix_values.append(state.value())
+        assert np.exp(state.log_max) == pytest.approx(max(prefix_values), rel=1e-12)
         assert state.round == len(xs)
         assert np.isfinite(state.log_wealth[~state.dead]).all()
 
@@ -164,22 +178,27 @@ class TestExactUniformMixture:
         mixture = BettingMixture.uniform_grid(1001)
         for _ in range(30):
             xs = rng.uniform(-0.9, 0.9, size=rng.integers(1, 21))
-            state = EProcessState.fresh(mixture)
+            state = EProcessState(mixture)
             for x in xs:
                 state.update(x)
             exact = exact_uniform_mixture(xs)
-            assert mixture_value(state) == pytest.approx(exact, rel=1e-3)
+            assert state.value() == pytest.approx(exact, rel=1e-3)
 
 
 class TestClosedForms:
     def test_optimal_lambda_is_identity_on_slack(self):
-        assert optimal_lambda(0.1) == 0.1
-        assert optimal_lambda(1.0) == 1.0
-        assert optimal_lambda(0.05) == 0.05
+        # Against the worst-case increments, +-1 with mean -eta, the growth
+        # rate E log(1 - lam * x) peaks at lam = eta.
+        lams = np.linspace(0.001, 0.999, 999)
+        for eta in (0.1, 0.05, 0.5):
+            growth = (1 + eta) / 2 * np.log(1 - lams * -1.0) + (1 - eta) / 2 * np.log(
+                1 - lams * 1.0
+            )
+            assert lams[np.argmax(growth)] == pytest.approx(eta, abs=1e-3)
         with pytest.raises(DomainError):
-            optimal_lambda(0.0)
+            BettingMixture.dirac(0.0)
         with pytest.raises(DomainError):
-            optimal_lambda(1.2)
+            BettingMixture.dirac(1.2)
 
     def test_detection_bound_values(self):
         assert detection_bound_uniform(20, 0.1) == pytest.approx(8508.2, abs=0.15)

@@ -119,7 +119,7 @@ class TestSlopeFit:
 class TestVectorizedReplay:
     def test_stream_matches_object_monitor(self, two_signal):
         # Same profiles through the numpy path and the object monitor.
-        from eqsentinel import ActionProfile, EquilibriumMonitor, MonitorConfig, fwer_step
+        from eqsentinel import ActionProfile, EquilibriumMonitor, MonitorConfig
 
         game, _, alternative = two_signal
         hyps = enumerate_hypotheses(game, EquilibriumMode.NASH)
@@ -138,7 +138,7 @@ class TestVectorizedReplay:
         stopped_round = None
         for t, flat in enumerate(stream, start=1):
             profile = ActionProfile(tuple(np.unravel_index(flat, counts)))
-            if fwer_step(monitor, profile).stopped:
+            if monitor.step_fwer(profile).stopped:
                 stopped_round = t
                 break
         assert stopped_round == expected_round
@@ -317,16 +317,16 @@ class TestEbhAlarmFuzz:
 
 class TestGridMixtureReplay:
     def test_object_state_matches_vectorized_grid_path(self):
-        from eqsentinel.eprocess import EProcessState, mixture_value
+        from eqsentinel.eprocess import EProcessState
 
         rng = np.random.default_rng(77)
         xs = rng.uniform(-0.9, 0.9, size=60)
         mixture = BettingMixture.uniform_grid(41)
         paths = nfstreams.log_wealth_paths(xs[None, :], mixture)[0]
-        state = EProcessState.fresh(mixture)
+        state = EProcessState(mixture)
         for t, x in enumerate(xs):
             state.update(x)
-            assert np.log(mixture_value(state)) == pytest.approx(
+            assert np.log(state.value()) == pytest.approx(
                 paths[t], abs=1e-12
             )
 

@@ -13,11 +13,11 @@ from eqsentinel import (
     HypothesisId,
     JointStrategy,
     MonitorConfig,
+    NormalFormGame,
     ebh_rejection,
     enumerate_hypotheses,
     equilibrium_slack,
-    fdr_step,
-    fwer_step,
+    increment,
     sample_profile,
     slack_lower_bound,
     two_player_game,
@@ -98,7 +98,7 @@ class TestFwer:
         const = two_player_game(np.full((2, 2), 0.5), np.full((2, 2), 0.5))
         monitor = EquilibriumMonitor(const, dirac_config())
         for _ in range(200):
-            decision = fwer_step(monitor, ActionProfile((0, 1)))
+            decision = monitor.step_fwer(ActionProfile((0, 1)))
             assert not decision.stopped
         assert all(v == pytest.approx(1.0) for v in monitor.wealth().values())
 
@@ -109,7 +109,7 @@ class TestFwer:
         assert predicted == 1200
         profile = ActionProfile((0, 0))
         for t in range(1, predicted + 1):
-            decision = fwer_step(monitor, profile)
+            decision = monitor.step_fwer(profile)
             if decision.stopped:
                 assert t == predicted
                 assert decision.rejected == (HypothesisId(0, 1),)
@@ -121,19 +121,21 @@ class TestFwer:
         game = scenarios.constant_gap_game(0.5)
         monitor = EquilibriumMonitor(game, dirac_config(alpha=0.5, lam=0.9))
         profile = ActionProfile((0, 0))
-        while not fwer_step(monitor, profile).stopped:
+        while not monitor.step_fwer(profile).stopped:
             pass
         with pytest.raises(StateError):
-            fwer_step(monitor, profile)
+            monitor.step_fwer(profile)
 
     def test_procedure_mismatch(self, two_signal):
         game, _, _ = two_signal
         fdr_monitor = EquilibriumMonitor(game, dirac_config(procedure="fdr"))
         with pytest.raises(StateError):
-            fwer_step(fdr_monitor, ActionProfile((0, 0)))
+            fdr_monitor.step_fwer(ActionProfile((0, 0)))
         fwer_monitor = EquilibriumMonitor(game, dirac_config())
         with pytest.raises(StateError):
-            fdr_step(fwer_monitor, ActionProfile((0, 0)))
+            fwer_monitor.step_fdr(ActionProfile((0, 0)))
+        # A refused step leaves the monitor untouched.
+        assert fdr_monitor.round == fwer_monitor.round == 0
 
     def test_empirical_fwer_controlled_under_null(self, two_signal):
         game, nash, _ = two_signal
@@ -217,7 +219,7 @@ class TestFdrMonitor:
         rng = np.random.default_rng(seed)
         snapshots = []
         for _ in range(rounds):
-            state = fdr_step(monitor, sample_profile(strategy, rng))
+            state = monitor.step_fdr(sample_profile(strategy, rng))
             snapshots.append(dict(state.rejected))
         return monitor, snapshots
 
@@ -232,7 +234,7 @@ class TestFdrMonitor:
         const = two_player_game(np.full((2, 2), 0.5), np.full((2, 2), 0.5))
         monitor = EquilibriumMonitor(const, dirac_config(procedure="fdr"))
         for _ in range(300):
-            state = fdr_step(monitor, ActionProfile((1, 1)))
+            state = monitor.step_fdr(ActionProfile((1, 1)))
         assert state.rejected == {}
         assert state.k == 0
 
@@ -266,15 +268,16 @@ class TestFdrMonitor:
         ]
         first = None
         for t, profile in enumerate(profiles, start=1):
-            state = fdr_step(monitor, profile)
+            state = monitor.step_fdr(profile)
             if state.rejected and first is None:
                 first = t
                 assert state.k == k
                 break
         assert first == alarm
         # Per-hypothesis wealth agrees with the replayed paths.
+        wealth = monitor.wealth()
         for j, h in enumerate(hyps):
-            assert monitor.states[h].value() == pytest.approx(
+            assert wealth[h] == pytest.approx(
                 float(np.exp(paths[j, first - 1])), rel=1e-12
             )
 
@@ -289,11 +292,10 @@ class TestConditionalCe:
             conditional_ce=True,
         )
         monitor = EquilibriumMonitor(game, config)
-        fwer_step(monitor, ActionProfile((0, 0)))
-        rounds = {h: monitor.states[h].round for h in monitor.hypotheses}
-        for h in monitor.hypotheses:
+        monitor.step_fwer(ActionProfile((0, 0)))
+        for j, h in enumerate(monitor.hypotheses):
             expected = 1 if h.condition == 0 else 0
-            assert rounds[h] == expected
+            assert monitor.updates[j] == expected
 
     def test_ce_stream_keeps_wealth_controlled(self):
         game, joint = scenarios.coordination_ce()
@@ -310,7 +312,7 @@ class TestConditionalCe:
                 np.random.SeedSequence(entropy=777, spawn_key=(seed,))
             )
             for _ in range(40):
-                fwer_step(monitor, sample_profile(joint, rng))
+                monitor.step_fwer(sample_profile(joint, rng))
             means.append(np.mean(list(monitor.wealth().values())))
         mc = float(np.mean(means))
         se = float(np.std(means, ddof=1) / math.sqrt(len(means)))
@@ -329,7 +331,7 @@ class TestEpsApprox:
         )
         monitor = EquilibriumMonitor(game, config)
         for _ in range(3000):
-            assert not fwer_step(monitor, ActionProfile((0, 0))).stopped
+            assert not monitor.step_fwer(ActionProfile((0, 0))).stopped
 
     def test_larger_gap_still_detected(self):
         game = scenarios.constant_gap_game(0.3)
@@ -342,7 +344,7 @@ class TestEpsApprox:
         monitor = EquilibriumMonitor(game, config)
         stopped_at = None
         for t in range(1, 3000):
-            if fwer_step(monitor, ActionProfile((0, 0))).stopped:
+            if monitor.step_fwer(ActionProfile((0, 0))).stopped:
                 stopped_at = t
                 break
         assert stopped_at == slack_lower_bound(monitor.threshold, 0.05, 0.25)
@@ -357,18 +359,15 @@ class TestSnapshot:
         rng = np.random.default_rng(8)
         stream = [sample_profile(alternative, rng) for _ in range(600)]
         for profile in stream[:300]:
-            fdr_step(monitor, profile)
+            monitor.step_fdr(profile)
         text = monitor.to_snapshot()
         restored = EquilibriumMonitor.from_snapshot(game, text)
         for profile in stream[300:]:
-            a = fdr_step(monitor, profile)
-            b = fdr_step(restored, profile)
+            a = monitor.step_fdr(profile)
+            b = restored.step_fdr(profile)
         assert a.rejected == b.rejected
         assert a.k == b.k
-        for h in monitor.hypotheses:
-            assert monitor.states[h].log_wealth == pytest.approx(
-                restored.states[h].log_wealth, rel=0, abs=0
-            )
+        assert monitor.log_wealth == pytest.approx(restored.log_wealth, rel=0, abs=0)
 
     def test_snapshot_rejects_garbage(self, two_signal):
         game, _, _ = two_signal
@@ -381,14 +380,14 @@ class TestFwerSnapshot:
         game = scenarios.constant_gap_game(0.3)
         monitor = EquilibriumMonitor(game, dirac_config(alpha=0.5, lam=0.5))
         profile = ActionProfile((0, 0))
-        while not fwer_step(monitor, profile).stopped:
+        while not monitor.step_fwer(profile).stopped:
             pass
         restored = EquilibriumMonitor.from_snapshot(game, monitor.to_snapshot())
         assert restored.rejection.stopped
         assert restored.rejection.stopping_round == monitor.rejection.stopping_round
         assert restored.rejection.rejected == monitor.rejection.rejected
         with pytest.raises(StateError):
-            fwer_step(restored, profile)
+            restored.step_fwer(profile)
 
 
 class TestWeightedFdr:
@@ -427,9 +426,9 @@ class TestWeightedFdr:
         )
         fwer_round = None
         for t in range(1, 5000):
-            if fwer_round is None and fwer_step(fwer_monitor, profile).stopped:
+            if fwer_round is None and fwer_monitor.step_fwer(profile).stopped:
                 fwer_round = t
-            state = fdr_step(fdr_monitor, profile)
+            state = fdr_monitor.step_fdr(profile)
             if state.rejected:
                 assert state.first_rejection_round == fwer_round == t
                 assert state.k == 1
@@ -474,8 +473,227 @@ class TestConditionalCeDetection:
         rng = np.random.default_rng(0)
         decision = None
         for _ in range(200):
-            decision = fwer_step(monitor, sample_profile(anti, rng))
+            decision = monitor.step_fwer(sample_profile(anti, rng))
             if decision.stopped:
                 break
         assert decision is not None and decision.stopped
         assert all(h.condition is not None for h in decision.rejected)
+
+
+GOLDEN = __import__("pathlib").Path(__file__).parent / "golden"
+
+
+def anti_coordination_stream(rounds, seed):
+    """Mostly mis-coordinated play on the coordination game, whose 0/1
+    payoffs give increments of exactly 1 (a dead lambda=1 component)."""
+    anti = JointStrategy.full([[0.1, 0.4], [0.4, 0.1]])
+    rng = np.random.default_rng(seed)
+    return [sample_profile(anti, rng) for _ in range(rounds)]
+
+
+class TestBlockSnapshot:
+    @pytest.mark.parametrize("procedure", ["fwer", "fdr"])
+    @pytest.mark.parametrize(
+        "mixture",
+        [
+            BettingMixture.dirac(1.0),
+            BettingMixture("grid", np.array([0.5, 1.0]), np.array([0.5, 0.5])),
+        ],
+        ids=["dirac-1", "grid-half-one"],
+    )
+    def test_round_trip_with_dead_components_conditional_ce(self, mixture, procedure):
+        game, _ = scenarios.coordination_ce()
+        config = MonitorConfig(
+            alpha=0.01,
+            mixture=mixture,
+            mode=EquilibriumMode.CE,
+            conditional_ce=True,
+            procedure=procedure,
+        )
+        monitor = EquilibriumMonitor(game, config)
+        step = monitor.step_fwer if procedure == "fwer" else monitor.step_fdr
+        stream = anti_coordination_stream(60, seed=4)
+        for profile in stream[:4]:
+            step(profile)
+        assert np.isneginf(monitor.log_wealth).any()
+        restored = EquilibriumMonitor.from_snapshot(game, monitor.to_snapshot())
+        restored_step = restored.step_fwer if procedure == "fwer" else restored.step_fdr
+        for profile in stream[4:]:
+            if monitor.rejection.stopped:
+                break
+            a, b = step(profile), restored_step(profile)
+            assert a == b if procedure == "fwer" else (a.k, a.rejected) == (b.k, b.rejected)
+        np.testing.assert_array_equal(monitor.log_wealth, restored.log_wealth)
+        np.testing.assert_array_equal(monitor.log_max, restored.log_max)
+        np.testing.assert_array_equal(monitor.updates, restored.updates)
+        assert monitor.rejection == restored.rejection
+        assert monitor.threshold_crossings == restored.threshold_crossings
+
+    def test_seed_v1_snapshot_restores(self):
+        # Written by the per-hypothesis monitor this block state replaced:
+        # conditional-CE e-BH at round 20, lambda=1 components dead.
+        game, _ = scenarios.coordination_ce()
+        text = (GOLDEN / "monitor_snapshot_v1.txt").read_text()
+        monitor = EquilibriumMonitor.from_snapshot(game, text)
+        assert monitor.round == 20
+        assert monitor.rejection.k == 2
+        assert np.isneginf(monitor.log_wealth[:, 1]).all()
+        np.testing.assert_array_equal(monitor.updates, [11, 9, 10, 10])
+        assert np.exp(monitor.log_max) == pytest.approx(
+            [4.805419921875, 37.69531249999999, 3.2036132812500004, 72.54296875], rel=1e-15
+        )
+        rest = [(0, 0), (1, 1), (0, 1), (0, 1), (1, 0), (1, 0), (0, 1), (1, 0), (0, 0), (1, 0),
+                (0, 1), (0, 0), (1, 0), (1, 1), (0, 1), (1, 0), (0, 1), (1, 0), (1, 0), (0, 1)]
+        for actions in rest:
+            state = monitor.step_fdr(ActionProfile(actions))
+        # The seed monitor's readout at round 40 on the same profiles.
+        expected = {
+            "p0|a0->a1": 10.263138055801397,
+            "p0|a1->a0": 41.052552223205666,
+            "p1|a0->a1": 10.263138055801397,
+            "p1|a1->a0": 41.052552223205666,
+        }
+        got = {h.label(): v for h, v in monitor.wealth().items()}
+        assert got == pytest.approx(expected, rel=1e-12)
+        assert state.k == 4
+        assert {h.label(): t for h, t in state.rejected.items()} == {
+            "p1|a1->a0": 11, "p0|a1->a0": 12, "p0|a0->a1": 27, "p1|a0->a1": 28,
+        }
+        with pytest.raises(ShapeError):
+            EquilibriumMonitor.from_snapshot(game, text.replace("dead 0 1", "dead 0 1 1", 1))
+
+
+class TestLongStreams:
+    """Log-space readouts: no stream length overflows a monitor."""
+
+    ROUNDS = 100_000
+
+    def test_fdr_constant_gap_runs_long(self):
+        game = scenarios.constant_gap_game(0.3)
+        mixture = BettingMixture.uniform_grid()
+        monitor = EquilibriumMonitor(
+            game, MonitorConfig(alpha=0.05, mixture=mixture, procedure="fdr")
+        )
+        profile = ActionProfile((0, 0))
+        for _ in range(self.ROUNDS):
+            state = monitor.step_fdr(profile)
+        gap = HypothesisId(0, 1)
+        assert state.k == 1 and list(state.rejected) == [gap]
+        assert monitor.wealth()[gap] == math.inf
+        j = monitor.hypotheses.index(gap)
+        per_fraction = self.ROUNDS * np.log1p(0.3 * mixture.lambdas)
+        shift = per_fraction.max()
+        expected = shift + np.log(np.exp(per_fraction - shift) @ mixture.weights)
+        assert monitor.log_max[j] == pytest.approx(expected, rel=1e-9)
+
+    def test_bare_eprocess_state_runs_long(self):
+        from eqsentinel import EProcessState
+
+        state = EProcessState(BettingMixture.uniform_grid(), threshold=80.0)
+        for _ in range(self.ROUNDS):
+            state.update(-0.3)
+        assert state.value() == math.inf
+        assert 0.0 < state.log_value() == state.log_max < math.inf
+        assert state.crossing_time is not None
+
+    def test_lr_monitor_runs_long(self):
+        from eqsentinel import LRMonitorState, Policy, lr_step
+
+        null = Policy(np.array([[0.5, 0.5]]))
+        alt = Policy(np.array([[0.99, 0.01]]))
+        state = LRMonitorState.fresh((alt, null))
+        for _ in range(5_000):
+            lr_step(state, 0, 0, null, 20.0)
+        assert state.value() == math.inf
+        assert state.log_max == state.log_value() == pytest.approx(
+            5_000 * math.log(1.98) + math.log(0.5), rel=1e-9
+        )
+        assert state.crossing_time == math.ceil(math.log(40.0) / math.log(1.98))
+
+
+def conditional_replay(tables, hypotheses, flat, counts):
+    """Replay increments, zeroed where a conditional hypothesis sleeps."""
+    incr = tables[:, flat]
+    own = np.unravel_index(flat, counts)
+    for j, h in enumerate(hypotheses):
+        if h.condition is not None:
+            incr[j, own[h.player] != h.condition] = 0.0
+    return incr
+
+
+class TestObjectMatchesReplay:
+    def test_one_round_is_the_scalar_recursion_bit_for_bit(self):
+        # The block step keeps the per-hypothesis arithmetic of the scalar
+        # path: log(1 - lambda * increment) for every hypothesis and profile.
+        rng = np.random.default_rng(12)
+        mixture = BettingMixture.uniform_grid(7, 1.0 / 1.2)
+        for counts in [(2, 3), (3, 2, 2)]:
+            game = NormalFormGame(rng.random((len(counts), *counts)))
+            config = MonitorConfig(
+                alpha=0.1, mixture=mixture, mode=EquilibriumMode.EPS_APPROX, eps=0.2
+            )
+            for actions in np.ndindex(*counts):
+                monitor = EquilibriumMonitor(game, config)
+                monitor.step_fwer(ActionProfile(actions))
+                for j, h in enumerate(monitor.hypotheses):
+                    x = increment(game, ActionProfile(actions), h.player, h.deviation, 0.2)
+                    expected = np.log(1.0 - mixture.lambdas * x)
+                    np.testing.assert_array_equal(monitor.log_wealth[j], expected)
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_random_games(self, data):
+        players = data.draw(st.integers(2, 3))
+        counts = tuple(data.draw(st.integers(2, 3)) for _ in range(players))
+        seed = data.draw(st.integers(0, 2**31 - 1))
+        mode = data.draw(st.sampled_from(["nash", "conditional-ce", "eps"]))
+        procedure = data.draw(st.sampled_from(["fwer", "fdr"]))
+        horizon = data.draw(st.integers(1, 150))
+        rng = np.random.default_rng(seed)
+        game = NormalFormGame(rng.random((players, *counts)))
+        eps = data.draw(st.floats(0.01, 0.3)) if mode == "eps" else 0.0
+        upper = 1.0 / (1.0 + eps)
+        if data.draw(st.booleans()):
+            mixture = BettingMixture.dirac(data.draw(st.floats(0.05, 0.95)) * upper)
+        else:
+            mixture = BettingMixture.uniform_grid(data.draw(st.integers(2, 15)), upper)
+        config = MonitorConfig(
+            alpha=data.draw(st.floats(0.05, 0.5)),
+            mixture=mixture,
+            mode={"nash": EquilibriumMode.NASH, "conditional-ce": EquilibriumMode.CE,
+                  "eps": EquilibriumMode.EPS_APPROX}[mode],
+            eps=eps,
+            procedure=procedure,
+            conditional_ce=mode == "conditional-ce",
+        )
+        monitor = EquilibriumMonitor(game, config)
+        # Skewed play, so that some deviations pay and the monitors move.
+        joint = rng.dirichlet(np.full(int(np.prod(counts)), 0.3))
+        flat = rng.choice(joint.size, p=joint, size=horizon)
+        tables = nfstreams.increment_tables(game, monitor.hypotheses, eps)
+        paths = nfstreams.log_wealth_paths(
+            conditional_replay(tables, monitor.hypotheses, flat, counts), mixture
+        )
+        if procedure == "fwer":
+            crossings = nfstreams.fwer_crossing_times(paths, monitor.threshold)
+            hit = crossings[crossings > 0]
+            expected = int(hit.min()) if hit.size else -1
+        else:
+            alarm, k, rejected = nfstreams.ebh_alarm(paths, config.alpha, monitor.weights)
+            expected = (alarm, k, tuple(monitor.hypotheses[j] for j in rejected))
+        got = -1 if procedure == "fwer" else (-1, 0, ())
+        for t, i in enumerate(flat, start=1):
+            profile = ActionProfile(tuple(int(a) for a in np.unravel_index(i, counts)))
+            if procedure == "fwer":
+                if monitor.step_fwer(profile).stopped:
+                    got = t
+                    break
+            else:
+                state = monitor.step_fdr(profile)
+                if state.k:
+                    rejected = tuple(sorted(state.rejected, key=monitor.hypotheses.index))
+                    got = (t, state.k, rejected)
+                    break
+        assert got == expected
+        log_values = np.log(np.array(list(monitor.wealth().values())))
+        assert log_values == pytest.approx(paths[:, monitor.round - 1], rel=1e-9, abs=1e-9)
