@@ -13,6 +13,7 @@ default isolated behind this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -127,6 +128,44 @@ def chase_policy(
         else:
             weights[action] = CHASE_FARTHER
     return weights / weights.sum()
+
+
+def cell_id(pos: tuple[int, int]) -> int:
+    """Integer id ``row * GRID + col`` of a grid cell."""
+    return pos[0] * GRID + pos[1]
+
+
+@cache
+def pursuit_tables() -> tuple[
+    tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], np.ndarray
+]:
+    """The pursuit rules over cell ids (:func:`cell_id`), for simulation loops.
+
+    ``moves[cell][action]`` is the cell :func:`_move` lands on.
+    ``chase_rows`` stacks the distinct :func:`chase_policy` rows (read-only),
+    and ``chase_row[suspect][prey]`` is the index of that pair's row, or -1
+    where the two share a cell and the policy is undefined. Built on first
+    use and kept for the life of the process.
+    """
+    cells = [divmod(i, GRID) for i in range(GRID * GRID)]
+    moves = tuple(
+        tuple(cell_id(_move(pos, action)) for action in range(NUM_ACTIONS))
+        for pos in cells
+    )
+    distinct: dict[tuple[float, ...], int] = {}
+    chase_row = []
+    for predator in cells:
+        ids = []
+        for target in cells:
+            if predator == target:
+                ids.append(-1)
+                continue
+            key = tuple(chase_policy(predator, target).tolist())
+            ids.append(distinct.setdefault(key, len(distinct)))
+        chase_row.append(tuple(ids))
+    chase_rows = np.array(list(distinct))
+    chase_rows.flags.writeable = False
+    return moves, tuple(chase_row), chase_rows
 
 
 def suspect_policy_row(

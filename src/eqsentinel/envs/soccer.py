@@ -21,6 +21,7 @@ is checked against the model by Monte Carlo in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -178,6 +179,39 @@ def index_state(index: int) -> SoccerState:
     rest = index // 2
     b, a = rest % NUM_CELLS, rest // NUM_CELLS
     return SoccerState(divmod(a, WIDTH), divmod(b, WIDTH), possession)
+
+
+@cache
+def successor_table() -> tuple[tuple[tuple[int, ...], ...], tuple[bool, ...]]:
+    """Post-slip dynamics under the default rules over state ids, for
+    simulation loops.
+
+    ``successors[s][NUM_ACTIONS * action_a + effective_b]`` holds the ids
+    :func:`_resolve` leads to from state ``s``: one id, or two (possession
+    0, then 1) that a fair coin picks between. Terminal and same-cell states
+    absorb, as in :func:`soccer_build_model`; ``terminal[s]`` flags the
+    scoring states. Built on first use and kept for the life of the process.
+    """
+    ids = list(range(NUM_STATES))  # one int object per id, shared by every entry
+    distinct: dict[tuple[int, ...], tuple[int, ...]] = {}
+    successors = []
+    terminal = []
+    for s in ids:
+        state = index_state(s)
+        terminal.append(is_terminal(state))
+        if terminal[-1] or state.a_pos == state.b_pos:
+            successors.append(((s,),) * NUM_ACTIONS**2)
+            continue
+        row = []
+        for action_a in range(NUM_ACTIONS):
+            for effective_b in range(NUM_ACTIONS):
+                nxt = tuple(
+                    ids[state_index(SoccerState(a_pos, b_pos, possession))]
+                    for _, a_pos, b_pos, possession in _resolve(state, action_a, effective_b)
+                )
+                row.append(distinct.setdefault(nxt, nxt))
+        successors.append(tuple(row))
+    return tuple(successors), tuple(terminal)
 
 
 @dataclass(frozen=True)

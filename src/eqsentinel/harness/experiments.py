@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,8 +83,11 @@ class RunRecord:
 def _pmap(fn, items, workers: int):
     if workers <= 1:
         return [fn(item) for item in items]
+    items = list(items)
+    # Trials of one cell share their tables, which a chunk pickles only once.
+    chunksize = max(1, len(items) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(fn, items, chunksize=chunksize))
 
 
 def fit_loglog_slope(points) -> tuple[float, float]:
@@ -500,30 +504,68 @@ class SoccerScalingConfig:
     workers: int = 1
 
 
-def _soccer_trial(args) -> tuple[int, int, int]:
-    """One monitored stream of concatenated episodes; returns (cell, run, tau)."""
-    (cell, run, seed, eps, t_max, threshold, null_table, defender_table, afraid_table) = args
+#: Uniforms a soccer trial draws per ``rng.random(n)`` call; draws left over
+#: when the trial ends go unused.
+_DRAW_BLOCK = 256
+
+
+def _cumulative_rows(table) -> list:
+    """Row-wise cumulative sums without the last entry, as nested lists.
+
+    ``bisect_right(row, u)`` on such a row is ``searchsorted(side="right")``
+    on the full row clamped to the last action, which is the action a draw
+    at or past the full sum gets when a row sums to just under 1.
+    """
+    return np.cumsum(table, axis=-1)[..., :-1].tolist()
+
+
+def _soccer_tables(eps, null_table, afraid_table) -> tuple[list, list]:
+    """The attacker's cumulative rows and log-likelihood ratios at weight eps."""
     alt_table = (1.0 - eps) * null_table + eps * afraid_table
-    cum_a = np.cumsum(alt_table, axis=1)
-    cum_b = np.cumsum(defender_table, axis=1)
     with np.errstate(divide="ignore"):
         log_ratio = np.where(
             alt_table > 0.0, np.log(alt_table) - np.log(null_table), -np.inf
         )
+    return _cumulative_rows(alt_table), log_ratio.tolist()
+
+
+def _soccer_trial(args) -> tuple[int, int, int]:
+    """One monitored stream of concatenated episodes; returns (cell, run, tau).
+
+    The match runs over state ids (:func:`soccer.successor_table`) and reads
+    the players' cumulative rows and the log ratios as nested lists. A step
+    uses its uniforms in the order :func:`soccer.soccer_step` does: attacker,
+    defender, then (unless the ratio crossed) the slip and, only when two
+    outcomes remain, the coin. ``rng.random(n)`` yields the same doubles as
+    n successive ``rng.random()`` calls.
+    """
+    cell, run, seed, t_max, threshold, cum_a, cum_b, log_ratio = args
+    successors, terminal = soccer.successor_table()
+    start = s = soccer.state_index(soccer.INITIAL_STATE)
+    slip = soccer.DEFAULT_RULES.slip_prob
+    actions, wait = soccer.NUM_ACTIONS, soccer.WAIT
     rng = run_rng(seed, cell, run)
     log_b = math.log(threshold)
     log_lr = 0.0
-    state = soccer.INITIAL_STATE
+    u, i, end = [], 0, -1
     for t in range(1, t_max + 1):
-        s = soccer.state_index(state)
-        a_act = int(np.searchsorted(cum_a[s], rng.random(), side="right"))
-        b_act = int(np.searchsorted(cum_b[s], rng.random(), side="right"))
-        log_lr += log_ratio[s, a_act]
+        if i > end:  # fewer than the 4 uniforms a step can use
+            u = u[i:] + rng.random(_DRAW_BLOCK).tolist()
+            i, end = 0, len(u) - 4
+        a_act = bisect_right(cum_a[s], u[i])
+        b_act = bisect_right(cum_b[s], u[i + 1])
+        log_lr += log_ratio[s][a_act]
         if log_lr >= log_b:
             return cell, run, t
-        state, _, terminal = soccer.soccer_step(state, a_act, b_act, rng)
-        if terminal:
-            state = soccer.INITIAL_STATE
+        nxt = successors[s][actions * a_act + (wait if u[i + 2] < slip else b_act)]
+        i += 3
+        if len(nxt) == 1:
+            s = nxt[0]
+        else:
+            s = nxt[u[i] < 0.5]
+            i += 1
+        if terminal[s]:
+            s = start
     return cell, run, -1
 
 
@@ -543,21 +585,14 @@ def run_soccer_scaling(
     afraid = Policy(
         np.vstack([soccer.afraid_transform(row) for row in null_a.table])
     )
-    tasks = [
-        (
-            cell,
-            run,
-            config.seed,
-            eps,
-            config.t_max,
-            config.threshold,
-            null_a.table,
-            defender.table,
-            afraid.table,
-        )
-        for cell, eps in enumerate(config.epsilons)
+    cum_b = _cumulative_rows(defender.table)
+    # Lazy, so that in-process runs keep one cell's tables alive at a time.
+    tables = (_soccer_tables(eps, null_a.table, afraid.table) for eps in config.epsilons)
+    tasks = (
+        (cell, run, config.seed, config.t_max, config.threshold, cum_a, cum_b, log_ratio)
+        for cell, (cum_a, log_ratio) in enumerate(tables)
         for run in range(config.trials)
-    ]
+    )
     results = _pmap(_soccer_trial, tasks, config.workers)
     rows = [
         (config.epsilons[cell], run, tau, int(tau > 0))
@@ -625,45 +660,71 @@ class PreyMixtureConfig:
     workers: int = 1
 
 
-def _prey_trial(args) -> tuple[int, int, int]:
-    cell, run, seed, eps_true, eps_grid, threshold, horizon = args
-    rng = run_rng(seed, cell, run)
-    grid = np.asarray(eps_grid)
-    weights = np.full(grid.size, 1.0 / grid.size)
-    log_lr = np.zeros(grid.size)
-    state = prey.DEFAULT_START
+def _prey_tables(eps_true, eps_grid) -> tuple[list, list]:
+    """Per distinct chase row (:func:`prey.pursuit_tables`): the suspect's
+    cumulative played row, and per action the log increments of the
+    candidate grid against uniform play."""
+    _, _, chase = prey.pursuit_tables()
     uniform = 1.0 / prey.NUM_ACTIONS
+    grid = np.asarray(eps_grid)
+    played = (1.0 - eps_true) * uniform + eps_true * chase
+    candidate = (1.0 - grid) * uniform + grid * chase[:, :, None]
+    log_inc = np.log(candidate) - math.log(uniform)
+    return _cumulative_rows(played), log_inc.tolist()
+
+
+def _prey_trial(args) -> tuple[int, int, int]:
+    """One monitored pursuit stream; returns (cell, run, tau).
+
+    The pursuit runs over cell ids (:func:`prey.pursuit_tables`) and draws
+    in the order of the object-level loop: the suspect's uniform, then, as
+    :func:`prey.prey_step` does, the honest pair's and the prey's moves. The
+    mixture is read out only once the largest log ratio comes within 1e-9 of
+    log(threshold): the weights sum to 1, so below that the readout is at
+    most exp(max) times 1 + a few ulp, under the threshold.
+    """
+    cell, run, seed, threshold, horizon, played_cum, log_inc = args
+    moves, chase_row, _ = prey.pursuit_tables()
+    start = prey.DEFAULT_START
+    cells = [prey.cell_id(pos) for pos in (*start.predators, start.prey)]
+    actions = prey.NUM_ACTIONS
+    rng = run_rng(seed, cell, run)
+    draw = rng.integers
+    size = len(log_inc[0][0])
+    weights = np.full(size, 1.0 / size)
+    log_lr = [0.0] * size
+    near = math.log(threshold) - 1e-9
+    suspect, honest_1, honest_2, target = cells
+    steps = 0
     for t in range(1, horizon + 1):
-        if state.captured or state.exhausted:
-            state = prey.DEFAULT_START
-        chase = prey.chase_policy(state.suspect, state.prey)
-        played = (1.0 - eps_true) * uniform + eps_true * chase
-        act = int(np.searchsorted(np.cumsum(played), rng.random(), side="right"))
-        act = min(act, prey.NUM_ACTIONS - 1)
-        candidate = (1.0 - grid) * uniform + grid * chase[act]
-        log_lr += np.log(candidate) - math.log(uniform)
-        shift = log_lr.max()
-        value = math.exp(shift) * float(np.sum(weights * np.exp(log_lr - shift)))
-        if value >= threshold:
-            return cell, run, t
-        state, _ = prey.prey_step(state, act, rng)
+        if target in (suspect, honest_1, honest_2) or steps >= start.horizon:
+            suspect, honest_1, honest_2, target = cells
+            steps = 0
+        row = chase_row[suspect][target]
+        act = bisect_right(played_cum[row], rng.random())
+        log_lr = [x + d for x, d in zip(log_lr, log_inc[row][act])]
+        if max(log_lr) >= near:
+            lr = np.array(log_lr)
+            shift = lr.max()
+            if math.exp(shift) * float(np.sum(weights * np.exp(lr - shift))) >= threshold:
+                return cell, run, t
+        move_1, move_2, move_prey = draw(actions), draw(actions), draw(actions)
+        suspect = moves[suspect][act]
+        honest_1 = moves[honest_1][move_1]
+        honest_2 = moves[honest_2][move_2]
+        target = moves[target][move_prey]
+        steps += 1
     return cell, run, -1
 
 
 def run_prey_mixture(config: PreyMixtureConfig, out_dir: Path) -> ExperimentResult:
-    tasks = [
-        (
-            cell,
-            run,
-            config.seed,
-            eps,
-            config.eps_grid,
-            config.threshold,
-            config.horizon,
-        )
-        for cell, eps in enumerate(config.eps_true)
+    # Lazy, so that in-process runs keep one cell's tables alive at a time.
+    tables = (_prey_tables(eps, config.eps_grid) for eps in config.eps_true)
+    tasks = (
+        (cell, run, config.seed, config.threshold, config.horizon, played_cum, log_inc)
+        for cell, (played_cum, log_inc) in enumerate(tables)
         for run in range(config.trials)
-    ]
+    )
     results = _pmap(_prey_trial, tasks, config.workers)
     rows = [
         (config.eps_true[cell], run, tau, int(tau > 0))

@@ -2,13 +2,19 @@
 
 These deliberately avoid the library's numpy paths: expectations are summed
 with ``fractions.Fraction`` over explicit profile enumerations, and best
-responses are enumerated directly.
+responses are enumerated directly. The monitored trial loops at the end step
+the object-level simulators, as the experiments did before they moved to
+integer state ids and precomputed tables.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
+
+from eqsentinel.envs import prey, soccer
+from eqsentinel.harness.seeding import run_rng
 
 
 def frac_expected_payoff(payoffs, factors, player) -> Fraction:
@@ -92,3 +98,55 @@ TWO_SIGNAL_ALTERNATIVE = [
     [Fraction(17, 20), Fraction(3, 20)],
     [Fraction(13, 20), Fraction(7, 20)],
 ]
+
+
+def soccer_trial(args) -> tuple[int, int, int]:
+    """One monitored stream of concatenated episodes; returns (cell, run, tau)."""
+    (cell, run, seed, eps, t_max, threshold, null_table, defender_table, afraid_table) = args
+    alt_table = (1.0 - eps) * null_table + eps * afraid_table
+    cum_a = np.cumsum(alt_table, axis=1)
+    cum_b = np.cumsum(defender_table, axis=1)
+    with np.errstate(divide="ignore"):
+        log_ratio = np.where(
+            alt_table > 0.0, np.log(alt_table) - np.log(null_table), -np.inf
+        )
+    rng = run_rng(seed, cell, run)
+    log_b = math.log(threshold)
+    log_lr = 0.0
+    state = soccer.INITIAL_STATE
+    for t in range(1, t_max + 1):
+        s = soccer.state_index(state)
+        a_act = int(np.searchsorted(cum_a[s], rng.random(), side="right"))
+        b_act = int(np.searchsorted(cum_b[s], rng.random(), side="right"))
+        log_lr += log_ratio[s, a_act]
+        if log_lr >= log_b:
+            return cell, run, t
+        state, _, terminal = soccer.soccer_step(state, a_act, b_act, rng)
+        if terminal:
+            state = soccer.INITIAL_STATE
+    return cell, run, -1
+
+
+def prey_trial(args) -> tuple[int, int, int]:
+    cell, run, seed, eps_true, eps_grid, threshold, horizon = args
+    rng = run_rng(seed, cell, run)
+    grid = np.asarray(eps_grid)
+    weights = np.full(grid.size, 1.0 / grid.size)
+    log_lr = np.zeros(grid.size)
+    state = prey.DEFAULT_START
+    uniform = 1.0 / prey.NUM_ACTIONS
+    for t in range(1, horizon + 1):
+        if state.captured or state.exhausted:
+            state = prey.DEFAULT_START
+        chase = prey.chase_policy(state.suspect, state.prey)
+        played = (1.0 - eps_true) * uniform + eps_true * chase
+        act = int(np.searchsorted(np.cumsum(played), rng.random(), side="right"))
+        act = min(act, prey.NUM_ACTIONS - 1)
+        candidate = (1.0 - grid) * uniform + grid * chase[act]
+        log_lr += np.log(candidate) - math.log(uniform)
+        shift = log_lr.max()
+        value = math.exp(shift) * float(np.sum(weights * np.exp(log_lr - shift)))
+        if value >= threshold:
+            return cell, run, t
+        state, _ = prey.prey_step(state, act, rng)
+    return cell, run, -1

@@ -131,6 +131,23 @@ class TestChasePolicy:
         assert base == pytest.approx(moved, abs=0)
 
 
+class TestPursuitTables:
+    def test_tables_follow_the_rules(self):
+        moves, chase_row, chase_rows = prey.pursuit_tables()
+        cells = [(r, c) for r in range(prey.GRID) for c in range(prey.GRID)]
+        assert chase_rows.shape == (40, prey.NUM_ACTIONS)
+        for i, pos in enumerate(cells):
+            assert prey.cell_id(pos) == i
+            for action in range(prey.NUM_ACTIONS):
+                assert moves[i][action] == prey.cell_id(prey._move(pos, action))
+            for j, target in enumerate(cells):
+                if i == j:
+                    assert chase_row[i][j] == -1
+                else:
+                    expected = prey.chase_policy(pos, target)
+                    assert np.array_equal(chase_rows[chase_row[i][j]], expected)
+
+
 class TestSuspectPolicy:
     def test_blend_endpoints(self):
         chase = prey.chase_policy((0, 0), (5, 5))

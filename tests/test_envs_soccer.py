@@ -146,6 +146,48 @@ class TestTabularModel:
             assert freq[expected == 0].sum() == 0.0
 
 
+class TestSuccessorTable:
+    def test_branches_rebuild_the_model_kernel_exactly(self, soccer_game):
+        successors, terminal = soccer.successor_table()
+        transition = soccer_game.model.transition
+        slip = soccer.DEFAULT_RULES.slip_prob
+        assert terminal == tuple(soccer_game.terminal.tolist())
+        rows = 0
+        for s in range(soccer.NUM_STATES):
+            for a_act in range(soccer.NUM_ACTIONS):
+                for b_act in range(soccer.NUM_ACTIONS):
+                    # The model's accumulation order: commanded move, then
+                    # the slip to Wait, each split by the coin.
+                    branches = [(1.0 - slip, b_act), (slip, soccer.WAIT)]
+                    if b_act == soccer.WAIT:
+                        branches = [(1.0, soccer.WAIT)]
+                    row = np.zeros(soccer.NUM_STATES)
+                    for p_slip, effective_b in branches:
+                        nxt = successors[s][soccer.NUM_ACTIONS * a_act + effective_b]
+                        coin = 1.0 if len(nxt) == 1 else 0.5
+                        for n in nxt:
+                            row[n] += p_slip * coin
+                    assert np.array_equal(row, transition[s, a_act, b_act]), (s, a_act, b_act)
+                    rows += 1
+        assert rows == 20_000
+
+    def test_kickoff_never_reaches_a_shared_cell(self):
+        # The table absorbs same-cell states as the model does; the
+        # simulator never meets one.
+        successors, _ = soccer.successor_table()
+        seen = {soccer.state_index(soccer.INITIAL_STATE)}
+        frontier = list(seen)
+        while frontier:
+            s = frontier.pop()
+            for nxt in successors[s]:
+                for n in set(nxt) - seen:
+                    seen.add(n)
+                    frontier.append(n)
+        for s in seen:
+            state = soccer.index_state(s)
+            assert state.a_pos != state.b_pos
+
+
 class TestAfraidTransform:
     def test_east_heavy_row(self):
         row = soccer.afraid_transform([0.01, 0.01, 0.96, 0.01, 0.01])

@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import prey_trial, soccer_trial
+from eqsentinel.envs import prey, soccer
 from eqsentinel.errors import ConfigError, DomainError
-from eqsentinel.harness import nfstreams, scenarios
+from eqsentinel.harness import experiments, nfstreams, scenarios
 from eqsentinel.harness.cli import main
 from eqsentinel.harness.config import (
     config_from_mapping,
@@ -31,6 +35,7 @@ from eqsentinel.harness.seeding import run_rng
 from eqsentinel.eprocess import BettingMixture
 from eqsentinel.games import EquilibriumMode
 from eqsentinel.monitors import enumerate_hypotheses
+from eqsentinel.stochastic import Policy, smooth_policy
 
 
 class TestConfigParsing:
@@ -172,6 +177,109 @@ class TestDeterminism:
         assert (tmp_path / "w1" / "runs.csv").read_bytes() == (
             tmp_path / "w2" / "runs.csv"
         ).read_bytes()
+
+
+def _terminal_steps(monkeypatch, module, name, done_at):
+    """Count the steps of ``module.name`` that end an episode."""
+    count = [0]
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        count[0] += bool(out[done_at])
+        return out
+
+    monkeypatch.setattr(module, name, counted)
+    return count
+
+
+def _trial_taus(out_dir):
+    _, _, rows = read_csv(out_dir / "runs.csv")
+    return {(float(row[0]), int(row[1])): int(row[2]) for row in rows}
+
+
+class TestTrialLoops:
+    """The table-driven trials against the object-level loops they replaced
+    (``tests/_oracles.py``): same generator keys, same taus."""
+
+    def test_soccer_matches_object_loop(self, tmp_path, soccer_solution, monkeypatch):
+        config = SoccerScalingConfig(trials=20, t_max=300)
+        run_soccer_scaling(
+            config, tmp_path, policies=(soccer_solution.row_policy, soccer_solution.col_policy)
+        )
+        null = smooth_policy(soccer_solution.row_policy, config.smoothing).table
+        defender = smooth_policy(soccer_solution.col_policy, config.smoothing).table
+        afraid = np.vstack([soccer.afraid_transform(row) for row in null])
+        resets = _terminal_steps(monkeypatch, soccer, "soccer_step", 2)
+        expected = {
+            (eps, run): soccer_trial(
+                (cell, run, config.seed, eps, config.t_max, config.threshold,
+                 null, defender, afraid)
+            )[2]
+            for cell, eps in enumerate(config.epsilons)
+            for run in range(config.trials)
+        }
+        assert _trial_taus(tmp_path) == expected
+        assert -1 in expected.values() and resets[0] > 0
+
+    @pytest.mark.parametrize("episode", [prey.HORIZON, 40])
+    def test_prey_matches_object_loop(self, tmp_path, monkeypatch, episode):
+        # A 40-step episode horizon makes the loops reset on exhaustion too.
+        monkeypatch.setattr(
+            prey, "DEFAULT_START", dataclasses.replace(prey.DEFAULT_START, horizon=episode)
+        )
+        config = PreyMixtureConfig(trials=20, horizon=250)
+        run_prey_mixture(config, tmp_path)
+        resets = _terminal_steps(monkeypatch, prey, "prey_step", 1)
+        expected = {
+            (eps, run): prey_trial(
+                (cell, run, config.seed, eps, config.eps_grid, config.threshold,
+                 config.horizon)
+            )[2]
+            for cell, eps in enumerate(config.eps_true)
+            for run in range(config.trials)
+        }
+        assert _trial_taus(tmp_path) == expected
+        assert -1 in expected.values() and resets[0] > 0
+
+    def test_one_generator_per_trial(self, tmp_path, soccer_solution, monkeypatch):
+        keys = []
+        real = experiments.run_rng
+
+        def counted(*key):
+            keys.append(key)
+            return real(*key)
+
+        monkeypatch.setattr(experiments, "run_rng", counted)
+        soccer_config = SoccerScalingConfig(trials=3, epsilons=(0.2, 0.3, 0.5))
+        run_soccer_scaling(
+            soccer_config,
+            tmp_path / "soccer",
+            policies=(soccer_solution.row_policy, soccer_solution.col_policy),
+        )
+        prey_config = PreyMixtureConfig(trials=3, eps_true=(0.3, 0.5, 0.8))
+        run_prey_mixture(prey_config, tmp_path / "prey")
+        trials = [(cell, run) for cell in range(3) for run in range(3)]
+        assert keys == [(soccer_config.seed, *t) for t in trials] + [
+            (prey_config.seed, *t) for t in trials
+        ]
+
+    def test_soccer_draw_past_a_short_row_picks_the_last_action(self, tmp_path, monkeypatch):
+        # Rows may sum to 1 - 1e-13 (inside Policy's tolerance), so the
+        # largest uniform double lies past every row's last cumulative sum.
+        class Saturated:
+            def random(self, size=None):
+                top = 1.0 - 2.0**-53
+                return top if size is None else np.full(size, top)
+
+        monkeypatch.setattr(experiments, "run_rng", lambda *key: Saturated())
+        short = np.full((soccer.NUM_STATES, soccer.NUM_ACTIONS), 0.2)
+        short[:, -1] -= 1e-13
+        config = SoccerScalingConfig(trials=1, epsilons=(0.2, 0.3, 0.5), smoothing=0.0)
+        result = run_soccer_scaling(config, tmp_path, policies=(Policy(short), Policy(short)))
+        # Both players always pick Wait; Wait gains the timid attacker's
+        # shifted East mass, so every trial detects.
+        assert result.checks["all_trials_detected"]
 
 
 class TestSummaryRecomputable:
