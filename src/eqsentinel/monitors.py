@@ -310,7 +310,10 @@ class EquilibriumMonitor:
 
     @classmethod
     def from_snapshot(cls, game: NormalFormGame, text: str) -> "EquilibriumMonitor":
-        """Restore a v2 snapshot, or a v1 one (linear running maxima)."""
+        """Restore a v2 snapshot, or a v1 one (linear running maxima).
+
+        A missing or malformed line raises ``DomainError`` naming its key.
+        """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0] not in (SNAPSHOT_HEADER, SNAPSHOT_HEADER_V1):
             raise DomainError("unrecognized snapshot header")
@@ -324,44 +327,64 @@ class EquilibriumMonitor:
             blocks[-1][key] = value
         fields = blocks[0]
         mixture = BettingMixture(
-            fields["mixture"], _parse(fields["lambdas"]), _parse(fields["mixture_weights"])
+            _read(fields, "mixture"),
+            _read(fields, "lambdas", _parse),
+            _read(fields, "mixture_weights", _parse),
         )
         config = MonitorConfig(
-            alpha=float(fields["alpha"]),
+            alpha=_read(fields, "alpha", float),
             mixture=mixture,
-            mode=EquilibriumMode(fields["mode"]),
-            eps=float(fields["eps"]),
-            procedure=fields["procedure"],
-            weights=_parse(fields["weights"]) if "weights" in fields else None,
-            conditional_ce=bool(int(fields["conditional_ce"])),
+            mode=_read(fields, "mode", EquilibriumMode),
+            eps=_read(fields, "eps", float),
+            procedure=_read(fields, "procedure"),
+            weights=_read(fields, "weights", _parse) if "weights" in fields else None,
+            conditional_ce=bool(_read(fields, "conditional_ce", int)),
         )
         monitor = cls(game, config)
-        monitor.round = int(fields["round"])
-        monitor.rejection.k = int(fields["k"])
-        monitor.rejection.stopped = bool(int(fields["stopped"]))
-        stopping = int(fields["stopping_round"])
+        monitor.round = _read(fields, "round", int)
+        monitor.rejection.k = _read(fields, "k", int)
+        monitor.rejection.stopped = bool(_read(fields, "stopped", int))
+        stopping = _read(fields, "stopping_round", int)
         monitor.rejection.stopping_round = None if stopping < 0 else stopping
         for block in blocks[1:]:
-            player, deviation, cond = (int(v) for v in block["hypothesis"].split())
-            h = HypothesisId(player, deviation, None if cond < 0 else cond)
+            h = _read(block, "hypothesis", _hypothesis_id)
             if h not in monitor.hypotheses:
                 raise DomainError(f"snapshot hypothesis {h} not in monitor")
             j = monitor.hypotheses.index(h)
-            logw = _parse(block["logw"])
+            logw = _read(block, "logw", _parse)
             # v1 kept a dead component's last finite log wealth.
-            dead = _parse(block["dead"]) == 1.0 if "dead" in block else np.isneginf(logw)
+            dead = _read(block, "dead", _parse) == 1.0 if "dead" in block else np.isneginf(logw)
             if not logw.size == dead.size == mixture.size:
                 raise ShapeError(f"{logw.size} log wealth entries for {mixture.size} fractions")
             monitor.log_wealth[j] = np.where(dead, -np.inf, logw)
-            monitor.updates[j] = int(block["rounds"])
+            monitor.updates[j] = _read(block, "rounds", int)
             monitor.log_max[j] = (
-                float(block["logmax"]) if "logmax" in block else math.log(float(block["runmax"]))
+                _read(block, "logmax", float)
+                if "logmax" in block
+                else _read(block, "runmax", lambda v: math.log(float(v)))
             )
-            if int(block["global_crossing"]) >= 0:
-                monitor.threshold_crossings[h] = int(block["global_crossing"])
-            if int(block["rejected_at"]) >= 0:
-                monitor.rejection.rejected[h] = int(block["rejected_at"])
+            crossing = _read(block, "global_crossing", int)
+            if crossing >= 0:
+                monitor.threshold_crossings[h] = crossing
+            rejected_at = _read(block, "rejected_at", int)
+            if rejected_at >= 0:
+                monitor.rejection.rejected[h] = rejected_at
         return monitor
+
+
+def _read(fields: dict[str, str], key: str, convert=str):
+    """One snapshot line's value, converted; DomainError names a bad key."""
+    if key not in fields:
+        raise DomainError(f"snapshot has no '{key}' line")
+    try:
+        return convert(fields[key])
+    except ValueError as exc:
+        raise DomainError(f"snapshot line '{key}' is malformed: {fields[key]!r}") from exc
+
+
+def _hypothesis_id(text: str) -> HypothesisId:
+    player, deviation, cond = (int(v) for v in text.split())
+    return HypothesisId(player, deviation, None if cond < 0 else cond)
 
 
 def _floats(values) -> str:

@@ -32,6 +32,7 @@ logger = logging.getLogger(__name__)
 
 ROW_TOL = 1e-9
 POLICY_TOL = 1e-12
+EQUALIZER_TOL = 1e-9
 STATIONARY_RESIDUAL = 1e-12
 STATIONARY_MAX_ITER = 1_000_000
 
@@ -98,6 +99,8 @@ class Policy:
         t = np.asarray(self.table, dtype=float)
         if t.ndim != 2:
             raise ShapeError("policy table must be (states, actions)")
+        if not np.all(np.isfinite(t)):
+            raise DomainError("policy entries must be finite")
         if t.min() < 0.0:
             raise DomainError("policy entries must be nonnegative")
         if np.max(np.abs(t.sum(axis=1) - 1.0)) > POLICY_TOL:
@@ -479,6 +482,44 @@ class ShapleySolution:
     residual: float
 
 
+def _equalize(payoff: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """Equalizer solution of ``payoff`` on a square support, if it verifies.
+
+    On the support (rows, cols) of an equilibrium each side makes the other
+    indifferent: ``x @ A[rows, cols] = v`` and ``A[rows, cols] @ y = v`` with x
+    and y summing to 1 (von Neumann's support enumeration, one support). The
+    result is returned only when both strategies are nonnegative and no pure
+    deviation gains more than ``EQUALIZER_TOL``; otherwise None.
+    """
+    k = rows.size
+    if k != cols.size:
+        return None
+    system = np.zeros((k + 1, k + 1))
+    system[k, :k] = 1.0
+    system[:k, k] = -1.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
+    block = payoff[np.ix_(rows, cols)]
+    try:
+        system[:k, :k] = block.T
+        row_part = np.linalg.solve(system, rhs)
+        system[:k, :k] = block
+        col_part = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    x, y = row_part[:k], col_part[:k]
+    if not (np.all(x >= 0.0) and np.all(y >= 0.0)):
+        return None
+    row = np.zeros(payoff.shape[0])
+    col = np.zeros(payoff.shape[1])
+    row[rows] = x / x.sum()
+    col[cols] = y / y.sum()
+    value = float(row_part[k])
+    if not exploitability(payoff, row, col, value) <= EQUALIZER_TOL:
+        return None
+    return MatrixGameSolution(value, row, col)
+
+
 def shapley_solve_arrays(
     rewards: np.ndarray, transition: np.ndarray, config: SolverConfig
 ) -> ShapleySolution:
@@ -487,25 +528,52 @@ def shapley_solve_arrays(
     ``rewards`` is the row player's (S, A_row, A_col) payoff in any affine
     units; each sweep solves the matrix game of the discounted Q-values per
     state and stops when the value function moves less than the tolerance.
+
+    A sweep backs the values up through the kernel as one sparse product,
+    takes every pure saddle point at once (the same comparison, and so the
+    same value and strategies, as ``matrix_game_solve``'s shortcut), and
+    solves each remaining state on the support of its last LP solution,
+    falling back to ``matrix_game_solve`` when that does not verify.
     """
     rewards = np.asarray(rewards, dtype=float)
     transition = np.asarray(transition, dtype=float)
     num_states, a_row, a_col = rewards.shape
     if transition.shape != (num_states, a_row, a_col, num_states):
         raise ShapeError("transition shape does not match rewards")
+    if not np.all(np.isfinite(rewards)):
+        raise DomainError("rewards must be finite")
+    kernel = csr_matrix(transition.reshape(-1, num_states))
+    # A NaN or inf kernel entry is nonzero, so it is among the stored data.
+    if not np.all(np.isfinite(kernel.data)):
+        raise DomainError("transition entries must be finite")
+    states = np.arange(num_states)
     values = np.zeros(num_states)
     row_tables = np.full((num_states, a_row), 1.0 / a_row)
     col_tables = np.full((num_states, a_col), 1.0 / a_col)
+    supports: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     converged = False
     residual = math.inf
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
-        q = rewards + config.discount * np.einsum(
-            "sabt,t->sab", transition, values
-        )
-        new_values = np.empty(num_states)
-        for s in range(num_states):
-            sol = matrix_game_solve(q[s])
+        q = rewards + config.discount * (kernel @ values).reshape(rewards.shape)
+        row_mins = q.min(axis=2)
+        col_maxs = q.max(axis=1)
+        r = row_mins.argmax(axis=1)
+        c = col_maxs.argmin(axis=1)
+        new_values = row_mins[states, r]
+        saddle = new_values == col_maxs[states, c]
+        row_tables[saddle] = 0.0
+        row_tables[saddle, r[saddle]] = 1.0
+        col_tables[saddle] = 0.0
+        col_tables[saddle, c[saddle]] = 1.0
+        for s in np.flatnonzero(~saddle).tolist():
+            sol = _equalize(q[s], *supports[s]) if s in supports else None
+            if sol is None:
+                sol = matrix_game_solve(q[s])
+                supports[s] = (
+                    np.flatnonzero(sol.row_strategy > 0.0),
+                    np.flatnonzero(sol.col_strategy > 0.0),
+                )
             new_values[s] = sol.value
             row_tables[s] = sol.row_strategy
             col_tables[s] = sol.col_strategy

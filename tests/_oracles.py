@@ -4,7 +4,10 @@ These deliberately avoid the library's numpy paths: expectations are summed
 with ``fractions.Fraction`` over explicit profile enumerations, and best
 responses are enumerated directly. The monitored trial loops at the end step
 the object-level simulators, as the experiments did before they moved to
-integer state ids and precomputed tables.
+integer state ids and precomputed tables. ``shapley_solve_reference`` is
+the Shapley sweep as it was before the sparse backup, the all-state saddle
+test and the warm-started equalizer solves: a dense ``einsum`` backup and one
+``matrix_game_solve`` per state per sweep.
 """
 
 import math
@@ -15,6 +18,12 @@ import numpy as np
 
 from eqsentinel.envs import prey, soccer
 from eqsentinel.harness.seeding import run_rng
+from eqsentinel.stochastic import (
+    Policy,
+    ShapleySolution,
+    SolverConfig,
+    matrix_game_solve,
+)
 
 
 def frac_expected_payoff(payoffs, factors, player) -> Fraction:
@@ -150,3 +159,41 @@ def prey_trial(args) -> tuple[int, int, int]:
             return cell, run, t
         state, _ = prey.prey_step(state, act, rng)
     return cell, run, -1
+
+
+def shapley_solve_reference(
+    rewards: np.ndarray, transition: np.ndarray, config: SolverConfig
+) -> ShapleySolution:
+    """Per-state Shapley sweep: every state's matrix game through the LP path."""
+    rewards = np.asarray(rewards, dtype=float)
+    transition = np.asarray(transition, dtype=float)
+    num_states, a_row, a_col = rewards.shape
+    values = np.zeros(num_states)
+    row_tables = np.full((num_states, a_row), 1.0 / a_row)
+    col_tables = np.full((num_states, a_col), 1.0 / a_col)
+    converged = False
+    residual = math.inf
+    iterations = 0
+    for iterations in range(1, config.max_iterations + 1):
+        q = rewards + config.discount * np.einsum(
+            "sabt,t->sab", transition, values
+        )
+        new_values = np.empty(num_states)
+        for s in range(num_states):
+            sol = matrix_game_solve(q[s])
+            new_values[s] = sol.value
+            row_tables[s] = sol.row_strategy
+            col_tables[s] = sol.col_strategy
+        residual = float(np.max(np.abs(new_values - values)))
+        values = new_values
+        if residual < config.tolerance:
+            converged = True
+            break
+    return ShapleySolution(
+        values=values,
+        row_policy=Policy(row_tables),
+        col_policy=Policy(col_tables),
+        converged=converged,
+        iterations=iterations,
+        residual=residual,
+    )

@@ -563,6 +563,25 @@ class TestBlockSnapshot:
             EquilibriumMonitor.from_snapshot(game, text.replace("dead 0 1", "dead 0 1 1", 1))
 
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("alpha 0.2\n", "", "alpha"),
+            ("round 20", "round x", "round"),
+            ("rounds 11\n", "", "rounds"),
+            ("hypothesis 0 1 0", "hypothesis 0 1", "hypothesis"),
+            ("runmax 4.805419921875", "runmax 0.0", "runmax"),
+            ("lambdas 0.5 1.0", "lambdas 0.5 one", "lambdas"),
+        ],
+    )
+    def test_missing_or_malformed_line_names_its_key(self, old, new, key):
+        game, _ = scenarios.coordination_ce()
+        text = (GOLDEN / "monitor_snapshot_v1.txt").read_text()
+        assert old in text
+        with pytest.raises(DomainError, match=f"'{key}'"):
+            EquilibriumMonitor.from_snapshot(game, text.replace(old, new, 1))
+
+
 class TestLongStreams:
     """Log-space readouts: no stream length overflows a monitor."""
 

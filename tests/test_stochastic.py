@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -31,7 +32,9 @@ from eqsentinel.errors import (
     SupportViolationError,
     UndefinedActionError,
 )
+from eqsentinel.harness.experiments import SoccerSolveConfig
 from eqsentinel.stochastic import (
+    MatrixGameSolution,
     kl_divergence,
     model_from_text,
     model_to_text,
@@ -40,7 +43,7 @@ from eqsentinel.stochastic import (
     shapley_solve_arrays,
 )
 
-from _oracles import best_response_gap
+from _oracles import best_response_gap, shapley_solve_reference
 
 
 def uniform_policy(states, actions):
@@ -348,6 +351,145 @@ class TestShapley:
             )
 
 
+def small_game(seed, num_states, a_row, a_col, coarse, dup_row, dup_col):
+    """A random (rewards, transition) pair. ``coarse`` draws rewards from
+    {0, 0.5, 1}, and the ``dup_*`` flags copy action 0's rewards and
+    transitions into the last row or column, so Q-matrices have ties,
+    duplicate actions and many equilibria."""
+    rng = np.random.default_rng(seed)
+    shape = (num_states, a_row, a_col)
+    rewards = rng.integers(0, 3, size=shape) / 2.0 if coarse else rng.random(shape)
+    transition = rng.random((*shape, num_states)) * (rng.random((*shape, num_states)) < 0.6)
+    transition[..., 0] += 1e-3
+    transition /= transition.sum(axis=-1, keepdims=True)
+    if dup_row and a_row > 1:
+        rewards[:, -1], transition[:, -1] = rewards[:, 0], transition[:, 0]
+    if dup_col and a_col > 1:
+        rewards[:, :, -1], transition[:, :, -1] = rewards[:, :, 0], transition[:, :, 0]
+    return rewards, transition
+
+
+class TestShapleySweep:
+    """The sparse, saddle-batched, warm-started sweep against the per-state
+    LP sweep it replaced (``shapley_solve_reference``)."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 4),
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from([0.5, 0.9]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_on_small_games(
+        self, seed, num_states, a_row, a_col, coarse, dup_row, dup_col, discount
+    ):
+        rewards, transition = small_game(seed, num_states, a_row, a_col, coarse, dup_row, dup_col)
+        config = SolverConfig(discount=discount, tolerance=1e-6, max_iterations=25)
+        sol = shapley_solve_arrays(rewards, transition, config)
+        ref = shapley_solve_reference(rewards, transition, config)
+        assert (sol.iterations, sol.converged) == (ref.iterations, ref.converged)
+        np.testing.assert_allclose(sol.values, ref.values, rtol=0.0, atol=1e-9)
+        # The strategies are equilibria of the last sweep's Q-matrices, whose
+        # backup used the values one sweep earlier.
+        previous = np.zeros(num_states)
+        if sol.iterations > 1:
+            earlier = dataclasses.replace(config, max_iterations=sol.iterations - 1)
+            previous = shapley_solve_arrays(rewards, transition, earlier).values
+        q = rewards + discount * np.einsum("sabt,t->sab", transition, previous)
+        for s in range(num_states):
+            gap = exploitability(
+                q[s], sol.row_policy.table[s], sol.col_policy.table[s], sol.values[s]
+            )
+            assert gap <= 1e-6
+
+    def test_soccer_matches_reference(self, soccer_game, soccer_solution):
+        ref = shapley_solve_reference(
+            soccer_game.native_reward, soccer_game.model.transition, SolverConfig()
+        )
+        sol = soccer_solution
+        assert (sol.iterations, sol.converged, sol.residual) == (
+            ref.iterations,
+            ref.converged,
+            ref.residual,
+        )
+        np.testing.assert_allclose(sol.values, ref.values, rtol=0.0, atol=1e-12)
+        for new, old in ((sol.row_policy, ref.row_policy), (sol.col_policy, ref.col_policy)):
+            np.testing.assert_allclose(new.table, old.table, rtol=0.0, atol=1e-12)
+        # Pure saddle states pick the shortcut's strategies; their values
+        # carry the mixed states' low-order differences through the backup.
+        pure = (ref.row_policy.table.max(axis=1) == 1.0) & (
+            ref.col_policy.table.max(axis=1) == 1.0
+        )
+        assert pure.sum() > 700
+        np.testing.assert_array_equal(sol.row_policy.table[pure], ref.row_policy.table[pure])
+        np.testing.assert_array_equal(sol.col_policy.table[pure], ref.col_policy.table[pure])
+
+    def test_soccer_solve_reaches_few_lps(self, soccer_game, monkeypatch):
+        # A work count, not a timing: the per-state sweep made 62,400 calls.
+        inner = matrix_game_solve
+        calls = []
+
+        def counting(payoff):
+            calls.append(1)
+            return inner(payoff)
+
+        monkeypatch.setattr("eqsentinel.stochastic.matrix_game_solve", counting)
+        solve = SoccerSolveConfig()
+        config = SolverConfig(
+            discount=solve.discount,
+            tolerance=solve.tolerance,
+            max_iterations=solve.max_iterations,
+            smoothing=solve.smoothing,
+        )
+        sol = shapley_solve_arrays(
+            soccer_game.native_reward, soccer_game.model.transition, config
+        )
+        assert sol.converged
+        assert 0 < len(calls) <= 200
+
+    def test_singular_support_falls_back_to_the_lp(self, monkeypatch):
+        # State 0's columns 1 and 2 are duplicates. The LP's basic solutions
+        # never use both, but x = (1/3, 1/3, 1/3), y = (1/2, 1/4, 1/4) is an
+        # equilibrium too, and on that support both equalizer systems are
+        # singular. State 0 moves to the absorbing zero state 1, so its
+        # Q-matrix is the same exact matrix in every sweep.
+        rewards = np.zeros((2, 3, 3))
+        rewards[0] = [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.5, 0.5, 0.5]]
+        transition = np.zeros((2, 3, 3, 2))
+        transition[..., 1] = 1.0
+        calls = []
+
+        def split_mass(payoff):
+            calls.append(1)
+            value = matrix_game_solve(payoff).value
+            return MatrixGameSolution(value, np.full(3, 1 / 3), np.array([0.5, 0.25, 0.25]))
+
+        monkeypatch.setattr("eqsentinel.stochastic.matrix_game_solve", split_mass)
+        sol = shapley_solve_arrays(rewards, transition, SolverConfig(discount=0.5))
+        assert (sol.converged, sol.iterations, len(calls)) == (True, 2, 2)
+        assert sol.values == pytest.approx([0.5, 0.0], abs=1e-12)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rewards_rejected(self, value):
+        # An inf off the saddle point leaves (0, 0) a saddle in every sweep,
+        # so only the up-front check sees it.
+        rewards = np.array([[[1.0, value], [0.0, 0.0]]])
+        transition = np.ones((1, 2, 2, 1))
+        with pytest.raises(DomainError, match="rewards"):
+            shapley_solve_arrays(rewards, transition, SolverConfig())
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_kernel_entry_rejected(self, value):
+        rewards, transition = small_game(1, 2, 2, 2, False, False, False)
+        transition[0, 1, 1, 0] = value
+        with pytest.raises(DomainError, match="transition"):
+            shapley_solve_arrays(rewards, transition, SolverConfig())
+
+
 class TestPolicyTransforms:
     def test_smoothing_floors_probabilities(self):
         policy = Policy(np.array([[1.0, 0.0, 0.0, 0.0, 0.0]]))
@@ -377,6 +519,13 @@ class TestPolicyTransforms:
         assert mixture_policy(base, target, 1.0).table == pytest.approx(target.table)
         blended = mixture_policy(base, target, 0.6)
         assert blended.table[0, 0] == pytest.approx(0.3409, abs=5e-5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, value):
+        table = np.full((2, 5), 0.2)
+        table[1, 3] = value
+        with pytest.raises(DomainError):
+            Policy(table)
 
     def test_mixture_domain(self):
         base = uniform_policy(1, 5)
