@@ -19,8 +19,6 @@ from .games import (
     EquilibriumMode,
     JointStrategy,
     NormalFormGame,
-    ScenarioLabel,
-    ScenarioSpec,
     StrategyKind,
     deviation_gain,
     equilibrium_slack,
@@ -49,7 +47,6 @@ from .stochastic import (
     exploitability,
     kl_quadratic_check,
     lr_detection_bound,
-    lr_evalue,
     lr_step,
     matrix_game_solve,
     mixture_policy,
@@ -76,8 +73,6 @@ __all__ = [
     "NormalFormGame",
     "Policy",
     "RejectionState",
-    "ScenarioLabel",
-    "ScenarioSpec",
     "ShapleySolution",
     "SolverConfig",
     "StepDecision",
@@ -96,7 +91,6 @@ __all__ = [
     "increment",
     "kl_quadratic_check",
     "lr_detection_bound",
-    "lr_evalue",
     "lr_step",
     "matrix_game_solve",
     "mixture_policy",

@@ -12,8 +12,16 @@ import math
 
 import numpy as np
 
-from ..stochastic import Policy
+from ..stochastic import LRMonitorState, Policy, lr_step
 from . import prey, soccer
+
+
+def _monitor_step(monitor, state, action, null, threshold) -> tuple[float, float]:
+    """Step the monitor through :func:`lr_step`; return the e-value (wealth
+    after over wealth before, NaN once the wealth is 0) and the wealth before."""
+    before = monitor.value()
+    lr_step(monitor, state, action, null, threshold)
+    return (monitor.value() / before if before > 0.0 else math.nan), before
 
 
 def soccer_episode_trace(
@@ -29,9 +37,9 @@ def soccer_episode_trace(
     """Roll one match while monitoring the attacker's actions.
 
     The monitor's alternative defaults to the policy the attacker actually
-    plays (the known-deviation test).
+    plays (the known-deviation test). The monitor never stops the match.
     """
-    alternative = alternative or attacker
+    monitor = LRMonitorState.fresh((alternative or attacker,))
     columns = [
         "step", "a_row", "a_col", "b_row", "b_col",
         "act_a", "act_b", "real_b", "slip", "possession",
@@ -41,7 +49,6 @@ def soccer_episode_trace(
     ]
     rows: list[list] = []
     state = start
-    martingale = 1.0
     for step in range(max_steps):
         if soccer.is_terminal(state, rules):
             break
@@ -50,7 +57,7 @@ def soccer_episode_trace(
         pb = defender.table[s]
         act_a = int(rng.choice(soccer.NUM_ACTIONS, p=pa))
         act_b = int(rng.choice(soccer.NUM_ACTIONS, p=pb))
-        evalue = float(alternative.table[s, act_a] / null_attacker.table[s, act_a])
+        evalue, martingale = _monitor_step(monitor, s, act_a, null_attacker, math.inf)
         rows.append(
             [
                 step, *state.a_pos, *state.b_pos,
@@ -67,7 +74,6 @@ def soccer_episode_trace(
         state, _, _, info = soccer.soccer_step_traced(state, act_a, act_b, rng, rules)
         rows[-1][7] = soccer.ACTION_NAMES[info.effective_b]
         rows[-1][8] = int(info.slipped)
-        martingale *= evalue
     return columns, rows
 
 
@@ -79,9 +85,19 @@ def prey_episode_trace(
     max_steps: int = 12,
     threshold: float = 20.0,
 ) -> tuple[list[str], list[list]]:
-    """Roll one pursuit while the mixture monitor watches the suspect."""
-    grid = np.asarray(eps_grid, dtype=float)
-    weights = np.full(grid.size, 1.0 / grid.size)
+    """Roll one pursuit while the mixture monitor watches the suspect.
+
+    The monitor's states are the distinct chase rows of
+    :func:`prey.pursuit_tables`; the pursuit stops once it crosses
+    ``threshold``.
+    """
+    _, chase_row, chase_rows = prey.pursuit_tables()
+    uniform = 1.0 / prey.NUM_ACTIONS
+    null = Policy(np.full(chase_rows.shape, uniform))
+    monitor = LRMonitorState.fresh(
+        Policy((1.0 - eps) * uniform + eps * chase_rows)
+        for eps in np.asarray(eps_grid, dtype=float)
+    )
     columns = [
         "step", "row", "col", "action", "martingale",
         *list(prey.ACTION_NAMES),
@@ -89,28 +105,21 @@ def prey_episode_trace(
     ]
     rows: list[list] = []
     state = start
-    log_lr = np.zeros(grid.size)
-    uniform = 1.0 / prey.NUM_ACTIONS
     for step in range(max_steps):
         if state.captured or state.exhausted:
             break
-        chase = prey.chase_policy(state.suspect, state.prey)
-        played = (1.0 - eps_true) * uniform + eps_true * chase
+        row = chase_row[prey.cell_id(state.suspect)][prey.cell_id(state.prey)]
+        played = (1.0 - eps_true) * uniform + eps_true * chase_rows[row]
         act = int(rng.choice(prey.NUM_ACTIONS, p=played))
-        shift = log_lr.max()
-        martingale = float(math.exp(shift) * np.sum(weights * np.exp(log_lr - shift)))
-        candidate = (1.0 - grid) * uniform + grid * chase[act]
-        log_lr += np.log(candidate) - math.log(uniform)
-        shift = log_lr.max()
-        updated = float(math.exp(shift) * np.sum(weights * np.exp(log_lr - shift)))
+        evalue, martingale = _monitor_step(monitor, row, act, null, threshold)
         rows.append(
             [
                 step, *state.suspect, prey.ACTION_NAMES[act], martingale,
                 *[float(v) for v in played],
-                updated / martingale,
+                evalue,
             ]
         )
         state, _ = prey.prey_step(state, act, rng)
-        if updated >= threshold:
+        if monitor.crossing_time is not None:
             break
     return columns, rows

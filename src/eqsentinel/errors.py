@@ -17,14 +17,6 @@ class CapacityError(ValueError):
     """Input exceeds a documented size limit."""
 
 
-class SupportViolationError(ValueError):
-    """An alternative puts mass where the null puts none."""
-
-
-class UndefinedActionError(ValueError):
-    """Both null and alternative assign probability zero to the observed action."""
-
-
 class ErgodicityError(RuntimeError):
     """The chain has no unique reachable stationary distribution."""
 

@@ -34,11 +34,6 @@ class EquilibriumMode(enum.Enum):
     EPS_APPROX = "eps-approx"
 
 
-class ScenarioLabel(enum.Enum):
-    NULL = "null"
-    ALTERNATIVE = "alternative"
-
-
 @dataclass(frozen=True)
 class NormalFormGame:
     """Dense payoff tensors, one per player, over the joint action space.
@@ -176,26 +171,6 @@ class JointStrategy:
                 f"strategy shape {self.action_counts} does not match game "
                 f"{game.action_counts}"
             )
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """A generating strategy labelled as null or alternative, with its slack."""
-
-    game: NormalFormGame
-    generating_strategy: JointStrategy
-    label: ScenarioLabel
-    slack: float | None = None
-
-    def __post_init__(self) -> None:
-        self.generating_strategy.check_compatible(self.game)
-        if self.label is ScenarioLabel.ALTERNATIVE:
-            if self.slack is None:
-                raise DomainError("ALTERNATIVE scenarios must carry a slack")
-            if not 0.0 < self.slack <= 1.0:
-                raise DomainError("slack must lie in (0, 1]")
-        elif self.slack is not None:
-            raise DomainError("NULL scenarios must not carry a slack")
 
 
 def expected_payoff(game: NormalFormGame, strategy: JointStrategy, player: int) -> float:

@@ -21,6 +21,7 @@ from ..envs import prey, soccer
 from ..eprocess import (
     ORACLE_GRID_NODES,
     BettingMixture,
+    _log_mix,
     detection_bound_uniform,
     exact_uniform_mixture,
     slack_lower_bound,
@@ -34,6 +35,7 @@ from ..stochastic import (
     chi_square_div,
     exploitability,
     kl_divergence,
+    log_likelihood_ratios,
     matrix_game_solve,
     policy_to_text,
     shapley_solve_arrays,
@@ -522,10 +524,7 @@ def _cumulative_rows(table) -> list:
 def _soccer_tables(eps, null_table, afraid_table) -> tuple[list, list]:
     """The attacker's cumulative rows and log-likelihood ratios at weight eps."""
     alt_table = (1.0 - eps) * null_table + eps * afraid_table
-    with np.errstate(divide="ignore"):
-        log_ratio = np.where(
-            alt_table > 0.0, np.log(alt_table) - np.log(null_table), -np.inf
-        )
+    log_ratio = log_likelihood_ratios(null_table, alt_table[..., None])[..., 0]
     return _cumulative_rows(alt_table), log_ratio.tolist()
 
 
@@ -585,6 +584,13 @@ def run_soccer_scaling(
     afraid = Policy(
         np.vstack([soccer.afraid_transform(row) for row in null_a.table])
     )
+    excluded = (null_a.table == 0.0) & (afraid.table > 0.0)
+    if np.any(excluded) and any(eps > 0.0 for eps in config.epsilons):
+        # The builder scores such an action -inf, which would hide the attacker.
+        raise DomainError(
+            "the null attacker policy puts no mass on an action the timid "
+            "deviation plays; use smoothing > 0"
+        )
     cum_b = _cumulative_rows(defender.table)
     # Lazy, so that in-process runs keep one cell's tables alive at a time.
     tables = (_soccer_tables(eps, null_a.table, afraid.table) for eps in config.epsilons)
@@ -669,7 +675,7 @@ def _prey_tables(eps_true, eps_grid) -> tuple[list, list]:
     grid = np.asarray(eps_grid)
     played = (1.0 - eps_true) * uniform + eps_true * chase
     candidate = (1.0 - grid) * uniform + grid * chase[:, :, None]
-    log_inc = np.log(candidate) - math.log(uniform)
+    log_inc = log_likelihood_ratios(np.full(chase.shape, uniform), candidate)
     return _cumulative_rows(played), log_inc.tolist()
 
 
@@ -680,8 +686,9 @@ def _prey_trial(args) -> tuple[int, int, int]:
     in the order of the object-level loop: the suspect's uniform, then, as
     :func:`prey.prey_step` does, the honest pair's and the prey's moves. The
     mixture is read out only once the largest log ratio comes within 1e-9 of
-    log(threshold): the weights sum to 1, so below that the readout is at
-    most exp(max) times 1 + a few ulp, under the threshold.
+    log(threshold): the weights sum to 1, so below that the log readout
+    (:func:`_log_mix`) exceeds the largest log ratio by a few ulp at most and
+    stays under log(threshold).
     """
     cell, run, seed, threshold, horizon, played_cum, log_inc = args
     moves, chase_row, _ = prey.pursuit_tables()
@@ -693,7 +700,8 @@ def _prey_trial(args) -> tuple[int, int, int]:
     size = len(log_inc[0][0])
     weights = np.full(size, 1.0 / size)
     log_lr = [0.0] * size
-    near = math.log(threshold) - 1e-9
+    log_b = math.log(threshold)
+    near = log_b - 1e-9
     suspect, honest_1, honest_2, target = cells
     steps = 0
     for t in range(1, horizon + 1):
@@ -703,11 +711,8 @@ def _prey_trial(args) -> tuple[int, int, int]:
         row = chase_row[suspect][target]
         act = bisect_right(played_cum[row], rng.random())
         log_lr = [x + d for x, d in zip(log_lr, log_inc[row][act])]
-        if max(log_lr) >= near:
-            lr = np.array(log_lr)
-            shift = lr.max()
-            if math.exp(shift) * float(np.sum(weights * np.exp(lr - shift))) >= threshold:
-                return cell, run, t
+        if max(log_lr) >= near and _log_mix(np.array(log_lr), weights) >= log_b:
+            return cell, run, t
         move_1, move_2, move_prey = draw(actions), draw(actions), draw(actions)
         suspect = moves[suspect][act]
         honest_1 = moves[honest_1][move_1]

@@ -20,13 +20,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .eprocess import _log_mix
-from .errors import (
-    DomainError,
-    ErgodicityError,
-    ShapeError,
-    SupportViolationError,
-    UndefinedActionError,
-)
+from .errors import DomainError, ErgodicityError, ShapeError
 
 logger = logging.getLogger(__name__)
 
@@ -138,53 +132,70 @@ class SolverConfig:
 # -- likelihood-ratio monitoring -------------------------------------------
 
 
-def lr_evalue(null_policy: Policy, alt_policy: Policy, state: int, action: int) -> float:
-    """Per-round likelihood ratio of the alternative against the null."""
-    p0 = float(null_policy.table[state, action])
-    p1 = float(alt_policy.table[state, action])
-    if p0 == 0.0:
-        if p1 > 0.0:
-            raise SupportViolationError(
-                f"null puts no mass on action {action} in state {state}"
-            )
-        raise UndefinedActionError(
-            f"both policies put no mass on action {action} in state {state}"
+def log_likelihood_ratios(null, alternatives) -> np.ndarray:
+    """Per-action log likelihood ratios of K alternatives against the null.
+
+    ``alternatives`` has a trailing K axis that ``null`` broadcasts against:
+    an (S, A) null against (S, A, K) alternatives, or one probability against
+    K. An action the alternative excludes gives -inf for that component, and
+    an action the null excludes gives -inf for every component (the
+    observation is impossible under the null, so no alternative explains it
+    relative to the null).
+    """
+    null = np.asarray(null, dtype=float)[..., None]
+    alternatives = np.asarray(alternatives, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(
+            (alternatives > 0.0) & (null > 0.0),
+            np.log(alternatives) - np.log(null),
+            -np.inf,
         )
-    return p1 / p0
 
 
 @dataclass
 class LRMonitorState:
     """Mixture of likelihood-ratio wealth processes over candidate deviations.
 
-    Components are accumulated in log space; a zero-likelihood observation
-    (or a support violation) kills its component rather than erroring, so a
-    mixture survives one dead alternative. The running maximum and the
-    crossing test stay in log space: no stream overflows.
+    The mixture likelihood ratio of Wald ("Sequential tests of statistical
+    hypotheses", 1945) and Robbins ("Statistical methods related to the law
+    of the iterated logarithm", 1970): one log ratio per alternative policy,
+    read out as their prior-weighted average. The alternatives' tables are
+    stacked once into an (S, A, K) ``probs`` array. Components are
+    accumulated in log space; a zero-likelihood observation (or a support
+    violation) kills its component rather than erroring, so a mixture
+    survives one dead alternative. The running maximum and the crossing test
+    stay in log space: no stream overflows.
     """
 
     alternatives: tuple
-    prior_weights: np.ndarray
+    prior_weights: np.ndarray | None = None
     log_lr: np.ndarray = field(default=None)  # type: ignore[assignment]
     round: int = 0
     log_max: float = 0.0
     crossing_time: int | None = None
+    probs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.alternatives = tuple(self.alternatives)
+        if not self.alternatives:
+            raise ShapeError("a mixture needs at least one alternative")
+        if len({alt.table.shape for alt in self.alternatives}) != 1:
+            raise ShapeError("alternatives must share a shape")
+        self.probs = np.stack([alt.table for alt in self.alternatives], axis=-1)
+        k = len(self.alternatives)
+        if self.prior_weights is None:
+            self.prior_weights = np.full(k, 1.0 / k)
         w = np.asarray(self.prior_weights, dtype=float)
-        if w.ndim != 1 or w.size != len(self.alternatives):
+        if w.ndim != 1 or w.size != k:
             raise ShapeError("one prior weight per alternative")
         if w.min() <= 0.0 or abs(w.sum() - 1.0) > POLICY_TOL:
             raise DomainError("prior weights must be positive and sum to 1")
         self.prior_weights = w
         if self.log_lr is None:
-            self.log_lr = np.zeros(w.size)
+            self.log_lr = np.zeros(k)
 
     @classmethod
     def fresh(cls, alternatives, prior_weights=None) -> "LRMonitorState":
-        alternatives = tuple(alternatives)
-        if prior_weights is None:
-            prior_weights = np.full(len(alternatives), 1.0 / len(alternatives))
         return cls(alternatives=alternatives, prior_weights=prior_weights)
 
     def log_value(self) -> float:
@@ -196,29 +207,6 @@ class LRMonitorState:
         with np.errstate(over="ignore"):
             return float(np.exp(self.log_value()))
 
-    def update_probs(self, null_prob: float, alt_probs, threshold: float) -> "LRMonitorState":
-        """Advance by one observation given the per-policy action probabilities."""
-        alt_probs = np.asarray(alt_probs, dtype=float)
-        if alt_probs.shape != self.log_lr.shape:
-            raise ShapeError("one alternative probability per component")
-        if null_prob > 0.0:
-            with np.errstate(divide="ignore"):
-                self.log_lr += np.where(
-                    alt_probs > 0.0, np.log(alt_probs) - math.log(null_prob), -np.inf
-                )
-        else:
-            # Null-impossible action observed: every alternative explaining it
-            # violates the support condition and is killed, the rest get 0/0
-            # mass and die as well.
-            self.log_lr[:] = -np.inf
-        self.round += 1
-        lv = self.log_value()
-        if lv > self.log_max:
-            self.log_max = lv
-        if self.crossing_time is None and lv >= math.log(threshold):
-            self.crossing_time = self.round
-        return self
-
 
 def lr_step(
     state: LRMonitorState,
@@ -227,12 +215,33 @@ def lr_step(
     null_policy: Policy,
     threshold: float,
 ) -> LRMonitorState:
-    """Advance the mixture monitor on one observed (state, action) pair."""
-    null_prob = float(null_policy.table[observed_state, observed_action])
-    alt_probs = np.array(
-        [alt.table[observed_state, observed_action] for alt in state.alternatives]
+    """Advance the mixture monitor on one observed (state, action) pair.
+
+    Raises ``ShapeError`` when the null's table and the alternatives' differ
+    in shape or the pair lies outside them (negative indices included), and
+    ``DomainError`` when the threshold does not exceed 1.
+    """
+    if not threshold > 1.0:
+        raise DomainError("threshold must exceed 1")
+    num_states, num_actions, _ = state.probs.shape
+    if null_policy.table.shape != (num_states, num_actions):
+        raise ShapeError("null policy and alternatives must share a shape")
+    if not (0 <= observed_state < num_states and 0 <= observed_action < num_actions):
+        raise ShapeError(
+            f"observed (state, action) ({observed_state}, {observed_action}) "
+            f"lies outside the {num_states}x{num_actions} policy tables"
+        )
+    state.log_lr += log_likelihood_ratios(
+        null_policy.table[observed_state, observed_action],
+        state.probs[observed_state, observed_action],
     )
-    return state.update_probs(null_prob, alt_probs, threshold)
+    state.round += 1
+    lv = state.log_value()
+    if lv > state.log_max:
+        state.log_max = lv
+    if state.crossing_time is None and lv >= math.log(threshold):
+        state.crossing_time = state.round
+    return state
 
 
 def lr_detection_bound(

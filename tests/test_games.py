@@ -8,8 +8,6 @@ from eqsentinel import (
     EquilibriumMode,
     JointStrategy,
     NormalFormGame,
-    ScenarioLabel,
-    ScenarioSpec,
     deviation_gain,
     equilibrium_slack,
     expected_payoff,
@@ -64,14 +62,6 @@ class TestConstruction:
     def test_profile_bounds(self, game):
         with pytest.raises(ShapeError):
             ActionProfile((2, 0)).validate(game.action_counts)
-
-    def test_scenario_slack_only_for_alternatives(self, game, nash):
-        with pytest.raises(DomainError):
-            ScenarioSpec(game, nash, ScenarioLabel.NULL, slack=0.1)
-        with pytest.raises(DomainError):
-            ScenarioSpec(game, nash, ScenarioLabel.ALTERNATIVE, slack=None)
-        spec = ScenarioSpec(game, nash, ScenarioLabel.ALTERNATIVE, slack=0.03)
-        assert spec.slack == 0.03
 
 
 class TestExpectedPayoff:

@@ -1,4 +1,7 @@
 import dataclasses
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,6 +284,16 @@ class TestTrialLoops:
         # shifted East mass, so every trial detects.
         assert result.checks["all_trials_detected"]
 
+    def test_soccer_null_without_the_deviation_support_rejected(self, tmp_path, soccer_solution):
+        # Unsmoothed equilibrium rows that play East but never West or Wait
+        # exclude an action the timid attacker plays.
+        config = SoccerScalingConfig(trials=1, smoothing=0.0)
+        with pytest.raises(DomainError, match="smoothing > 0"):
+            run_soccer_scaling(
+                config, tmp_path, policies=(soccer_solution.row_policy, soccer_solution.col_policy)
+            )
+        assert not (tmp_path / "runs.csv").exists()
+
 
 class TestSummaryRecomputable:
     def test_detect_summary_is_function_of_rows(self, tmp_path):
@@ -461,3 +474,19 @@ class TestEpsGridMixture:
         )
         monitor = EquilibriumMonitor(game, config)
         assert monitor.threshold == pytest.approx(40.0)
+
+
+class TestExportTracesScript:
+    SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "export_traces.py"
+
+    def test_writes_three_traces_starting_at_one(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "argv", [str(self.SCRIPT), str(tmp_path)])
+        runpy.run_path(str(self.SCRIPT), run_name="__main__")
+        for name in (
+            "soccer_equilibrium_episode.csv",
+            "soccer_timid_episode.csv",
+            "prey_suspect_episode.csv",
+        ):
+            _, columns, rows = read_csv(tmp_path / name)
+            assert rows, name
+            assert float(rows[0][columns.index("martingale")]) == 1.0, name

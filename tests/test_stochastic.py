@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from eqsentinel import (
     exploitability,
     kl_quadratic_check,
     lr_detection_bound,
-    lr_evalue,
     lr_step,
     matrix_game_solve,
     mixture_policy,
@@ -25,17 +25,13 @@ from eqsentinel import (
     state_avg_kl,
     stationary_distribution,
 )
-from eqsentinel.errors import (
-    DomainError,
-    ErgodicityError,
-    ShapeError,
-    SupportViolationError,
-    UndefinedActionError,
-)
-from eqsentinel.harness.experiments import SoccerSolveConfig
+from eqsentinel.envs import prey, trace
+from eqsentinel.errors import DomainError, ErgodicityError, ShapeError
+from eqsentinel.harness.experiments import SoccerSolveConfig, _soccer_tables
 from eqsentinel.stochastic import (
     MatrixGameSolution,
     kl_divergence,
+    log_likelihood_ratios,
     model_from_text,
     model_to_text,
     policy_from_text,
@@ -50,34 +46,57 @@ def uniform_policy(states, actions):
     return Policy(np.full((states, actions), 1.0 / actions))
 
 
+def ratios(null: Policy, alt: Policy) -> np.ndarray:
+    """The builder's (S, A) log-ratio table for one alternative."""
+    return log_likelihood_ratios(null.table, alt.table[..., None])[..., 0]
+
+
+def one_step_value(null: Policy, alt: Policy, state: int, action: int) -> float:
+    monitor = LRMonitorState.fresh((alt,))
+    lr_step(monitor, state, action, null, 20.0)
+    return monitor.value()
+
+
 class TestLrEvalue:
+    """The per-round likelihood ratio, read from the log-ratio builder and
+    from one step of the monitor."""
+
     def test_ratio(self):
         null = uniform_policy(1, 5)
         alt = Policy(np.array([[0.3409, 0.1879, 0.1879, 0.1879, 0.0954]]))
-        assert lr_evalue(null, alt, 0, 0) == pytest.approx(1.7045)
+        assert math.exp(ratios(null, alt)[0, 0]) == pytest.approx(1.7045)
+        assert one_step_value(null, alt, 0, 0) == pytest.approx(1.7045)
 
     def test_identity_alternative(self):
         null = uniform_policy(3, 4)
+        assert np.all(ratios(null, null) == 0.0)
         for s in range(3):
             for a in range(4):
-                assert lr_evalue(null, null, s, a) == 1.0
+                assert one_step_value(null, null, s, a) == 1.0
 
     def test_zero_alternative_mass(self):
         null = uniform_policy(1, 2)
         alt = Policy(np.array([[1.0, 0.0]]))
-        assert lr_evalue(null, alt, 0, 1) == 0.0
+        assert ratios(null, alt)[0, 1] == -math.inf
+        assert one_step_value(null, alt, 0, 1) == 0.0
 
     def test_support_violation(self):
+        # The alternative plays an action the null excludes: the observation
+        # is impossible under the null and kills the component.
         null = Policy(np.array([[1.0, 0.0]]))
         alt = Policy(np.array([[0.5, 0.5]]))
-        with pytest.raises(SupportViolationError):
-            lr_evalue(null, alt, 0, 1)
+        assert ratios(null, alt)[0, 1] == -math.inf
+        assert one_step_value(null, alt, 0, 1) == 0.0
 
     def test_undefined_action(self):
+        # Neither policy plays the action: the ratio is 0/0, read as dead,
+        # without a floating-point warning.
         null = Policy(np.array([[1.0, 0.0]]))
         alt = Policy(np.array([[1.0, 0.0]]))
-        with pytest.raises(UndefinedActionError):
-            lr_evalue(null, alt, 0, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ratios(null, alt)[0, 1] == -math.inf
+            assert one_step_value(null, alt, 0, 1) == 0.0
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -86,11 +105,8 @@ class TestLrEvalue:
         rng = np.random.default_rng(seed)
         null = Policy((lambda t: t / t.sum(1, keepdims=True))(rng.random((3, 4)) + 0.05))
         alt = Policy((lambda t: t / t.sum(1, keepdims=True))(rng.random((3, 4)) + 0.05))
-        for s in range(3):
-            total = sum(
-                null.table[s, a] * lr_evalue(null, alt, s, a) for a in range(4)
-            )
-            assert total == pytest.approx(1.0, abs=1e-12)
+        totals = np.sum(null.table * np.exp(ratios(null, alt)), axis=1)
+        assert totals == pytest.approx(np.ones(3), abs=1e-12)
 
 
 class TestLrMonitor:
@@ -155,6 +171,123 @@ class TestLrMonitor:
         finals = np.array(finals)
         se = finals.std(ddof=1) / math.sqrt(len(finals))
         assert abs(finals.mean() - 1.0) <= 3.0 * se
+
+
+TWO_STATE_NULL = uniform_policy(2, 3)
+TWO_STATE_ALT = Policy(np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]))
+
+
+def step_two_state(state, action, null=TWO_STATE_NULL, threshold=20.0):
+    monitor = LRMonitorState.fresh((TWO_STATE_ALT,))
+    try:
+        lr_step(monitor, state, action, null, threshold)
+    finally:
+        # A rejected step writes nothing.
+        assert monitor.round == 0 and np.all(monitor.log_lr == 0.0)
+
+
+class TestLrStepBoundary:
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda: step_two_state(-1, 2), ShapeError),
+            (lambda: step_two_state(2, 0), ShapeError),
+            (lambda: step_two_state(0, -1), ShapeError),
+            (lambda: step_two_state(0, 3), ShapeError),
+            (lambda: step_two_state(0, 0, null=uniform_policy(5, 3)), ShapeError),
+            (lambda: step_two_state(0, 0, null=uniform_policy(2, 4)), ShapeError),
+            (lambda: step_two_state(0, 0, threshold=1.0), DomainError),
+            (lambda: step_two_state(0, 0, threshold=0.5), DomainError),
+            (lambda: step_two_state(0, 0, threshold=math.nan), DomainError),
+            (lambda: LRMonitorState.fresh((TWO_STATE_ALT, uniform_policy(5, 3))), ShapeError),
+            (lambda: LRMonitorState.fresh(()), ShapeError),
+            (lambda: LRMonitorState.fresh((TWO_STATE_ALT,), [0.5, 0.5]), ShapeError),
+        ],
+        ids=[
+            "negative-state", "state-past-end", "negative-action", "action-past-end",
+            "null-with-more-states", "null-with-more-actions", "threshold-one",
+            "threshold-below-one", "threshold-nan", "alternatives-of-two-shapes",
+            "no-alternatives", "weights-per-alternative",
+        ],
+    )
+    def test_rejected_with_package_errors(self, call, error):
+        with pytest.raises(error):
+            call()
+
+
+def random_policy(rng, states, actions, zeros):
+    """A random policy whose entries are 0 with probability ``zeros`` (one
+    action per row always keeps mass)."""
+    table = rng.random((states, actions)) * (rng.random((states, actions)) >= zeros)
+    table[np.arange(states), rng.integers(actions, size=states)] += 0.1
+    return Policy(table / table.sum(axis=1, keepdims=True))
+
+
+class TestOneRecursion:
+    """The monitor, the trial tables and the traces all read the log-ratio
+    builder's table."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_monitor_and_trial_tables_read_the_builder(self, seed):
+        rng = np.random.default_rng(seed)
+        states, actions, k = (int(v) for v in rng.integers(1, 6, size=3))
+        actions += 1
+        null = random_policy(rng, states, actions, 0.2)
+        alts = tuple(random_policy(rng, states, actions, 0.2) for _ in range(k))
+        table = log_likelihood_ratios(
+            null.table, np.stack([alt.table for alt in alts], axis=-1)
+        )
+        monitor = LRMonitorState.fresh(alts)
+        visited = rng.integers(states, size=40)
+        played = rng.integers(actions, size=40)
+        for s, a in zip(visited.tolist(), played.tolist()):
+            lr_step(monitor, s, a, null, math.inf)
+        expected = np.cumsum(table[visited, played], axis=0)[-1]
+        assert np.array_equal(monitor.log_lr, expected)
+
+        eps = float(rng.random())
+        afraid = alts[0].table
+        alt_table = (1.0 - eps) * null.table + eps * afraid
+        assert _soccer_tables(eps, null.table, afraid)[1] == log_likelihood_ratios(
+            null.table, alt_table[..., None]
+        )[..., 0].tolist()
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.floats(0.05, 1.0),
+        st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_prey_trace_is_the_monitor(self, seed, eps_true, eps_grid):
+        columns, rows = trace.prey_episode_trace(
+            eps_true, eps_grid, np.random.default_rng(seed), max_steps=40
+        )
+        _, _, chase_rows = prey.pursuit_tables()
+        uniform = 1.0 / prey.NUM_ACTIONS
+        # Each chase row plays a distinct suspect row, which the trace logs.
+        chase_of = {
+            tuple(r): i
+            for i, r in enumerate(((1.0 - eps_true) * uniform + eps_true * chase_rows).tolist())
+        }
+        null = Policy(np.full(chase_rows.shape, uniform))
+        monitor = LRMonitorState.fresh(
+            Policy((1.0 - eps) * uniform + eps * chase_rows) for eps in eps_grid
+        )
+        first = columns.index(prey.ACTION_NAMES[0])
+        for row in rows:
+            before = float(np.exp(monitor.log_value()))
+            assert row[columns.index("martingale")] == before
+            lr_step(
+                monitor,
+                chase_of[tuple(row[first:first + prey.NUM_ACTIONS])],
+                prey.ACTION_NAMES.index(row[columns.index("action")]),
+                null,
+                20.0,
+            )
+            assert row[columns.index("evalue")] == monitor.value() / before
+        # The trace stops on the round the monitor crosses.
+        assert monitor.crossing_time in (None, len(rows))
 
 
 class TestDetectionBound:
