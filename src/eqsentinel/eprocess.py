@@ -100,7 +100,9 @@ def _log_mix(log_wealth: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Log mixture wealth over the last axis by max-shifted log-sum-exp; -inf
     for a row whose components are all dead."""
     shift = log_wealth.max(axis=-1)
-    if shift.min() == -np.inf:
+    # A Python ``in`` over the few shifts is far cheaper than a numpy
+    # reduction, above all on the scalar a 1-D input gives.
+    if -np.inf in (shift.tolist() if shift.ndim else (shift,)):
         shift = np.where(shift == -np.inf, 0.0, shift)
         with np.errstate(divide="ignore"):
             return shift + np.log((weights * np.exp(log_wealth - shift[..., None])).sum(axis=-1))

@@ -104,6 +104,12 @@ def fit_loglog_slope(points) -> tuple[float, float]:
     return float(slope), float(intercept)
 
 
+def _require_runs_and_horizon(config) -> None:
+    for name in ("runs", "horizon"):
+        if getattr(config, name) < 1:
+            raise ConfigError(f"{name} must be at least 1, got {getattr(config, name)}")
+
+
 # ---------------------------------------------------------------------------
 # nf-fwer-null: false-alarm grid under equilibrium play
 # ---------------------------------------------------------------------------
@@ -116,6 +122,9 @@ class NullGridConfig:
     horizon: int = 4000
     lambdas: tuple[float, ...] = (0.05, 0.1, 0.15, 0.4)
     alphas: tuple[float, ...] = (0.2, 0.1, 0.05)
+
+    def __post_init__(self) -> None:
+        _require_runs_and_horizon(self)
 
 
 def run_nf_fwer_null(
@@ -132,12 +141,11 @@ def run_nf_fwer_null(
     rows = []
     cells = [(lam, alpha) for lam in config.lambdas for alpha in config.alphas]
     for cell, (lam, alpha) in enumerate(cells):
+        mixture = BettingMixture.dirac(lam)
+        factors = nfstreams.log_factors(tables, mixture)
         for run in range(config.runs):
             rng = run_rng(config.seed, cell, run)
-            stream = nfstreams.sample_action_stream(strategy, config.horizon, rng)
-            paths = nfstreams.log_wealth_paths(
-                tables[:, stream], BettingMixture.dirac(lam)
-            )
+            paths = nfstreams.replay_run(strategy, factors, mixture, config.horizon, rng)
             crossings = nfstreams.fwer_crossing_times(paths, m / alpha)
             detected = crossings[crossings > 0]
             first = int(detected.min()) if detected.size else -1
@@ -188,6 +196,9 @@ class DetectConfig:
     alpha: float = 0.2
     betting_fraction: float = 0.05
 
+    def __post_init__(self) -> None:
+        _require_runs_and_horizon(self)
+
 
 def run_nf_detect(
     config: DetectConfig,
@@ -202,11 +213,11 @@ def run_nf_detect(
     m = len(hypotheses)
     weights = np.full(m, 1.0 / m)
     mixture = BettingMixture.dirac(config.betting_fraction)
+    factors = nfstreams.log_factors(tables, mixture)
     rows = []
     for run in range(config.runs):
         rng = run_rng(config.seed, 0, run)
-        stream = nfstreams.sample_action_stream(strategy, config.horizon, rng)
-        paths = nfstreams.log_wealth_paths(tables[:, stream], mixture)
+        paths = nfstreams.replay_run(strategy, factors, mixture, config.horizon, rng)
         crossings = nfstreams.fwer_crossing_times(paths, m / config.alpha)
         detected = crossings[crossings > 0]
         tau_fdr, k_at_alarm, rejected = nfstreams.ebh_alarm(
@@ -289,6 +300,9 @@ class SensitivityConfig:
     mixture: str = "dirac"  # "dirac" sweeps lambdas; "uniform" uses the grid
     grid_nodes: int = 101
 
+    def __post_init__(self) -> None:
+        _require_runs_and_horizon(self)
+
 
 def run_nf_sensitivity(config: SensitivityConfig, out_dir: Path) -> ExperimentResult:
     if config.mixture not in ("dirac", "uniform"):
@@ -310,12 +324,17 @@ def run_nf_sensitivity(config: SensitivityConfig, out_dir: Path) -> ExperimentRe
         for eta in config.etas
         for name, mix in mixtures
     ]
+    factors = {name: nfstreams.log_factors(tables, mix) for name, mix in mixtures}
     for cell, (alpha, eta, name, mix) in enumerate(cells):
         strategy = scenarios.sensitivity_profile(eta)
+        # Any crossing before the signal's is evaluated by the time it is
+        # reached, so the run ends there and tau_stop is already settled.
+        stop = (signal_index, math.log(m / alpha))
         for run in range(config.runs):
             rng = run_rng(config.seed, cell, run)
-            stream = nfstreams.sample_action_stream(strategy, config.horizon, rng)
-            paths = nfstreams.log_wealth_paths(tables[:, stream], mix)
+            paths = nfstreams.replay_run(
+                strategy, factors[name], mix, config.horizon, rng, stop
+            )
             crossings = nfstreams.fwer_crossing_times(paths, m / alpha)
             detected = crossings[crossings > 0]
             tau_stop = int(detected.min()) if detected.size else -1

@@ -2,13 +2,30 @@
 
 Monte-Carlo grids need hundreds of thousands of monitor rounds; stepping
 the object monitor would dominate the runtime. This module evaluates the
-same log-wealth recursions with numpy over a whole run at once. The object
-monitor remains the reference: the tests replay identical action streams
-through both paths and require matching crossing rounds.
+same log-wealth recursions with numpy over a run's rounds at once. The
+object monitor remains the reference: the tests replay identical action
+streams through both paths and require matching crossing rounds.
 
 Within one run the per-player action streams are drawn in player order
 (all of player 1's rounds, then player 2's, ...), which is part of the
-determinism contract for run-level reproducibility.
+determinism contract for run-level reproducibility: player k draws the
+``horizon`` uniforms that start ``(k - 1) * horizon`` outputs into the
+run's PCG64 stream. ``replay_run`` keeps that order while drawing a chunk
+at a time: player 1 reads the run generator itself and player k >= 2 a
+copy of it moved forward with ``bit_generator.advance((k - 1) * horizon)``.
+PCG64 ``random()`` spends one 64-bit output per double, so the chunked
+draws are the full-stream draws, value for value.
+
+Each cell builds its log-factor table once, ``log1p(-lambda * x)`` over the
+increment table's (m, P) profiles (with a trailing fraction axis for a
+grid mixture); a run gathers its rounds from that table instead of taking
+``log1p`` of gathered increments, which is the same expression on the same
+inputs. Rounds are accumulated in chunks of ``CHUNK_ROUNDS``: the previous
+chunk's last cumulative column is added to the next chunk's first column
+before its ``cumsum``, so every partial sum is the one a single ``cumsum``
+over the horizon forms. A run with a stop rule ends after the chunk in
+which its stop row first reaches its level (early exit); the rounds after
+it are never drawn. A run without one is a single chunk of the horizon.
 """
 
 from __future__ import annotations
@@ -18,45 +35,90 @@ import math
 import numpy as np
 
 from ..eprocess import BettingMixture
-from ..games import JointStrategy, NormalFormGame, StrategyKind
-from ..monitors import HypothesisId
+from ..games import JointStrategy, StrategyKind
+
+# ``increment_tables`` is the monitor's increment-table builder; it stays
+# resolvable here because the harness and perfbench's --trace 1 use it by
+# this module's name.
+from ..monitors import increment_tables  # noqa: F401
+
+#: Rounds per chunk of a run replayed with a stop rule.
+CHUNK_ROUNDS = 1024
 
 
-def increment_tables(
-    game: NormalFormGame, hypotheses: list[HypothesisId], eps_shift: float = 0.0
-) -> np.ndarray:
-    """Per-hypothesis increment lookup over flattened joint profiles: (m, P)."""
-    counts = game.action_counts
-    tables = np.empty((len(hypotheses), int(np.prod(counts))))
-    for j, h in enumerate(hypotheses):
-        u = game.payoffs[h.player]
-        u_dev = np.take(u, h.deviation, axis=h.player)
-        u_dev = np.expand_dims(u_dev, axis=h.player)
-        tables[j] = (u - u_dev + eps_shift).ravel()
-    return tables
+def _advanced(rng: np.random.Generator, delta: int) -> np.random.Generator:
+    """A PCG64 generator at ``rng``'s state moved ``delta`` outputs on."""
+    # Seeded, because an unseeded PCG64() reads OS entropy first.
+    bits = np.random.PCG64(0)
+    bits.state = rng.bit_generator.state
+    bits.advance(delta)
+    return np.random.Generator(bits)
 
 
-def _inverse_cdf_draws(
-    probs: np.ndarray, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    # Raw uniforms through the cumulative table: keeps the realized streams
-    # tied to the bit generator only, not to Generator.choice internals.
-    cdf = np.cumsum(probs)
-    idx = np.searchsorted(cdf, rng.random(size), side="right")
-    return np.minimum(idx, probs.size - 1)
+def _profile_sampler(
+    strategy: JointStrategy, horizon: int, rng: np.random.Generator, chunked: bool
+):
+    """``draw(n)``: the run's next n flattened joint-profile indices.
+
+    Unchunked, ``draw(horizon)`` is called once and draws every player from
+    ``rng`` in turn. Chunked, each player after the first draws from its own
+    generator at its stream offset, and ``draw`` may be called chunk by
+    chunk until the horizon.
+    """
+    product = strategy.kind is StrategyKind.PRODUCT
+    probs = strategy.factors if product else [strategy.joint.ravel()]
+    cdfs = [np.cumsum(p) for p in probs]
+    gens = [rng] * len(cdfs)
+    if chunked:
+        gens[1:] = [_advanced(rng, i * horizon) for i in range(1, len(cdfs))]
+
+    def draw(n: int) -> np.ndarray:
+        # Raw uniforms through the cumulative table: keeps the realized
+        # streams tied to the bit generator only, not to Generator.choice.
+        idx = [
+            np.minimum(np.searchsorted(cdf, g.random(n), side="right"), cdf.size - 1)
+            for cdf, g in zip(cdfs, gens)
+        ]
+        return np.ravel_multi_index(idx, strategy.action_counts) if product else idx[0]
+
+    return draw
 
 
 def sample_action_stream(
     strategy: JointStrategy, horizon: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Flattened joint-profile indices for one run, shape (horizon,)."""
-    counts = strategy.action_counts
-    if strategy.kind is StrategyKind.PRODUCT:
-        per_player = [
-            _inverse_cdf_draws(f, horizon, rng) for f in strategy.factors
-        ]
-        return np.ravel_multi_index(per_player, counts)
-    return _inverse_cdf_draws(strategy.joint.ravel(), horizon, rng)
+    return _profile_sampler(strategy, horizon, rng, chunked=False)(horizon)
+
+
+def log_factors(increments: np.ndarray, mixture: BettingMixture) -> np.ndarray:
+    """Per-round log bet factors ``log1p(-lambda * x)``: (m, N), or (m, N, G)
+    for a grid mixture. N indexes rounds or, for a factor table, profiles."""
+    lam = mixture.lambdas
+    with np.errstate(divide="ignore"):
+        # An exact zero factor is a dead component: log wealth -inf forever.
+        if lam.size == 1:
+            return np.log1p(-lam[0] * increments)
+        return np.log1p(-increments[:, :, None] * lam)
+
+
+def _accumulate(factors: np.ndarray, carry: np.ndarray | None) -> np.ndarray:
+    """Cumulative log wealth over a chunk's rounds, in place, continuing from
+    the previous chunk's last column ``carry``."""
+    if carry is not None:
+        factors[:, 0] += carry
+    return np.cumsum(factors, axis=1, out=factors)
+
+
+def _readout(logw: np.ndarray, mixture: BettingMixture) -> np.ndarray:
+    """Log mixture wealth (m, T) from per-fraction log wealth: a max-shifted
+    log-sum-exp across the grid, as EProcessState.value() reads it. A grid
+    block ``logw`` is overwritten."""
+    if mixture.lambdas.size == 1:
+        return logw
+    shift = logw.max(axis=2)
+    np.exp(np.subtract(logw, shift[:, :, None], out=logw), out=logw)
+    return shift + np.log(np.einsum("mtg,g->mt", logw, mixture.weights))
 
 
 def log_wealth_paths(
@@ -67,16 +129,37 @@ def log_wealth_paths(
     Matches EProcessState.value() step by step: cumulative per-fraction log
     wealth, then a max-shifted log-sum-exp across the grid.
     """
-    lam = mixture.lambdas
-    with np.errstate(divide="ignore"):
-        # An exact zero factor is a dead component: log wealth -inf forever.
-        if lam.size == 1:
-            return np.cumsum(np.log1p(-lam[0] * increments), axis=1)
-        logw = np.cumsum(np.log1p(-increments[:, :, None] * lam), axis=1)
-        shift = logw.max(axis=2)
-        return shift + np.log(
-            np.einsum("mtg,g->mt", np.exp(logw - shift[:, :, None]), mixture.weights)
-        )
+    return _readout(_accumulate(log_factors(increments, mixture), None), mixture)
+
+
+def replay_run(
+    strategy: JointStrategy,
+    factors: np.ndarray,
+    mixture: BettingMixture,
+    horizon: int,
+    rng: np.random.Generator,
+    stop: tuple[int, float] | None = None,
+) -> np.ndarray:
+    """Log mixture wealth paths of one run, (m, t) with t <= horizon.
+
+    ``factors`` is the cell's ``log_factors(tables, mixture)``. The result
+    is the first t columns of ``log_wealth_paths(tables[:, stream],
+    mixture)`` for ``stream = sample_action_stream(strategy, horizon, rng)``.
+    Without a stop rule, t = horizon. With ``stop = (j, level)`` the run is
+    replayed in chunks of ``CHUNK_ROUNDS`` and ends after the chunk in which
+    row j first reaches ``level``; t = horizon when it never does.
+    """
+    chunk = horizon if stop is None else CHUNK_ROUNDS
+    draw = _profile_sampler(strategy, horizon, rng, chunked=chunk < horizon)
+    carry = None
+    paths = []
+    for start in range(0, horizon, chunk):
+        logw = _accumulate(np.take(factors, draw(min(chunk, horizon - start)), axis=1), carry)
+        carry = logw[:, -1].copy()  # the grid readout overwrites logw
+        paths.append(_readout(logw, mixture))
+        if stop is not None and (paths[-1][stop[0]] >= stop[1]).any():
+            break
+    return paths[0] if len(paths) == 1 else np.concatenate(paths, axis=1)
 
 
 def first_crossing(log_path: np.ndarray, log_level: float) -> int:

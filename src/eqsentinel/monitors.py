@@ -73,6 +73,19 @@ def enumerate_hypotheses(
     ]
 
 
+def increment_tables(
+    game: NormalFormGame, hypotheses: list[HypothesisId], eps_shift: float = 0.0
+) -> np.ndarray:
+    """Per-hypothesis increments over flattened joint profiles, (m, P):
+    ``increment``'s u_i(a) - u_i(deviation, a_-i) + eps_shift. A conditional
+    hypothesis gets its unconditional row; callers mask its inactive rounds."""
+    u = game.payoffs
+    return np.stack([
+        (u[h.player] - np.take(u[h.player], [h.deviation], axis=h.player) + eps_shift).ravel()
+        for h in hypotheses
+    ])
+
+
 @dataclass(frozen=True)
 class MonitorConfig:
     """Significance level, equilibrium mode, betting mixture and procedure."""
@@ -196,7 +209,7 @@ class EquilibriumMonitor:
         else:
             self.weights = None
         self._log_threshold = math.log(self.threshold)
-        counts, u = game.action_counts, game.payoffs
+        counts = game.action_counts
         self._strides = tuple(int(np.prod(counts[i + 1:])) for i in range(len(counts)))
         # By flat profile: (P, m) active mask and (P, m, 1) increments, with
         # ``increment``'s arithmetic. Off its recommendation a conditional
@@ -206,10 +219,7 @@ class EquilibriumMonitor:
             [(own[h.player] == h.condition) | (h.condition is None) for h in self.hypotheses], 1
         )
         shift = config.eps if config.mode is EquilibriumMode.EPS_APPROX else 0.0
-        table = np.stack([
-            (u[h.player] - np.take(u[h.player], [h.deviation], axis=h.player) + shift).ravel()
-            for h in self.hypotheses
-        ], 1)
+        table = increment_tables(game, self.hypotheses, shift).T
         self._table = np.where(self._active, table, 0.0)[:, :, None]
         self.log_wealth = np.zeros((self.m, config.mixture.size))
         self.log_max = np.zeros(self.m)

@@ -7,7 +7,9 @@ the object-level simulators, as the experiments did before they moved to
 integer state ids and precomputed tables. ``shapley_solve_reference`` is
 the Shapley sweep as it was before the sparse backup, the all-state saddle
 test and the warm-started equalizer solves: a dense ``einsum`` backup and one
-``matrix_game_solve`` per state per sweep.
+``matrix_game_solve`` per state per sweep. The ``*_rows_reference`` functions
+are the nf-* experiments' per-run loops from before the chunked replay: each
+run draws, gathers and accumulates every round of its horizon.
 """
 
 import math
@@ -16,8 +18,12 @@ from itertools import product
 
 import numpy as np
 
+from eqsentinel.eprocess import BettingMixture
 from eqsentinel.envs import prey, soccer
+from eqsentinel.games import EquilibriumMode, StrategyKind
+from eqsentinel.harness import nfstreams, scenarios
 from eqsentinel.harness.seeding import run_rng
+from eqsentinel.monitors import enumerate_hypotheses
 from eqsentinel.stochastic import (
     Policy,
     ShapleySolution,
@@ -197,3 +203,115 @@ def shapley_solve_reference(
         iterations=iterations,
         residual=residual,
     )
+
+
+def _increment_tables(game, hypotheses) -> np.ndarray:
+    tables = np.empty((len(hypotheses), int(np.prod(game.action_counts))))
+    for j, h in enumerate(hypotheses):
+        u = game.payoffs[h.player]
+        u_dev = np.expand_dims(np.take(u, h.deviation, axis=h.player), axis=h.player)
+        tables[j] = (u - u_dev).ravel()
+    return tables
+
+
+def sample_action_stream_reference(strategy, horizon, rng) -> np.ndarray:
+    """All of player 1's uniforms from ``rng``, then player 2's, ..."""
+
+    def draws(probs):
+        cdf = np.cumsum(probs)
+        idx = np.searchsorted(cdf, rng.random(horizon), side="right")
+        return np.minimum(idx, probs.size - 1)
+
+    if strategy.kind is StrategyKind.PRODUCT:
+        return np.ravel_multi_index(
+            [draws(f) for f in strategy.factors], strategy.action_counts
+        )
+    return draws(strategy.joint.ravel())
+
+
+def _log_wealth_paths(increments, mixture) -> np.ndarray:
+    lam = mixture.lambdas
+    with np.errstate(divide="ignore"):
+        if lam.size == 1:
+            return np.cumsum(np.log1p(-lam[0] * increments), axis=1)
+        logw = np.cumsum(np.log1p(-increments[:, :, None] * lam), axis=1)
+        shift = logw.max(axis=2)
+        return shift + np.log(
+            np.einsum("mtg,g->mt", np.exp(logw - shift[:, :, None]), mixture.weights)
+        )
+
+
+def _full_paths(strategy, tables, mixture, horizon, rng) -> np.ndarray:
+    stream = sample_action_stream_reference(strategy, horizon, rng)
+    return _log_wealth_paths(tables[:, stream], mixture)
+
+
+def _first(crossings) -> int:
+    detected = crossings[crossings > 0]
+    return int(detected.min()) if detected.size else -1
+
+
+def nf_sensitivity_rows_reference(config) -> list[tuple]:
+    """``run_nf_sensitivity``'s runs.csv rows."""
+    game = scenarios.two_signal_game()
+    hypotheses = enumerate_hypotheses(game, EquilibriumMode.NASH)
+    tables = _increment_tables(game, hypotheses)
+    m = len(hypotheses)
+    mixtures = (
+        [(f"uniform[{config.grid_nodes}]", BettingMixture.uniform_grid(config.grid_nodes))]
+        if config.mixture == "uniform"
+        else [(f"dirac[{lam}]", BettingMixture.dirac(lam)) for lam in config.lambdas]
+    )
+    cells = [
+        (alpha, eta, name, mix)
+        for alpha in config.alphas
+        for eta in config.etas
+        for name, mix in mixtures
+    ]
+    rows = []
+    for cell, (alpha, eta, name, mix) in enumerate(cells):
+        strategy = scenarios.sensitivity_profile(eta)
+        for run in range(config.runs):
+            rng = run_rng(config.seed, cell, run)
+            paths = _full_paths(strategy, tables, mix, config.horizon, rng)
+            crossings = nfstreams.fwer_crossing_times(paths, m / alpha)
+            rows.append((alpha, eta, name, run, _first(crossings), int(crossings[0])))
+    return rows
+
+
+def nf_detect_rows_reference(config, game, strategy) -> list[tuple]:
+    """``run_nf_detect``'s runs.csv rows."""
+    hypotheses = enumerate_hypotheses(game, EquilibriumMode.NASH)
+    tables = _increment_tables(game, hypotheses)
+    m = len(hypotheses)
+    mixture = BettingMixture.dirac(config.betting_fraction)
+    rows = []
+    for run in range(config.runs):
+        rng = run_rng(config.seed, 0, run)
+        paths = _full_paths(strategy, tables, mixture, config.horizon, rng)
+        tau_fwer = _first(nfstreams.fwer_crossing_times(paths, m / config.alpha))
+        tau_fdr, k, rejected = nfstreams.ebh_alarm(paths, config.alpha, np.full(m, 1.0 / m))
+        dominates = tau_fdr != -1 and (tau_fwer == -1 or tau_fdr <= tau_fwer)
+        rows.append((
+            run, tau_fwer, tau_fdr, k,
+            "|".join(hypotheses[j].label() for j in rejected),
+            int(dominates),
+            *(float(np.exp(paths[j, -1])) for j in range(m)),
+        ))
+    return rows
+
+
+def nf_fwer_null_rows_reference(config, game, strategy) -> list[tuple]:
+    """``run_nf_fwer_null``'s runs.csv rows."""
+    hypotheses = enumerate_hypotheses(game, EquilibriumMode.NASH)
+    tables = _increment_tables(game, hypotheses)
+    m = len(hypotheses)
+    rows = []
+    cells = [(lam, alpha) for lam in config.lambdas for alpha in config.alphas]
+    for cell, (lam, alpha) in enumerate(cells):
+        for run in range(config.runs):
+            rng = run_rng(config.seed, cell, run)
+            paths = _full_paths(strategy, tables, BettingMixture.dirac(lam), config.horizon, rng)
+            first = _first(nfstreams.fwer_crossing_times(paths, m / alpha))
+            rows.append((lam, alpha, run, int(first > 0), first))
+    return rows

@@ -250,3 +250,28 @@ class TestSupermartingaleProperty:
         )
         se = wealth.std(ddof=1) / math.sqrt(seeds)
         assert wealth.mean() <= 1.0 + 3.0 * se
+
+
+class TestLogMix:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_reduction_test_bit_for_bit(self, data):
+        # The dead-row test is a Python ``in``; the readout it guards must be
+        # the one the ``shift.min() == -inf`` test gave, bit for bit.
+        from eqsentinel.eprocess import _log_mix
+
+        shape = data.draw(st.sampled_from([(5,), (1,), (4, 101), (3, 5), (4, 1)]))
+        seed = data.draw(st.integers(0, 2**31 - 1))
+        rng = np.random.default_rng(seed)
+        log_wealth = rng.normal(scale=30.0, size=shape)
+        dead = rng.random(shape) < data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        log_wealth[dead] = -np.inf
+        weights = rng.dirichlet(np.ones(shape[-1]))
+
+        shift = log_wealth.max(axis=-1)
+        safe = np.where(shift == -np.inf, 0.0, shift) if shift.min() == -np.inf else shift
+        with np.errstate(divide="ignore"):
+            expected = safe + np.log((weights * np.exp(log_wealth - safe[..., None])).sum(axis=-1))
+        got = _log_mix(log_wealth, weights)
+        assert np.shape(got) == np.shape(expected)
+        assert np.array_equal(got, expected)

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import prey_trial, soccer_trial
+from _oracles import (
+    nf_detect_rows_reference,
+    nf_fwer_null_rows_reference,
+    nf_sensitivity_rows_reference,
+    prey_trial,
+    sample_action_stream_reference,
+    soccer_trial,
+)
 from eqsentinel.envs import prey, soccer
 from eqsentinel.errors import ConfigError, DomainError
 from eqsentinel.harness import experiments, nfstreams, scenarios
@@ -25,18 +32,20 @@ from eqsentinel.harness.experiments import (
     KlCheckConfig,
     NullGridConfig,
     PreyMixtureConfig,
+    SensitivityConfig,
     SlackConfig,
     SoccerScalingConfig,
     fit_loglog_slope,
     run_nf_detect,
     run_nf_fwer_null,
+    run_nf_sensitivity,
     run_nf_slack,
     run_prey_mixture,
     run_soccer_scaling,
 )
 from eqsentinel.harness.seeding import run_rng
 from eqsentinel.eprocess import BettingMixture
-from eqsentinel.games import EquilibriumMode
+from eqsentinel.games import EquilibriumMode, JointStrategy
 from eqsentinel.monitors import enumerate_hypotheses
 from eqsentinel.stochastic import Policy, smooth_policy
 
@@ -150,6 +159,97 @@ class TestVectorizedReplay:
                 stopped_round = t
                 break
         assert stopped_round == expected_round
+
+
+DRAW_STRATEGIES = {
+    "product-2": JointStrategy.product([0.3, 0.7], [0.1, 0.5, 0.4]),
+    "product-3": JointStrategy.product([0.6, 0.4], [0.2, 0.8], [0.25, 0.25, 0.5]),
+    "full": JointStrategy.full([[0.1, 0.2, 0.3], [0.15, 0.05, 0.2]]),
+}
+
+
+class TestChunkedReplay:
+    @pytest.mark.parametrize("horizon", [1, 1023, 1024, 1025, 20000])
+    @pytest.mark.parametrize("name", sorted(DRAW_STRATEGIES))
+    def test_chunked_draws_equal_the_full_stream(self, name, horizon):
+        strategy = DRAW_STRATEGIES[name]
+        draw = nfstreams._profile_sampler(strategy, horizon, run_rng(9, 4), chunked=True)
+        chunk = nfstreams.CHUNK_ROUNDS
+        chunked = np.concatenate(
+            [draw(min(chunk, horizon - start)) for start in range(0, horizon, chunk)]
+        )
+        full = nfstreams.sample_action_stream(strategy, horizon, run_rng(9, 4))
+        assert np.array_equal(chunked, full)
+        assert np.array_equal(full, sample_action_stream_reference(strategy, horizon, run_rng(9, 4)))
+
+    @staticmethod
+    def _reference_csv(tmp_path, produced, rows):
+        schema, columns, _ = read_csv(produced)
+        path = write_csv(tmp_path / "reference.csv", schema.split("schema=")[1], columns, rows)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "config, signal_rounds",
+        [
+            # 880 Dirac runs; 1,500 rounds is not a multiple of the chunk, and
+            # crossings past the first chunk exercise the carried column.
+            (
+                SensitivityConfig(
+                    runs=110, horizon=1500, alphas=(0.2, 0.05), etas=(0.05, 0.15), lambdas=(0.05, 0.4)
+                ),
+                lambda signal: (signal > nfstreams.CHUNK_ROUNDS).any() and (signal == -1).any(),
+            ),
+            # Too short for the signal to cross: every run replays its horizon.
+            (
+                SensitivityConfig(runs=60, horizon=60, alphas=(0.05,), etas=(0.05,), lambdas=(0.05,)),
+                lambda signal: (signal == -1).all(),
+            ),
+            (
+                SensitivityConfig(
+                    runs=40, horizon=1500, alphas=(0.2,), etas=(0.05, 0.15), mixture="uniform", grid_nodes=11
+                ),
+                lambda signal: (signal > 0).all(),
+            ),
+        ],
+        ids=["dirac", "short", "uniform"],
+    )
+    def test_sensitivity_rows_match_the_full_horizon_loop(self, tmp_path, config, signal_rounds):
+        run_nf_sensitivity(config, tmp_path)
+        produced = tmp_path / "runs.csv"
+        rows = nf_sensitivity_rows_reference(config)
+        assert produced.read_bytes() == self._reference_csv(tmp_path, produced, rows)
+        assert signal_rounds(np.array([r[5] for r in rows]))
+
+    @pytest.mark.parametrize("mixture", [BettingMixture.dirac(0.1), BettingMixture.uniform_grid(21)])
+    def test_carried_chunks_equal_one_cumsum(self, mixture):
+        # A stop level no path reaches replays all 3,000 rounds in 3 chunks.
+        game, strategy = scenarios.two_signal_game(), scenarios.two_signal_alternative()
+        tables = nfstreams.increment_tables(game, enumerate_hypotheses(game, EquilibriumMode.NASH))
+        factors = nfstreams.log_factors(tables, mixture)
+        chunked = nfstreams.replay_run(strategy, factors, mixture, 3000, run_rng(3, 1), (0, np.inf))
+        stream = nfstreams.sample_action_stream(strategy, 3000, run_rng(3, 1))
+        assert np.array_equal(chunked, nfstreams.log_wealth_paths(tables[:, stream], mixture))
+
+    def test_detect_and_null_rows_match_the_full_horizon_loop(self, tmp_path):
+        game = scenarios.two_signal_game()
+        detect = DetectConfig(runs=30, horizon=1500)
+        run_nf_detect(detect, tmp_path / "detect")
+        produced = tmp_path / "detect" / "runs.csv"
+        rows = nf_detect_rows_reference(detect, game, scenarios.two_signal_alternative())
+        assert produced.read_bytes() == self._reference_csv(tmp_path, produced, rows)
+
+        null = NullGridConfig(runs=30, horizon=1200, lambdas=(0.1, 0.4), alphas=(0.2,))
+        run_nf_fwer_null(null, tmp_path / "null")
+        produced = tmp_path / "null" / "runs.csv"
+        rows = nf_fwer_null_rows_reference(null, game, scenarios.two_signal_nash())
+        assert produced.read_bytes() == self._reference_csv(tmp_path, produced, rows)
+
+    @pytest.mark.parametrize("field", ["runs", "horizon"])
+    @pytest.mark.parametrize("value", [0, -3])
+    @pytest.mark.parametrize("cls", [NullGridConfig, DetectConfig, SensitivityConfig])
+    def test_runs_and_horizon_below_one_rejected(self, cls, field, value):
+        with pytest.raises(ConfigError, match=field):
+            cls(**{field: value})
 
 
 class TestDeterminism:
