@@ -1,5 +1,9 @@
 #!/usr/bin/env python3
-"""Run the four repeated-game experiments with their checked-in configs."""
+"""Run every experiment with its checked-in config and ``--assert``.
+
+Usage: run_all.py [OUT] (default ``results/``). The exit code ORs the
+experiments' exit codes.
+"""
 
 import sys
 from pathlib import Path
@@ -11,7 +15,11 @@ ROOT = Path(__file__).resolve().parent.parent
 if __name__ == "__main__":
     out = Path(sys.argv[1]) if len(sys.argv) > 1 else ROOT / "results"
     rc = 0
-    for name in ("nf-fwer-null", "nf-detect", "nf-sensitivity", "nf-slack"):
+    for name in (
+        "nf-fwer-null", "nf-detect", "nf-sensitivity", "nf-slack",
+        "soccer-solve", "soccer-scaling", "prey-mixture",
+        "kl-check", "oracle-suite",
+    ):
         print(f"== {name} ==")
         rc |= main(
             [

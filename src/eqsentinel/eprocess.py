@@ -77,23 +77,25 @@ class BettingMixture:
         return int(self.lambdas.size)
 
 
-def _bet(log_wealth: np.ndarray, lambdas: np.ndarray, x) -> None:
-    """Add log(1 - lambda * x) in place; ``x`` is a scalar or an (m, 1) column.
+def log_factors(increments, mixture: BettingMixture) -> np.ndarray:
+    """Log bet factors ``log1p(-lambda * x)``: the shape of ``increments``,
+    with a trailing fraction axis for a grid mixture.
 
-    A zero factor kills its component (-inf for good); a negative or NaN one
-    raises before anything is written.
+    The one place a bet becomes a log factor. A zero factor kills its
+    component (-inf for good); a non-finite increment or a negative factor
+    raises before anything is computed.
     """
-    factors = 1.0 - lambdas * x
-    low = factors.min()
-    if low > 0.0:
-        log_wealth += np.log(factors)
-    elif low == 0.0:
-        with np.errstate(divide="ignore"):
-            log_wealth += np.log(factors)
-    else:
-        raise DomainError(
-            "negative or undefined e-value factor: increment exceeds 1/lambda"
-        )
+    x = np.asarray(increments, dtype=float)
+    lam = mixture.lambdas
+    lo, hi = x.min(), x.max()
+    if not -math.inf < lo <= hi < math.inf:
+        raise DomainError("increments must be finite")
+    if hi * lam[-1] > 1.0:
+        raise DomainError("negative e-value factor: increment exceeds 1/lambda")
+    with np.errstate(divide="ignore"):
+        if lam.size == 1:
+            return np.log1p(-lam[0] * x)
+        return np.log1p(-x[..., None] * lam)
 
 
 def _log_mix(log_wealth: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -145,7 +147,7 @@ class EProcessState:
             return float(np.exp(self.log_value()))
 
     def update(self, x: float) -> "EProcessState":
-        _bet(self.log_wealth, self.mixture.lambdas, x)
+        self.log_wealth += log_factors(x, self.mixture)
         self.round += 1
         lv = self.log_value()
         if lv > self.log_max:

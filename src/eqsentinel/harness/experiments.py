@@ -32,9 +32,8 @@ from ..monitors import EquilibriumMonitor, MonitorConfig, enumerate_hypotheses
 from ..stochastic import (
     Policy,
     SolverConfig,
-    chi_square_div,
     exploitability,
-    kl_divergence,
+    kl_quadratic_check,
     log_likelihood_ratios,
     matrix_game_solve,
     policy_to_text,
@@ -817,13 +816,8 @@ def run_kl_check(config: KlCheckConfig, out_dir: Path) -> ExperimentResult:
         # Blend toward uniform so the base keeps comfortably full support.
         p = 0.5 * rng.dirichlet(np.ones(config.dim)) + 0.5 / config.dim
         q = rng.dirichlet(np.ones(config.dim))
-        chi2 = chi_square_div(q, p)
-        for eps in config.epsilons:
-            mixed = (1.0 - eps) * p + eps * q
-            kl = kl_divergence(mixed, p)
-            predicted = eps**2 * chi2
-            ratio = kl / predicted if predicted > 0 else math.nan
-            rows.append((pair, eps, kl, predicted, ratio))
+        for eps, kl, predicted in kl_quadratic_check(p, q, config.epsilons):
+            rows.append((pair, eps, kl, predicted, kl / predicted if predicted > 0 else math.nan))
     runs_csv = write_csv(
         out_dir / "runs.csv",
         "kl-check",

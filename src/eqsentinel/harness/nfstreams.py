@@ -4,7 +4,8 @@ Monte-Carlo grids need hundreds of thousands of monitor rounds; stepping
 the object monitor would dominate the runtime. This module evaluates the
 same log-wealth recursions with numpy over a run's rounds at once. The
 object monitor remains the reference: the tests replay identical action
-streams through both paths and require matching crossing rounds.
+streams through both paths and require matching crossing rounds and, for
+the per-fraction log wealth, equal values bit for bit.
 
 Within one run the per-player action streams are drawn in player order
 (all of player 1's rounds, then player 2's, ...), which is part of the
@@ -16,11 +17,11 @@ copy of it moved forward with ``bit_generator.advance((k - 1) * horizon)``.
 PCG64 ``random()`` spends one 64-bit output per double, so the chunked
 draws are the full-stream draws, value for value.
 
-Each cell builds its log-factor table once, ``log1p(-lambda * x)`` over the
-increment table's (m, P) profiles (with a trailing fraction axis for a
-grid mixture); a run gathers its rounds from that table instead of taking
-``log1p`` of gathered increments, which is the same expression on the same
-inputs. Rounds are accumulated in chunks of ``CHUNK_ROUNDS``: the previous
+Each cell builds its log-factor table once with ``eprocess.log_factors``,
+``log1p(-lambda * x)`` over the increment table's (m, P) profiles (with a
+trailing fraction axis for a grid mixture); a run gathers its rounds from
+that table, and the object monitor steps the same table round by round.
+Rounds are accumulated in chunks of ``CHUNK_ROUNDS``: the previous
 chunk's last cumulative column is added to the next chunk's first column
 before its ``cumsum``, so every partial sum is the one a single ``cumsum``
 over the horizon forms. A run with a stop rule ends after the chunk in
@@ -34,13 +35,12 @@ import math
 
 import numpy as np
 
-from ..eprocess import BettingMixture
+# ``log_factors`` and ``increment_tables`` are the monitor's builders; they
+# stay resolvable here because the harness, the tests and perfbench's
+# --trace 1 use them by this module's name.
+from ..eprocess import BettingMixture, log_factors
 from ..games import JointStrategy, StrategyKind
-
-# ``increment_tables`` is the monitor's increment-table builder; it stays
-# resolvable here because the harness and perfbench's --trace 1 use it by
-# this module's name.
-from ..monitors import increment_tables  # noqa: F401
+from ..monitors import _ebh, _log_ladder, increment_tables  # noqa: F401
 
 #: Rounds per chunk of a run replayed with a stop rule.
 CHUNK_ROUNDS = 1024
@@ -89,17 +89,6 @@ def sample_action_stream(
 ) -> np.ndarray:
     """Flattened joint-profile indices for one run, shape (horizon,)."""
     return _profile_sampler(strategy, horizon, rng, chunked=False)(horizon)
-
-
-def log_factors(increments: np.ndarray, mixture: BettingMixture) -> np.ndarray:
-    """Per-round log bet factors ``log1p(-lambda * x)``: (m, N), or (m, N, G)
-    for a grid mixture. N indexes rounds or, for a factor table, profiles."""
-    lam = mixture.lambdas
-    with np.errstate(divide="ignore"):
-        # An exact zero factor is a dead component: log wealth -inf forever.
-        if lam.size == 1:
-            return np.log1p(-lam[0] * increments)
-        return np.log1p(-increments[:, :, None] * lam)
 
 
 def _accumulate(factors: np.ndarray, carry: np.ndarray | None) -> np.ndarray:
@@ -182,29 +171,19 @@ def ebh_alarm(
     """First e-BH alarm from full wealth paths.
 
     Returns (alarm round or -1, level k at the alarm, rejected indices at
-    the alarm). Mirrors running Algorithm-style recomputation every round,
-    using the fact that with running suprema the level-k count first
-    reaches k at the k-th order statistic of the level-k crossing times.
+    the alarm), as ``step_fdr`` recomputing e-BH every round finds them.
+    With running suprema the level-k count first reaches k at the k-th
+    smallest level-k crossing round, so the alarm is the least of those;
+    ``step_fdr``'s level search then runs on the crossings up to it.
     """
-    m = log_paths.shape[0]
-    crossing = np.full((m, m), np.inf)
-    for j in range(m):
-        for k in range(1, m + 1):
-            level = math.log(1.0 / (k * alpha * weights[j]))
-            t = first_crossing(log_paths[j], level)
-            if t > 0:
-                crossing[j, k - 1] = t
-    alarm = np.inf
-    for k in range(1, m + 1):
-        kth = np.sort(crossing[:, k - 1])[k - 1]
-        alarm = min(alarm, kth)
-    if not np.isfinite(alarm):
+    rounds = np.array(
+        [[first_crossing(path, level) for path, level in zip(log_paths, row)]
+         for row in _log_ladder(alpha, weights)],
+        dtype=float,
+    )
+    rounds[rounds < 0] = np.inf
+    alarm = np.sort(rounds, axis=1).diagonal().min()
+    if alarm == np.inf:
         return -1, 0, ()
-    alarm = int(alarm)
-    best_k = 0
-    for k in range(m, 0, -1):
-        if int(np.sum(crossing[:, k - 1] <= alarm)) >= k:
-            best_k = k
-            break
-    rejected = tuple(int(j) for j in np.nonzero(crossing[:, best_k - 1] <= alarm)[0])
-    return alarm, best_k, rejected
+    k, rejected = _ebh(rounds <= alarm)
+    return int(alarm), k, rejected

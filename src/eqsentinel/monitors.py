@@ -16,7 +16,7 @@ import numpy as np
 
 # ``increment`` is the scalar form of the increment table; it stays importable
 # here because perfbench's --trace 1 wraps it as a monitors attribute.
-from .eprocess import WEIGHT_TOL, BettingMixture, _bet, _log_mix, increment  # noqa: F401
+from .eprocess import WEIGHT_TOL, BettingMixture, _log_mix, increment, log_factors  # noqa: F401
 from .errors import DomainError, ShapeError, StateError
 from .games import ActionProfile, EquilibriumMode, NormalFormGame
 
@@ -163,6 +163,13 @@ def _ebh(crossed: np.ndarray) -> tuple[int, tuple[int, ...]]:
     return int(feasible[-1]) + 1, tuple(int(i) for i in np.flatnonzero(crossed[feasible[-1]]))
 
 
+def _log_ladder(alpha: float, weights: np.ndarray) -> np.ndarray:
+    """e-BH log thresholds, (m, m): row k-1 holds log(1 / (k * alpha * w_j))."""
+    return np.array([
+        [math.log(1.0 / (k * alpha * w)) for w in weights] for k in range(1, len(weights) + 1)
+    ])
+
+
 def ebh_rejection(maxima, alpha: float, weights) -> tuple[int, tuple[int, ...]]:
     """e-BH level and rejected indices from running suprema.
 
@@ -201,26 +208,22 @@ class EquilibriumMonitor:
             if weights.size != self.m:
                 raise ShapeError(f"{weights.size} weights for {self.m} hypotheses")
             self.weights = weights
-            # Row k-1 holds the level-k thresholds log(1 / (k * alpha * w_j)).
-            self._log_ladder = np.array([
-                [math.log(1.0 / (k * config.alpha * w)) for w in weights]
-                for k in range(1, self.m + 1)
-            ])
+            self._ladder = _log_ladder(config.alpha, weights)
         else:
             self.weights = None
         self._log_threshold = math.log(self.threshold)
         counts = game.action_counts
         self._strides = tuple(int(np.prod(counts[i + 1:])) for i in range(len(counts)))
-        # By flat profile: (P, m) active mask and (P, m, 1) increments, with
-        # ``increment``'s arithmetic. Off its recommendation a conditional
+        # By flat profile: (P, m) active mask and (P, m, G) log factors of
+        # ``increment``'s values. Off its recommendation a conditional
         # hypothesis is inactive and its increment 0 leaves wealth as it is.
         own = np.indices(counts).reshape(len(counts), -1)
         self._active = np.stack(
             [(own[h.player] == h.condition) | (h.condition is None) for h in self.hypotheses], 1
         )
         shift = config.eps if config.mode is EquilibriumMode.EPS_APPROX else 0.0
-        table = increment_tables(game, self.hypotheses, shift).T
-        self._table = np.where(self._active, table, 0.0)[:, :, None]
+        table = np.where(self._active, increment_tables(game, self.hypotheses, shift).T, 0.0)
+        self._factors = log_factors(table, config.mixture).reshape(*table.shape, -1)
         self.log_wealth = np.zeros((self.m, config.mixture.size))
         self.log_max = np.zeros(self.m)
         self.updates = np.zeros(self.m, dtype=np.int64)
@@ -239,7 +242,7 @@ class EquilibriumMonitor:
         """One block step; returns the indices of hypotheses now at or above m/alpha."""
         profile.validate(self.game.action_counts)
         idx = sum(a * s for a, s in zip(profile.actions, self._strides))
-        _bet(self.log_wealth, self.config.mixture.lambdas, self._table[idx])
+        self.log_wealth += self._factors[idx]
         self.round += 1
         self.updates += self._active[idx]
         log_values = _log_mix(self.log_wealth, self.config.mixture.weights)
@@ -271,7 +274,7 @@ class EquilibriumMonitor:
         if self.config.procedure != "fdr":
             raise StateError("monitor was configured for FWER")
         self._advance(profile)
-        self.rejection.k, rejected = _ebh(self.log_max >= self._log_ladder)
+        self.rejection.k, rejected = _ebh(self.log_max >= self._ladder)
         for j in rejected:
             self.rejection.rejected.setdefault(self.hypotheses[j], self.round)
         return self.rejection
@@ -322,7 +325,9 @@ class EquilibriumMonitor:
     def from_snapshot(cls, game: NormalFormGame, text: str) -> "EquilibriumMonitor":
         """Restore a v2 snapshot, or a v1 one (linear running maxima).
 
-        A missing or malformed line raises ``DomainError`` naming its key.
+        A missing or malformed line raises ``DomainError`` naming its key;
+        so do NaN or +inf log wealth, a non-finite running maximum and a
+        negative round count or level.
         """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0] not in (SNAPSHOT_HEADER, SNAPSHOT_HEADER_V1):
@@ -351,8 +356,8 @@ class EquilibriumMonitor:
             conditional_ce=bool(_read(fields, "conditional_ce", int)),
         )
         monitor = cls(game, config)
-        monitor.round = _read(fields, "round", int)
-        monitor.rejection.k = _read(fields, "k", int)
+        monitor.round = _read(fields, "round", int, lambda n: n >= 0)
+        monitor.rejection.k = _read(fields, "k", int, lambda n: n >= 0)
         monitor.rejection.stopped = bool(_read(fields, "stopped", int))
         stopping = _read(fields, "stopping_round", int)
         monitor.rejection.stopping_round = None if stopping < 0 else stopping
@@ -361,17 +366,17 @@ class EquilibriumMonitor:
             if h not in monitor.hypotheses:
                 raise DomainError(f"snapshot hypothesis {h} not in monitor")
             j = monitor.hypotheses.index(h)
-            logw = _read(block, "logw", _parse)
-            # v1 kept a dead component's last finite log wealth.
+            # -inf is a dead component; v1 kept its last finite log wealth.
+            logw = _read(block, "logw", _parse, lambda w: (w < math.inf).all())
             dead = _read(block, "dead", _parse) == 1.0 if "dead" in block else np.isneginf(logw)
             if not logw.size == dead.size == mixture.size:
                 raise ShapeError(f"{logw.size} log wealth entries for {mixture.size} fractions")
             monitor.log_wealth[j] = np.where(dead, -np.inf, logw)
-            monitor.updates[j] = _read(block, "rounds", int)
+            monitor.updates[j] = _read(block, "rounds", int, lambda n: n >= 0)
             monitor.log_max[j] = (
-                _read(block, "logmax", float)
+                _read(block, "logmax", float, math.isfinite)
                 if "logmax" in block
-                else _read(block, "runmax", lambda v: math.log(float(v)))
+                else _read(block, "runmax", lambda v: math.log(float(v)), math.isfinite)
             )
             crossing = _read(block, "global_crossing", int)
             if crossing >= 0:
@@ -382,14 +387,18 @@ class EquilibriumMonitor:
         return monitor
 
 
-def _read(fields: dict[str, str], key: str, convert=str):
-    """One snapshot line's value, converted; DomainError names a bad key."""
+def _read(fields: dict[str, str], key: str, convert=str, valid=lambda value: True):
+    """One snapshot line's value, converted and checked by ``valid``;
+    DomainError names a missing, malformed or invalid key."""
     if key not in fields:
         raise DomainError(f"snapshot has no '{key}' line")
     try:
-        return convert(fields[key])
+        value = convert(fields[key])
     except ValueError as exc:
         raise DomainError(f"snapshot line '{key}' is malformed: {fields[key]!r}") from exc
+    if not valid(value):
+        raise DomainError(f"snapshot line '{key}' is invalid: {fields[key]!r}")
+    return value
 
 
 def _hypothesis_id(text: str) -> HypothesisId:
@@ -403,3 +412,4 @@ def _floats(values) -> str:
 
 def _parse(text: str) -> np.ndarray:
     return np.array([float(v) for v in text.split()])
+

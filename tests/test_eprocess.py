@@ -129,6 +129,14 @@ class TestStateUpdates:
             st_.update(float("nan"))
         assert st_.round == 0 and (st_.log_wealth == 0.0).all()
 
+    @pytest.mark.parametrize("x", [-math.inf, math.inf, math.nan])
+    def test_non_finite_increment_rejected_before_any_write(self, x):
+        st_ = EProcessState(BettingMixture.uniform_grid(11), threshold=20)
+        with pytest.raises(DomainError, match="finite"):
+            st_.update(x)
+        assert st_.round == 0 and (st_.log_wealth == 0.0).all()
+        assert st_.value() == 1.0 and st_.crossing_time is None
+
     def test_grid_mismatch_rejected(self):
         # A stored state whose grid differs from its mixture cannot be loaded.
         game = two_player_game(np.full((2, 2), 0.5), np.full((2, 2), 0.5))

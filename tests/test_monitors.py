@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from eqsentinel import (
     ActionProfile,
     BettingMixture,
+    EProcessState,
     EquilibriumMode,
     EquilibriumMonitor,
     HypothesisId,
@@ -581,6 +582,31 @@ class TestBlockSnapshot:
         with pytest.raises(DomainError, match=f"'{key}'"):
             EquilibriumMonitor.from_snapshot(game, text.replace(old, new, 1))
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("logw 0.0\n", "logw nan\n", "logw"),
+            ("logw 0.0\n", "logw inf\n", "logw"),
+            ("logmax 0.0\n", "logmax nan\n", "logmax"),
+            ("logmax 0.0\n", "logmax -inf\n", "logmax"),
+            ("round 3\n", "round -5\n", "round"),
+            ("rounds 3\n", "rounds -3\n", "rounds"),
+            ("k 0\n", "k -1\n", "k"),
+        ],
+        ids=["logw-nan", "logw-inf", "logmax-nan", "logmax-neginf", "round", "rounds", "k"],
+    )
+    def test_corrupt_value_names_its_key(self, old, new, key):
+        # A v2 snapshot of an e-BH monitor at round 3; it restores as written.
+        game = scenarios.constant_gap_game(0.3)
+        monitor = EquilibriumMonitor(game, dirac_config(lam=1 / 3, procedure="fdr"))
+        for _ in range(3):
+            monitor.step_fdr(ActionProfile((0, 0)))
+        text = monitor.to_snapshot()
+        assert old in text
+        EquilibriumMonitor.from_snapshot(game, text)
+        with pytest.raises(DomainError, match=f"'{key}'"):
+            EquilibriumMonitor.from_snapshot(game, text.replace(old, new, 1))
+
 
 class TestLongStreams:
     """Log-space readouts: no stream length overflows a monitor."""
@@ -643,7 +669,7 @@ def conditional_replay(tables, hypotheses, flat, counts):
 class TestObjectMatchesReplay:
     def test_one_round_is_the_scalar_recursion_bit_for_bit(self):
         # The block step keeps the per-hypothesis arithmetic of the scalar
-        # path: log(1 - lambda * increment) for every hypothesis and profile.
+        # path, EProcessState.update, for every hypothesis and profile.
         rng = np.random.default_rng(12)
         mixture = BettingMixture.uniform_grid(7, 1.0 / 1.2)
         for counts in [(2, 3), (3, 2, 2)]:
@@ -656,8 +682,31 @@ class TestObjectMatchesReplay:
                 monitor.step_fwer(ActionProfile(actions))
                 for j, h in enumerate(monitor.hypotheses):
                     x = increment(game, ActionProfile(actions), h.player, h.deviation, 0.2)
-                    expected = np.log(1.0 - mixture.lambdas * x)
+                    expected = EProcessState(mixture).update(x).log_wealth
                     np.testing.assert_array_equal(monitor.log_wealth[j], expected)
+
+    @pytest.mark.parametrize(
+        "mixture",
+        [BettingMixture.dirac(0.1), BettingMixture.uniform_grid(101)],
+        ids=["dirac", "grid"],
+    )
+    def test_log_wealth_is_the_replay_bit_for_bit(self, two_signal, mixture):
+        # The monitor steps the replay's log-factor table, so its
+        # per-fraction log wealth is the replay's cumulative sum exactly.
+        game, _, alternative = two_signal
+        monitor = EquilibriumMonitor(
+            game, MonitorConfig(alpha=0.05, mixture=mixture, procedure="fdr")
+        )
+        rng = np.random.default_rng(3)
+        stream = [sample_profile(alternative, rng) for _ in range(3_000)]
+        for profile in stream:
+            monitor.step_fdr(profile)
+        flat = np.array([np.ravel_multi_index(p.actions, game.action_counts) for p in stream])
+        tables = nfstreams.increment_tables(game, monitor.hypotheses)
+        replay = nfstreams._accumulate(nfstreams.log_factors(tables[:, flat], mixture), None)
+        np.testing.assert_array_equal(
+            monitor.log_wealth, replay[:, -1].reshape(monitor.log_wealth.shape)
+        )
 
     @given(st.data())
     @settings(max_examples=25, deadline=None)
