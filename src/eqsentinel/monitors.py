@@ -326,8 +326,10 @@ class EquilibriumMonitor:
         """Restore a v2 snapshot, or a v1 one (linear running maxima).
 
         A missing or malformed line raises ``DomainError`` naming its key;
-        so do NaN or +inf log wealth, a non-finite running maximum and a
-        negative round count or level.
+        so do NaN or +inf log wealth, a non-finite running maximum, a
+        negative round count or level, a round count, crossing, rejection
+        or stopping round past ``round``, and a level past the number of
+        hypotheses.
         """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0] not in (SNAPSHOT_HEADER, SNAPSHOT_HEADER_V1):
@@ -357,9 +359,11 @@ class EquilibriumMonitor:
         )
         monitor = cls(game, config)
         monitor.round = _read(fields, "round", int, lambda n: n >= 0)
-        monitor.rejection.k = _read(fields, "k", int, lambda n: n >= 0)
+        last = monitor.round
+        m = len(monitor.hypotheses)
+        monitor.rejection.k = _read(fields, "k", int, lambda n: 0 <= n <= m)
         monitor.rejection.stopped = bool(_read(fields, "stopped", int))
-        stopping = _read(fields, "stopping_round", int)
+        stopping = _read(fields, "stopping_round", int, lambda n: n <= last)
         monitor.rejection.stopping_round = None if stopping < 0 else stopping
         for block in blocks[1:]:
             h = _read(block, "hypothesis", _hypothesis_id)
@@ -372,16 +376,16 @@ class EquilibriumMonitor:
             if not logw.size == dead.size == mixture.size:
                 raise ShapeError(f"{logw.size} log wealth entries for {mixture.size} fractions")
             monitor.log_wealth[j] = np.where(dead, -np.inf, logw)
-            monitor.updates[j] = _read(block, "rounds", int, lambda n: n >= 0)
+            monitor.updates[j] = _read(block, "rounds", int, lambda n: 0 <= n <= last)
             monitor.log_max[j] = (
                 _read(block, "logmax", float, math.isfinite)
                 if "logmax" in block
                 else _read(block, "runmax", lambda v: math.log(float(v)), math.isfinite)
             )
-            crossing = _read(block, "global_crossing", int)
+            crossing = _read(block, "global_crossing", int, lambda n: n <= last)
             if crossing >= 0:
                 monitor.threshold_crossings[h] = crossing
-            rejected_at = _read(block, "rejected_at", int)
+            rejected_at = _read(block, "rejected_at", int, lambda n: n <= last)
             if rejected_at >= 0:
                 monitor.rejection.rejected[h] = rejected_at
         return monitor

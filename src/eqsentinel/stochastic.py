@@ -27,6 +27,7 @@ logger = logging.getLogger(__name__)
 ROW_TOL = 1e-9
 POLICY_TOL = 1e-12
 EQUALIZER_TOL = 1e-9
+_PIVOT_TOL = 1e-9
 STATIONARY_RESIDUAL = 1e-12
 STATIONARY_MAX_ITER = 1_000_000
 
@@ -406,12 +407,72 @@ class MatrixGameSolution:
     col_strategy: np.ndarray
 
 
+def _tableau_solve(A: np.ndarray) -> MatrixGameSolution | None:
+    """The equilibrium of ``A`` from a dense tableau simplex, if it is unique.
+
+    Solves the column player's LP ``max 1'q s.t. B q <= 1, q >= 0`` for
+    ``B = (A - min A) / span + 1``, whose entries lie in [1, 2], with Bland's
+    rule (Bland 1977). At the optimum, y is q over its sum, x is the slack
+    duals over theirs, and the value of A is ``(1 / sum q - 1) * span + min A``.
+    The result is returned only when the final basis is primal and dual
+    nondegenerate, which makes both LP optima and so the equilibrium unique,
+    and no pure deviation gains more than ``EQUALIZER_TOL``; otherwise None.
+    ``A`` must not be constant.
+    """
+    rows, cols = A.shape
+    low = A.min()
+    span = A.max() - low
+    t = np.zeros((rows + 1, cols + rows + 1))
+    t[:rows, :cols] = (A - low) / span + 1.0
+    t[np.arange(rows), cols + np.arange(rows)] = 1.0
+    t[:rows, -1] = 1.0
+    t[rows, :cols] = -1.0
+    basis = np.arange(cols, cols + rows)
+    # Bland's rule never repeats a basis: more pivots than bases means rounding
+    # has made it cycle.
+    for _ in range(math.comb(rows + cols, rows)):
+        entering = (t[rows, :-1] < -_PIVOT_TOL).nonzero()[0]
+        if not entering.size:
+            break
+        j = entering[0]
+        eligible = (t[:rows, j] > _PIVOT_TOL).nonzero()[0]
+        if not eligible.size:
+            return None
+        ratios = t[eligible, -1] / t[eligible, j]
+        ties = eligible[ratios == ratios.min()]
+        i = ties[basis[ties].argmin()]
+        t[i] /= t[i, j]
+        factor = t[:, j, None].copy()
+        factor[i] = 0.0
+        t -= factor * t[i]
+        basis[i] = j
+    else:
+        return None
+    nonbasic = np.ones(cols + rows, dtype=bool)
+    nonbasic[basis] = False
+    if t[:rows, -1].min() <= _PIVOT_TOL or t[rows, :-1][nonbasic].min() <= _PIVOT_TOL:
+        return None
+    q = np.zeros(cols + rows)
+    q[basis] = t[:rows, -1]
+    duals = np.where(nonbasic[cols:], t[rows, cols:-1], 0.0)
+    total = q[:cols].sum()
+    row = duals / duals.sum()
+    col = q[:cols] / total
+    value = float((1.0 / total - 1.0) * span + low)
+    if not exploitability(A, row, col, value) <= EQUALIZER_TOL:
+        return None
+    return MatrixGameSolution(value, row, col)
+
+
 def matrix_game_solve(payoff) -> MatrixGameSolution:
     """Maximin solution of a zero-sum matrix game for the row player.
 
-    The column strategy is recovered from the LP duals; both strategies are
-    valid distributions and the best-response gap against either is within
-    1e-6 of the value.
+    One-row and one-column games and pure saddle points are read off the
+    matrix. Otherwise a tableau simplex solves the game exactly when its
+    equilibrium is unique (``_tableau_solve``), and HiGHS solves the rest:
+    there the column strategy is recovered from the LP duals. Both
+    strategies are valid distributions and the best-response gap against
+    either is within 1e-6 of the value.
     """
     A = np.asarray(payoff, dtype=float)
     if A.ndim != 2 or A.size == 0:
@@ -443,6 +504,10 @@ def matrix_game_solve(payoff) -> MatrixGameSolution:
         row[r] = 1.0
         col[c] = 1.0
         return MatrixGameSolution(float(row_mins[r]), row, col)
+
+    unique = _tableau_solve(A)
+    if unique is not None:
+        return unique
 
     # Variables (x_1..x_R, v): maximize v subject to A^T x >= v, sum x = 1.
     c = np.zeros(rows + 1)

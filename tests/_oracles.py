@@ -10,13 +10,17 @@ test and the warm-started equalizer solves: a dense ``einsum`` backup and one
 ``matrix_game_solve`` per state per sweep. The ``*_rows_reference`` functions
 are the nf-* experiments' per-run loops from before the chunked replay: each
 run draws, gathers and accumulates every round of its horizon.
+``ebh_rejection_brute_force`` searches every subset for e-BH's rejection
+set, and ``matrix_game_solve_lp_reference`` is the HiGHS LP that solved every
+mixed matrix game before the tableau fast path.
 """
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
+from scipy.optimize import linprog
 
 from eqsentinel.eprocess import BettingMixture
 from eqsentinel.envs import prey, soccer
@@ -25,6 +29,7 @@ from eqsentinel.harness import nfstreams, scenarios
 from eqsentinel.harness.seeding import run_rng
 from eqsentinel.monitors import enumerate_hypotheses
 from eqsentinel.stochastic import (
+    MatrixGameSolution,
     Policy,
     ShapleySolution,
     SolverConfig,
@@ -92,6 +97,64 @@ def best_response_gap(payoff, row_strategy, col_strategy, value) -> float:
     )
     return max(best_row - value, value - worst_col, 0.0)
 
+
+
+def ebh_rejection_brute_force(maxima, alpha, weights) -> tuple[int, tuple[int, ...]]:
+    """e-BH as the largest self-consistent rejection set (Wang & Ramdas,
+    JRSS-B 2022), by exact search over all subsets.
+
+    With Wang & Ramdas's weights W = m * weights, a set S is self-consistent
+    when every j in S has W_j e_j >= m / (|S| alpha), that is
+    e_j * |S| * alpha * weights_j >= 1, compared here in exact rationals. The
+    union of self-consistent sets is self-consistent, so the largest is
+    unique.
+    """
+    m = len(maxima)
+    exact = [
+        Fraction(float(e)) * Fraction(alpha) * Fraction(float(w))
+        for e, w in zip(maxima, weights)
+    ]
+    for size in range(m, 0, -1):
+        found = [s for s in combinations(range(m), size) if all(exact[j] * size >= 1 for j in s)]
+        if found:
+            assert len(found) == 1, found
+            return size, found[0]
+    return 0, ()
+
+
+def matrix_game_solve_lp_reference(payoff) -> MatrixGameSolution:
+    """The row player's maximin LP solved by HiGHS, the column strategy read
+    from its duals: ``matrix_game_solve``'s LP body before the tableau fast
+    path, with no shortcuts in front of it."""
+    A = np.asarray(payoff, dtype=float)
+    rows, cols = A.shape
+    # Variables (x_1..x_R, v): maximize v subject to A^T x >= v, sum x = 1.
+    c = np.zeros(rows + 1)
+    c[-1] = -1.0
+    a_ub = np.hstack([-A.T, np.ones((cols, 1))])
+    a_eq = np.hstack([np.ones((1, rows)), np.zeros((1, 1))])
+    bounds = [(0.0, None)] * rows + [(None, None)]
+    res = linprog(
+        c,
+        A_ub=a_ub,
+        b_ub=np.zeros(cols),
+        A_eq=a_eq,
+        b_eq=np.ones(1),
+        bounds=bounds,
+        method="highs",
+    )
+    if not res.success:  # pragma: no cover - zero-sum LPs are always feasible
+        raise RuntimeError(f"matrix game LP failed: {res.message}")
+    row = np.clip(res.x[:rows], 0.0, None)
+    row /= row.sum()
+    col = np.clip(-np.asarray(res.ineqlin.marginals), 0.0, None)
+    total = col.sum()
+    if not 0.5 < total < 2.0:  # pragma: no cover - dual degenerate fallback
+        alt = matrix_game_solve_lp_reference(-A.T)
+        col = alt.row_strategy
+    else:
+        col /= total
+    return MatrixGameSolution(float(res.x[-1]), row, col)
 
 TWO_SIGNAL_PAYOFFS = [
     [

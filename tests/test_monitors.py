@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from eqsentinel import (
 )
 from eqsentinel.errors import DomainError, ShapeError, StateError
 from eqsentinel.harness import nfstreams, scenarios
+
+from _oracles import ebh_rejection_brute_force
 
 
 def dirac_config(alpha=0.2, lam=0.05, **kwargs):
@@ -210,6 +213,29 @@ class TestEbhRejection:
         assert k == (max(feasible) if feasible else 0)
         if k:
             assert len(rejected) == counts[k - 1]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_largest_self_consistent_set(self, data):
+        # Weights n_j / 2^p and a dyadic alpha make the threshold
+        # 1 / (k * alpha * w_j) a float exactly whenever k * n_j is a power of
+        # two; those maxima are drawn as exact ties. The others sit a factor
+        # off a threshold that no ratio of two levels reaches, so rounding
+        # never decides a comparison.
+        m = data.draw(st.integers(1, 8))
+        total = 2 ** (m.bit_length() + data.draw(st.integers(0, 2)))
+        cuts = data.draw(st.sets(st.integers(1, total - 1), min_size=m - 1, max_size=m - 1))
+        w = np.diff([0, *sorted(cuts), total]) / total
+        alpha = data.draw(st.sampled_from([0.5, 0.25, 0.125, 0.0625]))
+        maxima = np.empty(m)
+        for j in range(m):
+            k = data.draw(st.integers(1, m))
+            tie = Fraction(1) / (k * Fraction(alpha) * Fraction(w[j]))
+            if data.draw(st.booleans()) and Fraction(float(tie)) == tie:
+                maxima[j] = float(tie)
+            else:
+                maxima[j] = float(tie) * data.draw(st.sampled_from([0.7, 0.9, 1.1, 1.3]))
+        assert ebh_rejection(maxima, alpha, w) == ebh_rejection_brute_force(maxima, alpha, w)
 
 
 class TestFdrMonitor:
@@ -596,16 +622,44 @@ class TestBlockSnapshot:
         ids=["logw-nan", "logw-inf", "logmax-nan", "logmax-neginf", "round", "rounds", "k"],
     )
     def test_corrupt_value_names_its_key(self, old, new, key):
-        # A v2 snapshot of an e-BH monitor at round 3; it restores as written.
-        game = scenarios.constant_gap_game(0.3)
-        monitor = EquilibriumMonitor(game, dirac_config(lam=1 / 3, procedure="fdr"))
-        for _ in range(3):
-            monitor.step_fdr(ActionProfile((0, 0)))
-        text = monitor.to_snapshot()
+        game, text = ebh_snapshot_at_round_3()
         assert old in text
-        EquilibriumMonitor.from_snapshot(game, text)
         with pytest.raises(DomainError, match=f"'{key}'"):
             EquilibriumMonitor.from_snapshot(game, text.replace(old, new, 1))
+
+    @pytest.mark.parametrize(
+        "old, bound, past, key",
+        [
+            ("rounds 3\n", "rounds 3\n", "rounds 4\n", "rounds"),
+            ("global_crossing -1\n", "global_crossing 3\n", "global_crossing 4\n",
+             "global_crossing"),
+            ("rejected_at -1\n", "rejected_at 3\n", "rejected_at 999\n", "rejected_at"),
+            ("stopping_round -1\n", "stopping_round 3\n", "stopping_round 4\n",
+             "stopping_round"),
+            ("k 0\n", "k 4\n", "k 7\n", "k"),
+        ],
+        ids=["rounds", "global_crossing", "rejected_at", "stopping_round", "k"],
+    )
+    def test_count_past_its_bound_names_its_key(self, old, bound, past, key):
+        # No count, crossing, rejection or stop lies past round 3, and no
+        # level past the m = 4 hypotheses; a value at the bound restores.
+        game, text = ebh_snapshot_at_round_3()
+        assert old in text
+        EquilibriumMonitor.from_snapshot(game, text.replace(old, bound, 1))
+        with pytest.raises(DomainError, match=f"'{key}'"):
+            EquilibriumMonitor.from_snapshot(game, text.replace(old, past, 1))
+
+
+def ebh_snapshot_at_round_3():
+    """A v2 snapshot of a 4-hypothesis e-BH monitor at round 3, checked to
+    restore as written."""
+    game = scenarios.constant_gap_game(0.3)
+    monitor = EquilibriumMonitor(game, dirac_config(lam=1 / 3, procedure="fdr"))
+    for _ in range(3):
+        monitor.step_fdr(ActionProfile((0, 0)))
+    text = monitor.to_snapshot()
+    EquilibriumMonitor.from_snapshot(game, text)
+    return game, text
 
 
 class TestLongStreams:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from eqsentinel import (
     smooth_policy,
     state_avg_kl,
     stationary_distribution,
+    stochastic,
 )
 from eqsentinel.envs import prey, trace
 from eqsentinel.errors import DomainError, ErgodicityError, ShapeError
@@ -39,7 +41,11 @@ from eqsentinel.stochastic import (
     shapley_solve_arrays,
 )
 
-from _oracles import best_response_gap, shapley_solve_reference
+from _oracles import (
+    best_response_gap,
+    matrix_game_solve_lp_reference,
+    shapley_solve_reference,
+)
 
 
 def uniform_policy(states, actions):
@@ -402,6 +408,11 @@ class TestStationaryDistribution:
         assert mu[0] == pytest.approx(0.0, abs=1e-12)
 
 
+def counting_lp():
+    """Counts the calls that reach HiGHS through ``stochastic.linprog``."""
+    return mock.patch("eqsentinel.stochastic.linprog", wraps=stochastic.linprog)
+
+
 class TestMatrixGame:
     def test_matching_pennies(self):
         sol = matrix_game_solve([[1.0, -1.0], [-1.0, 1.0]])
@@ -435,6 +446,76 @@ class TestMatrixGame:
             sol = matrix_game_solve(payoff)
             gap = best_response_gap(payoff, sol.row_strategy, sol.col_strategy, sol.value)
             assert gap <= 1e-6
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 6),
+        st.integers(2, 6),
+        st.sampled_from(["uniform", "normal", "integers"]),
+        st.sampled_from([None, "row", "col"]),
+        st.sampled_from([1.0, 1e-6, 1e6]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_lp_reference(self, seed, rows, cols, kind, duplicate, scale):
+        rng = np.random.default_rng(seed)
+        if kind == "uniform":
+            base = rng.random((rows, cols))
+        elif kind == "normal":
+            base = rng.normal(size=(rows, cols))
+        else:
+            base = rng.integers(0, 3, size=(rows, cols)).astype(float)
+        if duplicate == "row":
+            base[-1] = base[0]
+        elif duplicate == "col":
+            base[:, -1] = base[:, 0]
+        payoff = base * scale
+        with counting_lp() as lp:
+            sol = matrix_game_solve(payoff)
+        assert exploitability(payoff, sol.row_strategy, sol.col_strategy, sol.value) <= 1e-6
+        if lp.called:
+            # Degenerate games keep the LP's answer bit for bit.
+            ref = matrix_game_solve_lp_reference(payoff)
+            assert sol.value == ref.value
+            np.testing.assert_array_equal(sol.row_strategy, ref.row_strategy)
+            np.testing.assert_array_equal(sol.col_strategy, ref.col_strategy)
+            return
+        # HiGHS's tolerances are absolute, so at scale 1e-6 its answer is off
+        # by up to about 1e-3 of the scale; the reference solves the unscaled
+        # game, and the value is compared relative to the payoff magnitude.
+        ref = matrix_game_solve_lp_reference(base)
+        tol = 1e-12 * float(np.abs(payoff).max())
+        assert abs(sol.value - scale * ref.value) <= tol
+        if payoff.min(axis=1).max() < payoff.max(axis=0).min():  # no pure saddle
+            np.testing.assert_allclose(sol.row_strategy, ref.row_strategy, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(sol.col_strategy, ref.col_strategy, rtol=0, atol=1e-12)
+
+    def test_unique_equilibria_skip_the_lp(self):
+        rng = np.random.default_rng(7)
+        games = [rng.normal(size=(5, 5)) for _ in range(50)]
+        mixed = [g for g in games if g.min(axis=1).max() < g.max(axis=0).min()]
+        for payoff in mixed:
+            with counting_lp() as lp:
+                sol = matrix_game_solve(payoff)
+            ref = matrix_game_solve_lp_reference(payoff)
+            assert sol.value == pytest.approx(ref.value, rel=0, abs=1e-12)
+            assert lp.call_count == 0
+        assert len(mixed) > 40
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["columns", "rows"])
+    def test_non_unique_equilibrium_goes_to_the_lp(self, transpose):
+        # Columns 1 and 2 are duplicates, so the column player may split its
+        # mass between them in any ratio: the tableau's final basis is dual
+        # degenerate (primal degenerate for duplicate rows, the transpose),
+        # and the game keeps the LP's equilibrium.
+        payoff = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+        payoff = payoff.T if transpose else payoff
+        with counting_lp() as lp:
+            sol = matrix_game_solve(payoff)
+        ref = matrix_game_solve_lp_reference(payoff)
+        assert lp.call_count == 1
+        assert sol.value == ref.value
+        np.testing.assert_array_equal(sol.row_strategy, ref.row_strategy)
+        np.testing.assert_array_equal(sol.col_strategy, ref.col_strategy)
 
 
 class TestShapley:
