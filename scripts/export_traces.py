@@ -8,12 +8,18 @@ import numpy as np
 
 from eqsentinel.envs import soccer, trace
 from eqsentinel.harness.csvio import write_csv
-from eqsentinel.harness.experiments import SoccerSolveConfig, _solve_soccer
-from eqsentinel.stochastic import Policy, mixture_policy, smooth_policy
+from eqsentinel.stochastic import (
+    Policy,
+    SolverConfig,
+    mixture_policy,
+    shapley_solve_arrays,
+    smooth_policy,
+)
 
 if __name__ == "__main__":
     out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("results/traces")
-    _, solution = _solve_soccer(SoccerSolveConfig())
+    tab = soccer.soccer_build_model()
+    solution = shapley_solve_arrays(tab.native_reward, tab.model.transition, SolverConfig())
     attacker = smooth_policy(solution.row_policy, 0.05)
     defender = smooth_policy(solution.col_policy, 0.05)
     afraid = Policy(

@@ -99,13 +99,11 @@ def prey_step(
     return nxt, nxt.captured or nxt.exhausted
 
 
-def chase_policy(
-    predator: tuple[int, int], prey: tuple[int, int], grid: int = GRID
-) -> np.ndarray:
+def chase_policy(predator: tuple[int, int], prey: tuple[int, int]) -> np.ndarray:
     """Heuristic pursuit distribution over (Stay, Up, Down, Left, Right).
 
-    Each action is rated by where it actually lands (off-grid resolves to
-    staying, hence counts as neutral): weight 10 when the Euclidean distance
+    Each action is rated by where :func:`_move` lands it (off-grid resolves
+    to staying, hence counts as neutral): weight 10 when the Euclidean distance
     to the prey strictly decreases, 1 when unchanged, 0.1 when it grows.
     Distances are compared on integer squares, so ties are exact.
     """
@@ -118,9 +116,7 @@ def chase_policy(
     here = sqdist(predator)
     weights = np.empty(NUM_ACTIONS)
     for action in range(NUM_ACTIONS):
-        r, c = predator[0] + _MOVES[action][0], predator[1] + _MOVES[action][1]
-        landing = (r, c) if 0 <= r < grid and 0 <= c < grid else predator
-        there = sqdist(landing)
+        there = sqdist(_move(predator, action))
         if there < here:
             weights[action] = CHASE_CLOSER
         elif there == here:
@@ -172,10 +168,9 @@ def suspect_policy_row(
     predator: tuple[int, int],
     prey: tuple[int, int],
     epsilon: float,
-    grid: int = GRID,
 ) -> np.ndarray:
     """Suspect behavior: uniform random walk blended with the chase heuristic."""
     if not 0.0 <= epsilon <= 1.0:
         raise DomainError("epsilon must lie in [0, 1]")
     uniform = np.full(NUM_ACTIONS, 1.0 / NUM_ACTIONS)
-    return (1.0 - epsilon) * uniform + epsilon * chase_policy(predator, prey, grid)
+    return (1.0 - epsilon) * uniform + epsilon * chase_policy(predator, prey)

@@ -13,9 +13,10 @@ Collision rules, applied after the defender's slip draw:
     bounces back and possession transfers to the stationary player;
   * otherwise both moves execute and possession is unchanged.
 
-The tabular model enumerates every slip/bounce branch analytically, so its
-rows are exact; the simulator below draws the same branches with an rng and
-is checked against the model by Monte Carlo in the tests.
+:func:`successor_table` lists every post-slip outcome once, over state ids;
+the tabular model weighs those outcomes by the slip and coin probabilities,
+so its rows are exact. The simulator below draws the same branches with an
+rng and is checked against the model by Monte Carlo in the tests.
 """
 
 from __future__ import annotations
@@ -43,17 +44,13 @@ NATIVE_OFFSET = 100.05
 NATIVE_SCALE = 200.1
 
 
-@dataclass(frozen=True)
-class SoccerRules:
-    slip_prob: float = 0.25
-    score_reward: float = 100.0
-    concede_reward: float = -100.0
-    step_cost: float = -0.05
-    goal_col_a: int = WIDTH - 1
-    goal_col_b: int = 0
-
-
-DEFAULT_RULES = SoccerRules()
+#: Chance that the defender's commanded action is replaced by Wait.
+SLIP_PROB = 0.25
+#: Native rewards to A: every step costs STEP_COST, and a step that ends in a
+#: goal adds SCORE_REWARD (A scores) or CONCEDE_REWARD (B scores).
+STEP_COST = -0.05
+SCORE_REWARD = 100.0
+CONCEDE_REWARD = -100.0
 
 
 @dataclass(frozen=True)
@@ -75,10 +72,11 @@ class SoccerState:
 INITIAL_STATE = SoccerState((1, 0), (1, 4), 0)
 
 
-def is_terminal(state: SoccerState, rules: SoccerRules = DEFAULT_RULES) -> bool:
+def is_terminal(state: SoccerState) -> bool:
+    """Whether the carrier stands on its goal column (A: the last, B: the first)."""
     if state.possession == 0:
-        return state.a_pos[1] == rules.goal_col_a
-    return state.b_pos[1] == rules.goal_col_b
+        return state.a_pos[1] == WIDTH - 1
+    return state.b_pos[1] == 0
 
 
 def _clipped_target(pos: tuple[int, int], action: int) -> tuple[int, int]:
@@ -128,14 +126,13 @@ def soccer_step_traced(
     action_a: int,
     action_b: int,
     rng: np.random.Generator,
-    rules: SoccerRules = DEFAULT_RULES,
 ) -> tuple[SoccerState, float, bool, StepInfo]:
     """As :func:`soccer_step`, also reporting the defender's realized action."""
-    if is_terminal(state, rules):
+    if is_terminal(state):
         raise StateError("step on a terminal soccer state")
     if not (0 <= action_a < NUM_ACTIONS and 0 <= action_b < NUM_ACTIONS):
         raise ShapeError("soccer actions must lie in [0, 5)")
-    slipped = rng.random() < rules.slip_prob
+    slipped = rng.random() < SLIP_PROB
     effective_b = WAIT if slipped else action_b
     outcomes = _resolve(state, action_a, effective_b)
     if len(outcomes) == 1:
@@ -144,10 +141,10 @@ def soccer_step_traced(
         pick = int(rng.random() < 0.5)
         _, a_pos, b_pos, possession = outcomes[pick]
     nxt = SoccerState(a_pos, b_pos, possession)
-    reward = rules.step_cost
-    terminal = is_terminal(nxt, rules)
+    reward = STEP_COST
+    terminal = is_terminal(nxt)
     if terminal:
-        reward += rules.score_reward if nxt.possession == 0 else rules.concede_reward
+        reward += SCORE_REWARD if nxt.possession == 0 else CONCEDE_REWARD
     return nxt, reward, terminal, StepInfo(effective_b, slipped and action_b != WAIT)
 
 
@@ -156,10 +153,9 @@ def soccer_step(
     action_a: int,
     action_b: int,
     rng: np.random.Generator,
-    rules: SoccerRules = DEFAULT_RULES,
 ) -> tuple[SoccerState, float, bool]:
     """Advance the match by one joint action; reward is from A's side."""
-    nxt, reward, terminal, _ = soccer_step_traced(state, action_a, action_b, rng, rules)
+    nxt, reward, terminal, _ = soccer_step_traced(state, action_a, action_b, rng)
     return nxt, reward, terminal
 
 
@@ -183,14 +179,14 @@ def index_state(index: int) -> SoccerState:
 
 @cache
 def successor_table() -> tuple[tuple[tuple[int, ...], ...], tuple[bool, ...]]:
-    """Post-slip dynamics under the default rules over state ids, for
-    simulation loops.
+    """Post-slip dynamics over state ids: the one list of soccer outcomes,
+    read by the tabular model and by simulation loops.
 
     ``successors[s][NUM_ACTIONS * action_a + effective_b]`` holds the ids
     :func:`_resolve` leads to from state ``s``: one id, or two (possession
     0, then 1) that a fair coin picks between. Terminal and same-cell states
-    absorb, as in :func:`soccer_build_model`; ``terminal[s]`` flags the
-    scoring states. Built on first use and kept for the life of the process.
+    absorb; ``terminal[s]`` flags the scoring states. Built on first use and
+    kept for the life of the process.
     """
     ids = list(range(NUM_STATES))  # one int object per id, shared by every entry
     distinct: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -226,51 +222,44 @@ class SoccerTabularGame:
     model: StochasticGameModel
     native_reward: np.ndarray  # (S, 5, 5), expected reward to A
     terminal: np.ndarray  # (S,) bool
-    rules: SoccerRules
 
 
-def soccer_build_model(rules: SoccerRules = DEFAULT_RULES) -> SoccerTabularGame:
-    """Enumerate every slip/bounce branch into an exact transition kernel.
+def soccer_build_model() -> SoccerTabularGame:
+    """Weigh every :func:`successor_table` outcome into an exact transition
+    kernel: the commanded move with probability 1 - SLIP_PROB, the slip to
+    Wait with SLIP_PROB (one branch when Wait was commanded), each split by
+    the coin where two outcomes remain.
 
     Terminal states (and the unreachable same-cell states) are absorbing
     with zero native reward.
     """
+    successors, terminal = successor_table()
+    reward = [
+        STEP_COST + (CONCEDE_REWARD if n % 2 else SCORE_REWARD) if terminal[n] else STEP_COST
+        for n in range(NUM_STATES)
+    ]
     transition = np.zeros((NUM_STATES, NUM_ACTIONS, NUM_ACTIONS, NUM_STATES))
     native = np.zeros((NUM_STATES, NUM_ACTIONS, NUM_ACTIONS))
-    terminal = np.zeros(NUM_STATES, dtype=bool)
-    for s in range(NUM_STATES):
+    for s, row in enumerate(successors):
         state = index_state(s)
-        absorbing = is_terminal(state, rules) or state.a_pos == state.b_pos
-        terminal[s] = is_terminal(state, rules)
-        if absorbing:
+        if terminal[s] or state.a_pos == state.b_pos:
             transition[s, :, :, s] = 1.0
             continue
         for action_a in range(NUM_ACTIONS):
             for action_b in range(NUM_ACTIONS):
-                branches = [(1.0 - rules.slip_prob, action_b), (rules.slip_prob, WAIT)]
+                branches = [(1.0 - SLIP_PROB, action_b), (SLIP_PROB, WAIT)]
                 if action_b == WAIT:
                     branches = [(1.0, WAIT)]
-                for slip_prob, effective_b in branches:
-                    for prob, a_pos, b_pos, possession in _resolve(
-                        state, action_a, effective_b
-                    ):
-                        p = slip_prob * prob
-                        nxt = SoccerState(a_pos, b_pos, possession)
-                        reward = rules.step_cost
-                        if is_terminal(nxt, rules):
-                            reward += (
-                                rules.score_reward
-                                if nxt.possession == 0
-                                else rules.concede_reward
-                            )
-                        transition[s, action_a, action_b, state_index(nxt)] += p
-                        native[s, action_a, action_b] += p * reward
+                for p_slip, effective_b in branches:
+                    nxt = row[NUM_ACTIONS * action_a + effective_b]
+                    p = p_slip * (1.0 if len(nxt) == 1 else 0.5)
+                    for n in nxt:
+                        transition[s, action_a, action_b, n] += p
+                        native[s, action_a, action_b] += p * reward[n]
     scaled = (native + NATIVE_OFFSET) / NATIVE_SCALE
     rewards = np.stack([scaled, 1.0 - scaled])
     model = StochasticGameModel(rewards=rewards, transition=transition, discount=0.95)
-    return SoccerTabularGame(
-        model=model, native_reward=native, terminal=terminal, rules=rules
-    )
+    return SoccerTabularGame(model=model, native_reward=native, terminal=np.array(terminal))
 
 
 def afraid_transform(policy_row) -> np.ndarray:

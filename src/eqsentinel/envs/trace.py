@@ -32,7 +32,6 @@ def soccer_episode_trace(
     alternative: Policy | None = None,
     start: soccer.SoccerState = soccer.INITIAL_STATE,
     max_steps: int = 12,
-    rules: soccer.SoccerRules = soccer.DEFAULT_RULES,
 ) -> tuple[list[str], list[list]]:
     """Roll one match while monitoring the attacker's actions.
 
@@ -50,7 +49,7 @@ def soccer_episode_trace(
     rows: list[list] = []
     state = start
     for step in range(max_steps):
-        if soccer.is_terminal(state, rules):
+        if soccer.is_terminal(state):
             break
         s = soccer.state_index(state)
         pa = attacker.table[s]
@@ -71,7 +70,7 @@ def soccer_episode_trace(
                 martingale,
             ]
         )
-        state, _, _, info = soccer.soccer_step_traced(state, act_a, act_b, rng, rules)
+        state, _, _, info = soccer.soccer_step_traced(state, act_a, act_b, rng)
         rows[-1][7] = soccer.ACTION_NAMES[info.effective_b]
         rows[-1][8] = int(info.slipped)
     return columns, rows

@@ -67,11 +67,6 @@ class NormalFormGame:
     def action_counts(self) -> tuple[int, ...]:
         return self.payoffs.shape[1:]
 
-    def payoff(self, player: int, actions: tuple[int, ...]) -> float:
-        """Utility of one player at a pure action profile."""
-        self._check_player(player)
-        return float(self.payoffs[player][actions])
-
     def _check_player(self, player: int) -> None:
         if not 0 <= player < self.num_players:
             raise ShapeError(f"player index {player} out of range")

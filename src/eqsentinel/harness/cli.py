@@ -13,7 +13,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from ..errors import ConfigError
+from ..errors import ConfigError, DomainError, ShapeError
 from .config import config_from_mapping, game_from_mapping, load_config, strategy_from_mapping
 from .csvio import format_value
 from .experiments import EXPERIMENTS, replace_config, run_experiment
@@ -73,10 +73,7 @@ def main(argv: list[str] | None = None) -> int:
             if strategy is not None:
                 kwargs["strategy"] = strategy
         result = run_experiment(name, config, out_dir, **kwargs)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, DomainError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for key, value in result.summary.items():

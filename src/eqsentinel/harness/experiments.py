@@ -58,29 +58,6 @@ class ExperimentResult:
         return all(self.checks.values())
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One monitored run: both alarm times and the closing wealth snapshot."""
-
-    run: int
-    tau_fwer: int  # -1 when the run never crossed within the horizon
-    tau_fdr: int
-    k_at_alarm: int
-    rejected: tuple[str, ...]
-    final_wealth: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        for tau in (self.tau_fwer, self.tau_fdr):
-            if tau != -1 and tau < 1:
-                raise ConfigError("alarm rounds are 1-based when present")
-
-    @property
-    def fdr_dominates(self) -> bool:
-        return self.tau_fdr != -1 and (
-            self.tau_fwer == -1 or self.tau_fdr <= self.tau_fwer
-        )
-
-
 def _pmap(fn, items, workers: int):
     if workers <= 1:
         return [fn(item) for item in items]
@@ -103,10 +80,14 @@ def fit_loglog_slope(points) -> tuple[float, float]:
     return float(slope), float(intercept)
 
 
-def _require_runs_and_horizon(config) -> None:
+def _validate_nf_config(config, alphas) -> None:
+    """Reject an nf-* config with fewer than 1 run or round, or an alpha outside (0, 1)."""
     for name in ("runs", "horizon"):
         if getattr(config, name) < 1:
             raise ConfigError(f"{name} must be at least 1, got {getattr(config, name)}")
+    for alpha in alphas:
+        if not 0.0 < alpha < 1.0:
+            raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +104,7 @@ class NullGridConfig:
     alphas: tuple[float, ...] = (0.2, 0.1, 0.05)
 
     def __post_init__(self) -> None:
-        _require_runs_and_horizon(self)
+        _validate_nf_config(self, self.alphas)
 
 
 def run_nf_fwer_null(
@@ -196,7 +177,7 @@ class DetectConfig:
     betting_fraction: float = 0.05
 
     def __post_init__(self) -> None:
-        _require_runs_and_horizon(self)
+        _validate_nf_config(self, (self.alpha,))
 
 
 def run_nf_detect(
@@ -222,23 +203,17 @@ def run_nf_detect(
         tau_fdr, k_at_alarm, rejected = nfstreams.ebh_alarm(
             paths, config.alpha, weights
         )
-        record = RunRecord(
-            run=run,
-            tau_fwer=int(detected.min()) if detected.size else -1,
-            tau_fdr=tau_fdr,
-            k_at_alarm=k_at_alarm,
-            rejected=tuple(hypotheses[j].label() for j in rejected),
-            final_wealth=tuple(float(np.exp(paths[j, -1])) for j in range(m)),
-        )
+        tau_fwer = int(detected.min()) if detected.size else -1  # -1: never crossed
+        fdr_dominates = tau_fdr != -1 and (tau_fwer == -1 or tau_fdr <= tau_fwer)
         rows.append(
             (
-                record.run,
-                record.tau_fwer,
-                record.tau_fdr,
-                record.k_at_alarm,
-                "|".join(record.rejected),
-                int(record.fdr_dominates),
-                *record.final_wealth,
+                run,
+                tau_fwer,
+                tau_fdr,
+                k_at_alarm,
+                "|".join(hypotheses[j].label() for j in rejected),
+                int(fdr_dominates),
+                *(float(np.exp(paths[j, -1])) for j in range(m)),
             )
         )
     runs_csv = write_csv(
@@ -300,7 +275,7 @@ class SensitivityConfig:
     grid_nodes: int = 101
 
     def __post_init__(self) -> None:
-        _require_runs_and_horizon(self)
+        _validate_nf_config(self, self.alphas)
 
 
 def run_nf_sensitivity(config: SensitivityConfig, out_dir: Path) -> ExperimentResult:
@@ -449,27 +424,16 @@ def run_nf_slack(config: SlackConfig, out_dir: Path) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SoccerSolveConfig:
-    discount: float = 0.95
-    tolerance: float = 1e-3
-    max_iterations: int = 100
-    smoothing: float = 0.05
+#: The soccer-solve config is the solver's own; the name stays for callers.
+SoccerSolveConfig = SolverConfig
 
 
-def _solve_soccer(config: SoccerSolveConfig):
+def _solve_soccer(config: SolverConfig):
     tab = soccer.soccer_build_model()
-    solver = SolverConfig(
-        discount=config.discount,
-        tolerance=config.tolerance,
-        max_iterations=config.max_iterations,
-        smoothing=config.smoothing,
-    )
-    solution = shapley_solve_arrays(tab.native_reward, tab.model.transition, solver)
-    return tab, solution
+    return tab, shapley_solve_arrays(tab.native_reward, tab.model.transition, config)
 
 
-def run_soccer_solve(config: SoccerSolveConfig, out_dir: Path) -> ExperimentResult:
+def run_soccer_solve(config: SolverConfig, out_dir: Path) -> ExperimentResult:
     tab, solution = _solve_soccer(config)
     smoothed_a = smooth_policy(solution.row_policy, config.smoothing)
     smoothed_b = smooth_policy(solution.col_policy, config.smoothing)
@@ -559,7 +523,7 @@ def _soccer_trial(args) -> tuple[int, int, int]:
     cell, run, seed, t_max, threshold, cum_a, cum_b, log_ratio = args
     successors, terminal = soccer.successor_table()
     start = s = soccer.state_index(soccer.INITIAL_STATE)
-    slip = soccer.DEFAULT_RULES.slip_prob
+    slip = soccer.SLIP_PROB
     actions, wait = soccer.NUM_ACTIONS, soccer.WAIT
     rng = run_rng(seed, cell, run)
     log_b = math.log(threshold)
@@ -595,7 +559,7 @@ def run_soccer_scaling(
     against the mixture actually played, so each cell is a known-alternative
     likelihood-ratio test on concatenated episodes."""
     if policies is None:
-        _, solution = _solve_soccer(SoccerSolveConfig(smoothing=config.smoothing))
+        _, solution = _solve_soccer(SolverConfig(smoothing=config.smoothing))
         policies = (solution.row_policy, solution.col_policy)
     null_a = smooth_policy(policies[0], config.smoothing)
     defender = smooth_policy(policies[1], config.smoothing)
@@ -974,7 +938,7 @@ EXPERIMENTS = {
     "nf-detect": (DetectConfig, run_nf_detect),
     "nf-sensitivity": (SensitivityConfig, run_nf_sensitivity),
     "nf-slack": (SlackConfig, run_nf_slack),
-    "soccer-solve": (SoccerSolveConfig, run_soccer_solve),
+    "soccer-solve": (SolverConfig, run_soccer_solve),
     "soccer-scaling": (SoccerScalingConfig, run_soccer_scaling),
     "prey-mixture": (PreyMixtureConfig, run_prey_mixture),
     "kl-check": (KlCheckConfig, run_kl_check),

@@ -59,12 +59,14 @@ class StochasticGameModel:
             raise ShapeError(f"reward tensor rank does not match {n} players")
         if p.shape != (num_states, *r.shape[2:], num_states):
             raise ShapeError("transition shape does not match rewards")
-        if r.min() < 0.0 or r.max() > 1.0:
+        # Written as not (lo <= x <= hi) so that a NaN, which min, max and
+        # sum carry through, fails the test.
+        if not (0.0 <= r.min() and r.max() <= 1.0):
             raise DomainError("rewards must lie in [0, 1]")
-        if p.min() < 0.0:
+        if not p.min() >= 0.0:
             raise DomainError("transition probabilities must be nonnegative")
         sums = p.sum(axis=-1)
-        if np.max(np.abs(sums - 1.0)) > ROW_TOL:
+        if not np.max(np.abs(sums - 1.0)) <= ROW_TOL:
             raise DomainError(f"transition rows must sum to 1 within {ROW_TOL}")
         if not 0.0 < self.discount < 1.0:
             raise DomainError("discount must lie strictly inside (0, 1)")
@@ -109,9 +111,6 @@ class Policy:
     @property
     def num_actions(self) -> int:
         return self.table.shape[1]
-
-    def probs(self, state: int) -> np.ndarray:
-        return self.table[state]
 
 
 @dataclass(frozen=True)
@@ -713,20 +712,53 @@ def policy_to_text(policy: Policy) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _text_lines(text: str, header: str) -> list[tuple[int, list[str]]]:
+    """The non-blank lines after ``header`` as (line number, fields)."""
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1] != header:
+        raise DomainError(f"unrecognized header; expected {header!r}")
+    return [(n, ln.split()) for n, ln in lines[1:]]
+
+
+def _count(value: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise ValueError(value)
+    return n
+
+
+def _read_line(lines, i: int, key: str | None, cast, count: int) -> list:
+    """The ``count`` values on the ``i``-th line after the header, cast, after
+    ``key`` (a bare row has none). Every error names the line."""
+    what = repr(key) if key else "row"
+    if i >= len(lines):
+        raise ShapeError(f"text ends before its {what} line")
+    lineno, fields = lines[i]
+    if key is not None:
+        if fields[0] != key:
+            raise DomainError(f"line {lineno}: expected {what}, got {fields[0]!r}")
+        fields = fields[1:]
+    try:
+        values = [cast(v) for v in fields]
+    except ValueError:
+        raise DomainError(f"line {lineno}: malformed {what} values") from None
+    if len(values) != count:
+        raise ShapeError(f"line {lineno}: {what} has {len(values)} values, expected {count}")
+    return values
+
+
+def _require_end(lines, count: int) -> None:
+    if len(lines) > count:
+        raise ShapeError(f"line {lines[count][0]}: text past the end of the format")
+
+
 def policy_from_text(text: str) -> Policy:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != POLICY_HEADER:
-        raise DomainError("unrecognized policy header")
-    num_states = int(lines[1].split()[1])
-    num_actions = int(lines[2].split()[1])
-    rows = [
-        np.array([float(v) for v in lines[3 + s].split()])
-        for s in range(num_states)
-    ]
-    table = np.vstack(rows)
-    if table.shape != (num_states, num_actions):
-        raise ShapeError("policy body does not match its header")
-    return Policy(table)
+    lines = _text_lines(text, POLICY_HEADER)
+    (num_states,) = _read_line(lines, 0, "states", _count, 1)
+    (num_actions,) = _read_line(lines, 1, "actions", _count, 1)
+    rows = [_read_line(lines, 2 + s, None, float, num_actions) for s in range(num_states)]
+    _require_end(lines, 2 + num_states)
+    return Policy(np.array(rows))
 
 
 def model_to_text(model: StochasticGameModel) -> str:
@@ -744,21 +776,22 @@ def model_to_text(model: StochasticGameModel) -> str:
 
 
 def model_from_text(text: str) -> StochasticGameModel:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != MODEL_HEADER:
-        raise DomainError("unrecognized model header")
-    players = int(lines[1].split()[1])
-    states = int(lines[2].split()[1])
-    actions = tuple(int(v) for v in lines[3].split()[1:])
-    discount = float(lines[4].split()[1])
-    rewards = np.empty((players, states, *actions))
+    lines = _text_lines(text, MODEL_HEADER)
+    (players,) = _read_line(lines, 0, "players", _count, 1)
+    (states,) = _read_line(lines, 1, "states", _count, 1)
+    actions = tuple(_read_line(lines, 2, "actions", _count, players))
+    (discount,) = _read_line(lines, 3, "discount", float, 1)
+    size = states * math.prod(actions)
+    rewards = np.empty((players, size))
     for i in range(players):
-        parts = lines[5 + i].split()
-        if parts[0] != "rewards" or int(parts[1]) != i:
-            raise DomainError("malformed rewards block")
-        rewards[i] = np.array([float(v) for v in parts[2:]]).reshape(states, *actions)
-    parts = lines[5 + players].split()
-    transition = np.array([float(v) for v in parts[1:]]).reshape(
-        states, *actions, states
+        values = _read_line(lines, 4 + i, "rewards", float, 1 + size)
+        if values[0] != i:
+            raise DomainError(f"line {lines[4 + i][0]}: malformed rewards block")
+        rewards[i] = values[1:]
+    transition = np.array(_read_line(lines, 4 + players, "transition", float, size * states))
+    _require_end(lines, 5 + players)
+    return StochasticGameModel(
+        rewards=rewards.reshape(players, states, *actions),
+        transition=transition.reshape(states, *actions, states),
+        discount=discount,
     )
-    return StochasticGameModel(rewards=rewards, transition=transition, discount=discount)

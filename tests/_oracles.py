@@ -12,7 +12,8 @@ are the nf-* experiments' per-run loops from before the chunked replay: each
 run draws, gathers and accumulates every round of its horizon.
 ``ebh_rejection_brute_force`` searches every subset for e-BH's rejection
 set, and ``matrix_game_solve_lp_reference`` is the HiGHS LP that solved every
-mixed matrix game before the tableau fast path.
+mixed matrix game before the tableau fast path. ``soccer_build_model_reference``
+is the soccer model builder from before it read ``soccer.successor_table``.
 """
 
 import math
@@ -33,6 +34,7 @@ from eqsentinel.stochastic import (
     Policy,
     ShapleySolution,
     SolverConfig,
+    StochasticGameModel,
     matrix_game_solve,
 )
 
@@ -203,6 +205,50 @@ def soccer_trial(args) -> tuple[int, int, int]:
         if terminal:
             state = soccer.INITIAL_STATE
     return cell, run, -1
+
+
+def soccer_build_model_reference() -> soccer.SoccerTabularGame:
+    """The soccer model builder from before it read ``successor_table``: it
+    walks ``_resolve`` over ``SoccerState`` objects for every (commanded,
+    slipped) branch, with the rule values (slip 0.25, step cost -0.05,
+    +-100 for a goal at column 4 for A or 0 for B) as literals."""
+
+    def is_terminal(state):
+        if state.possession == 0:
+            return state.a_pos[1] == 4
+        return state.b_pos[1] == 0
+
+    n, actions = soccer.NUM_STATES, soccer.NUM_ACTIONS
+    transition = np.zeros((n, actions, actions, n))
+    native = np.zeros((n, actions, actions))
+    terminal = np.zeros(n, dtype=bool)
+    for s in range(n):
+        state = soccer.index_state(s)
+        absorbing = is_terminal(state) or state.a_pos == state.b_pos
+        terminal[s] = is_terminal(state)
+        if absorbing:
+            transition[s, :, :, s] = 1.0
+            continue
+        for action_a in range(actions):
+            for action_b in range(actions):
+                branches = [(1.0 - 0.25, action_b), (0.25, soccer.WAIT)]
+                if action_b == soccer.WAIT:
+                    branches = [(1.0, soccer.WAIT)]
+                for slip_prob, effective_b in branches:
+                    for prob, a_pos, b_pos, possession in soccer._resolve(
+                        state, action_a, effective_b
+                    ):
+                        p = slip_prob * prob
+                        nxt = soccer.SoccerState(a_pos, b_pos, possession)
+                        reward = -0.05
+                        if is_terminal(nxt):
+                            reward += 100.0 if nxt.possession == 0 else -100.0
+                        transition[s, action_a, action_b, soccer.state_index(nxt)] += p
+                        native[s, action_a, action_b] += p * reward
+    scaled = (native + soccer.NATIVE_OFFSET) / soccer.NATIVE_SCALE
+    rewards = np.stack([scaled, 1.0 - scaled])
+    model = StochasticGameModel(rewards=rewards, transition=transition, discount=0.95)
+    return soccer.SoccerTabularGame(model=model, native_reward=native, terminal=terminal)
 
 
 def prey_trial(args) -> tuple[int, int, int]:

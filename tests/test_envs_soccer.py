@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import soccer_build_model_reference
 from eqsentinel.envs import soccer
 from eqsentinel.errors import ShapeError, StateError
 from eqsentinel.stochastic import smooth_policy
@@ -122,6 +123,13 @@ class TestTabularModel:
         terminal = np.nonzero(soccer_game.terminal)[0][0]
         assert soccer_game.model.rewards[0][terminal].max() == pytest.approx(0.5)
 
+    def test_matches_the_reference_builder_bit_for_bit(self, soccer_game):
+        reference = soccer_build_model_reference()
+        assert np.array_equal(soccer_game.model.transition, reference.model.transition)
+        assert np.array_equal(soccer_game.native_reward, reference.native_reward)
+        assert np.array_equal(soccer_game.terminal, reference.terminal)
+        assert np.array_equal(soccer_game.model.rewards, reference.model.rewards)
+
     def test_simulator_matches_model_rows(self, soccer_game):
         # Monte-Carlo frequencies of the simulator against the exact kernel.
         cases = [
@@ -150,7 +158,7 @@ class TestSuccessorTable:
     def test_branches_rebuild_the_model_kernel_exactly(self, soccer_game):
         successors, terminal = soccer.successor_table()
         transition = soccer_game.model.transition
-        slip = soccer.DEFAULT_RULES.slip_prob
+        slip = soccer.SLIP_PROB
         assert terminal == tuple(soccer_game.terminal.tolist())
         rows = 0
         for s in range(soccer.NUM_STATES):

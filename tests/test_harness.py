@@ -560,6 +560,26 @@ class TestCliErrors:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, body, message",
+        [
+            ("soccer-solve", "discount = 1.5", "discount must lie in (0, 1)"),
+            ("nf-fwer-null", "runs = 2\nlambdas = 2.0", "betting fractions must lie in"),
+            ("nf-fwer-null", "alphas = 0.2, 0.0", "alpha must lie in (0, 1), got 0.0"),
+            ("nf-detect", "alpha = 1.5", "alpha must lie in (0, 1), got 1.5"),
+            ("nf-sensitivity", "alphas = 1.0", "alpha must lie in (0, 1), got 1.0"),
+        ],
+        ids=["soccer-discount", "fwer-lambda", "fwer-alpha", "detect-alpha", "sensitivity-alpha"],
+    )
+    def test_out_of_domain_value_exits_one(self, tmp_path, capsys, name, body, message):
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"experiment = {name}\n{body}\n")
+        rc = main([name, "--config", str(config), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not any(tmp_path.glob("o/*")), "no artifact is written"
+
 
 class TestEpsGridMixture:
     def test_capped_grid_satisfies_shifted_monitor(self, two_signal):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -652,13 +653,7 @@ class TestShapleySweep:
             return inner(payoff)
 
         monkeypatch.setattr("eqsentinel.stochastic.matrix_game_solve", counting)
-        solve = SoccerSolveConfig()
-        config = SolverConfig(
-            discount=solve.discount,
-            tolerance=solve.tolerance,
-            max_iterations=solve.max_iterations,
-            smoothing=solve.smoothing,
-        )
+        config = SoccerSolveConfig()
         sol = shapley_solve_arrays(
             soccer_game.native_reward, soccer_game.model.transition, config
         )
@@ -771,6 +766,56 @@ class TestSerialization:
         assert kl_divergence([0.5, 0.5], [0.5, 0.5]) == 0.0
         assert kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(math.log(2))
         assert kl_divergence([0.5, 0.5], [1.0, 0.0]) == math.inf
+
+
+class TestMalformedText:
+    POLICY = "eqsentinel-policy v1\nstates 2\nactions 2\n0.5 0.5\n1.0 0.0\n"
+    MODEL = (
+        "eqsentinel-model v1\nplayers 2\nstates 1\nactions 1 1\ndiscount 0.5\n"
+        "rewards 0 0.25\nrewards 1 0.75\ntransition 1.0\n"
+    )
+
+    @pytest.mark.parametrize(
+        "parse, text, error, message",
+        [
+            (policy_from_text, "eqsentinel-policy v1\nstates 2\n", ShapeError, "'actions' line"),
+            (policy_from_text, POLICY.replace("states 2", "states x"), DomainError, "line 2"),
+            (policy_from_text, POLICY.replace("states 2", "states 0"), DomainError, "line 2"),
+            (policy_from_text, POLICY.replace("actions 2", "action 2"), DomainError, "line 3"),
+            (policy_from_text, POLICY.replace("\n1.0 0.0", "\n1.0"), ShapeError, "line 5"),
+            (policy_from_text, POLICY.replace("\n1.0 0.0\n", "\n"), ShapeError, "row line"),
+            (model_from_text, MODEL.replace("transition 1.0", "transition"), ShapeError, "line 8"),
+            (model_from_text, MODEL.replace("actions 1 1", "actions 1"), ShapeError, "line 4"),
+            (model_from_text, MODEL.replace("rewards 1", "rewards 0"), DomainError, "line 7"),
+            (model_from_text, MODEL.replace("0.75", "high"), DomainError, "line 7"),
+            (model_from_text, MODEL.replace("discount 0.5\n", ""), DomainError, "line 5"),
+            (model_from_text, MODEL[: MODEL.index("transition")], ShapeError, "'transition'"),
+            (policy_from_text, POLICY + "0.3 0.7\n", ShapeError, "line 6"),
+            (model_from_text, MODEL + "transition 1.0\n", ShapeError, "line 9"),
+        ],
+        ids=[
+            "policy-truncated-header", "policy-states-not-int", "policy-zero-states",
+            "policy-wrong-key", "policy-short-row", "policy-missing-row",
+            "model-empty-transition", "model-actions-short", "model-rewards-index",
+            "model-reward-not-float", "model-no-discount", "model-no-transition",
+            "policy-extra-row", "model-extra-line",
+        ],
+    )
+    def test_error_names_the_line(self, parse, text, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            parse(text)
+
+
+class TestModelValidation:
+    @pytest.mark.parametrize("field", ["rewards", "transition"])
+    def test_nan_entry_rejected(self, field):
+        arrays = {
+            "rewards": np.full((2, 2, 1, 1), 0.5),
+            "transition": np.full((2, 1, 1, 2), 0.5),
+        }
+        arrays[field][0, 0, 0, 0] = np.nan
+        with pytest.raises(DomainError):
+            StochasticGameModel(discount=0.5, **arrays)
 
 
 class TestGoldenFormats:
