@@ -11,7 +11,6 @@ from .eprocess import (
     EProcessState,
     detection_bound_uniform,
     exact_uniform_mixture,
-    increment,
     slack_lower_bound,
 )
 from .games import (
@@ -20,8 +19,6 @@ from .games import (
     JointStrategy,
     NormalFormGame,
     StrategyKind,
-    deviation_gain,
-    equilibrium_slack,
     expected_payoff,
     sample_profile,
     two_player_game,
@@ -32,8 +29,10 @@ from .monitors import (
     MonitorConfig,
     RejectionState,
     StepDecision,
+    deviation_gain,
     ebh_rejection,
     enumerate_hypotheses,
+    equilibrium_slack,
 )
 from .stochastic import (
     LRMonitorState,
@@ -88,7 +87,6 @@ __all__ = [
     "exact_uniform_mixture",
     "expected_payoff",
     "exploitability",
-    "increment",
     "kl_quadratic_check",
     "lr_detection_bound",
     "lr_step",

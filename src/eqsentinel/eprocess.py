@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, DomainError, ShapeError
-from .games import ActionProfile, NormalFormGame
 
 #: Grid resolution used by monitors; oracle comparisons use 1001 nodes.
 DEFAULT_GRID_NODES = 101
@@ -159,30 +158,6 @@ class EProcessState:
         ):
             self.crossing_time = self.round
         return self
-
-
-def increment(
-    game: NormalFormGame,
-    profile: ActionProfile,
-    player: int,
-    deviation: int,
-    eps_shift: float = 0.0,
-) -> float:
-    """Regret-like increment of one hypothesis at one observed profile.
-
-    Negative values mean the deviation would have paid more this round. The
-    shift is the tolerance of an approximate-equilibrium null (0 for exact
-    Nash/CCE/CE).
-    """
-    if eps_shift < 0.0:
-        raise DomainError("eps_shift must be nonnegative")
-    game._check_action(player, deviation)
-    profile.validate(game.action_counts)
-    played = game.payoffs[player][profile.actions]
-    counterfactual = list(profile.actions)
-    counterfactual[player] = deviation
-    dev = game.payoffs[player][tuple(counterfactual)]
-    return float(played - dev + eps_shift)
 
 
 def exact_uniform_mixture(xs) -> float:

@@ -1,10 +1,11 @@
-"""Finite normal-form games: payoff tensors, joint strategies, and deviation gains.
+"""Finite normal-form games: payoff tensors, action profiles and joint strategies.
 
 Payoffs live in [0, 1]. Strategies are either a product of per-player mixed
 strategies or a single distribution over the joint action space; both are
 carried by :class:`JointStrategy` with a kind tag so downstream code accepts
-either. All expectations here are exact enumerations over the joint action
-space, which is the ground truth the sequential monitors are tested against.
+either, and reduce to one dense joint law. Deviation gains and equilibrium
+slack are expectations of the monitors' increment table under that law, so
+they live in :mod:`eqsentinel.monitors`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 from .errors import DomainError, ShapeError
 
 PROB_TOL = 1e-12
-CE_SUPPORT_FLOOR = 1e-12
 
 
 class StrategyKind(enum.Enum):
@@ -174,73 +174,6 @@ def expected_payoff(game: NormalFormGame, strategy: JointStrategy, player: int) 
     strategy.check_compatible(game)
     law = strategy.joint_law()
     return float(np.sum(law * game.payoffs[player]))
-
-
-def _deviation_payoff(
-    game: NormalFormGame, law: np.ndarray, player: int, deviation: int
-) -> float:
-    # E[u_i(a', a_-i)]: marginalize the player's own action out of the law.
-    opponents_law = law.sum(axis=player)
-    u_dev = np.take(game.payoffs[player], deviation, axis=player)
-    return float(np.sum(opponents_law * u_dev))
-
-
-def deviation_gain(
-    game: NormalFormGame, strategy: JointStrategy, player: int, deviation: int
-) -> float:
-    """Unconditional expected improvement from always playing ``deviation``.
-
-    Positive values mean the deviation is profitable against the strategy.
-    """
-    game._check_action(player, deviation)
-    strategy.check_compatible(game)
-    law = strategy.joint_law()
-    return _deviation_payoff(game, law, player, deviation) - float(
-        np.sum(law * game.payoffs[player])
-    )
-
-
-def equilibrium_slack(
-    game: NormalFormGame, strategy: JointStrategy, mode: EquilibriumMode
-) -> float:
-    """Largest deviation gain under the given equilibrium condition.
-
-    A value <= 0 certifies the strategy as an equilibrium of that mode. CE
-    conditions on each recommended action whose probability is at least
-    ``CE_SUPPORT_FLOOR``; a PRODUCT strategy is interpreted through the joint
-    law it induces.
-    """
-    strategy.check_compatible(game)
-    if mode in (EquilibriumMode.NASH, EquilibriumMode.CCE):
-        gains = [
-            deviation_gain(game, strategy, i, a)
-            for i in range(game.num_players)
-            for a in range(game.action_counts[i])
-        ]
-        return max(gains)
-    if mode is not EquilibriumMode.CE:
-        raise DomainError(f"slack is defined for NASH, CCE and CE, not {mode}")
-
-    law = strategy.joint_law()
-    best = -np.inf
-    for i in range(game.num_players):
-        axes = tuple(ax for ax in range(game.num_players) if ax != i)
-        marginal = law.sum(axis=axes)
-        for rec in range(game.action_counts[i]):
-            if marginal[rec] < CE_SUPPORT_FLOOR:
-                continue  # conditional expectation undefined off support
-            cond_law = np.take(law, rec, axis=i) / marginal[rec]
-            u_rec = np.take(game.payoffs[i], rec, axis=i)
-            base = float(np.sum(cond_law * u_rec))
-            for dev in range(game.action_counts[i]):
-                if dev == rec:
-                    continue
-                u_dev = np.take(game.payoffs[i], dev, axis=i)
-                gain = float(np.sum(cond_law * u_dev)) - base
-                best = max(best, gain)
-    if best == -np.inf:
-        return 0.0  # no player has an alternative action to deviate to
-    return best
 
 
 def sample_profile(strategy: JointStrategy, rng: np.random.Generator) -> ActionProfile:

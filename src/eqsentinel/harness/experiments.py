@@ -28,7 +28,7 @@ from ..eprocess import (
 )
 from ..errors import ConfigError, DomainError
 from ..games import ActionProfile, EquilibriumMode, NormalFormGame, JointStrategy
-from ..monitors import EquilibriumMonitor, MonitorConfig, enumerate_hypotheses
+from ..monitors import EquilibriumMonitor, MonitorConfig, deviation_gain, enumerate_hypotheses
 from ..stochastic import (
     Policy,
     SolverConfig,
@@ -80,14 +80,21 @@ def fit_loglog_slope(points) -> tuple[float, float]:
     return float(slope), float(intercept)
 
 
-def _validate_nf_config(config, alphas) -> None:
-    """Reject an nf-* config with fewer than 1 run or round, or an alpha outside (0, 1)."""
-    for name in ("runs", "horizon"):
-        if getattr(config, name) < 1:
+def _validate_nf_config(config, alphas, fractions) -> None:
+    """Reject an nf-* config with fewer than 1 run, round or grid node, an alpha
+    outside (0, 1), a betting fraction outside (0, 1] or an unknown mixture,
+    before any artifact directory exists."""
+    for name in ("runs", "horizon", "grid_nodes"):
+        if getattr(config, name, 1) < 1:
             raise ConfigError(f"{name} must be at least 1, got {getattr(config, name)}")
     for alpha in alphas:
         if not 0.0 < alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    for lam in fractions:
+        if not 0.0 < lam <= 1.0:
+            raise ConfigError(f"betting fractions must lie in (0, 1], got {lam}")
+    if getattr(config, "mixture", "dirac") not in ("dirac", "uniform"):
+        raise ConfigError(f"mixture must be dirac or uniform, got {config.mixture!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +111,7 @@ class NullGridConfig:
     alphas: tuple[float, ...] = (0.2, 0.1, 0.05)
 
     def __post_init__(self) -> None:
-        _validate_nf_config(self, self.alphas)
+        _validate_nf_config(self, self.alphas, self.lambdas)
 
 
 def run_nf_fwer_null(
@@ -177,7 +184,7 @@ class DetectConfig:
     betting_fraction: float = 0.05
 
     def __post_init__(self) -> None:
-        _validate_nf_config(self, (self.alpha,))
+        _validate_nf_config(self, (self.alpha,), (self.betting_fraction,))
 
 
 def run_nf_detect(
@@ -275,12 +282,10 @@ class SensitivityConfig:
     grid_nodes: int = 101
 
     def __post_init__(self) -> None:
-        _validate_nf_config(self, self.alphas)
+        _validate_nf_config(self, self.alphas, self.lambdas)
 
 
 def run_nf_sensitivity(config: SensitivityConfig, out_dir: Path) -> ExperimentResult:
-    if config.mixture not in ("dirac", "uniform"):
-        raise ConfigError("mixture must be dirac or uniform")
     game = scenarios.two_signal_game()
     hypotheses = enumerate_hypotheses(game, EquilibriumMode.NASH)
     tables = nfstreams.increment_tables(game, hypotheses)
@@ -854,8 +859,6 @@ def _rational_gain_error(rng: np.random.Generator) -> float:
     strategy = JointStrategy.product(
         *(np.array([float(w) for w in f]) for f in factors)
     )
-    from ..games import deviation_gain
-
     return abs(deviation_gain(game, strategy, player, deviation) - float(exact))
 
 

@@ -35,9 +35,10 @@ import math
 
 import numpy as np
 
-# ``log_factors`` and ``increment_tables`` are the monitor's builders; they
-# stay resolvable here because the harness, the tests and perfbench's
-# --trace 1 use them by this module's name.
+# ``increment_tables`` (the one deviation-gain table, zero where a conditional
+# hypothesis is inactive) and ``log_factors`` (the one bet) are the monitor's
+# builders; they stay resolvable here because the harness, the tests and
+# perfbench's --trace 1 use them by this module's name.
 from ..eprocess import BettingMixture, log_factors
 from ..games import JointStrategy, StrategyKind
 from ..monitors import _ebh, _log_ladder, increment_tables  # noqa: F401

@@ -14,14 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# ``increment`` is the scalar form of the increment table; it stays importable
-# here because perfbench's --trace 1 wraps it as a monitors attribute.
-from .eprocess import WEIGHT_TOL, BettingMixture, _log_mix, increment, log_factors  # noqa: F401
+from .eprocess import WEIGHT_TOL, BettingMixture, _log_mix, log_factors
 from .errors import DomainError, ShapeError, StateError
-from .games import ActionProfile, EquilibriumMode, NormalFormGame
+from .games import ActionProfile, EquilibriumMode, JointStrategy, NormalFormGame
 
 SNAPSHOT_HEADER = "eqsentinel-monitor-snapshot v2"
 SNAPSHOT_HEADER_V1 = "eqsentinel-monitor-snapshot v1"
+CE_SUPPORT_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -73,17 +72,93 @@ def enumerate_hypotheses(
     ]
 
 
+def _active_mask(game: NormalFormGame, hypotheses: list[HypothesisId]) -> np.ndarray:
+    """(m, P) flags over flattened joint profiles: a conditional hypothesis is
+    active on its recommendation only, every other hypothesis everywhere."""
+    counts = game.action_counts
+    own = np.indices(counts).reshape(len(counts), -1)
+    return np.stack([(own[h.player] == h.condition) | (h.condition is None) for h in hypotheses])
+
+
 def increment_tables(
     game: NormalFormGame, hypotheses: list[HypothesisId], eps_shift: float = 0.0
 ) -> np.ndarray:
     """Per-hypothesis increments over flattened joint profiles, (m, P):
-    ``increment``'s u_i(a) - u_i(deviation, a_-i) + eps_shift. A conditional
-    hypothesis gets its unconditional row; callers mask its inactive rounds."""
+    u_i(a) - u_i(deviation, a_-i) + eps_shift where the hypothesis is active
+    and 0 where it is not, so an inactive round leaves wealth as it is.
+
+    The one place the deviation gain is written: the monitor, the replay,
+    ``increment``, ``deviation_gain`` and ``equilibrium_slack`` all read it.
+    """
     u = game.payoffs
-    return np.stack([
+    table = np.stack([
         (u[h.player] - np.take(u[h.player], [h.deviation], axis=h.player) + eps_shift).ravel()
         for h in hypotheses
     ])
+    return np.where(_active_mask(game, hypotheses), table, 0.0)
+
+
+def increment(
+    game: NormalFormGame,
+    profile: ActionProfile,
+    player: int,
+    deviation: int,
+    eps_shift: float = 0.0,
+) -> float:
+    """Regret-like increment of one hypothesis at one observed profile: the
+    table entry of ``increment_tables`` at that profile.
+
+    Negative values mean the deviation would have paid more this round. The
+    shift is the tolerance of an approximate-equilibrium null (0 for exact
+    Nash/CCE/CE).
+    """
+    if eps_shift < 0.0:
+        raise DomainError("eps_shift must be nonnegative")
+    game._check_action(player, deviation)
+    profile.validate(game.action_counts)
+    flat = np.ravel_multi_index(profile.actions, game.action_counts)
+    return float(increment_tables(game, [HypothesisId(player, deviation)], eps_shift)[0, flat])
+
+
+def deviation_gain(
+    game: NormalFormGame, strategy: JointStrategy, player: int, deviation: int
+) -> float:
+    """Unconditional expected improvement from always playing ``deviation``.
+
+    Positive values mean the deviation is profitable against the strategy.
+    """
+    game._check_action(player, deviation)
+    strategy.check_compatible(game)
+    table = increment_tables(game, [HypothesisId(player, deviation)])
+    return float(-(table[0] @ strategy.joint_law().ravel()))
+
+
+def equilibrium_slack(
+    game: NormalFormGame, strategy: JointStrategy, mode: EquilibriumMode
+) -> float:
+    """Largest deviation gain under the given equilibrium condition.
+
+    A value <= 0 certifies the strategy as an equilibrium of that mode. CE
+    conditions on each recommended action whose probability is at least
+    ``CE_SUPPORT_FLOOR``; a PRODUCT strategy is interpreted through the joint
+    law it induces.
+    """
+    strategy.check_compatible(game)
+    if mode not in (EquilibriumMode.NASH, EquilibriumMode.CCE, EquilibriumMode.CE):
+        raise DomainError(f"slack is defined for NASH, CCE and CE, not {mode}")
+    law = strategy.joint_law().ravel()
+    conditional = mode is EquilibriumMode.CE
+    hypotheses = enumerate_hypotheses(game, mode, conditional_ce=conditional)
+    if not hypotheses:
+        return 0.0  # no player has an alternative action to deviate to
+    gains = -(increment_tables(game, hypotheses) @ law)
+    if conditional:
+        mass = _active_mask(game, hypotheses) @ law
+        kept = mass >= CE_SUPPORT_FLOOR  # conditional expectation undefined off support
+        if not kept.any():
+            return 0.0
+        gains = gains[kept] / mass[kept]
+    return float(gains.max())
 
 
 @dataclass(frozen=True)
@@ -215,14 +290,10 @@ class EquilibriumMonitor:
         counts = game.action_counts
         self._strides = tuple(int(np.prod(counts[i + 1:])) for i in range(len(counts)))
         # By flat profile: (P, m) active mask and (P, m, G) log factors of
-        # ``increment``'s values. Off its recommendation a conditional
-        # hypothesis is inactive and its increment 0 leaves wealth as it is.
-        own = np.indices(counts).reshape(len(counts), -1)
-        self._active = np.stack(
-            [(own[h.player] == h.condition) | (h.condition is None) for h in self.hypotheses], 1
-        )
+        # the increment table, C-ordered so that a round reads one block.
+        self._active = _active_mask(game, self.hypotheses).T
         shift = config.eps if config.mode is EquilibriumMode.EPS_APPROX else 0.0
-        table = np.where(self._active, increment_tables(game, self.hypotheses, shift).T, 0.0)
+        table = np.ascontiguousarray(increment_tables(game, self.hypotheses, shift).T)
         self._factors = log_factors(table, config.mixture).reshape(*table.shape, -1)
         self.log_wealth = np.zeros((self.m, config.mixture.size))
         self.log_max = np.zeros(self.m)

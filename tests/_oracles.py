@@ -14,6 +14,10 @@ run draws, gathers and accumulates every round of its horizon.
 set, and ``matrix_game_solve_lp_reference`` is the HiGHS LP that solved every
 mixed matrix game before the tableau fast path. ``soccer_build_model_reference``
 is the soccer model builder from before it read ``soccer.successor_table``.
+``deviation_gain_reference`` and ``equilibrium_slack_reference`` are the
+expected gains as they were before they read the increment table: separate
+sums of the played and the deviating payoff, and a loop over recommendations
+for the conditional CE gains.
 """
 
 import math
@@ -25,10 +29,11 @@ from scipy.optimize import linprog
 
 from eqsentinel.eprocess import BettingMixture
 from eqsentinel.envs import prey, soccer
+from eqsentinel.errors import DomainError
 from eqsentinel.games import EquilibriumMode, StrategyKind
 from eqsentinel.harness import nfstreams, scenarios
 from eqsentinel.harness.seeding import run_rng
-from eqsentinel.monitors import enumerate_hypotheses
+from eqsentinel.monitors import CE_SUPPORT_FLOOR, enumerate_hypotheses
 from eqsentinel.stochastic import (
     MatrixGameSolution,
     Policy,
@@ -86,6 +91,67 @@ def enumerate_deviation_gain(payoffs, law, player, deviation) -> float:
             payoffs[player][tuple(switched)] - payoffs[player][profile]
         )
     return gain
+
+
+def _deviation_payoff_reference(game, law, player, deviation) -> float:
+    # E[u_i(a', a_-i)]: marginalize the player's own action out of the law.
+    opponents_law = law.sum(axis=player)
+    u_dev = np.take(game.payoffs[player], deviation, axis=player)
+    return float(np.sum(opponents_law * u_dev))
+
+
+def deviation_gain_reference(game, strategy, player, deviation) -> float:
+    """Unconditional expected improvement from always playing ``deviation``.
+
+    Positive values mean the deviation is profitable against the strategy.
+    """
+    game._check_action(player, deviation)
+    strategy.check_compatible(game)
+    law = strategy.joint_law()
+    return _deviation_payoff_reference(game, law, player, deviation) - float(
+        np.sum(law * game.payoffs[player])
+    )
+
+
+def equilibrium_slack_reference(game, strategy, mode) -> float:
+    """Largest deviation gain under the given equilibrium condition.
+
+    A value <= 0 certifies the strategy as an equilibrium of that mode. CE
+    conditions on each recommended action whose probability is at least
+    ``CE_SUPPORT_FLOOR``; a PRODUCT strategy is interpreted through the joint
+    law it induces.
+    """
+    strategy.check_compatible(game)
+    if mode in (EquilibriumMode.NASH, EquilibriumMode.CCE):
+        gains = [
+            deviation_gain_reference(game, strategy, i, a)
+            for i in range(game.num_players)
+            for a in range(game.action_counts[i])
+        ]
+        return max(gains)
+    if mode is not EquilibriumMode.CE:
+        raise DomainError(f"slack is defined for NASH, CCE and CE, not {mode}")
+
+    law = strategy.joint_law()
+    best = -np.inf
+    for i in range(game.num_players):
+        axes = tuple(ax for ax in range(game.num_players) if ax != i)
+        marginal = law.sum(axis=axes)
+        for rec in range(game.action_counts[i]):
+            if marginal[rec] < CE_SUPPORT_FLOOR:
+                continue  # conditional expectation undefined off support
+            cond_law = np.take(law, rec, axis=i) / marginal[rec]
+            u_rec = np.take(game.payoffs[i], rec, axis=i)
+            base = float(np.sum(cond_law * u_rec))
+            for dev in range(game.action_counts[i]):
+                if dev == rec:
+                    continue
+                u_dev = np.take(game.payoffs[i], dev, axis=i)
+                gain = float(np.sum(cond_law * u_dev)) - base
+                best = max(best, gain)
+    if best == -np.inf:
+        return 0.0  # no player has an alternative action to deviate to
+    return best
 
 
 def best_response_gap(payoff, row_strategy, col_strategy, value) -> float:

@@ -13,11 +13,11 @@ from eqsentinel import (
     MonitorConfig,
     detection_bound_uniform,
     exact_uniform_mixture,
-    increment,
     slack_lower_bound,
     two_player_game,
 )
 from eqsentinel.errors import CapacityError, DomainError, ShapeError
+from eqsentinel.monitors import increment
 
 
 class TestIncrement:

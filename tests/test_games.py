@@ -21,7 +21,9 @@ from _oracles import (
     TWO_SIGNAL_ALTERNATIVE,
     TWO_SIGNAL_NASH,
     TWO_SIGNAL_PAYOFFS,
+    deviation_gain_reference,
     enumerate_deviation_gain,
+    equilibrium_slack_reference,
     frac_deviation_gain,
 )
 
@@ -176,6 +178,41 @@ class TestEquilibriumSlack:
     def test_eps_mode_rejected(self, game, nash):
         with pytest.raises(DomainError):
             equilibrium_slack(game, nash, EquilibriumMode.EPS_APPROX)
+
+
+class TestGainsMatchReference:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_table_expectations_match_the_sum_formulas(self, data):
+        # Slack and gains are expectations of the increment table; the
+        # reference sums the played and the deviating payoff separately and
+        # loops over recommendations for CE.
+        num_players = data.draw(st.integers(2, 3))
+        counts = tuple(data.draw(st.integers(1, 4)) for _ in range(num_players))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        game = NormalFormGame(rng.random((num_players, *counts)))
+        if data.draw(st.booleans()):
+            strategy = JointStrategy.product(*(rng.dirichlet(np.ones(c)) for c in counts))
+        else:
+            # Zeroed entries, and sometimes a whole recommendation of one
+            # player, so that some conditional CE gains have no mass.
+            keep = data.draw(st.sampled_from([0.3, 0.7]))
+            law = rng.random(counts) * (rng.random(counts) < keep)
+            player = data.draw(st.integers(0, num_players - 1))
+            if data.draw(st.booleans()) and counts[player] > 1:
+                np.moveaxis(law, player, 0)[0] = 0.0
+            if law.sum() == 0.0:
+                law[(-1,) * num_players] = 1.0
+            strategy = JointStrategy.full(law / law.sum())
+        for mode in (EquilibriumMode.NASH, EquilibriumMode.CCE, EquilibriumMode.CE):
+            assert equilibrium_slack(game, strategy, mode) == pytest.approx(
+                equilibrium_slack_reference(game, strategy, mode), abs=1e-14
+            )
+        for player in range(num_players):
+            for dev in range(counts[player]):
+                assert deviation_gain(game, strategy, player, dev) == pytest.approx(
+                    deviation_gain_reference(game, strategy, player, dev), abs=1e-14
+                )
 
 
 class TestSampling:

@@ -252,6 +252,25 @@ class TestChunkedReplay:
             cls(**{field: value})
 
 
+    @pytest.mark.parametrize(
+        "cls, overrides, message",
+        [
+            (NullGridConfig, {"lambdas": (0.1, 2.0)}, "betting fractions must lie in"),
+            (NullGridConfig, {"lambdas": (0.0,)}, "betting fractions must lie in"),
+            (SensitivityConfig, {"lambdas": (float("nan"),)}, "betting fractions must lie in"),
+            (DetectConfig, {"betting_fraction": 1.5}, "betting fractions must lie in"),
+            (DetectConfig, {"betting_fraction": float("nan")}, "betting fractions must lie in"),
+            (SensitivityConfig, {"grid_nodes": 0}, "grid_nodes must be at least 1"),
+            (SensitivityConfig, {"mixture": "foo"}, "mixture must be dirac or uniform"),
+        ],
+        ids=["null-above", "null-zero", "sensitivity-nan", "detect-above", "detect-nan",
+             "sensitivity-nodes", "sensitivity-mixture"],
+    )
+    def test_bad_fraction_nodes_or_mixture_rejected(self, cls, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            cls(**overrides)
+
+
 class TestDeterminism:
     def test_nf_detect_bit_identical(self, tmp_path):
         config = DetectConfig(runs=12, horizon=2500)
@@ -568,8 +587,10 @@ class TestCliErrors:
             ("nf-fwer-null", "alphas = 0.2, 0.0", "alpha must lie in (0, 1), got 0.0"),
             ("nf-detect", "alpha = 1.5", "alpha must lie in (0, 1), got 1.5"),
             ("nf-sensitivity", "alphas = 1.0", "alpha must lie in (0, 1), got 1.0"),
+            ("nf-sensitivity", "mixture = foo", "mixture must be dirac or uniform"),
         ],
-        ids=["soccer-discount", "fwer-lambda", "fwer-alpha", "detect-alpha", "sensitivity-alpha"],
+        ids=["soccer-discount", "fwer-lambda", "fwer-alpha", "detect-alpha", "sensitivity-alpha",
+             "sensitivity-mixture"],
     )
     def test_out_of_domain_value_exits_one(self, tmp_path, capsys, name, body, message):
         config = tmp_path / "bad.cfg"
@@ -578,7 +599,7 @@ class TestCliErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
-        assert not any(tmp_path.glob("o/*")), "no artifact is written"
+        assert not (tmp_path / "o").exists(), "no output directory is made"
 
 
 class TestEpsGridMixture:

@@ -19,15 +19,15 @@ from eqsentinel import (
     ebh_rejection,
     enumerate_hypotheses,
     equilibrium_slack,
-    increment,
     sample_profile,
     slack_lower_bound,
     two_player_game,
 )
 from eqsentinel.errors import DomainError, ShapeError, StateError
 from eqsentinel.harness import nfstreams, scenarios
+from eqsentinel.monitors import increment, increment_tables
 
-from _oracles import ebh_rejection_brute_force
+from _oracles import _increment_tables, ebh_rejection_brute_force
 
 
 def dirac_config(alpha=0.2, lam=0.05, **kwargs):
@@ -323,6 +323,32 @@ class TestConditionalCe:
         for j, h in enumerate(monitor.hypotheses):
             expected = 1 if h.condition == 0 else 0
             assert monitor.updates[j] == expected
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_table_is_zero_where_inactive_and_updates_count_active_rounds(self, data):
+        players = data.draw(st.integers(2, 3))
+        counts = tuple(data.draw(st.integers(2, 3)) for _ in range(players))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+        game = NormalFormGame(rng.random((players, *counts)))
+        hyps = enumerate_hypotheses(game, EquilibriumMode.CE, conditional_ce=True)
+        own = np.unravel_index(np.arange(int(np.prod(counts))), counts)
+        active = np.stack([own[h.player] == h.condition for h in hyps])
+        table = increment_tables(game, hyps)
+        np.testing.assert_array_equal(table[active], _increment_tables(game, hyps)[active])
+        assert (table[~active] == 0.0).all()
+        config = MonitorConfig(
+            alpha=0.2,
+            mixture=BettingMixture.dirac(0.2),
+            mode=EquilibriumMode.CE,
+            procedure="fdr",
+            conditional_ce=True,
+        )
+        monitor = EquilibriumMonitor(game, config)
+        flat = rng.integers(active.shape[1], size=data.draw(st.integers(1, 60)))
+        for i in flat:
+            monitor.step_fdr(ActionProfile(np.unravel_index(i, counts)))
+        np.testing.assert_array_equal(monitor.updates, active[:, flat].sum(axis=1))
 
     def test_ce_stream_keeps_wealth_controlled(self):
         game, joint = scenarios.coordination_ce()
