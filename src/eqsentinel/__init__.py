@@ -19,7 +19,6 @@ from .games import (
     JointStrategy,
     NormalFormGame,
     StrategyKind,
-    expected_payoff,
     sample_profile,
     two_player_game,
 )
@@ -42,17 +41,12 @@ from .stochastic import (
     SolverConfig,
     StochasticGameModel,
     chi_square_div,
-    empirical_state_distribution,
     exploitability,
     kl_quadratic_check,
-    lr_detection_bound,
     lr_step,
     matrix_game_solve,
     mixture_policy,
-    overshoot_constant,
-    shapley_solve,
     smooth_policy,
-    state_avg_kl,
     stationary_distribution,
 )
 
@@ -81,23 +75,17 @@ __all__ = [
     "detection_bound_uniform",
     "deviation_gain",
     "ebh_rejection",
-    "empirical_state_distribution",
     "enumerate_hypotheses",
     "equilibrium_slack",
     "exact_uniform_mixture",
-    "expected_payoff",
     "exploitability",
     "kl_quadratic_check",
-    "lr_detection_bound",
     "lr_step",
     "matrix_game_solve",
     "mixture_policy",
-    "overshoot_constant",
     "sample_profile",
-    "shapley_solve",
     "slack_lower_bound",
     "smooth_policy",
-    "state_avg_kl",
     "stationary_distribution",
     "two_player_game",
 ]

@@ -53,25 +53,22 @@ def load_config(path: str | Path) -> dict[str, str]:
 
 
 def _coerce(value: str, annotation: Any, key: str) -> Any:
-    origin = get_origin(annotation)
-    if origin in (tuple, list):
+    if get_origin(annotation) is tuple:
         item_type = get_args(annotation)[0]
-        items = [v.strip() for v in value.split(",") if v.strip()]
-        return tuple(_coerce(v, item_type, key) for v in items)
-    if annotation is bool or annotation == "bool":
-        lowered = value.lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {value!r}")
-    if annotation is int or annotation == "int":
-        return int(value)
-    if annotation is float or annotation == "float":
-        return float(value)
-    if annotation is str or annotation == "str":
-        return value
-    raise ConfigError(f"{key}: unsupported config field type {annotation!r}")
+        return tuple(_coerce(v.strip(), item_type, key) for v in value.split(",") if v.strip())
+    if annotation not in (int, float, str):
+        raise ConfigError(f"{key}: unsupported config field type {annotation!r}")
+    try:
+        return annotation(value)
+    except ValueError:
+        raise ConfigError(f"{key}: expected {annotation.__name__}, got {value!r}") from None
+
+
+def _values(mapping: dict[str, str], key: str, kind: type = float) -> tuple:
+    """The comma-separated values of a required key."""
+    if key not in mapping:
+        raise ConfigError(f"missing {key}")
+    return _coerce(mapping[key], tuple[kind, ...], key)
 
 
 def config_from_mapping(cls, mapping: dict[str, str], ignore: tuple[str, ...] = ()):
@@ -95,16 +92,14 @@ def game_from_mapping(mapping: dict[str, str]) -> NormalFormGame | None:
     """Build a game from ``game_*`` keys, or None when they are absent."""
     if "game_players" not in mapping:
         return None
-    players = int(mapping["game_players"])
-    counts = tuple(int(v) for v in mapping["game_actions"].split(","))
-    if len(counts) != players:
-        raise ConfigError("game_actions must list one count per player")
+    players = _coerce(mapping["game_players"], int, "game_players")
+    counts = _values(mapping, "game_actions", int)
+    if len(counts) != players or min(counts, default=0) < 1:
+        raise ConfigError("game_actions must list one positive count per player")
     payoffs = []
     for i in range(1, players + 1):
         key = f"game_payoffs_{i}"
-        if key not in mapping:
-            raise ConfigError(f"missing {key}")
-        flat = np.array([float(v) for v in mapping[key].split(",")])
+        flat = np.array(_values(mapping, key))
         if flat.size != int(np.prod(counts)):
             raise ConfigError(f"{key}: expected {int(np.prod(counts))} entries")
         payoffs.append(flat.reshape(counts))
@@ -120,9 +115,7 @@ def strategy_from_mapping(mapping: dict[str, str]) -> JointStrategy | None:
         factors = []
         i = 1
         while f"strategy_{i}" in mapping:
-            factors.append(
-                np.array([float(v) for v in mapping[f"strategy_{i}"].split(",")])
-            )
+            factors.append(np.array(_values(mapping, f"strategy_{i}")))
             i += 1
         if not factors:
             raise ConfigError("product strategy needs strategy_1, strategy_2, ...")
@@ -130,7 +123,9 @@ def strategy_from_mapping(mapping: dict[str, str]) -> JointStrategy | None:
     if kind == "full":
         if "strategy_joint" not in mapping or "strategy_shape" not in mapping:
             raise ConfigError("full strategy needs strategy_joint and strategy_shape")
-        shape = tuple(int(v) for v in mapping["strategy_shape"].split(","))
-        flat = np.array([float(v) for v in mapping["strategy_joint"].split(",")])
+        shape = _values(mapping, "strategy_shape", int)
+        flat = np.array(_values(mapping, "strategy_joint"))
+        if min(shape, default=0) < 1 or flat.size != int(np.prod(shape)):
+            raise ConfigError(f"strategy_joint has {flat.size} entries; strategy_shape is {shape}")
         return JointStrategy.full(flat.reshape(shape))
     raise ConfigError(f"strategy_kind must be product or full, got {kind!r}")

@@ -68,6 +68,39 @@ def _pmap(fn, items, workers: int):
         return list(pool.map(fn, items, chunksize=chunksize))
 
 
+def _finish(
+    name: str, out_dir: Path, summary: dict, checks: dict, runs=None, figure=None, extra=()
+) -> ExperimentResult:
+    """Write an experiment's artifacts: ``runs.csv`` from (columns, rows),
+    ``summary.csv`` with the experiment name first, and a figure file from
+    (file name, header, rows); then ``extra`` files already written."""
+    summary = {"experiment": name, **summary}
+    artifacts = []
+    if runs is not None:
+        artifacts.append(write_csv(out_dir / "runs.csv", name, *runs))
+    artifacts.append(write_summary(out_dir / "summary.csv", name, summary))
+    if figure is not None:
+        file_name, header, rows = figure
+        artifacts.append(write_figure_data(out_dir / file_name, header, rows))
+    return ExperimentResult(name, summary, checks, (*artifacts, *extra))
+
+
+def _first(crossings) -> int:
+    """The earliest positive crossing round, or -1 when nothing crossed."""
+    detected = crossings[crossings > 0]
+    return int(detected.min()) if detected.size else -1
+
+
+def _mean(values) -> float:
+    """The mean of ``values``, or NaN when there are none."""
+    return float(values.mean()) if values.size else math.nan
+
+
+def _blocks(rows, column: int, runs: int) -> np.ndarray:
+    """One column of rows written cell by cell, as a (cells, runs) float array."""
+    return np.array([r[column] for r in rows], dtype=float).reshape(-1, runs)
+
+
 def fit_loglog_slope(points) -> tuple[float, float]:
     """Ordinary least squares of log(tau) on log(eps); needs >= 3 points."""
     points = list(points)
@@ -133,41 +166,22 @@ def run_nf_fwer_null(
         for run in range(config.runs):
             rng = run_rng(config.seed, cell, run)
             paths = nfstreams.replay_run(strategy, factors, mixture, config.horizon, rng)
-            crossings = nfstreams.fwer_crossing_times(paths, m / alpha)
-            detected = crossings[crossings > 0]
-            first = int(detected.min()) if detected.size else -1
+            first = _first(nfstreams.fwer_crossing_times(paths, m / alpha))
             rows.append((lam, alpha, run, int(first > 0), first))
-    runs_csv = write_csv(
-        out_dir / "runs.csv",
-        "nf-fwer-null",
-        ["lambda", "alpha", "run", "rejected", "first_rejection_round"],
-        rows,
-    )
-    summary: dict = {
-        "experiment": "nf-fwer-null",
-        "seed": config.seed,
-        "runs_per_cell": config.runs,
-    }
+    summary: dict = {"seed": config.seed, "runs_per_cell": config.runs}
     checks: dict[str, bool] = {}
     fig_rows = []
-    for lam, alpha in cells:
-        hits = [r[3] for r in rows if r[0] == lam and r[1] == alpha]
-        fwer = sum(hits) / len(hits)
+    for (lam, alpha), hits in zip(cells, _blocks(rows, 3, config.runs)):
+        fwer = float(hits.mean())
         summary[f"fwer[lambda={lam},alpha={alpha}]"] = fwer
         checks[f"fwer_le_alpha[lambda={lam},alpha={alpha}]"] = fwer <= alpha
         fig_rows.append((lam, alpha, m / alpha, fwer))
     base_cell = summary.get("fwer[lambda=0.05,alpha=0.2]")
     if base_cell is not None:
         checks["base_cell_le_0.05"] = base_cell <= 0.05
-    fig = write_figure_data(
-        out_dir / "figure_fwer_grid.dat",
-        ["lambda", "alpha", "threshold", "empirical_fwer"],
-        fig_rows,
-    )
-    summary_csv = write_summary(out_dir / "summary.csv", "nf-fwer-null", summary)
-    return ExperimentResult(
-        "nf-fwer-null", summary, checks, (runs_csv, summary_csv, fig)
-    )
+    runs = (["lambda", "alpha", "run", "rejected", "first_rejection_round"], rows)
+    figure = ("figure_fwer_grid.dat", ["lambda", "alpha", "threshold", "empirical_fwer"], fig_rows)
+    return _finish("nf-fwer-null", out_dir, summary, checks, runs, figure)
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +219,10 @@ def run_nf_detect(
     for run in range(config.runs):
         rng = run_rng(config.seed, 0, run)
         paths = nfstreams.replay_run(strategy, factors, mixture, config.horizon, rng)
-        crossings = nfstreams.fwer_crossing_times(paths, m / config.alpha)
-        detected = crossings[crossings > 0]
+        tau_fwer = _first(nfstreams.fwer_crossing_times(paths, m / config.alpha))
         tau_fdr, k_at_alarm, rejected = nfstreams.ebh_alarm(
             paths, config.alpha, weights
         )
-        tau_fwer = int(detected.min()) if detected.size else -1  # -1: never crossed
         fdr_dominates = tau_fdr != -1 and (tau_fwer == -1 or tau_fdr <= tau_fwer)
         rows.append(
             (
@@ -223,27 +235,14 @@ def run_nf_detect(
                 *(float(np.exp(paths[j, -1])) for j in range(m)),
             )
         )
-    runs_csv = write_csv(
-        out_dir / "runs.csv",
-        "nf-detect",
-        [
-            "run",
-            "tau_fwer",
-            "tau_fdr",
-            "k_at_alarm",
-            "rejected",
-            "fdr_dominates",
-            *[f"final_wealth[{h.label()}]" for h in hypotheses],
-        ],
-        rows,
-    )
+    columns = ["run", "tau_fwer", "tau_fdr", "k_at_alarm", "rejected", "fdr_dominates"]
+    columns += [f"final_wealth[{h.label()}]" for h in hypotheses]
     tau_fwer = np.array([r[1] for r in rows], dtype=float)
     tau_fdr = np.array([r[2] for r in rows], dtype=float)
     all_detected = bool((tau_fwer > 0).all() and (tau_fdr > 0).all())
     dominance = int(sum(r[5] for r in rows))
     ratio = float(tau_fwer.mean() / tau_fdr.mean()) if all_detected else math.nan
     summary = {
-        "experiment": "nf-detect",
         "seed": config.seed,
         "runs": config.runs,
         "dominance_count": dominance,
@@ -256,13 +255,8 @@ def run_nf_detect(
         "fdr_never_later": dominance == config.runs,
         "speedup_in_band": all_detected and 1.05 <= ratio <= 1.30,
     }
-    summary_csv = write_summary(out_dir / "summary.csv", "nf-detect", summary)
-    fig = write_figure_data(
-        out_dir / "figure_detect_scatter.dat",
-        ["run", "tau_fwer", "tau_fdr"],
-        [(r[0], r[1], r[2]) for r in rows],
-    )
-    return ExperimentResult("nf-detect", summary, checks, (runs_csv, summary_csv, fig))
+    figure = ("figure_detect_scatter.dat", ["run", "tau_fwer", "tau_fdr"], [r[:3] for r in rows])
+    return _finish("nf-detect", out_dir, summary, checks, (columns, rows), figure)
 
 
 # ---------------------------------------------------------------------------
@@ -315,57 +309,31 @@ def run_nf_sensitivity(config: SensitivityConfig, out_dir: Path) -> ExperimentRe
                 strategy, factors[name], mix, config.horizon, rng, stop
             )
             crossings = nfstreams.fwer_crossing_times(paths, m / alpha)
-            detected = crossings[crossings > 0]
-            tau_stop = int(detected.min()) if detected.size else -1
-            rows.append((alpha, eta, name, run, tau_stop, int(crossings[signal_index])))
-    runs_csv = write_csv(
-        out_dir / "runs.csv",
-        "nf-sensitivity",
-        ["alpha", "eta", "mixture", "run", "tau_stop", "tau_signal"],
-        rows,
-    )
-    summary: dict = {
-        "experiment": "nf-sensitivity",
-        "seed": config.seed,
-        "runs_per_cell": config.runs,
-    }
+            rows.append((alpha, eta, name, run, _first(crossings), int(crossings[signal_index])))
+    summary: dict = {"seed": config.seed, "runs_per_cell": config.runs}
     checks: dict[str, bool] = {}
     fig_rows = []
-    for alpha, eta, name, _ in cells:
-        taus = np.array(
-            [r[4] for r in rows if (r[0], r[1], r[2]) == (alpha, eta, name)],
-            dtype=float,
-        )
+    blocks = zip(cells, _blocks(rows, 4, config.runs), _blocks(rows, 5, config.runs))
+    for (alpha, eta, name, _), taus, signal in blocks:
         detected = taus[taus > 0]
         key = f"alpha={alpha},eta={eta},mixture={name}"
-        summary[f"mean_tau[{key}]"] = (
-            float(detected.mean()) if detected.size else math.nan
-        )
+        mean_tau = summary[f"mean_tau[{key}]"] = _mean(detected)
         summary[f"detect_rate[{key}]"] = float((taus > 0).mean())
         q25, q75 = (
             (float(np.percentile(detected, 25)), float(np.percentile(detected, 75)))
             if detected.size
             else (math.nan, math.nan)
         )
-        fig_rows.append((alpha, eta, name, summary[f"mean_tau[{key}]"], q25, q75))
+        fig_rows.append((alpha, eta, name, mean_tau, q25, q75))
         if config.mixture == "uniform":
-            signal = np.array(
-                [r[5] for r in rows if (r[0], r[1], r[2]) == (alpha, eta, name)],
-                dtype=float,
-            )
             bound = detection_bound_uniform(m / alpha, eta)
             ok = bool((signal > 0).all() and signal.mean() <= bound)
             summary[f"uniform_bound[{key}]"] = bound
             checks[f"mean_below_uniform_bound[{key}]"] = ok
-    fig = write_figure_data(
-        out_dir / "figure_sensitivity.dat",
-        ["alpha", "eta", "mixture", "mean_tau", "q25", "q75"],
-        fig_rows,
-    )
-    summary_csv = write_summary(out_dir / "summary.csv", "nf-sensitivity", summary)
-    return ExperimentResult(
-        "nf-sensitivity", summary, checks, (runs_csv, summary_csv, fig)
-    )
+    runs = (["alpha", "eta", "mixture", "run", "tau_stop", "tau_signal"], rows)
+    header = ["alpha", "eta", "mixture", "mean_tau", "q25", "q75"]
+    figure = ("figure_sensitivity.dat", header, fig_rows)
+    return _finish("nf-sensitivity", out_dir, summary, checks, runs, figure)
 
 
 # ---------------------------------------------------------------------------
@@ -406,22 +374,11 @@ def run_nf_slack(config: SlackConfig, out_dir: Path) -> ExperimentResult:
                 observed = decision.round
                 break
         rows.append((trial, b, lam, eta, predicted, observed, int(observed == predicted)))
-    runs_csv = write_csv(
-        out_dir / "runs.csv",
-        "nf-slack",
-        ["trial", "threshold", "lambda", "eta", "predicted_round", "observed_round", "match"],
-        rows,
-    )
     matches = sum(r[6] for r in rows)
-    summary = {
-        "experiment": "nf-slack",
-        "seed": config.seed,
-        "triples": config.triples,
-        "exact_matches": matches,
-    }
+    summary = {"seed": config.seed, "triples": config.triples, "exact_matches": matches}
     checks = {"all_rounds_exact": matches == config.triples}
-    summary_csv = write_summary(out_dir / "summary.csv", "nf-slack", summary)
-    return ExperimentResult("nf-slack", summary, checks, (runs_csv, summary_csv))
+    columns = ["trial", "threshold", "lambda", "eta", "predicted_round", "observed_round", "match"]
+    return _finish("nf-slack", out_dir, summary, checks, (columns, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +412,6 @@ def run_soccer_solve(config: SolverConfig, out_dir: Path) -> ExperimentResult:
     post_residual = float(np.max(np.abs(resolve - solution.values)))
     init = soccer.state_index(soccer.INITIAL_STATE)
     summary = {
-        "experiment": "soccer-solve",
         "states": tab.model.num_states,
         "iterations": solution.iterations,
         "residual": solution.residual,
@@ -469,10 +425,7 @@ def run_soccer_solve(config: SolverConfig, out_dir: Path) -> ExperimentResult:
         and solution.iterations <= config.max_iterations,
         "fixed_point_stable": post_residual < config.tolerance,
     }
-    summary_csv = write_summary(out_dir / "summary.csv", "soccer-solve", summary)
-    return ExperimentResult(
-        "soccer-solve", summary, checks, (summary_csv, pol_a, pol_b)
-    )
+    return _finish("soccer-solve", out_dir, summary, checks, extra=(pol_a, pol_b))
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +461,28 @@ def _cumulative_rows(table) -> list:
     return np.cumsum(table, axis=-1)[..., :-1].tolist()
 
 
+def _trial_taus(trial, tables, fixed: tuple, trials: int, workers: int) -> np.ndarray:
+    """Run ``trial((cell, run, *fixed, *tables[cell]))`` for every cell of the
+    lazy ``tables`` and every run, over ``workers`` processes; returns the
+    (cells, trials) float array of taus, -1 where a trial never crossed."""
+    tasks = (
+        (cell, run, *fixed, *table)
+        for cell, table in enumerate(tables)
+        for run in range(trials)
+    )
+    results = sorted(_pmap(trial, tasks, workers))
+    return np.array([tau for _, _, tau in results], dtype=float).reshape(-1, trials)
+
+
+def _trial_rows(values, taus) -> list:
+    """One ``runs.csv`` row (cell value, trial, tau, detected) per trial."""
+    return [
+        (value, run, int(tau), int(tau > 0))
+        for value, cell_taus in zip(values, taus)
+        for run, tau in enumerate(cell_taus)
+    ]
+
+
 def _soccer_tables(eps, null_table, afraid_table) -> tuple[list, list]:
     """The attacker's cumulative rows and log-likelihood ratios at weight eps."""
     alt_table = (1.0 - eps) * null_table + eps * afraid_table
@@ -525,7 +500,7 @@ def _soccer_trial(args) -> tuple[int, int, int]:
     outcomes remain, the coin. ``rng.random(n)`` yields the same doubles as
     n successive ``rng.random()`` calls.
     """
-    cell, run, seed, t_max, threshold, cum_a, cum_b, log_ratio = args
+    cell, run, seed, t_max, threshold, cum_b, cum_a, log_ratio = args
     successors, terminal = soccer.successor_table()
     start = s = soccer.state_index(soccer.INITIAL_STATE)
     slip = soccer.SLIP_PROB
@@ -581,56 +556,27 @@ def run_soccer_scaling(
     cum_b = _cumulative_rows(defender.table)
     # Lazy, so that in-process runs keep one cell's tables alive at a time.
     tables = (_soccer_tables(eps, null_a.table, afraid.table) for eps in config.epsilons)
-    tasks = (
-        (cell, run, config.seed, config.t_max, config.threshold, cum_a, cum_b, log_ratio)
-        for cell, (cum_a, log_ratio) in enumerate(tables)
-        for run in range(config.trials)
-    )
-    results = _pmap(_soccer_trial, tasks, config.workers)
-    rows = [
-        (config.epsilons[cell], run, tau, int(tau > 0))
-        for cell, run, tau in sorted(results)
-    ]
-    runs_csv = write_csv(
-        out_dir / "runs.csv",
-        "soccer-scaling",
-        ["epsilon", "trial", "tau", "detected"],
-        rows,
-    )
-    summary: dict = {
-        "experiment": "soccer-scaling",
-        "seed": config.seed,
-        "trials_per_epsilon": config.trials,
-    }
+    fixed = (config.seed, config.t_max, config.threshold, cum_b)
+    taus = _trial_taus(_soccer_trial, tables, fixed, config.trials, config.workers)
+    summary: dict = {"seed": config.seed, "trials_per_epsilon": config.trials}
     points = []
     fig_rows = []
-    all_detected = True
-    for eps in config.epsilons:
-        taus = np.array([r[2] for r in rows if r[0] == eps], dtype=float)
-        detected = taus[taus > 0]
-        all_detected &= detected.size == taus.size
-        mean_tau = float(detected.mean()) if detected.size else math.nan
-        summary[f"mean_tau[eps={eps}]"] = mean_tau
+    for eps, cell_taus in zip(config.epsilons, taus):
+        detected = cell_taus[cell_taus > 0]
+        mean_tau = summary[f"mean_tau[eps={eps}]"] = _mean(detected)
         points.append((eps, mean_tau))
-        fig_rows.append(
-            (eps, mean_tau, float(detected.std()) if detected.size else math.nan, len(taus))
-        )
+        std_tau = float(detected.std()) if detected.size else math.nan
+        fig_rows.append((eps, mean_tau, std_tau, cell_taus.size))
     slope, intercept = fit_loglog_slope(points)
     summary["slope"] = slope
     summary["intercept"] = intercept
     checks = {
-        "all_trials_detected": all_detected,
+        "all_trials_detected": bool((taus > 0).all()),
         "slope_in_band": config.slope_low <= slope <= config.slope_high,
     }
-    fig = write_figure_data(
-        out_dir / "figure_soccer_scaling.dat",
-        ["epsilon", "mean_tau", "std_tau", "trials"],
-        fig_rows,
-    )
-    summary_csv = write_summary(out_dir / "summary.csv", "soccer-scaling", summary)
-    return ExperimentResult(
-        "soccer-scaling", summary, checks, (runs_csv, summary_csv, fig)
-    )
+    runs = (["epsilon", "trial", "tau", "detected"], _trial_rows(config.epsilons, taus))
+    figure = ("figure_soccer_scaling.dat", ["epsilon", "mean_tau", "std_tau", "trials"], fig_rows)
+    return _finish("soccer-scaling", out_dir, summary, checks, runs, figure)
 
 
 # ---------------------------------------------------------------------------
@@ -712,24 +658,9 @@ def _prey_trial(args) -> tuple[int, int, int]:
 def run_prey_mixture(config: PreyMixtureConfig, out_dir: Path) -> ExperimentResult:
     # Lazy, so that in-process runs keep one cell's tables alive at a time.
     tables = (_prey_tables(eps, config.eps_grid) for eps in config.eps_true)
-    tasks = (
-        (cell, run, config.seed, config.threshold, config.horizon, played_cum, log_inc)
-        for cell, (played_cum, log_inc) in enumerate(tables)
-        for run in range(config.trials)
-    )
-    results = _pmap(_prey_trial, tasks, config.workers)
-    rows = [
-        (config.eps_true[cell], run, tau, int(tau > 0))
-        for cell, run, tau in sorted(results)
-    ]
-    runs_csv = write_csv(
-        out_dir / "runs.csv",
-        "prey-mixture",
-        ["eps_true", "trial", "tau", "detected"],
-        rows,
-    )
+    fixed = (config.seed, config.threshold, config.horizon)
+    taus = _trial_taus(_prey_trial, tables, fixed, config.trials, config.workers)
     summary: dict = {
-        "experiment": "prey-mixture",
         "seed": config.seed,
         "trials_per_eps": config.trials,
         "eps_grid": "|".join(str(e) for e in config.eps_grid),
@@ -737,14 +668,11 @@ def run_prey_mixture(config: PreyMixtureConfig, out_dir: Path) -> ExperimentResu
     checks: dict[str, bool] = {}
     points = []
     fig_rows = []
-    for eps in config.eps_true:
-        taus = np.array([r[2] for r in rows if r[0] == eps], dtype=float)
-        detected = taus[taus > 0]
-        rate = detected.size / taus.size
-        mean_tau = float(detected.mean()) if detected.size else math.nan
-        summary[f"detect_rate[eps={eps}]"] = rate
-        summary[f"mean_tau[eps={eps}]"] = mean_tau
-        fig_rows.append((eps, rate, mean_tau, len(taus)))
+    for eps, cell_taus in zip(config.eps_true, taus):
+        detected = cell_taus[cell_taus > 0]
+        rate = summary[f"detect_rate[eps={eps}]"] = detected.size / cell_taus.size
+        mean_tau = summary[f"mean_tau[eps={eps}]"] = _mean(detected)
+        fig_rows.append((eps, rate, mean_tau, cell_taus.size))
         if eps >= config.slope_min_eps:
             checks[f"detection_rate[eps={eps}]"] = rate >= config.min_detection_rate
             points.append((eps, mean_tau))
@@ -752,15 +680,10 @@ def run_prey_mixture(config: PreyMixtureConfig, out_dir: Path) -> ExperimentResu
     summary["slope"] = slope
     summary["intercept"] = intercept
     checks["slope_in_band"] = config.slope_low <= slope <= config.slope_high
-    fig = write_figure_data(
-        out_dir / "figure_prey_mixture.dat",
-        ["eps_true", "detect_rate", "mean_tau", "trials"],
-        fig_rows,
-    )
-    summary_csv = write_summary(out_dir / "summary.csv", "prey-mixture", summary)
-    return ExperimentResult(
-        "prey-mixture", summary, checks, (runs_csv, summary_csv, fig)
-    )
+    runs = (["eps_true", "trial", "tau", "detected"], _trial_rows(config.eps_true, taus))
+    header = ["eps_true", "detect_rate", "mean_tau", "trials"]
+    figure = ("figure_prey_mixture.dat", header, fig_rows)
+    return _finish("prey-mixture", out_dir, summary, checks, runs, figure)
 
 
 # ---------------------------------------------------------------------------
@@ -780,31 +703,27 @@ class KlCheckConfig:
 
 def run_kl_check(config: KlCheckConfig, out_dir: Path) -> ExperimentResult:
     rows = []
+    at_check = []
     for pair in range(config.pairs):
         rng = run_rng(config.seed, pair)
         # Blend toward uniform so the base keeps comfortably full support.
         p = 0.5 * rng.dirichlet(np.ones(config.dim)) + 0.5 / config.dim
         q = rng.dirichlet(np.ones(config.dim))
         for eps, kl, predicted in kl_quadratic_check(p, q, config.epsilons):
-            rows.append((pair, eps, kl, predicted, kl / predicted if predicted > 0 else math.nan))
-    runs_csv = write_csv(
-        out_dir / "runs.csv",
-        "kl-check",
-        ["pair", "epsilon", "kl", "eps2_chi2", "ratio"],
-        rows,
-    )
-    at_check = [r[4] for r in rows if r[1] == config.check_eps]
+            ratio = kl / predicted if predicted > 0 else math.nan
+            rows.append((pair, eps, kl, predicted, ratio))
+            if eps == config.check_eps:
+                at_check.append(ratio)
     worst = max(abs(r - 1.0) for r in at_check)
     summary = {
-        "experiment": "kl-check",
         "seed": config.seed,
         "pairs": config.pairs,
         "check_eps": config.check_eps,
         "worst_ratio_error": worst,
     }
     checks = {"quadratic_at_small_eps": worst <= config.tol}
-    summary_csv = write_summary(out_dir / "summary.csv", "kl-check", summary)
-    return ExperimentResult("kl-check", summary, checks, (runs_csv, summary_csv))
+    runs = (["pair", "epsilon", "kl", "eps2_chi2", "ratio"], rows)
+    return _finish("kl-check", out_dir, summary, checks, runs)
 
 
 # ---------------------------------------------------------------------------
@@ -911,11 +830,7 @@ def run_oracle_suite(config: OracleSuiteConfig, out_dir: Path) -> ExperimentResu
         worst_rational = max(worst_rational, err)
         rows.append(("rational-gain", i, err))
 
-    runs_csv = write_csv(
-        out_dir / "runs.csv", "oracle-suite", ["check", "case", "error"], rows
-    )
     summary = {
-        "experiment": "oracle-suite",
         "seed": config.seed,
         "worst_quadrature_rel_error": worst_quad,
         "worst_exploitability": worst_gap,
@@ -928,8 +843,7 @@ def run_oracle_suite(config: OracleSuiteConfig, out_dir: Path) -> ExperimentResu
         "stationary_within_1e-9": worst_chain <= 1e-9,
         "rational_gain_within_1e-12": worst_rational <= 1e-12,
     }
-    summary_csv = write_summary(out_dir / "summary.csv", "oracle-suite", summary)
-    return ExperimentResult("oracle-suite", summary, checks, (runs_csv, summary_csv))
+    return _finish("oracle-suite", out_dir, summary, checks, (["check", "case", "error"], rows))
 
 
 # ---------------------------------------------------------------------------

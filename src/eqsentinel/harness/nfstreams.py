@@ -102,8 +102,8 @@ def _accumulate(factors: np.ndarray, carry: np.ndarray | None) -> np.ndarray:
 
 def _readout(logw: np.ndarray, mixture: BettingMixture) -> np.ndarray:
     """Log mixture wealth (m, T) from per-fraction log wealth: a max-shifted
-    log-sum-exp across the grid, as EProcessState.value() reads it. A grid
-    block ``logw`` is overwritten."""
+    log-sum-exp across the grid, which agrees with EProcessState.value()
+    (``_log_mix``) only to rounding. A grid block ``logw`` is overwritten."""
     if mixture.lambdas.size == 1:
         return logw
     shift = logw.max(axis=2)
@@ -116,8 +116,10 @@ def log_wealth_paths(
 ) -> np.ndarray:
     """Log mixture wealth over time for each hypothesis: (m, T).
 
-    Matches EProcessState.value() step by step: cumulative per-fraction log
-    wealth, then a max-shifted log-sum-exp across the grid.
+    Cumulative per-fraction log wealth, equal to EProcessState's bit for
+    bit, then the grid readout of :func:`_readout`, equal to
+    EProcessState.value() to rounding; the tests pin the crossing rounds and
+    the per-fraction log wealth, not the readout's last bits.
     """
     return _readout(_accumulate(log_factors(increments, mixture), None), mixture)
 

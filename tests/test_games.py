@@ -10,11 +10,11 @@ from eqsentinel import (
     NormalFormGame,
     deviation_gain,
     equilibrium_slack,
-    expected_payoff,
     sample_profile,
     two_player_game,
 )
 from eqsentinel.errors import DomainError, ShapeError
+from eqsentinel.games import expected_payoff
 from eqsentinel.harness import scenarios
 
 from _oracles import (

@@ -23,6 +23,7 @@ from eqsentinel.harness.cli import main
 from eqsentinel.harness.config import (
     config_from_mapping,
     game_from_mapping,
+    load_config,
     parse_kv_text,
     strategy_from_mapping,
 )
@@ -97,6 +98,26 @@ class TestConfigParsing:
         }
         strategy = strategy_from_mapping(mapping)
         assert strategy.joint[0, 0] == 0.5
+
+
+CHECKED_IN_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+
+
+class TestCheckedInConfigs:
+    """Every file under configs/ builds its experiment's config without running it."""
+
+    @pytest.mark.parametrize("path", CHECKED_IN_CONFIGS, ids=lambda p: p.name)
+    def test_config_builds(self, path):
+        mapping = load_config(path)
+        assert mapping["experiment"] in experiments.EXPERIMENTS
+        config_cls, _ = experiments.EXPERIMENTS[mapping["experiment"]]
+        config = config_from_mapping(config_cls, mapping, ignore=("experiment",))
+        assert isinstance(config, config_cls)
+        game_from_mapping(mapping)
+        strategy_from_mapping(mapping)
+
+    def test_every_experiment_has_a_config(self):
+        assert {p.stem for p in CHECKED_IN_CONFIGS} >= set(experiments.EXPERIMENTS)
 
 
 class TestSeeding:
@@ -414,6 +435,90 @@ class TestTrialLoops:
         assert not (tmp_path / "runs.csv").exists()
 
 
+def _detected_mean(taus):
+    detected = taus[taus > 0]
+    return float(detected.mean()) if detected.size else float("nan")
+
+
+def _detect_rate(taus):
+    return float((taus > 0).mean())
+
+
+def _cell_value(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _recomputed_per_cell(out_dir, cell_columns, stats):
+    """Per-cell summary entries recomputed from runs.csv, with rows grouped
+    by the values of their cell columns wherever they appear."""
+    _, columns, rows = read_csv(out_dir / "runs.csv")
+    groups = {}
+    for row in rows:
+        cell = tuple(_cell_value(row[columns.index(c)]) for c in cell_columns)
+        groups.setdefault(cell, []).append(row)
+    expected = {}
+    for cell, cell_rows in groups.items():
+        for template, column, stat in stats:
+            values = np.array([float(r[columns.index(column)]) for r in cell_rows])
+            expected[template.format(*cell)] = stat(values)
+    return expected
+
+
+def _run_soccer_scaling(out_dir, request):
+    solution = request.getfixturevalue("soccer_solution")
+    config = SoccerScalingConfig(trials=6, epsilons=(0.2, 0.3, 0.5), t_max=2000)
+    return run_soccer_scaling(
+        config, out_dir, policies=(solution.row_policy, solution.col_policy)
+    )
+
+
+_SENSITIVITY_KEY = "[alpha={},eta={},mixture={}]"
+
+#: Multi-cell runs and, per case, the cell columns of runs.csv and each
+#: per-cell summary entry as (key template, column, statistic).
+PER_CELL_CASES = {
+    "nf-fwer-null-2x2": (
+        lambda out_dir, _: run_nf_fwer_null(
+            NullGridConfig(runs=16, horizon=400, lambdas=(0.1, 0.4), alphas=(0.2, 0.1)),
+            out_dir,
+        ),
+        ("lambda", "alpha"),
+        [("fwer[lambda={},alpha={}]", "rejected", np.mean)],
+    ),
+    "nf-sensitivity-dirac": (
+        lambda out_dir, _: run_nf_sensitivity(
+            SensitivityConfig(
+                runs=10, horizon=400, alphas=(0.2, 0.05), etas=(0.05, 0.15), lambdas=(0.1, 0.4)
+            ),
+            out_dir,
+        ),
+        ("alpha", "eta", "mixture"),
+        [
+            ("mean_tau" + _SENSITIVITY_KEY, "tau_stop", _detected_mean),
+            ("detect_rate" + _SENSITIVITY_KEY, "tau_stop", _detect_rate),
+        ],
+    ),
+    "soccer-scaling": (
+        _run_soccer_scaling,
+        ("epsilon",),
+        [("mean_tau[eps={}]", "tau", _detected_mean)],
+    ),
+    "prey-mixture": (
+        lambda out_dir, _: run_prey_mixture(
+            PreyMixtureConfig(trials=8, eps_true=(0.3, 0.5, 0.8), horizon=1500), out_dir
+        ),
+        ("eps_true",),
+        [
+            ("detect_rate[eps={}]", "tau", _detect_rate),
+            ("mean_tau[eps={}]", "tau", _detected_mean),
+        ],
+    ),
+}
+
+
 class TestSummaryRecomputable:
     def test_detect_summary_is_function_of_rows(self, tmp_path):
         config = DetectConfig(runs=20, horizon=3000)
@@ -433,6 +538,15 @@ class TestSummaryRecomputable:
         assert result.summary["fwer[lambda=0.1,alpha=0.2]"] == pytest.approx(
             sum(rej) / len(rej)
         )
+
+    @pytest.mark.parametrize("case", sorted(PER_CELL_CASES))
+    def test_per_cell_entries_are_functions_of_rows(self, tmp_path, request, case):
+        run, cell_columns, stats = PER_CELL_CASES[case]
+        result = run(tmp_path, request)
+        expected = _recomputed_per_cell(tmp_path, cell_columns, stats)
+        assert len(expected) >= 3 * len(stats), "several cells"
+        per_cell = {k: v for k, v in result.summary.items() if "[" in k}
+        np.testing.assert_equal(per_cell, expected)
 
 
 class TestCsvFormat:
@@ -588,9 +702,32 @@ class TestCliErrors:
             ("nf-detect", "alpha = 1.5", "alpha must lie in (0, 1), got 1.5"),
             ("nf-sensitivity", "alphas = 1.0", "alpha must lie in (0, 1), got 1.0"),
             ("nf-sensitivity", "mixture = foo", "mixture must be dirac or uniform"),
+            ("nf-fwer-null", "runs = abc", "runs: expected int, got 'abc'"),
+            ("nf-detect", "alpha = 0.2.1", "alpha: expected float, got '0.2.1'"),
+            (
+                "nf-fwer-null",
+                "game_players = 2\ngame_actions = 2,x",
+                "game_actions: expected int, got 'x'",
+            ),
+            (
+                "nf-detect",
+                "strategy_kind = full\nstrategy_shape = 2,2\nstrategy_joint = 0.5,0.5",
+                "strategy_joint has 2 entries",
+            ),
+            (
+                "nf-fwer-null",
+                "game_players = 2\ngame_actions = 2,-2\ngame_payoffs_1 = 0,0,0,0",
+                "game_actions must list one positive count per player",
+            ),
+            (
+                "nf-detect",
+                "strategy_kind = full\nstrategy_shape = 2,-2\nstrategy_joint = 0.25,0.25,0.25,0.25",
+                "strategy_joint has 4 entries",
+            ),
         ],
         ids=["soccer-discount", "fwer-lambda", "fwer-alpha", "detect-alpha", "sensitivity-alpha",
-             "sensitivity-mixture"],
+             "sensitivity-mixture", "unparsable-int", "unparsable-float", "unparsable-game",
+             "strategy-length", "negative-game-count", "negative-strategy-shape"],
     )
     def test_out_of_domain_value_exits_one(self, tmp_path, capsys, name, body, message):
         config = tmp_path / "bad.cfg"

@@ -17,14 +17,10 @@ from eqsentinel import (
     chi_square_div,
     exploitability,
     kl_quadratic_check,
-    lr_detection_bound,
     lr_step,
     matrix_game_solve,
     mixture_policy,
-    overshoot_constant,
-    shapley_solve,
     smooth_policy,
-    state_avg_kl,
     stationary_distribution,
     stochastic,
 )
@@ -35,11 +31,15 @@ from eqsentinel.stochastic import (
     MatrixGameSolution,
     kl_divergence,
     log_likelihood_ratios,
+    lr_detection_bound,
     model_from_text,
     model_to_text,
+    overshoot_constant,
     policy_from_text,
     policy_to_text,
+    shapley_solve,
     shapley_solve_arrays,
+    state_avg_kl,
 )
 
 from _oracles import (
