@@ -28,7 +28,13 @@ from ..eprocess import (
 )
 from ..errors import ConfigError, DomainError
 from ..games import ActionProfile, EquilibriumMode, NormalFormGame, JointStrategy
-from ..monitors import EquilibriumMonitor, MonitorConfig, deviation_gain, enumerate_hypotheses
+from ..monitors import (
+    EquilibriumMonitor,
+    MonitorConfig,
+    _log_ladder,
+    deviation_gain,
+    enumerate_hypotheses,
+)
 from ..stochastic import (
     Policy,
     SolverConfig,
@@ -85,10 +91,11 @@ def _finish(
     return ExperimentResult(name, summary, checks, (*artifacts, *extra))
 
 
-def _first(crossings) -> int:
-    """The earliest positive crossing round, or -1 when nothing crossed."""
-    detected = crossings[crossings > 0]
-    return int(detected.min()) if detected.size else -1
+def _first(crossings) -> list:
+    """Per run of (m, runs) crossing rounds, the earliest positive one, or -1
+    when nothing crossed."""
+    first = np.where(crossings > 0, crossings, np.iinfo(crossings.dtype).max).min(axis=0)
+    return np.where(crossings.max(axis=0) > 0, first, -1).tolist()
 
 
 def _mean(values) -> float:
@@ -113,11 +120,14 @@ def fit_loglog_slope(points) -> tuple[float, float]:
     return float(slope), float(intercept)
 
 
-def _validate_nf_config(config, alphas, fractions) -> None:
-    """Reject an nf-* config with fewer than 1 run, round or grid node, an alpha
-    outside (0, 1), a betting fraction outside (0, 1] or an unknown mixture,
-    before any artifact directory exists."""
-    for name in ("runs", "horizon", "grid_nodes"):
+def _validate_config(config, alphas=(), fractions=()) -> None:
+    """Reject a config with an empty list, fewer than 1 run, round, grid node,
+    trial or pair, an alpha outside (0, 1), a betting fraction outside (0, 1]
+    or an unknown mixture, before any artifact directory exists."""
+    for field in dataclasses.fields(config):
+        if getattr(config, field.name) == ():
+            raise ConfigError(f"{field.name} must list at least one value")
+    for name in ("runs", "horizon", "grid_nodes", "trials", "pairs"):
         if getattr(config, name, 1) < 1:
             raise ConfigError(f"{name} must be at least 1, got {getattr(config, name)}")
     for alpha in alphas:
@@ -144,7 +154,7 @@ class NullGridConfig:
     alphas: tuple[float, ...] = (0.2, 0.1, 0.05)
 
     def __post_init__(self) -> None:
-        _validate_nf_config(self, self.alphas, self.lambdas)
+        _validate_config(self, self.alphas, self.lambdas)
 
 
 def run_nf_fwer_null(
@@ -163,10 +173,10 @@ def run_nf_fwer_null(
     for cell, (lam, alpha) in enumerate(cells):
         mixture = BettingMixture.dirac(lam)
         factors = nfstreams.log_factors(tables, mixture)
-        for run in range(config.runs):
-            rng = run_rng(config.seed, cell, run)
-            paths = nfstreams.replay_run(strategy, factors, mixture, config.horizon, rng)
-            first = _first(nfstreams.fwer_crossing_times(paths, m / alpha))
+        rngs = [run_rng(config.seed, cell, run) for run in range(config.runs)]
+        levels = np.full((1, m), math.log(m / alpha))
+        rounds, _ = nfstreams.replay_runs(strategy, factors, mixture, config.horizon, rngs, levels)
+        for run, first in enumerate(_first(rounds[0])):
             rows.append((lam, alpha, run, int(first > 0), first))
     summary: dict = {"seed": config.seed, "runs_per_cell": config.runs}
     checks: dict[str, bool] = {}
@@ -198,7 +208,7 @@ class DetectConfig:
     betting_fraction: float = 0.05
 
     def __post_init__(self) -> None:
-        _validate_nf_config(self, (self.alpha,), (self.betting_fraction,))
+        _validate_config(self, (self.alpha,), (self.betting_fraction,))
 
 
 def run_nf_detect(
@@ -215,14 +225,13 @@ def run_nf_detect(
     weights = np.full(m, 1.0 / m)
     mixture = BettingMixture.dirac(config.betting_fraction)
     factors = nfstreams.log_factors(tables, mixture)
+    rngs = [run_rng(config.seed, 0, run) for run in range(config.runs)]
+    # Level stack: the FWER threshold m/alpha, then the e-BH ladder.
+    levels = np.vstack([np.full(m, math.log(m / config.alpha)), _log_ladder(config.alpha, weights)])
+    rounds, last = nfstreams.replay_runs(strategy, factors, mixture, config.horizon, rngs, levels)
     rows = []
-    for run in range(config.runs):
-        rng = run_rng(config.seed, 0, run)
-        paths = nfstreams.replay_run(strategy, factors, mixture, config.horizon, rng)
-        tau_fwer = _first(nfstreams.fwer_crossing_times(paths, m / config.alpha))
-        tau_fdr, k_at_alarm, rejected = nfstreams.ebh_alarm(
-            paths, config.alpha, weights
-        )
+    for run, tau_fwer in enumerate(_first(rounds[0])):
+        tau_fdr, k_at_alarm, rejected = nfstreams.first_alarm(rounds[1:, :, run])
         fdr_dominates = tau_fdr != -1 and (tau_fwer == -1 or tau_fdr <= tau_fwer)
         rows.append(
             (
@@ -232,7 +241,7 @@ def run_nf_detect(
                 k_at_alarm,
                 "|".join(hypotheses[j].label() for j in rejected),
                 int(fdr_dominates),
-                *(float(np.exp(paths[j, -1])) for j in range(m)),
+                *(float(np.exp(last[j, run])) for j in range(m)),
             )
         )
     columns = ["run", "tau_fwer", "tau_fdr", "k_at_alarm", "rejected", "fdr_dominates"]
@@ -276,7 +285,11 @@ class SensitivityConfig:
     grid_nodes: int = 101
 
     def __post_init__(self) -> None:
-        _validate_nf_config(self, self.alphas, self.lambdas)
+        _validate_config(self, self.alphas, self.lambdas)
+        calibrated = sorted(scenarios.SENSITIVITY_ROWS)
+        for eta in self.etas:
+            if eta not in calibrated:
+                raise ConfigError(f"etas must be in {calibrated}, got {eta}")
 
 
 def run_nf_sensitivity(config: SensitivityConfig, out_dir: Path) -> ExperimentResult:
@@ -300,16 +313,16 @@ def run_nf_sensitivity(config: SensitivityConfig, out_dir: Path) -> ExperimentRe
     factors = {name: nfstreams.log_factors(tables, mix) for name, mix in mixtures}
     for cell, (alpha, eta, name, mix) in enumerate(cells):
         strategy = scenarios.sensitivity_profile(eta)
+        rngs = [run_rng(config.seed, cell, run) for run in range(config.runs)]
         # Any crossing before the signal's is evaluated by the time it is
         # reached, so the run ends there and tau_stop is already settled.
-        stop = (signal_index, math.log(m / alpha))
-        for run in range(config.runs):
-            rng = run_rng(config.seed, cell, run)
-            paths = nfstreams.replay_run(
-                strategy, factors[name], mix, config.horizon, rng, stop
-            )
-            crossings = nfstreams.fwer_crossing_times(paths, m / alpha)
-            rows.append((alpha, eta, name, run, _first(crossings), int(crossings[signal_index])))
+        rounds, _ = nfstreams.replay_runs(
+            strategy, factors[name], mix, config.horizon, rngs,
+            np.full((1, m), math.log(m / alpha)), stop=signal_index,
+        )
+        signal = rounds[0, signal_index].tolist()
+        for run, tau in enumerate(_first(rounds[0])):
+            rows.append((alpha, eta, name, run, tau, signal[run]))
     summary: dict = {"seed": config.seed, "runs_per_cell": config.runs}
     checks: dict[str, bool] = {}
     fig_rows = []
@@ -444,6 +457,9 @@ class SoccerScalingConfig:
     slope_low: float = -2.5
     slope_high: float = -1.5
     workers: int = 1
+
+    def __post_init__(self) -> None:
+        _validate_config(self)
 
 
 #: Uniforms a soccer trial draws per ``rng.random(n)`` call; draws left over
@@ -598,6 +614,9 @@ class PreyMixtureConfig:
     slope_high: float = -1.5
     workers: int = 1
 
+    def __post_init__(self) -> None:
+        _validate_config(self)
+
 
 def _prey_tables(eps_true, eps_grid) -> tuple[list, list]:
     """Per distinct chase row (:func:`prey.pursuit_tables`): the suspect's
@@ -699,6 +718,13 @@ class KlCheckConfig:
     epsilons: tuple[float, ...] = (0.1, 0.01, 0.001)
     check_eps: float = 0.001
     tol: float = 0.05
+
+    def __post_init__(self) -> None:
+        _validate_config(self)
+        if self.check_eps not in self.epsilons:
+            raise ConfigError(
+                f"check_eps must be one of epsilons {self.epsilons}, got {self.check_eps}"
+            )
 
 
 def run_kl_check(config: KlCheckConfig, out_dir: Path) -> ExperimentResult:

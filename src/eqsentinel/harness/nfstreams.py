@@ -1,9 +1,9 @@
-"""Vectorized per-run replay of the normal-form monitors.
+"""Vectorized replay of the normal-form monitors, all runs of a cell at once.
 
 Monte-Carlo grids need hundreds of thousands of monitor rounds; stepping
 the object monitor would dominate the runtime. This module evaluates the
-same log-wealth recursions with numpy over a run's rounds at once. The
-object monitor remains the reference: the tests replay identical action
+same log-wealth recursions with numpy over many runs and rounds at once.
+The object monitor remains the reference: the tests replay identical action
 streams through both paths and require matching crossing rounds and, for
 the per-fraction log wealth, equal values bit for bit.
 
@@ -11,22 +11,33 @@ Within one run the per-player action streams are drawn in player order
 (all of player 1's rounds, then player 2's, ...), which is part of the
 determinism contract for run-level reproducibility: player k draws the
 ``horizon`` uniforms that start ``(k - 1) * horizon`` outputs into the
-run's PCG64 stream. ``replay_run`` keeps that order while drawing a chunk
-at a time: player 1 reads the run generator itself and player k >= 2 a
-copy of it moved forward with ``bit_generator.advance((k - 1) * horizon)``.
-PCG64 ``random()`` spends one 64-bit output per double, so the chunked
-draws are the full-stream draws, value for value.
+run's PCG64 stream. :func:`sample_action_stream` draws them in turn from
+the generator. :func:`replay_runs` keeps those streams while drawing a
+chunk at a time: player 1 reads the run's generator itself, and player
+k >= 2 reads one scratch PCG64 whose ``state`` is set to the run's initial
+state and moved on with ``advance((k - 1) * horizon + start)`` for the
+chunk at round ``start``. PCG64 ``random()`` spends one 64-bit output per
+double, so the chunked draws are the full-stream draws, value for value,
+however the runs and rounds are split into blocks. A uniform u becomes the
+action ``sum_j [u >= cdf_j]`` over the cumulative probabilities before the
+last action, which is ``min(searchsorted(cdf, u, "right"), k - 1)``.
 
 Each cell builds its log-factor table once with ``eprocess.log_factors``,
 ``log1p(-lambda * x)`` over the increment table's (m, P) profiles (with a
-trailing fraction axis for a grid mixture); a run gathers its rounds from
-that table, and the object monitor steps the same table round by round.
-Rounds are accumulated in chunks of ``CHUNK_ROUNDS``: the previous
-chunk's last cumulative column is added to the next chunk's first column
-before its ``cumsum``, so every partial sum is the one a single ``cumsum``
-over the horizon forms. A run with a stop rule ends after the chunk in
-which its stop row first reaches its level (early exit); the rounds after
-it are never drawn. A run without one is a single chunk of the horizon.
+trailing fraction axis for a grid mixture); the object monitor steps the
+same table round by round. The replay gathers an (m, R, n[, G]) block of it
+(m hypotheses, R runs, n rounds, G fractions), accumulates it with one
+``cumsum`` along rounds, the previous chunk's last column added to the
+first, reads out the mixture and takes every first crossing of a stack of
+log levels with an ``argmax`` along rounds. Every partial sum is the one a
+single ``cumsum`` over the horizon forms, and the readout works element by
+element, so no result depends on the block sizes. A block holds at most
+``BLOCK_BYTES`` of log factors, or one run and one round. A run with a stop
+rule ends after the chunk of ``CHUNK_ROUNDS`` in which its stop row first
+reaches its level (early exit), and the rounds after it are never drawn. A
+run without one is a single chunk of the horizon when the budget allows.
+The grid mixture of bets follows Waudby-Smith & Ramdas, "Estimating means
+of bounded random variables by betting" (JRSS-B 2024).
 """
 
 from __future__ import annotations
@@ -45,70 +56,91 @@ from ..monitors import _ebh, _log_ladder, increment_tables  # noqa: F401
 
 #: Rounds per chunk of a run replayed with a stop rule.
 CHUNK_ROUNDS = 1024
+#: Most bytes of gathered log factors one (m, R, n[, G]) block holds.
+BLOCK_BYTES = 512 * 1024
 
 
-def _advanced(rng: np.random.Generator, delta: int) -> np.random.Generator:
-    """A PCG64 generator at ``rng``'s state moved ``delta`` outputs on."""
-    # Seeded, because an unseeded PCG64() reads OS entropy first.
-    bits = np.random.PCG64(0)
-    bits.state = rng.bit_generator.state
-    bits.advance(delta)
-    return np.random.Generator(bits)
-
-
-def _profile_sampler(
-    strategy: JointStrategy, horizon: int, rng: np.random.Generator, chunked: bool
-):
-    """``draw(n)``: the run's next n flattened joint-profile indices.
-
-    Unchunked, ``draw(horizon)`` is called once and draws every player from
-    ``rng`` in turn. Chunked, each player after the first draws from its own
-    generator at its stream offset, and ``draw`` may be called chunk by
-    chunk until the horizon.
-    """
+def _cuts(strategy: JointStrategy) -> list[np.ndarray]:
+    """Per drawn factor (each player of a product strategy, or the joint law
+    of a full one), the cumulative probabilities before its last action."""
     product = strategy.kind is StrategyKind.PRODUCT
     probs = strategy.factors if product else [strategy.joint.ravel()]
-    cdfs = [np.cumsum(p) for p in probs]
-    gens = [rng] * len(cdfs)
-    if chunked:
-        gens[1:] = [_advanced(rng, i * horizon) for i in range(1, len(cdfs))]
+    return [np.cumsum(p)[:-1] for p in probs]
 
-    def draw(n: int) -> np.ndarray:
-        # Raw uniforms through the cumulative table: keeps the realized
-        # streams tied to the bit generator only, not to Generator.choice.
-        idx = [
-            np.minimum(np.searchsorted(cdf, g.random(n), side="right"), cdf.size - 1)
-            for cdf, g in zip(cdfs, gens)
-        ]
-        return np.ravel_multi_index(idx, strategy.action_counts) if product else idx[0]
 
-    return draw
+def _action_index(cuts: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``sum_j [u >= cuts_j]``: for ``cuts = cdf[:-1]`` of a nondecreasing
+    cdf this is ``min(searchsorted(cdf, u, "right"), k - 1)``, exactly."""
+    idx = np.zeros(u.shape, dtype=np.intp)
+    for cut in cuts:
+        idx += u >= cut
+    return idx
+
+
+def _profiles(strategy: JointStrategy, cuts: list, uniforms) -> np.ndarray:
+    """Flattened joint-profile indices from uniforms, one leading row per
+    drawn factor. Raw uniforms through the cumulative table keep the streams
+    tied to the bit generator only, not to Generator.choice."""
+    idx = [_action_index(c, u) for c, u in zip(cuts, uniforms)]
+    if strategy.kind is StrategyKind.PRODUCT:
+        return np.ravel_multi_index(idx, strategy.action_counts)
+    return idx[0]
 
 
 def sample_action_stream(
     strategy: JointStrategy, horizon: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Flattened joint-profile indices for one run, shape (horizon,)."""
-    return _profile_sampler(strategy, horizon, rng, chunked=False)(horizon)
+    """Flattened joint-profile indices for one run, shape (horizon,): each
+    drawn factor's ``horizon`` uniforms from ``rng`` in turn."""
+    cuts = _cuts(strategy)
+    return _profiles(strategy, cuts, [rng.random(horizon) for _ in cuts])
 
 
-def _accumulate(factors: np.ndarray, carry: np.ndarray | None) -> np.ndarray:
-    """Cumulative log wealth over a chunk's rounds, in place, continuing from
-    the previous chunk's last column ``carry``."""
+def _profile_sampler(strategy: JointStrategy, horizon: int, rngs):
+    """``draw(runs, start, n)``: rounds ``start`` to ``start + n - 1`` of the
+    listed runs' flattened joint-profile indices, (len(runs), n).
+
+    Run r's streams are ``sample_action_stream(strategy, horizon, rngs[r])``
+    when each run's chunks are drawn in order from round 0: player 1 reads
+    ``rngs[r]``, the others the scratch generator at their stream offset.
+    """
+    cuts = _cuts(strategy)
+    # Seeded, because an unseeded PCG64() reads OS entropy first.
+    bits = np.random.PCG64(0)
+    scratch = np.random.Generator(bits)
+    initial = [g.bit_generator.state for g in rngs] if len(cuts) > 1 else []
+
+    def draw(runs, start: int, n: int) -> np.ndarray:
+        u = np.empty((len(cuts), len(runs), n))
+        for row, r in enumerate(runs):
+            rngs[r].random(out=u[0, row])
+            for k in range(1, len(cuts)):
+                bits.state = initial[r]
+                bits.advance(k * horizon + start)
+                scratch.random(out=u[k, row])
+        return _profiles(strategy, cuts, u)
+
+    return draw
+
+
+def _accumulate(block: np.ndarray, carry: np.ndarray | None) -> np.ndarray:
+    """Cumulative log wealth along the rounds of an (m, R, n[, G]) block, in
+    place, continuing from the previous chunk's last column ``carry``."""
     if carry is not None:
-        factors[:, 0] += carry
-    return np.cumsum(factors, axis=1, out=factors)
+        block[:, :, 0] += carry
+    return np.cumsum(block, axis=2, out=block)
 
 
 def _readout(logw: np.ndarray, mixture: BettingMixture) -> np.ndarray:
-    """Log mixture wealth (m, T) from per-fraction log wealth: a max-shifted
-    log-sum-exp across the grid, which agrees with EProcessState.value()
-    (``_log_mix``) only to rounding. A grid block ``logw`` is overwritten."""
+    """Log mixture wealth from per-fraction log wealth: a max-shifted
+    log-sum-exp across the grid's last axis, which agrees with
+    EProcessState.value() (``_log_mix``) only to rounding. A grid block
+    ``logw`` is overwritten; a Dirac block is its own readout."""
     if mixture.lambdas.size == 1:
         return logw
-    shift = logw.max(axis=2)
-    np.exp(np.subtract(logw, shift[:, :, None], out=logw), out=logw)
-    return shift + np.log(np.einsum("mtg,g->mt", logw, mixture.weights))
+    shift = logw.max(axis=-1)
+    np.exp(np.subtract(logw, shift[..., None], out=logw), out=logw)
+    return shift + np.log(np.einsum("...g,g->...", logw, mixture.weights))
 
 
 def log_wealth_paths(
@@ -121,57 +153,77 @@ def log_wealth_paths(
     EProcessState.value() to rounding; the tests pin the crossing rounds and
     the per-fraction log wealth, not the readout's last bits.
     """
-    return _readout(_accumulate(log_factors(increments, mixture), None), mixture)
+    block = _accumulate(log_factors(increments, mixture)[:, None], None)
+    return _readout(block, mixture)[:, 0]
 
 
-def replay_run(
+def _crossings(paths: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """1-based first rounds at which the log paths (m, ..., T) reach the log
+    levels (L, m), as (L, m, ...); -1 where a path never does."""
+    hits = paths >= levels.reshape(levels.shape + (1,) * (paths.ndim - 1))
+    return np.where(hits.any(axis=-1), hits.argmax(axis=-1) + 1, -1)
+
+
+def replay_runs(
     strategy: JointStrategy,
     factors: np.ndarray,
     mixture: BettingMixture,
     horizon: int,
-    rng: np.random.Generator,
-    stop: tuple[int, float] | None = None,
-) -> np.ndarray:
-    """Log mixture wealth paths of one run, (m, t) with t <= horizon.
+    rngs,
+    levels,
+    stop: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """First crossing rounds and last log wealth of a cell's runs.
 
-    ``factors`` is the cell's ``log_factors(tables, mixture)``. The result
-    is the first t columns of ``log_wealth_paths(tables[:, stream],
-    mixture)`` for ``stream = sample_action_stream(strategy, horizon, rng)``.
-    Without a stop rule, t = horizon. With ``stop = (j, level)`` the run is
-    replayed in chunks of ``CHUNK_ROUNDS`` and ends after the chunk in which
-    row j first reaches ``level``; t = horizon when it never does.
+    ``factors`` is the cell's ``log_factors(tables, mixture)``, and run r
+    replays ``log_wealth_paths(tables[:, stream], mixture)`` for ``stream =
+    sample_action_stream(strategy, horizon, rngs[r])``. ``levels`` is an
+    (L, m) stack of log levels, one per hypothesis. Returns ``(rounds,
+    last)``: ``rounds[l, j, r]`` is the first round at which run r's path j
+    reaches ``levels[l, j]`` (-1 if it never does) and ``last[j, r]`` path
+    j's value at the run's last replayed round. Without a stop rule every
+    run replays its horizon. With ``stop = j`` runs advance in chunks of at
+    most ``CHUNK_ROUNDS``, and a run leaves after the chunk in which path j
+    first reaches ``levels[0, j]``; its later crossings are not looked for.
+    Chunks and blocks are cut to ``BLOCK_BYTES``; no result depends on them.
     """
-    chunk = horizon if stop is None else CHUNK_ROUNDS
-    draw = _profile_sampler(strategy, horizon, rng, chunked=chunk < horizon)
-    carry = None
-    paths = []
+    levels = np.asarray(levels, dtype=float)
+    m, runs = factors.shape[0], len(rngs)
+    round_bytes = factors[:, :1].nbytes
+    chunk = min(horizon if stop is None else CHUNK_ROUNDS, max(1, BLOCK_BYTES // round_bytes))
+    per_block = max(1, BLOCK_BYTES // (round_bytes * chunk))
+    draw = _profile_sampler(strategy, horizon, rngs)
+    rounds = np.full((levels.shape[0], m, runs), -1)
+    last = np.empty((m, runs))
+    carry = np.empty((m, runs, *factors.shape[2:]))
+    active = np.arange(runs)
     for start in range(0, horizon, chunk):
-        logw = _accumulate(np.take(factors, draw(min(chunk, horizon - start)), axis=1), carry)
-        carry = logw[:, -1].copy()  # the grid readout overwrites logw
-        paths.append(_readout(logw, mixture))
-        if stop is not None and (paths[-1][stop[0]] >= stop[1]).any():
-            break
-    return paths[0] if len(paths) == 1 else np.concatenate(paths, axis=1)
-
-
-def first_crossing(log_path: np.ndarray, log_level: float) -> int:
-    """1-based round of the first crossing, or -1 when it never happens."""
-    hits = log_path >= log_level
-    if not hits.any():
-        return -1
-    return int(np.argmax(hits)) + 1
+        n = min(chunk, horizon - start)
+        for i in range(0, active.size, per_block):
+            block = active[i : i + per_block]
+            logw = np.take(factors, draw(block.tolist(), start, n), axis=1)
+            _accumulate(logw, carry[:, block] if start else None)
+            carry[:, block] = logw[:, :, -1]
+            paths = _readout(logw, mixture)
+            del logw  # free the block before the next gather
+            found = _crossings(paths, levels)
+            seen = rounds[:, :, block]
+            rounds[:, :, block] = np.where((found > 0) & (seen < 0), found + start, seen)
+            last[:, block] = paths[:, :, -1]
+            del paths
+        if stop is not None:
+            active = active[rounds[0, stop, active] < 0]
+    return rounds, last
 
 
 def fwer_crossing_times(log_paths: np.ndarray, b: float) -> np.ndarray:
     """Per-hypothesis first crossing rounds of the threshold b (-1 = never)."""
-    level = math.log(b)
-    return np.array([first_crossing(row, level) for row in log_paths])
+    return _crossings(log_paths, np.full((1, len(log_paths)), math.log(b)))[0]
 
 
-def ebh_alarm(
-    log_paths: np.ndarray, alpha: float, weights: np.ndarray
-) -> tuple[int, int, tuple[int, ...]]:
-    """First e-BH alarm from full wealth paths.
+def first_alarm(rounds: np.ndarray) -> tuple[int, int, tuple[int, ...]]:
+    """First e-BH alarm from the (m, m) first crossing rounds of the ladder,
+    row k-1 at level k (-1 = never).
 
     Returns (alarm round or -1, level k at the alarm, rejected indices at
     the alarm), as ``step_fdr`` recomputing e-BH every round finds them.
@@ -179,14 +231,16 @@ def ebh_alarm(
     smallest level-k crossing round, so the alarm is the least of those;
     ``step_fdr``'s level search then runs on the crossings up to it.
     """
-    rounds = np.array(
-        [[first_crossing(path, level) for path, level in zip(log_paths, row)]
-         for row in _log_ladder(alpha, weights)],
-        dtype=float,
-    )
-    rounds[rounds < 0] = np.inf
+    rounds = np.where(rounds > 0, rounds, np.inf)
     alarm = np.sort(rounds, axis=1).diagonal().min()
     if alarm == np.inf:
         return -1, 0, ()
     k, rejected = _ebh(rounds <= alarm)
     return int(alarm), k, rejected
+
+
+def ebh_alarm(
+    log_paths: np.ndarray, alpha: float, weights: np.ndarray
+) -> tuple[int, int, tuple[int, ...]]:
+    """First e-BH alarm from full wealth paths; see :func:`first_alarm`."""
+    return first_alarm(_crossings(log_paths, _log_ladder(alpha, weights)))

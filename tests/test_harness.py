@@ -193,15 +193,33 @@ class TestChunkedReplay:
     @pytest.mark.parametrize("horizon", [1, 1023, 1024, 1025, 20000])
     @pytest.mark.parametrize("name", sorted(DRAW_STRATEGIES))
     def test_chunked_draws_equal_the_full_stream(self, name, horizon):
+        # Three runs drawn chunk by chunk in blocks of two runs and one.
         strategy = DRAW_STRATEGIES[name]
-        draw = nfstreams._profile_sampler(strategy, horizon, run_rng(9, 4), chunked=True)
+        keys = [(9, 4), (9, 5), (9, 6)]
+        draw = nfstreams._profile_sampler(strategy, horizon, [run_rng(*key) for key in keys])
         chunk = nfstreams.CHUNK_ROUNDS
-        chunked = np.concatenate(
-            [draw(min(chunk, horizon - start)) for start in range(0, horizon, chunk)]
-        )
-        full = nfstreams.sample_action_stream(strategy, horizon, run_rng(9, 4))
-        assert np.array_equal(chunked, full)
-        assert np.array_equal(full, sample_action_stream_reference(strategy, horizon, run_rng(9, 4)))
+        parts = [[], [], []]
+        for start in range(0, horizon, chunk):
+            for block in ([0, 1], [2]):
+                for run, row in zip(block, draw(block, start, min(chunk, horizon - start))):
+                    parts[run].append(row)
+        for key, part in zip(keys, parts):
+            full = nfstreams.sample_action_stream(strategy, horizon, run_rng(*key))
+            assert np.array_equal(np.concatenate(part), full)
+            reference = sample_action_stream_reference(strategy, horizon, run_rng(*key))
+            assert np.array_equal(full, reference)
+
+    @pytest.mark.parametrize("actions", [1, 2, 3, 4, 5, 6])
+    def test_comparison_index_is_clamped_searchsorted(self, actions):
+        rng = np.random.default_rng(actions)
+        probs = rng.dirichlet(np.ones(actions))
+        short = probs * (1.0 - 1e-9)  # the cdf's last entry is below 1
+        for cdf in (np.cumsum(probs), np.cumsum(short)):
+            # Uniforms, every cut point exactly and the values around the top.
+            u = np.concatenate([rng.random(4000), cdf, [0.0, cdf[-1], 1.0 - 2**-53]])
+            expected = np.minimum(np.searchsorted(cdf, u, side="right"), actions - 1)
+            got = nfstreams._action_index(cdf[:-1], u)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
     @staticmethod
     def _reference_csv(tmp_path, produced, rows):
@@ -243,13 +261,21 @@ class TestChunkedReplay:
 
     @pytest.mark.parametrize("mixture", [BettingMixture.dirac(0.1), BettingMixture.uniform_grid(21)])
     def test_carried_chunks_equal_one_cumsum(self, mixture):
-        # A stop level no path reaches replays all 3,000 rounds in 3 chunks.
+        # A stop level no path reaches replays all 3,000 rounds in chunks.
+        # The other levels are the one-cumsum path's own values every 97
+        # rounds, so a crossing round moves if a chunked value is off by a bit.
         game, strategy = scenarios.two_signal_game(), scenarios.two_signal_alternative()
         tables = nfstreams.increment_tables(game, enumerate_hypotheses(game, EquilibriumMode.NASH))
-        factors = nfstreams.log_factors(tables, mixture)
-        chunked = nfstreams.replay_run(strategy, factors, mixture, 3000, run_rng(3, 1), (0, np.inf))
         stream = nfstreams.sample_action_stream(strategy, 3000, run_rng(3, 1))
-        assert np.array_equal(chunked, nfstreams.log_wealth_paths(tables[:, stream], mixture))
+        full = nfstreams.log_wealth_paths(tables[:, stream], mixture)
+        levels = np.vstack([np.full(len(full), np.inf), full[:, ::97].T])
+        factors = nfstreams.log_factors(tables, mixture)
+        rounds, last = nfstreams.replay_runs(
+            strategy, factors, mixture, 3000, [run_rng(3, 1)], levels, stop=0
+        )
+        assert np.array_equal(rounds[..., 0], nfstreams._crossings(full, levels))
+        assert (rounds[1:, :, 0] <= np.arange(1, 3001, 97)[:, None]).all()
+        assert np.array_equal(last[:, 0], full[:, -1])
 
     def test_detect_and_null_rows_match_the_full_horizon_loop(self, tmp_path):
         game = scenarios.two_signal_game()
@@ -264,6 +290,69 @@ class TestChunkedReplay:
         produced = tmp_path / "null" / "runs.csv"
         rows = nf_fwer_null_rows_reference(null, game, scenarios.two_signal_nash())
         assert produced.read_bytes() == self._reference_csv(tmp_path, produced, rows)
+
+    def test_sub_blocks_and_early_exits_match_the_per_run_loop(self, tmp_path, monkeypatch):
+        # 100-round chunks and blocks of three Dirac runs: runs leave after
+        # different chunks, and nf-detect's runs replay in time chunks.
+        monkeypatch.setattr(nfstreams, "CHUNK_ROUNDS", 100)
+        monkeypatch.setattr(nfstreams, "BLOCK_BYTES", 3 * 100 * 4 * 8)
+        game = scenarios.two_signal_game()
+        cases = [
+            (
+                run_nf_sensitivity,
+                SensitivityConfig(runs=40, horizon=1500, alphas=(0.2,), etas=(0.1,), lambdas=(0.1,)),
+                nf_sensitivity_rows_reference,
+                (),
+            ),
+            (
+                run_nf_sensitivity,
+                SensitivityConfig(
+                    runs=7, horizon=1500, alphas=(0.2,), etas=(0.15,), mixture="uniform", grid_nodes=11
+                ),
+                nf_sensitivity_rows_reference,
+                (),
+            ),
+            (
+                run_nf_detect,
+                DetectConfig(runs=13, horizon=1500),
+                nf_detect_rows_reference,
+                (game, scenarios.two_signal_alternative()),
+            ),
+            (
+                run_nf_fwer_null,
+                NullGridConfig(runs=11, horizon=700, lambdas=(0.4,), alphas=(0.2,)),
+                nf_fwer_null_rows_reference,
+                (game, scenarios.two_signal_nash()),
+            ),
+        ]
+        for i, (runner, config, reference, args) in enumerate(cases):
+            runner(config, tmp_path / str(i))
+            produced = tmp_path / str(i) / "runs.csv"
+            rows = reference(config, *args)
+            assert produced.read_bytes() == self._reference_csv(tmp_path, produced, rows)
+            if i == 0:  # the signal crosses in three or more different chunks
+                assert len({(r[5] - 1) // 100 for r in rows if r[5] > 0}) >= 3
+
+    def test_grid_replay_memory_stays_near_the_block_budget(self):
+        import tracemalloc
+
+        # A whole-cell (m, runs, chunk, G) block would be 40 * 4 * 1024 * 101
+        # * 8 bytes, about 132 MB; a block kept alive past the next gather
+        # would double the peak.
+        game, strategy = scenarios.two_signal_game(), scenarios.sensitivity_profile(0.1)
+        tables = nfstreams.increment_tables(game, enumerate_hypotheses(game, EquilibriumMode.NASH))
+        mixture = BettingMixture.uniform_grid(101)
+        factors = nfstreams.log_factors(tables, mixture)
+        rngs = [run_rng(5, 0, run) for run in range(40)]
+        levels = np.full((1, len(tables)), np.inf)  # no run stops early
+        tracemalloc.start()
+        try:
+            rounds, _ = nfstreams.replay_runs(strategy, factors, mixture, 1500, rngs, levels, stop=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rounds == -1).all()
+        assert peak < 2 * nfstreams.BLOCK_BYTES
 
     @pytest.mark.parametrize("field", ["runs", "horizon"])
     @pytest.mark.parametrize("value", [0, -3])
@@ -724,10 +813,20 @@ class TestCliErrors:
                 "strategy_kind = full\nstrategy_shape = 2,-2\nstrategy_joint = 0.25,0.25,0.25,0.25",
                 "strategy_joint has 4 entries",
             ),
+            ("nf-fwer-null", "alphas = ", "alphas must list at least one value"),
+            ("nf-sensitivity", "lambdas = ", "lambdas must list at least one value"),
+            ("nf-sensitivity", "etas = ", "etas must list at least one value"),
+            ("nf-sensitivity", "etas = 0.1, 0.2", "etas must be in [0.05, 0.1, 0.15], got 0.2"),
+            ("soccer-scaling", "trials = 0", "trials must be at least 1, got 0"),
+            ("prey-mixture", "trials = -2", "trials must be at least 1, got -2"),
+            ("kl-check", "pairs = 0", "pairs must be at least 1, got 0"),
+            ("kl-check", "check_eps = 0.5", "check_eps must be one of epsilons"),
         ],
         ids=["soccer-discount", "fwer-lambda", "fwer-alpha", "detect-alpha", "sensitivity-alpha",
              "sensitivity-mixture", "unparsable-int", "unparsable-float", "unparsable-game",
-             "strategy-length", "negative-game-count", "negative-strategy-shape"],
+             "strategy-length", "negative-game-count", "negative-strategy-shape", "empty-alphas",
+             "empty-lambdas", "empty-etas", "uncalibrated-eta", "soccer-trials", "prey-trials",
+             "kl-pairs", "kl-check-eps"],
     )
     def test_out_of_domain_value_exits_one(self, tmp_path, capsys, name, body, message):
         config = tmp_path / "bad.cfg"

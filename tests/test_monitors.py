@@ -783,7 +783,8 @@ class TestObjectMatchesReplay:
             monitor.step_fdr(profile)
         flat = np.array([np.ravel_multi_index(p.actions, game.action_counts) for p in stream])
         tables = nfstreams.increment_tables(game, monitor.hypotheses)
-        replay = nfstreams._accumulate(nfstreams.log_factors(tables[:, flat], mixture), None)
+        block = nfstreams.log_factors(tables[:, flat], mixture)[:, None]  # one run
+        replay = nfstreams._accumulate(block, None)[:, 0]
         np.testing.assert_array_equal(
             monitor.log_wealth, replay[:, -1].reshape(monitor.log_wealth.shape)
         )
