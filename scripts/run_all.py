@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run every experiment with its checked-in config and ``--assert``.
+"""Run every registered experiment with its checked-in config and ``--assert``.
 
 Usage: run_all.py [OUT] (default ``results/``). The exit code ORs the
 experiments' exit codes.
@@ -9,17 +9,14 @@ import sys
 from pathlib import Path
 
 from eqsentinel.harness.cli import main
+from eqsentinel.harness.experiments import EXPERIMENTS
 
 ROOT = Path(__file__).resolve().parent.parent
 
 if __name__ == "__main__":
     out = Path(sys.argv[1]) if len(sys.argv) > 1 else ROOT / "results"
     rc = 0
-    for name in (
-        "nf-fwer-null", "nf-detect", "nf-sensitivity", "nf-slack",
-        "soccer-solve", "soccer-scaling", "prey-mixture",
-        "kl-check", "oracle-suite",
-    ):
+    for name in EXPERIMENTS:
         print(f"== {name} ==")
         rc |= main(
             [

@@ -1,9 +1,11 @@
 """Command-line entry point.
 
-    eqsentinel <subcommand> --config <path> [--seed N] [--out DIR] [--assert]
+    eqsentinel <subcommand> --config <path> [--seed N] [--out DIR] [--assert] [--workers N]
 
-Exit codes: 0 on success, 2 when --assert is given and an acceptance
-statistic fails, 1 on errors.
+``--seed`` is offered where the config has a seed (every subcommand but
+soccer-solve), ``--workers`` where it has workers (soccer-scaling and
+prey-mixture). Exit codes: 0 on success, 2 when --assert is given and an
+acceptance statistic fails or on an argparse usage error, 1 on errors.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 from ..errors import ConfigError, DomainError, ShapeError
 from .config import config_from_mapping, game_from_mapping, load_config, strategy_from_mapping
 from .csvio import format_value
-from .experiments import EXPERIMENTS, replace_config, run_experiment
+from .experiments import EXPERIMENTS, run_experiment
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -26,13 +28,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name, (config_cls, _) in sorted(EXPERIMENTS.items()):
-        defaults = ", ".join(
-            f"{f.name}={getattr(config_cls(), f.name)}"
-            for f in dataclasses.fields(config_cls)
-        )
+        fields = [f.name for f in dataclasses.fields(config_cls)]
+        defaults = ", ".join(f"{f}={getattr(config_cls(), f)}" for f in fields)
         p = sub.add_parser(name, help=f"defaults: {defaults}")
         p.add_argument("--config", type=Path, help="flat key=value config file")
-        p.add_argument("--seed", type=int, help="override the master seed")
+        if "seed" in fields:
+            p.add_argument("--seed", type=int, help="override the master seed")
         p.add_argument("--out", type=Path, help="output directory")
         p.add_argument(
             "--assert",
@@ -40,9 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="exit 2 if any acceptance statistic fails",
         )
-        p.add_argument(
-            "--workers", type=int, help="parallel workers over runs (where supported)"
-        )
+        if "workers" in fields:
+            p.add_argument("--workers", type=int, help="parallel worker processes over trials")
     return parser
 
 
@@ -57,12 +57,9 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(
                 f"config declares experiment {declared!r}, command was {name!r}"
             )
-        config = config_from_mapping(config_cls, mapping, ignore=("experiment",))
-        field_names = {f.name for f in dataclasses.fields(config_cls)}
-        if args.seed is not None and "seed" in field_names:
-            config = replace_config(config, seed=args.seed)
-        if args.workers is not None and "workers" in field_names:
-            config = replace_config(config, workers=args.workers)
+        # --seed and --workers, where registered, override the file's keys.
+        flags = {k: str(v) for k in ("seed", "workers") if (v := vars(args).get(k)) is not None}
+        config = config_from_mapping(config_cls, {**mapping, **flags}, ignore=("experiment",))
         out_dir = args.out or Path("results") / name
         kwargs = {}
         if name in ("nf-fwer-null", "nf-detect"):

@@ -140,6 +140,16 @@ def _validate_config(config, alphas=(), fractions=()) -> None:
         raise ConfigError(f"mixture must be dirac or uniform, got {config.mixture!r}")
 
 
+def _validate_weights(name: str, values, positive=False, fit_from=None) -> None:
+    """Reject a deviation weight outside [0, 1], or (0, 1] when ``positive``,
+    and fewer than 3 weights at or above ``fit_from`` to fit a slope to."""
+    for value in values:
+        if not (0.0 < value <= 1.0 if positive else 0.0 <= value <= 1.0):
+            raise ConfigError(f"{name} must lie in {'(0' if positive else '[0'}, 1], got {value}")
+    if fit_from is not None and sum(value >= fit_from for value in values) < 3:
+        raise ConfigError(f"slope fit needs at least 3 of {name} at or above {fit_from}")
+
+
 # ---------------------------------------------------------------------------
 # nf-fwer-null: false-alarm grid under equilibrium play
 # ---------------------------------------------------------------------------
@@ -354,25 +364,25 @@ def run_nf_sensitivity(config: SensitivityConfig, out_dir: Path) -> ExperimentRe
 # ---------------------------------------------------------------------------
 
 
+#: The ranges each nf-slack triple draws its alpha, fraction and slack from.
+ALPHA_RANGE = (0.05, 0.8)
+LAMBDA_RANGE = (0.05, 0.95)
+ETA_RANGE = (0.02, 0.5)
+
+
 @dataclass(frozen=True)
 class SlackConfig:
     seed: int = DEFAULT_SEED
     triples: int = 20
-    alpha_low: float = 0.05
-    alpha_high: float = 0.8
-    lambda_low: float = 0.05
-    lambda_high: float = 0.95
-    eta_low: float = 0.02
-    eta_high: float = 0.5
 
 
 def run_nf_slack(config: SlackConfig, out_dir: Path) -> ExperimentResult:
     rows = []
     for trial in range(config.triples):
         rng = run_rng(config.seed, trial)
-        alpha = float(rng.uniform(config.alpha_low, config.alpha_high))
-        lam = float(rng.uniform(config.lambda_low, config.lambda_high))
-        eta = float(rng.uniform(config.eta_low, config.eta_high))
+        alpha = float(rng.uniform(*ALPHA_RANGE))
+        lam = float(rng.uniform(*LAMBDA_RANGE))
+        eta = float(rng.uniform(*ETA_RANGE))
         game = scenarios.constant_gap_game(eta)
         monitor = EquilibriumMonitor(
             game, MonitorConfig(alpha=alpha, mixture=BettingMixture.dirac(lam))
@@ -446,6 +456,10 @@ def run_soccer_solve(config: SolverConfig, out_dir: Path) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
+#: The band both scaling laws' fitted log-log slope must fall in (inverse square).
+SLOPE_BAND = (-2.5, -1.5)
+
+
 @dataclass(frozen=True)
 class SoccerScalingConfig:
     seed: int = DEFAULT_SEED
@@ -454,12 +468,11 @@ class SoccerScalingConfig:
     threshold: float = 20.0
     t_max: int = 200000
     smoothing: float = 0.05
-    slope_low: float = -2.5
-    slope_high: float = -1.5
     workers: int = 1
 
     def __post_init__(self) -> None:
         _validate_config(self)
+        _validate_weights("epsilons", self.epsilons, positive=True, fit_from=0.0)
 
 
 #: Uniforms a soccer trial draws per ``rng.random(n)`` call; draws left over
@@ -588,7 +601,7 @@ def run_soccer_scaling(
     summary["intercept"] = intercept
     checks = {
         "all_trials_detected": bool((taus > 0).all()),
-        "slope_in_band": config.slope_low <= slope <= config.slope_high,
+        "slope_in_band": SLOPE_BAND[0] <= slope <= SLOPE_BAND[1],
     }
     runs = (["epsilon", "trial", "tau", "detected"], _trial_rows(config.epsilons, taus))
     figure = ("figure_soccer_scaling.dat", ["epsilon", "mean_tau", "std_tau", "trials"], fig_rows)
@@ -600,6 +613,11 @@ def run_soccer_scaling(
 # ---------------------------------------------------------------------------
 
 
+#: Prey-mixture fits its slope to, and gates detection at, eps_true >= SLOPE_MIN_EPS.
+SLOPE_MIN_EPS = 0.2
+MIN_DETECTION_RATE = 0.95
+
+
 @dataclass(frozen=True)
 class PreyMixtureConfig:
     seed: int = DEFAULT_SEED
@@ -608,14 +626,12 @@ class PreyMixtureConfig:
     eps_grid: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9)
     threshold: float = 20.0
     horizon: int = 5000
-    slope_min_eps: float = 0.2
-    min_detection_rate: float = 0.95
-    slope_low: float = -2.5
-    slope_high: float = -1.5
     workers: int = 1
 
     def __post_init__(self) -> None:
         _validate_config(self)
+        _validate_weights("eps_true", self.eps_true, fit_from=SLOPE_MIN_EPS)
+        _validate_weights("eps_grid", self.eps_grid)
 
 
 def _prey_tables(eps_true, eps_grid) -> tuple[list, list]:
@@ -692,13 +708,13 @@ def run_prey_mixture(config: PreyMixtureConfig, out_dir: Path) -> ExperimentResu
         rate = summary[f"detect_rate[eps={eps}]"] = detected.size / cell_taus.size
         mean_tau = summary[f"mean_tau[eps={eps}]"] = _mean(detected)
         fig_rows.append((eps, rate, mean_tau, cell_taus.size))
-        if eps >= config.slope_min_eps:
-            checks[f"detection_rate[eps={eps}]"] = rate >= config.min_detection_rate
+        if eps >= SLOPE_MIN_EPS:
+            checks[f"detection_rate[eps={eps}]"] = rate >= MIN_DETECTION_RATE
             points.append((eps, mean_tau))
     slope, intercept = fit_loglog_slope(points)
     summary["slope"] = slope
     summary["intercept"] = intercept
-    checks["slope_in_band"] = config.slope_low <= slope <= config.slope_high
+    checks["slope_in_band"] = SLOPE_BAND[0] <= slope <= SLOPE_BAND[1]
     runs = (["eps_true", "trial", "tau", "detected"], _trial_rows(config.eps_true, taus))
     header = ["eps_true", "detect_rate", "mean_tau", "trials"]
     figure = ("figure_prey_mixture.dat", header, fig_rows)
@@ -757,17 +773,19 @@ def run_kl_check(config: KlCheckConfig, out_dir: Path) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
+#: Oracle-suite sizes: longest stream, payoff and chain dimension, rational games.
+STREAM_MAX_LEN = 20
+MATRIX_DIM = 5
+CHAIN_DIM = 5
+RATIONAL_GAMES = 50
+
+
 @dataclass(frozen=True)
 class OracleSuiteConfig:
     seed: int = DEFAULT_SEED
     streams: int = 100
-    stream_max_len: int = 20
-    quadrature_nodes: int = ORACLE_GRID_NODES
     matrices: int = 1000
-    matrix_dim: int = 5
     chains: int = 25
-    chain_dim: int = 5
-    rational_games: int = 50
 
 
 def _rational_gain_error(rng: np.random.Generator) -> float:
@@ -812,10 +830,10 @@ def run_oracle_suite(config: OracleSuiteConfig, out_dir: Path) -> ExperimentResu
 
     # Midpoint quadrature against exact polynomial integration.
     worst_quad = 0.0
-    mixture = BettingMixture.uniform_grid(config.quadrature_nodes)
+    mixture = BettingMixture.uniform_grid(ORACLE_GRID_NODES)
     for i in range(config.streams):
         rng = run_rng(config.seed, 0, i)
-        length = int(rng.integers(1, config.stream_max_len + 1))
+        length = int(rng.integers(1, STREAM_MAX_LEN + 1))
         xs = rng.uniform(-0.9, 0.9, size=length)
         exact = exact_uniform_mixture(xs)
         path = nfstreams.log_wealth_paths(xs[None, :], mixture)
@@ -828,7 +846,7 @@ def run_oracle_suite(config: OracleSuiteConfig, out_dir: Path) -> ExperimentResu
     worst_gap = 0.0
     for i in range(config.matrices):
         rng = run_rng(config.seed, 1, i)
-        payoff = rng.random((config.matrix_dim, config.matrix_dim))
+        payoff = rng.random((MATRIX_DIM, MATRIX_DIM))
         sol = matrix_game_solve(payoff)
         gap = exploitability(payoff, sol.row_strategy, sol.col_strategy, sol.value)
         worst_gap = max(worst_gap, gap)
@@ -838,7 +856,7 @@ def run_oracle_suite(config: OracleSuiteConfig, out_dir: Path) -> ExperimentResu
     worst_chain = 0.0
     for i in range(config.chains):
         rng = run_rng(config.seed, 2, i)
-        chain = rng.random((config.chain_dim, config.chain_dim)) + 0.05
+        chain = rng.random((CHAIN_DIM, CHAIN_DIM)) + 0.05
         chain /= chain.sum(axis=1, keepdims=True)
         mu = stationary_distribution(chain)
         values, vectors = np.linalg.eig(chain.T)
@@ -851,7 +869,7 @@ def run_oracle_suite(config: OracleSuiteConfig, out_dir: Path) -> ExperimentResu
 
     # Expected-payoff path against exact rational enumeration.
     worst_rational = 0.0
-    for i in range(config.rational_games):
+    for i in range(RATIONAL_GAMES):
         err = _rational_gain_error(run_rng(config.seed, 3, i))
         worst_rational = max(worst_rational, err)
         rows.append(("rational-gain", i, err))
@@ -896,12 +914,3 @@ def run_experiment(name: str, config, out_dir: Path, **kwargs) -> ExperimentResu
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return runner(config, out_dir, **kwargs)
-
-
-def replace_config(config, **overrides):
-    """Dataclass replace with unknown-key validation, for CLI overrides."""
-    names = {f.name for f in dataclasses.fields(config)}
-    unknown = set(overrides) - names
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    return dataclasses.replace(config, **overrides)

@@ -189,6 +189,8 @@ class MonitorConfig:
                 )
         elif self.eps != 0.0:
             raise DomainError("eps is only meaningful in EPS_APPROX mode")
+        if self.conditional_ce and self.mode is not EquilibriumMode.CE:
+            raise DomainError("conditional_ce is only meaningful in CE mode")
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
             if w.ndim != 1:

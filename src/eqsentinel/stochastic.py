@@ -466,12 +466,12 @@ def _tableau_solve(A: np.ndarray) -> MatrixGameSolution | None:
 def matrix_game_solve(payoff) -> MatrixGameSolution:
     """Maximin solution of a zero-sum matrix game for the row player.
 
-    One-row and one-column games and pure saddle points are read off the
-    matrix. Otherwise a tableau simplex solves the game exactly when its
-    equilibrium is unique (``_tableau_solve``), and HiGHS solves the rest:
-    there the column strategy is recovered from the LP duals. Both
-    strategies are valid distributions and the best-response gap against
-    either is within 1e-6 of the value.
+    Pure saddle points, which every one-row and one-column game has, are
+    read off the matrix. Otherwise a tableau simplex solves the game
+    exactly when its equilibrium is unique (``_tableau_solve``), and HiGHS
+    solves the rest: there the column strategy is recovered from the LP
+    duals. Both strategies are valid distributions and the best-response
+    gap against either is within 1e-6 of the value.
     """
     A = np.asarray(payoff, dtype=float)
     if A.ndim != 2 or A.size == 0:
@@ -479,19 +479,6 @@ def matrix_game_solve(payoff) -> MatrixGameSolution:
     if not np.all(np.isfinite(A)):
         raise DomainError("payoff entries must be finite")
     rows, cols = A.shape
-    if rows == 1 and cols == 1:
-        return MatrixGameSolution(float(A[0, 0]), np.array([1.0]), np.array([1.0]))
-    if rows == 1:
-        c = int(np.argmin(A[0]))
-        col = np.zeros(cols)
-        col[c] = 1.0
-        return MatrixGameSolution(float(A[0, c]), np.array([1.0]), col)
-    if cols == 1:
-        r = int(np.argmax(A[:, 0]))
-        row = np.zeros(rows)
-        row[r] = 1.0
-        return MatrixGameSolution(float(A[r, 0]), row, np.array([1.0]))
-
     # A pure saddle point is an exact equilibrium; skip the LP when one exists.
     row_mins = A.min(axis=1)
     col_maxs = A.max(axis=0)

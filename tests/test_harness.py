@@ -674,11 +674,48 @@ class TestCli:
         assert rc == 2
 
     def test_unknown_key_exits_one(self, tmp_path, capsys):
-        config = tmp_path / "bad.cfg"
-        config.write_text("experiment = nf-slack\nnope = 4\n")
-        rc = main(["nf-slack", "--config", str(config), "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert "unknown key" in capsys.readouterr().err
+        # Besides a made-up key, the former range and gate fields are now
+        # module constants, so a config can no longer set them.
+        for name, body in [
+            ("nf-slack", "nope = 4"),
+            ("nf-slack", "alpha_low = 0.5"),
+            ("soccer-scaling", "slope_low = -10"),
+            ("prey-mixture", "min_detection_rate = 0.1"),
+            ("oracle-suite", "matrix_dim = 3"),
+        ]:
+            config = tmp_path / "bad.cfg"
+            config.write_text(f"experiment = {name}\n{body}\n")
+            rc = main([name, "--config", str(config), "--out", str(tmp_path / "o")])
+            assert rc == 1, body
+            assert "unknown key" in capsys.readouterr().err, body
+            assert not (tmp_path / "o").exists(), body
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["nf-slack", "--workers", "2"], ["soccer-solve", "--seed", "5"]],
+        ids=["slack-workers", "solve-seed"],
+    )
+    def test_flag_without_a_config_field_is_a_usage_error(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", ["soccer-scaling", "prey-mixture"])
+    def test_seed_and_workers_reach_the_config(self, tmp_path, monkeypatch, name):
+        seen = []
+
+        def record(experiment, config, out_dir, **kwargs):
+            seen.append(config)
+            return experiments.ExperimentResult(experiment, {}, {}, ())
+
+        monkeypatch.setattr("eqsentinel.harness.cli.run_experiment", record)
+        config = tmp_path / "run.cfg"
+        config.write_text(f"experiment = {name}\nseed = 1\nworkers = 1\n")
+        argv = [name, "--config", str(config), "--seed", "5", "--workers", "2"]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+        assert (seen[0].seed, seen[0].workers) == (5, 2)
 
     def test_experiment_mismatch_exits_one(self, tmp_path):
         config = tmp_path / "bad.cfg"
@@ -821,12 +858,26 @@ class TestCliErrors:
             ("prey-mixture", "trials = -2", "trials must be at least 1, got -2"),
             ("kl-check", "pairs = 0", "pairs must be at least 1, got 0"),
             ("kl-check", "check_eps = 0.5", "check_eps must be one of epsilons"),
+            (
+                "prey-mixture",
+                "eps_true = 0.2, 0.4",
+                "slope fit needs at least 3 of eps_true at or above 0.2",
+            ),
+            (
+                "soccer-scaling",
+                "epsilons = 0.2, 0.5",
+                "slope fit needs at least 3 of epsilons at or above 0.0",
+            ),
+            ("soccer-scaling", "epsilons = 0, 0.3, 0.5", "epsilons must lie in (0, 1], got 0.0"),
+            ("prey-mixture", "eps_true = 1.5", "eps_true must lie in [0, 1], got 1.5"),
+            ("prey-mixture", "eps_grid = 0.1, -0.3", "eps_grid must lie in [0, 1], got -0.3"),
         ],
         ids=["soccer-discount", "fwer-lambda", "fwer-alpha", "detect-alpha", "sensitivity-alpha",
              "sensitivity-mixture", "unparsable-int", "unparsable-float", "unparsable-game",
              "strategy-length", "negative-game-count", "negative-strategy-shape", "empty-alphas",
              "empty-lambdas", "empty-etas", "uncalibrated-eta", "soccer-trials", "prey-trials",
-             "kl-pairs", "kl-check-eps"],
+             "kl-pairs", "kl-check-eps", "prey-slope-points", "soccer-slope-points",
+             "soccer-zero-eps", "prey-eps-above-one", "prey-negative-grid"],
     )
     def test_out_of_domain_value_exits_one(self, tmp_path, capsys, name, body, message):
         config = tmp_path / "bad.cfg"

@@ -86,6 +86,23 @@ class TestMonitorConfig:
         with pytest.raises(DomainError):
             MonitorConfig(alpha=0.1, mixture=BettingMixture.dirac(0.1), eps=0.2)
 
+    @pytest.mark.parametrize(
+        "mode, eps",
+        [(EquilibriumMode.NASH, 0.0), (EquilibriumMode.CCE, 0.0), (EquilibriumMode.EPS_APPROX, 0.2)],
+        ids=["nash", "cce", "eps-approx"],
+    )
+    def test_conditional_ce_outside_ce_mode_rejected(self, mode, eps):
+        # Outside CE mode the flag would silently monitor the unconditional
+        # hypotheses instead.
+        with pytest.raises(DomainError, match="conditional_ce is only meaningful in CE mode"):
+            MonitorConfig(
+                alpha=0.1,
+                mixture=BettingMixture.dirac(0.1),
+                mode=mode,
+                eps=eps,
+                conditional_ce=True,
+            )
+
     def test_fdr_weights_validated(self):
         with pytest.raises(DomainError):
             MonitorConfig(

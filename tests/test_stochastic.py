@@ -431,6 +431,25 @@ class TestMatrixGame:
         sol = matrix_game_solve([[0.37]])
         assert sol.value == 0.37
 
+    @pytest.mark.parametrize(
+        "payoff, value, row, col",
+        [
+            ([[0.3, 0.1, 0.1, 0.5]], 0.1, [1.0], [0.0, 1.0, 0.0, 0.0]),
+            ([[0.4, 0.4]], 0.4, [1.0], [1.0, 0.0]),
+            ([[0.2], [0.7], [0.7]], 0.7, [0.0, 1.0, 0.0], [1.0]),
+            ([[-0.4], [-0.4]], -0.4, [1.0, 0.0], [1.0]),
+        ],
+        ids=["1x4-tied-min", "1x2-all-tied", "3x1-tied-max", "2x1-all-tied"],
+    )
+    def test_one_row_or_column_takes_the_first_best_entry(self, payoff, value, row, col):
+        # The pure-saddle test reads these games off the matrix, with ties
+        # going to the first index, and no LP runs.
+        with mock.patch.object(stochastic, "linprog", side_effect=AssertionError):
+            sol = matrix_game_solve(payoff)
+        assert sol.value == value
+        assert sol.row_strategy.tolist() == row
+        assert sol.col_strategy.tolist() == col
+
     def test_rectangular(self):
         payoff = np.array([[0.0, 0.4, -0.2], [0.3, -0.5, 0.1]])
         sol = matrix_game_solve(payoff)
