@@ -45,7 +45,7 @@ class PreyState:
             r, c = pos
             if not (0 <= r < GRID and 0 <= c < GRID):
                 raise ShapeError(f"position {pos} off the {GRID}x{GRID} grid")
-        if self.horizon <= 0:
+        if not self.horizon > 0:
             raise DomainError("horizon must be positive")
 
     @property

@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ShapeError
+from .errors import PROB_TOL, CapacityError, DomainError, ShapeError, check_distribution
 
 #: Grid resolution used by monitors; oracle comparisons use 1001 nodes.
 DEFAULT_GRID_NODES = 101
 ORACLE_GRID_NODES = 1001
 
-WEIGHT_TOL = 1e-12
 EXACT_MIXTURE_MAX_LEN = 64
 
 
@@ -42,14 +41,12 @@ class BettingMixture:
             raise DomainError(f"unknown mixture kind {self.kind!r}")
         if self.kind == "dirac" and lam.size != 1:
             raise ShapeError("a dirac mixture has exactly one node")
-        if lam.min() <= 0.0 or lam.max() > 1.0:
+        if not (0.0 < lam.min() and lam.max() <= 1.0):
             raise DomainError("betting fractions must lie in (0, 1]")
         if lam.size > 1 and np.any(np.diff(lam) <= 0.0):
             raise DomainError("grid nodes must be strictly increasing")
-        if w.min() < 0.0 or abs(w.sum() - 1.0) > WEIGHT_TOL:
-            raise DomainError("weights must be nonnegative and sum to 1")
         object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", check_distribution(w, "mixture weights", PROB_TOL))
 
     @classmethod
     def dirac(cls, lam: float) -> "BettingMixture":
@@ -64,7 +61,7 @@ class BettingMixture:
         Nodes sit strictly inside the interval, so no grid component can hit
         an exact zero factor while increments stay in [-1, 1].
         """
-        if nodes < 1:
+        if not nodes >= 1:
             raise DomainError("grid needs at least one node")
         if not 0.0 < upper <= 1.0:
             raise DomainError("upper must lie in (0, 1]")
@@ -129,7 +126,7 @@ class EProcessState:
     def __post_init__(self) -> None:
         if self.log_wealth is None:
             self.log_wealth = np.zeros(self.mixture.size)
-        if self.threshold is not None and self.threshold <= 1.0:
+        if self.threshold is not None and not self.threshold > 1.0:
             raise DomainError("a registered threshold must exceed 1")
 
     @property
@@ -182,7 +179,7 @@ def exact_uniform_mixture(xs) -> float:
 def detection_bound_uniform(b: float, eta: float) -> float:
     """Ceiling on the expected crossing time of threshold ``b`` under the
     uniform mixture, for an alternative with slack ``eta``."""
-    if b <= 1.0:
+    if not b > 1.0:
         raise DomainError("threshold must exceed 1")
     if not 0.0 < eta <= 1.0:
         raise DomainError("eta must lie in (0, 1]")
@@ -191,10 +188,10 @@ def detection_bound_uniform(b: float, eta: float) -> float:
 
 def slack_lower_bound(b: float, lam: float, eta: float) -> int:
     """Exact stopping round of the deterministic constant-gap stream."""
-    if b <= 1.0:
+    if not b > 1.0:
         raise DomainError("threshold must exceed 1")
     if not 0.0 < lam < 1.0:
         raise DomainError("lambda must lie in (0, 1)")
-    if eta <= 0.0:
+    if not eta > 0.0:
         raise DomainError("eta must be positive")
     return math.ceil(math.log(b) / math.log1p(lam * eta))

@@ -1,4 +1,9 @@
-"""Shared exception types."""
+"""Shared exception types, and the one probability-vector check."""
+
+import numpy as np
+
+#: Tolerance on the sum of a strategy, policy row or mixture weight vector.
+PROB_TOL = 1e-12
 
 
 class ShapeError(ValueError):
@@ -23,3 +28,16 @@ class ErgodicityError(RuntimeError):
 
 class ConfigError(ValueError):
     """An experiment configuration is malformed."""
+
+
+def check_distribution(p, what: str, tol: float, positive: bool = False) -> np.ndarray:
+    """``p`` as a float array; ``DomainError`` unless every entry is
+    nonnegative (positive when asked) and each vector along the last axis sums
+    to 1 within ``tol``. NaN fails both tests, -inf the first, +inf the sum."""
+    p = np.asarray(p, dtype=float)
+    low = p.min()
+    if not (low > 0.0 if positive else low >= 0.0):
+        raise DomainError(f"{what} must be {'positive' if positive else 'nonnegative'}")
+    if not np.max(np.abs(p.sum(axis=-1) - 1.0)) <= tol:
+        raise DomainError(f"{what} must sum to 1 within {tol}")
+    return p

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
-
-PROB_TOL = 1e-12
+from .errors import PROB_TOL, DomainError, ShapeError, check_distribution
 
 
 class StrategyKind(enum.Enum):
@@ -53,9 +51,7 @@ class NormalFormGame:
             raise ShapeError(
                 f"payoff tensor has {arr.ndim - 1} action axes for {n} players"
             )
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("payoffs must be finite")
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        if not (0.0 <= arr.min() and arr.max() <= 1.0):
             raise DomainError("payoffs must lie in [0, 1]")
         object.__setattr__(self, "payoffs", arr)
 
@@ -101,16 +97,6 @@ class ActionProfile:
                 raise ShapeError(f"action index {a} out of range [0, {count})")
 
 
-def _validate_distribution(p: np.ndarray, what: str) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(p)) or p.min() < 0.0:
-        raise DomainError(f"{what} must be nonnegative and finite")
-    if abs(p.sum() - 1.0) > PROB_TOL:
-        # Out-of-tolerance inputs are rejected rather than renormalized.
-        raise DomainError(f"{what} must sum to 1 within {PROB_TOL}")
-    return p
-
-
 @dataclass(frozen=True)
 class JointStrategy:
     """A joint strategy, either a product of marginals or a full joint law."""
@@ -124,7 +110,7 @@ class JointStrategy:
             if not self.factors or self.joint is not None:
                 raise ShapeError("PRODUCT strategy needs per-player factors only")
             factors = tuple(
-                _validate_distribution(np.atleast_1d(f), f"strategy of player {i}")
+                check_distribution(np.atleast_1d(f), f"strategy of player {i}", PROB_TOL)
                 for i, f in enumerate(self.factors)
             )
             object.__setattr__(self, "factors", factors)
@@ -132,7 +118,7 @@ class JointStrategy:
             if self.joint is None or self.factors:
                 raise ShapeError("FULL strategy needs a joint table only")
             joint = np.asarray(self.joint, dtype=float)
-            _validate_distribution(joint.ravel(), "joint strategy")
+            check_distribution(joint.ravel(), "joint strategy", PROB_TOL)
             object.__setattr__(self, "joint", joint)
         else:  # pragma: no cover - enum exhausts kinds
             raise ShapeError(f"unknown strategy kind {self.kind}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -65,9 +66,12 @@ class ExperimentResult:
 
 
 def _pmap(fn, items, workers: int):
+    """``fn`` over ``items`` on at most ``workers`` processes, items or CPUs."""
+    if workers > 1:
+        items = list(items)
+        workers = min(workers, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(item) for item in items]
-    items = list(items)
     # Trials of one cell share their tables, which a chunk pickles only once.
     chunksize = max(1, len(items) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -121,14 +125,16 @@ def fit_loglog_slope(points) -> tuple[float, float]:
 
 
 def _validate_config(config, alphas=(), fractions=()) -> None:
-    """Reject a config with an empty list, fewer than 1 run, round, grid node,
-    trial or pair, an alpha outside (0, 1), a betting fraction outside (0, 1]
-    or an unknown mixture, before any artifact directory exists."""
+    """Reject a config with an empty list, a count below 1, an alpha outside
+    (0, 1), a betting fraction outside (0, 1] or an unknown mixture, before
+    any artifact directory exists."""
     for field in dataclasses.fields(config):
         if getattr(config, field.name) == ():
             raise ConfigError(f"{field.name} must list at least one value")
-    for name in ("runs", "horizon", "grid_nodes", "trials", "pairs"):
-        if getattr(config, name, 1) < 1:
+    counts = ("runs", "horizon", "grid_nodes", "trials", "pairs", "triples", "t_max",
+              "streams", "matrices", "chains", "workers")
+    for name in counts:
+        if not getattr(config, name, 1) >= 1:
             raise ConfigError(f"{name} must be at least 1, got {getattr(config, name)}")
     for alpha in alphas:
         if not 0.0 < alpha < 1.0:
@@ -375,6 +381,9 @@ class SlackConfig:
     seed: int = DEFAULT_SEED
     triples: int = 20
 
+    def __post_init__(self) -> None:
+        _validate_config(self)
+
 
 def run_nf_slack(config: SlackConfig, out_dir: Path) -> ExperimentResult:
     rows = []
@@ -473,6 +482,8 @@ class SoccerScalingConfig:
     def __post_init__(self) -> None:
         _validate_config(self)
         _validate_weights("epsilons", self.epsilons, positive=True, fit_from=0.0)
+        if not 0.0 <= self.smoothing < 1.0:
+            raise ConfigError(f"smoothing must lie in [0, 1), got {self.smoothing}")
 
 
 #: Uniforms a soccer trial draws per ``rng.random(n)`` call; draws left over
@@ -568,7 +579,7 @@ def run_soccer_scaling(
     against the mixture actually played, so each cell is a known-alternative
     likelihood-ratio test on concatenated episodes."""
     if policies is None:
-        _, solution = _solve_soccer(SolverConfig(smoothing=config.smoothing))
+        _, solution = _solve_soccer(SolverConfig())
         policies = (solution.row_policy, solution.col_policy)
     null_a = smooth_policy(policies[0], config.smoothing)
     defender = smooth_policy(policies[1], config.smoothing)
@@ -737,6 +748,9 @@ class KlCheckConfig:
 
     def __post_init__(self) -> None:
         _validate_config(self)
+        if not self.dim >= 2:
+            raise ConfigError(f"dim must be at least 2, got {self.dim}")
+        _validate_weights("epsilons", self.epsilons, positive=True)
         if self.check_eps not in self.epsilons:
             raise ConfigError(
                 f"check_eps must be one of epsilons {self.epsilons}, got {self.check_eps}"
@@ -756,7 +770,7 @@ def run_kl_check(config: KlCheckConfig, out_dir: Path) -> ExperimentResult:
             rows.append((pair, eps, kl, predicted, ratio))
             if eps == config.check_eps:
                 at_check.append(ratio)
-    worst = max(abs(r - 1.0) for r in at_check)
+    worst = float(np.max(np.abs(np.array(at_check) - 1.0)))
     summary = {
         "seed": config.seed,
         "pairs": config.pairs,
@@ -786,6 +800,9 @@ class OracleSuiteConfig:
     streams: int = 100
     matrices: int = 1000
     chains: int = 25
+
+    def __post_init__(self) -> None:
+        _validate_config(self)
 
 
 def _rational_gain_error(rng: np.random.Generator) -> float:
@@ -829,7 +846,6 @@ def run_oracle_suite(config: OracleSuiteConfig, out_dir: Path) -> ExperimentResu
     rows = []
 
     # Midpoint quadrature against exact polynomial integration.
-    worst_quad = 0.0
     mixture = BettingMixture.uniform_grid(ORACLE_GRID_NODES)
     for i in range(config.streams):
         rng = run_rng(config.seed, 0, i)
@@ -839,21 +855,17 @@ def run_oracle_suite(config: OracleSuiteConfig, out_dir: Path) -> ExperimentResu
         path = nfstreams.log_wealth_paths(xs[None, :], mixture)
         approx = float(np.exp(path[0, -1]))
         rel = abs(approx - exact) / exact
-        worst_quad = max(worst_quad, rel)
         rows.append(("quadrature", i, rel))
 
     # LP solutions against pure best-response enumeration.
-    worst_gap = 0.0
     for i in range(config.matrices):
         rng = run_rng(config.seed, 1, i)
         payoff = rng.random((MATRIX_DIM, MATRIX_DIM))
         sol = matrix_game_solve(payoff)
         gap = exploitability(payoff, sol.row_strategy, sol.col_strategy, sol.value)
-        worst_gap = max(worst_gap, gap)
         rows.append(("matrix-exploitability", i, gap))
 
     # Power iteration against a dense eigensolver.
-    worst_chain = 0.0
     for i in range(config.chains):
         rng = run_rng(config.seed, 2, i)
         chain = rng.random((CHAIN_DIM, CHAIN_DIM)) + 0.05
@@ -864,16 +876,18 @@ def run_oracle_suite(config: OracleSuiteConfig, out_dir: Path) -> ExperimentResu
         reference = np.real(vectors[:, lead])
         reference /= reference.sum()
         err = float(np.max(np.abs(mu - reference)))
-        worst_chain = max(worst_chain, err)
         rows.append(("stationary", i, err))
 
     # Expected-payoff path against exact rational enumeration.
-    worst_rational = 0.0
     for i in range(RATIONAL_GAMES):
         err = _rational_gain_error(run_rng(config.seed, 3, i))
-        worst_rational = max(worst_rational, err)
         rows.append(("rational-gain", i, err))
 
+    # numpy's max, unlike Python's, keeps a NaN error, so its gate fails.
+    worst_quad, worst_gap, worst_chain, worst_rational = (
+        float(np.max([error for name, _, error in rows if name == check]))
+        for check in ("quadrature", "matrix-exploitability", "stationary", "rational-gain")
+    )
     summary = {
         "seed": config.seed,
         "worst_quadrature_rel_error": worst_quad,

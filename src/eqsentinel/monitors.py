@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eprocess import WEIGHT_TOL, BettingMixture, _log_mix, log_factors
-from .errors import DomainError, ShapeError, StateError
+from .eprocess import BettingMixture, _log_mix, log_factors
+from .errors import PROB_TOL, DomainError, ShapeError, StateError, check_distribution
 from .games import ActionProfile, EquilibriumMode, JointStrategy, NormalFormGame
 
 SNAPSHOT_HEADER = "eqsentinel-monitor-snapshot v2"
@@ -112,7 +112,7 @@ def increment(
     shift is the tolerance of an approximate-equilibrium null (0 for exact
     Nash/CCE/CE).
     """
-    if eps_shift < 0.0:
+    if not eps_shift >= 0.0:
         raise DomainError("eps_shift must be nonnegative")
     game._check_action(player, deviation)
     profile.validate(game.action_counts)
@@ -179,7 +179,7 @@ class MonitorConfig:
         if self.procedure not in ("fwer", "fdr"):
             raise DomainError(f"unknown procedure {self.procedure!r}")
         if self.mode is EquilibriumMode.EPS_APPROX:
-            if self.eps <= 0.0:
+            if not self.eps > 0.0:
                 raise DomainError("EPS_APPROX mode needs eps > 0")
             # Shifted increments reach 1 + eps; capping lambda keeps every
             # e-value factor nonnegative.
@@ -192,11 +192,9 @@ class MonitorConfig:
         if self.conditional_ce and self.mode is not EquilibriumMode.CE:
             raise DomainError("conditional_ce is only meaningful in CE mode")
         if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if w.ndim != 1:
+            if np.ndim(self.weights) != 1:
                 raise ShapeError("weights must be a 1-D array")
-            if w.min() <= 0.0 or abs(w.sum() - 1.0) > WEIGHT_TOL:
-                raise DomainError("weights must be positive and sum to 1")
+            w = check_distribution(self.weights, "weights", PROB_TOL, positive=True)
             object.__setattr__(self, "weights", w)
 
 

@@ -20,12 +20,12 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .eprocess import _log_mix
-from .errors import DomainError, ErgodicityError, ShapeError
+from .errors import PROB_TOL, DomainError, ErgodicityError, ShapeError, check_distribution
 
 logger = logging.getLogger(__name__)
 
+#: Sum tolerance for kernel and chain rows and the chi-square inputs.
 ROW_TOL = 1e-9
-POLICY_TOL = 1e-12
 EQUALIZER_TOL = 1e-9
 _PIVOT_TOL = 1e-9
 STATIONARY_RESIDUAL = 1e-12
@@ -63,11 +63,7 @@ class StochasticGameModel:
         # sum carry through, fails the test.
         if not (0.0 <= r.min() and r.max() <= 1.0):
             raise DomainError("rewards must lie in [0, 1]")
-        if not p.min() >= 0.0:
-            raise DomainError("transition probabilities must be nonnegative")
-        sums = p.sum(axis=-1)
-        if not np.max(np.abs(sums - 1.0)) <= ROW_TOL:
-            raise DomainError(f"transition rows must sum to 1 within {ROW_TOL}")
+        check_distribution(p, "transition rows", ROW_TOL)
         if not 0.0 < self.discount < 1.0:
             raise DomainError("discount must lie strictly inside (0, 1)")
         object.__setattr__(self, "rewards", r)
@@ -93,16 +89,9 @@ class Policy:
     table: np.ndarray  # (S, A)
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.table, dtype=float)
-        if t.ndim != 2:
+        if np.ndim(self.table) != 2:
             raise ShapeError("policy table must be (states, actions)")
-        if not np.all(np.isfinite(t)):
-            raise DomainError("policy entries must be finite")
-        if t.min() < 0.0:
-            raise DomainError("policy entries must be nonnegative")
-        if np.max(np.abs(t.sum(axis=1) - 1.0)) > POLICY_TOL:
-            raise DomainError(f"policy rows must sum to 1 within {POLICY_TOL}")
-        object.__setattr__(self, "table", t)
+        object.__setattr__(self, "table", check_distribution(self.table, "policy rows", PROB_TOL))
 
     @property
     def num_states(self) -> int:
@@ -123,7 +112,7 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.discount < 1.0:
             raise DomainError("discount must lie in (0, 1)")
-        if self.tolerance <= 0.0 or self.max_iterations <= 0:
+        if not (self.tolerance > 0.0 and self.max_iterations > 0):
             raise DomainError("tolerance and max_iterations must be positive")
         if not 0.0 <= self.smoothing < 1.0:
             raise DomainError("smoothing must lie in [0, 1)")
@@ -185,12 +174,11 @@ class LRMonitorState:
         k = len(self.alternatives)
         if self.prior_weights is None:
             self.prior_weights = np.full(k, 1.0 / k)
-        w = np.asarray(self.prior_weights, dtype=float)
-        if w.ndim != 1 or w.size != k:
+        if np.shape(self.prior_weights) != (k,):
             raise ShapeError("one prior weight per alternative")
-        if w.min() <= 0.0 or abs(w.sum() - 1.0) > POLICY_TOL:
-            raise DomainError("prior weights must be positive and sum to 1")
-        self.prior_weights = w
+        self.prior_weights = check_distribution(
+            self.prior_weights, "prior weights", PROB_TOL, positive=True
+        )
         if self.log_lr is None:
             self.log_lr = np.zeros(k)
 
@@ -252,11 +240,11 @@ def lr_detection_bound(
     ``prior_weight`` is the mixture mass on the true alternative; 1 recovers
     the single-alternative bound.
     """
-    if b <= 1.0:
+    if not b > 1.0:
         raise DomainError("threshold must exceed 1")
-    if overshoot < 0.0:
+    if not overshoot >= 0.0:
         raise DomainError("overshoot constant must be nonnegative")
-    if kl_bar <= 0.0:
+    if not kl_bar > 0.0:
         raise DomainError("state-averaged KL must be positive")
     if not 0.0 < prior_weight <= 1.0:
         raise DomainError("prior weight must lie in (0, 1]")
@@ -329,15 +317,11 @@ def empirical_state_distribution(visits, num_states: int) -> np.ndarray:
 
 def chi_square_div(q, p) -> float:
     """Half the chi-square distance sum (q - p)^2 / p."""
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if q.shape != p.shape:
+    if np.shape(q) != np.shape(p):
         raise ShapeError("distributions must have the same length")
-    if p.min() <= 0.0:
-        raise DomainError("base distribution must have full support")
-    for name, dist in (("q", q), ("p", p)):
-        if dist.min() < 0.0 or abs(dist.sum() - 1.0) > 1e-9:
-            raise DomainError(f"{name} must be a probability distribution")
+    # Each input is one distribution, whatever its shape.
+    p = check_distribution(np.ravel(p), "base distribution p", ROW_TOL, positive=True)
+    q = check_distribution(np.ravel(q), "q", ROW_TOL)
     return float(0.5 * np.sum((q - p) ** 2 / p))
 
 
@@ -368,8 +352,7 @@ def stationary_distribution(chain) -> np.ndarray:
     P = np.asarray(chain, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ShapeError("chain must be a square matrix")
-    if P.min() < 0.0 or np.max(np.abs(P.sum(axis=1) - 1.0)) > ROW_TOL:
-        raise DomainError("chain must be row-stochastic")
+    check_distribution(P, "chain rows", ROW_TOL)
     n_comp, labels = connected_components(
         csr_matrix(P > 0.0), directed=True, connection="strong"
     )
@@ -525,10 +508,13 @@ def matrix_game_solve(payoff) -> MatrixGameSolution:
 
 
 def exploitability(payoff, row_strategy, col_strategy, value: float) -> float:
-    """Largest pure best-response gain against the reported solution."""
+    """Largest pure best-response gain against the reported solution; NaN
+    when a strategy or the value holds a NaN."""
     A = np.asarray(payoff, dtype=float)
     col_gain = float(np.max(A @ np.asarray(col_strategy)) - value)
     row_gain = float(value - np.min(np.asarray(row_strategy) @ A))
+    if math.isnan(col_gain + row_gain):
+        return math.nan
     return max(col_gain, row_gain, 0.0)
 
 

@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import runpy
+import typing
 import sys
 from pathlib import Path
 
@@ -48,7 +50,7 @@ from eqsentinel.harness.seeding import run_rng
 from eqsentinel.eprocess import BettingMixture
 from eqsentinel.games import EquilibriumMode, JointStrategy
 from eqsentinel.monitors import enumerate_hypotheses
-from eqsentinel.stochastic import Policy, smooth_policy
+from eqsentinel.stochastic import Policy, SolverConfig, smooth_policy
 
 
 class TestConfigParsing:
@@ -871,13 +873,27 @@ class TestCliErrors:
             ("soccer-scaling", "epsilons = 0, 0.3, 0.5", "epsilons must lie in (0, 1], got 0.0"),
             ("prey-mixture", "eps_true = 1.5", "eps_true must lie in [0, 1], got 1.5"),
             ("prey-mixture", "eps_grid = 0.1, -0.3", "eps_grid must lie in [0, 1], got -0.3"),
+            ("nf-slack", "triples = 0", "triples must be at least 1, got 0"),
+            ("oracle-suite", "streams = 0", "streams must be at least 1, got 0"),
+            ("oracle-suite", "matrices = 0", "matrices must be at least 1, got 0"),
+            ("oracle-suite", "chains = 0", "chains must be at least 1, got 0"),
+            ("kl-check", "dim = 0", "dim must be at least 2, got 0"),
+            ("kl-check", "dim = 1", "dim must be at least 2, got 1"),
+            ("kl-check", "epsilons = 1.5, 0.001", "epsilons must lie in (0, 1], got 1.5"),
+            ("prey-mixture", "workers = -4", "workers must be at least 1, got -4"),
+            ("soccer-scaling", "workers = 0", "workers must be at least 1, got 0"),
+            ("soccer-scaling", "t_max = 0", "t_max must be at least 1, got 0"),
+            ("soccer-scaling", "smoothing = 1.5", "smoothing must lie in [0, 1), got 1.5"),
         ],
         ids=["soccer-discount", "fwer-lambda", "fwer-alpha", "detect-alpha", "sensitivity-alpha",
              "sensitivity-mixture", "unparsable-int", "unparsable-float", "unparsable-game",
              "strategy-length", "negative-game-count", "negative-strategy-shape", "empty-alphas",
              "empty-lambdas", "empty-etas", "uncalibrated-eta", "soccer-trials", "prey-trials",
              "kl-pairs", "kl-check-eps", "prey-slope-points", "soccer-slope-points",
-             "soccer-zero-eps", "prey-eps-above-one", "prey-negative-grid"],
+             "soccer-zero-eps", "prey-eps-above-one", "prey-negative-grid", "slack-triples",
+             "oracle-streams", "oracle-matrices", "oracle-chains", "kl-dim-zero", "kl-dim-one",
+             "kl-eps-above-one", "prey-negative-workers", "soccer-zero-workers", "soccer-t-max",
+             "soccer-smoothing"],
     )
     def test_out_of_domain_value_exits_one(self, tmp_path, capsys, name, body, message):
         config = tmp_path / "bad.cfg"
@@ -887,6 +903,88 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "o").exists(), "no output directory is made"
+
+
+#: (experiment, field) for every integer config field that counts something.
+COUNT_FIELDS = [
+    (name, field)
+    for name, (config_cls, _) in experiments.EXPERIMENTS.items()
+    for field, hint in typing.get_type_hints(config_cls).items()
+    if hint is int and field != "seed"
+]
+
+
+class TestConfigCounts:
+    @pytest.mark.parametrize(
+        "name, field", COUNT_FIELDS, ids=[f"{name}-{field}" for name, field in COUNT_FIELDS]
+    )
+    def test_zero_count_rejected_at_construction(self, name, field):
+        config_cls, _ = experiments.EXPERIMENTS[name]
+        # soccer-solve's config is the solver's own, which raises DomainError.
+        error = DomainError if config_cls is SolverConfig else ConfigError
+        with pytest.raises(error):
+            config_cls(**{field: 0})
+
+    def test_pmap_starts_no_more_processes_than_items_or_cpus(self, monkeypatch):
+        started = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+        assert experiments._pmap(abs, [-1, -2, -3], workers=64) == [1, 2, 3]
+        assert experiments._pmap(abs, range(-9, 0), workers=64) == list(range(9, 0, -1))
+        assert experiments._pmap(abs, [-5], workers=64) == [5]  # one item runs serially
+        assert started == [3, 4]
+
+
+class TestGatesSeeNan:
+    def test_oracle_suite_fails_on_nan_solutions(self, tmp_path, monkeypatch):
+        solve = experiments.matrix_game_solve
+
+        def nan_rows(payoff):
+            sol = solve(payoff)
+            return dataclasses.replace(sol, row_strategy=np.full_like(sol.row_strategy, np.nan))
+
+        monkeypatch.setattr(experiments, "matrix_game_solve", nan_rows)
+        monkeypatch.setattr(
+            experiments, "stationary_distribution", lambda chain: np.full(len(chain), np.nan)
+        )
+        config = experiments.OracleSuiteConfig(streams=2, matrices=3, chains=3)
+        result = experiments.run_oracle_suite(config, tmp_path)
+        assert not result.checks["exploitability_within_1e-6"]
+        assert not result.checks["stationary_within_1e-9"]
+        assert math.isnan(result.summary["worst_exploitability"])
+        assert math.isnan(result.summary["worst_stationary_error"])
+        assert result.checks["quadrature_within_1e-3"]
+        assert result.checks["rational_gain_within_1e-12"]
+
+    def test_kl_check_fails_on_a_nan_ratio(self, tmp_path, monkeypatch):
+        check = experiments.kl_quadratic_check
+        calls = []
+
+        def nan_second_pair(p, q, epsilons):
+            calls.append(None)
+            rows = check(p, q, epsilons)
+            if len(calls) == 2:
+                rows = [(eps, math.nan, predicted) for eps, _, predicted in rows]
+            return rows
+
+        monkeypatch.setattr(experiments, "kl_quadratic_check", nan_second_pair)
+        result = experiments.run_kl_check(KlCheckConfig(pairs=3), tmp_path)
+        assert math.isnan(result.summary["worst_ratio_error"])
+        assert not result.checks["quadratic_at_small_eps"]
 
 
 class TestEpsGridMixture:

@@ -459,6 +459,19 @@ class TestMatrixGame:
         with pytest.raises(ShapeError):
             matrix_game_solve(np.zeros((0, 2)))
 
+    @pytest.mark.parametrize(
+        "row, col, value",
+        [
+            ([math.nan, math.nan], [0.5, 0.5], 0.5),
+            ([0.5, 0.5], [math.nan, 0.5], 0.5),
+            ([0.5, 0.5], [0.5, 0.5], math.nan),
+        ],
+        ids=["row-strategy", "col-strategy", "value"],
+    )
+    def test_exploitability_of_a_nan_solution_is_nan(self, row, col, value):
+        # Python's max would drop the NaN gain and report 0 here.
+        assert math.isnan(exploitability([[1.0, 0.0], [0.0, 1.0]], row, col, value))
+
     def test_exploitability_on_random_matrices(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
