@@ -865,7 +865,7 @@ def run_oracle_suite(config: OracleSuiteConfig, out_dir: Path) -> ExperimentResu
         gap = exploitability(payoff, sol.row_strategy, sol.col_strategy, sol.value)
         rows.append(("matrix-exploitability", i, gap))
 
-    # Power iteration against a dense eigensolver.
+    # Exact state reduction (GTH) against a dense eigensolver.
     for i in range(config.chains):
         rng = run_rng(config.seed, 2, i)
         chain = rng.random((CHAIN_DIM, CHAIN_DIM)) + 0.05

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .eprocess import _log_mix
 from .errors import PROB_TOL, DomainError, ErgodicityError, ShapeError, check_distribution
@@ -28,8 +27,6 @@ logger = logging.getLogger(__name__)
 ROW_TOL = 1e-9
 EQUALIZER_TOL = 1e-9
 _PIVOT_TOL = 1e-9
-STATIONARY_RESIDUAL = 1e-12
-STATIONARY_MAX_ITER = 1_000_000
 
 MODEL_HEADER = "eqsentinel-model v1"
 POLICY_HEADER = "eqsentinel-policy v1"
@@ -343,40 +340,40 @@ def kl_quadratic_check(p, q, epsilons) -> list[tuple[float, float, float]]:
 
 
 def stationary_distribution(chain) -> np.ndarray:
-    """Stationary distribution of an ergodic chain by power iteration.
+    """Stationary distribution of a chain with one aperiodic recurrent class.
 
-    Requires a single recurrent class (transient states are allowed and get
-    weight zero). Periodic chains fail to converge from the asymmetric start
-    and raise within the iteration budget.
+    Other chains raise ``ErgodicityError``; transient states get 0. The 0/1
+    support is squared to a power k >= n^2, past every state's path into the
+    class plus Wielandt's bound, so the columns positive in every row are the
+    class, and a periodic chain or a second class leaves none. The class is
+    solved by the state reduction of Grassmann, Taksar & Heyman ("Regenerative
+    analysis and steady state distributions for Markov chains", Operations
+    Research 33(5), 1985), which never subtracts: the result is nonnegative and
+    accurate on nearly decomposable chains.
     """
     P = np.asarray(chain, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ShapeError("chain must be a square matrix")
     check_distribution(P, "chain rows", ROW_TOL)
-    n_comp, labels = connected_components(
-        csr_matrix(P > 0.0), directed=True, connection="strong"
-    )
-    # A class is recurrent iff nothing leaves it.
-    leaves = np.zeros(n_comp, dtype=bool)
-    src, dst = np.nonzero(P > 0.0)
-    crossing = labels[src] != labels[dst]
-    leaves[labels[src[crossing]]] = True
-    if int(np.sum(~leaves)) != 1:
-        raise ErgodicityError("chain does not have a single recurrent class")
     n = P.shape[0]
-    mu = np.arange(1, n + 1, dtype=float)
-    mu /= mu.sum()
-    prev = None
-    for _ in range(STATIONARY_MAX_ITER):
-        nxt = mu @ P
-        if np.abs(nxt - mu).sum() <= STATIONARY_RESIDUAL:
-            return nxt / nxt.sum()
-        if prev is not None and np.abs(nxt - prev).sum() <= STATIONARY_RESIDUAL:
-            # Settled into a 2-cycle instead of a fixed point.
-            raise ErgodicityError("chain is periodic")
-        prev = mu
-        mu = nxt
-    raise ErgodicityError("power iteration did not converge (periodic chain?)")
+    reach = P > 0.0
+    for _ in range((n * n - 1).bit_length()):
+        reach = reach @ reach
+    recurrent = np.flatnonzero(reach.all(axis=0))
+    if not recurrent.size:
+        raise ErgodicityError("chain does not have a single aperiodic recurrent class")
+    Q = P[np.ix_(recurrent, recurrent)]
+    # Censor the class's states out from the last to the second; column k
+    # keeps the weights that give x[k] from the states below it.
+    for k in range(recurrent.size - 1, 0, -1):
+        Q[:k, k] /= Q[k, :k].sum()
+        Q[:k, :k] += np.outer(Q[:k, k], Q[k, :k])
+    x = np.ones(recurrent.size)
+    for k in range(1, recurrent.size):
+        x[k] = x[:k] @ Q[:k, k]
+    mu = np.zeros(n)
+    mu[recurrent] = x / x.sum()
+    return mu
 
 
 # -- zero-sum solving ---------------------------------------------------------

@@ -17,7 +17,9 @@ is the soccer model builder from before it read ``soccer.successor_table``.
 ``deviation_gain_reference`` and ``equilibrium_slack_reference`` are the
 expected gains as they were before they read the increment table: separate
 sums of the played and the deviating payoff, and a loop over recommendations
-for the conditional CE gains.
+for the conditional CE gains. ``stationary_distribution_reference`` finds the
+recurrent class and its period by graph search and solves for the
+distribution in exact rationals.
 """
 
 import math
@@ -29,7 +31,7 @@ from scipy.optimize import linprog
 
 from eqsentinel.eprocess import BettingMixture
 from eqsentinel.envs import prey, soccer
-from eqsentinel.errors import DomainError
+from eqsentinel.errors import DomainError, ErgodicityError
 from eqsentinel.games import EquilibriumMode, StrategyKind
 from eqsentinel.harness import nfstreams, scenarios
 from eqsentinel.harness.seeding import run_rng
@@ -378,6 +380,66 @@ def shapley_solve_reference(
         iterations=iterations,
         residual=residual,
     )
+
+
+def stationary_distribution_reference(chain) -> np.ndarray:
+    """Stationary distribution by graph search and exact elimination.
+
+    The recurrent states are those that every state they reach reaches back;
+    there must be one class of them. Its period is the gcd, over its edges
+    u -> v, of level(u) + 1 - level(v) for BFS levels from one of its states
+    (Kemeny & Snell, "Finite Markov Chains", 1960), and must be 1. The class
+    is solved from pi (P - I) = 0 with one equation replaced by sum pi = 1,
+    by Gauss-Jordan elimination over ``Fraction`` entries, which is exact
+    for entries that are binary fractions. Transient states get 0.
+    """
+    n = len(chain)
+    p = [[Fraction(float(x)) for x in row] for row in chain]
+    succ = [[j for j in range(n) if p[i][j] > 0] for i in range(n)]
+    reach = []
+    for i in range(n):
+        seen, stack = {i}, [i]
+        while stack:
+            for j in succ[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        reach.append(seen)
+    classes = {frozenset(reach[i]) for i in range(n) if all(i in reach[j] for j in reach[i])}
+    if len(classes) != 1:
+        raise ErgodicityError(f"{len(classes)} recurrent classes")
+    states = sorted(classes.pop())
+    level = {states[0]: 0}
+    queue = [states[0]]
+    for u in queue:
+        for v in succ[u]:
+            if v not in level:
+                level[v] = level[u] + 1
+                queue.append(v)
+    period = 0
+    for u in states:
+        for v in succ[u]:
+            period = math.gcd(period, level[u] + 1 - level[v])
+    if period != 1:
+        raise ErgodicityError(f"period {period}")
+    m = len(states)
+    # Row j of the augmented system: sum_i pi_i (P_ij - [i == j]) = 0.
+    a = [
+        [p[states[i]][states[j]] - (i == j) for i in range(m)] + [Fraction(0)]
+        for j in range(m)
+    ]
+    a[-1] = [Fraction(1)] * (m + 1)
+    for col in range(m):
+        pivot = next(r for r in range(col, m) if a[r][col] != 0)
+        a[col], a[pivot] = a[pivot], a[col]
+        for r in range(m):
+            if r != col and a[r][col] != 0:
+                f = a[r][col] / a[col][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    mu = np.zeros(n)
+    for i, s in enumerate(states):
+        mu[s] = float(a[i][m] / a[i][i])
+    return mu
 
 
 def _increment_tables(game, hypotheses) -> np.ndarray:

@@ -1,7 +1,10 @@
 import dataclasses
 import math
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -46,6 +49,7 @@ from _oracles import (
     best_response_gap,
     matrix_game_solve_lp_reference,
     shapley_solve_reference,
+    stationary_distribution_reference,
 )
 
 
@@ -369,6 +373,29 @@ class TestDivergences:
         assert all(row[1] == pytest.approx(0.0, abs=1e-15) for row in rows)
 
 
+@st.composite
+def dyadic_chains(draw):
+    """1-7 state chains with exact binary-fraction entries.
+
+    A "rows" chain spreads each row's 1, 2, 4, 8 or 16 equal units over
+    random columns, from deterministic to dense rows; "blocks" does the same
+    inside two diagonal blocks, which makes it reducible; "permutation" is a
+    permuted identity, periodic or reducible past one state.
+    """
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["rows", "blocks", "permutation"]))
+    if kind == "permutation":
+        return np.eye(n)[draw(st.permutations(range(n)))]
+    cut = draw(st.integers(1, n - 1)) if kind == "blocks" and n > 1 else n
+    chain = np.zeros((n, n))
+    for i in range(n):
+        lo, hi = (0, cut) if i < cut else (cut, n)
+        units = draw(st.sampled_from([1, 2, 4, 8, 16]))
+        for j in draw(st.lists(st.integers(lo, hi - 1), min_size=units, max_size=units)):
+            chain[i, j] += 1.0 / units
+    return chain
+
+
 class TestStationaryDistribution:
     def test_symmetric_two_state(self):
         chain = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -407,6 +434,62 @@ class TestStationaryDistribution:
         chain = np.array([[0.0, 0.5, 0.5], [0.0, 0.6, 0.4], [0.0, 0.3, 0.7]])
         mu = stationary_distribution(chain)
         assert mu[0] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [1e-2, 1e-3, 1e-4])
+    def test_nearly_periodic_two_state(self, d):
+        chain = np.array([[d, 1.0 - d], [1.0 - d, d]])
+        assert stationary_distribution(chain) == pytest.approx([0.5, 0.5])
+
+    def test_dominant_negative_eigenvalue_accepted(self):
+        # Sparse, with a positive diagonal and so aperiodic; its second
+        # eigenvalue is -0.76.
+        rng = np.random.default_rng(139)
+        chain = rng.random((5, 5))
+        chain[chain < 0.3] = 0.0
+        chain += 1e-3 * np.eye(5)
+        chain /= chain.sum(axis=1, keepdims=True)
+        values, vectors = np.linalg.eig(chain.T)
+        ref = np.real(vectors[:, np.argmin(np.abs(values - 1.0))])
+        assert stationary_distribution(chain) == pytest.approx(ref / ref.sum(), abs=1e-9)
+
+    def test_nearly_decomposable_chain(self):
+        chain = np.array([[1.0, 1e-20], [3e-20, 1.0]])
+        mu = stationary_distribution(chain)
+        assert mu == pytest.approx([0.75, 0.25], abs=1e-15)
+
+    def test_three_cycle_rejected_as_periodic(self):
+        with pytest.raises(ErgodicityError, match="aperiodic recurrent class"):
+            stationary_distribution(np.roll(np.eye(3), 1, axis=1))
+
+    def test_recurrent_row_off_within_tolerance(self):
+        chain = np.full((3, 3), 1.0 / 3.0)
+        chain[0, 0] += 5e-10
+        assert stationary_distribution(chain) == pytest.approx(np.full(3, 1.0 / 3.0))
+
+    @given(chain=dyadic_chains())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_exact_reference(self, chain):
+        try:
+            ref = stationary_distribution_reference(chain)
+        except ErgodicityError:
+            with pytest.raises(ErgodicityError):
+                stationary_distribution(chain)
+            return
+        mu = stationary_distribution(chain)
+        assert np.all(mu >= 0.0)
+        assert mu.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(mu - ref)) <= 1e-12
+
+
+def test_import_does_not_load_csgraph():
+    code = (
+        "import sys; sys.path.insert(0, {src!r})\n"
+        "import eqsentinel, eqsentinel.harness.cli\n"
+        "print('scipy.sparse.csgraph' in sys.modules)"
+    ).format(src=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def counting_lp():

@@ -42,10 +42,17 @@ def _model(v):
 
 
 def _chain(v):
-    # State 0 is transient, so power iteration converges even when its row
-    # sums to 1 only within the tolerance.
+    # State 0 is transient: no other row leads to it.
     chain = np.zeros((v.size, v.size))
     chain[1:, 1:] = 1.0 / (v.size - 1)
+    chain[0] = v
+    return stationary_distribution(chain)
+
+
+def _recurrent_chain(v):
+    # Every entry is positive, so state 0 is recurrent and its row's sum,
+    # off by up to the tolerance, enters the solve.
+    chain = np.tile(_uniform(v.size), (v.size, 1))
     chain[0] = v
     return stationary_distribution(chain)
 
@@ -73,6 +80,7 @@ ENTRY_POINTS = {
     "chi-square-p": (lambda v: chi_square_div(_uniform(v.size), v), ROW_TOL),
     "model-transition": (_model, ROW_TOL),
     "chain": (_chain, ROW_TOL),
+    "chain-recurrent": (_recurrent_chain, ROW_TOL),
 }
 
 FAULTS = {
