@@ -12,11 +12,10 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
 
 from .eprocess import _log_mix
 from .errors import PROB_TOL, DomainError, ErgodicityError, ShapeError, check_distribution
@@ -30,6 +29,20 @@ _PIVOT_TOL = 1e-9
 
 MODEL_HEADER = "eqsentinel-model v1"
 POLICY_HEADER = "eqsentinel-policy v1"
+
+#: Rows of the dense kernel scanned for nonzeros at a time, so the scan's mask
+#: stays under 1 MB where one over soccer's 16M entries would take 16 MB.
+_SCAN_ROWS = 1024
+
+
+def __getattr__(name: str):
+    # scipy.optimize loads only when a game first reaches HiGHS. ``linprog``
+    # stays a module attribute, so it can be wrapped or patched like a global.
+    if name == "linprog":
+        from scipy.optimize import linprog
+
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -481,7 +494,8 @@ def matrix_game_solve(payoff) -> MatrixGameSolution:
     a_ub = np.hstack([-A.T, np.ones((cols, 1))])
     a_eq = np.hstack([np.ones((1, rows)), np.zeros((1, 1))])
     bounds = [(0.0, None)] * rows + [(None, None)]
-    res = linprog(
+    # Read through the module, where ``__getattr__`` and patches are seen.
+    res = sys.modules[__name__].linprog(
         c,
         A_ub=a_ub,
         b_ub=np.zeros(cols),
@@ -525,42 +539,69 @@ class ShapleySolution:
     residual: float
 
 
-def _equalize(payoff: np.ndarray, rows: np.ndarray, cols: np.ndarray):
-    """Equalizer solution of ``payoff`` on a square support, if it verifies.
+def _equalize(payoffs: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """Equalizer solutions of stacked payoffs on square supports of one size.
 
     On the support (rows, cols) of an equilibrium each side makes the other
     indifferent: ``x @ A[rows, cols] = v`` and ``A[rows, cols] @ y = v`` with x
-    and y summing to 1 (von Neumann's support enumeration, one support). The
-    result is returned only when both strategies are nonnegative and no pure
-    deviation gains more than ``EQUALIZER_TOL``; otherwise None.
+    and y summing to 1 (von Neumann's support enumeration, one support).
+    ``payoffs`` is (n, A_row, A_col); ``rows`` and ``cols`` are (n, A_row) and
+    (n, A_col) masks with the same number k of True entries in every row.
+    Each side's n systems go to one stacked solve, which runs LAPACK's gesv
+    on every matrix as a single solve would.
+
+    Returns ``(accepted, values, row_strategies, col_strategies)``. A state is
+    accepted only when both strategies are nonnegative and no pure deviation
+    gains more than ``EQUALIZER_TOL``; the other entries are meaningless.
     """
-    k = rows.size
-    if k != cols.size:
-        return None
-    system = np.zeros((k + 1, k + 1))
-    system[k, :k] = 1.0
-    system[:k, k] = -1.0
+    n, k = rows.shape[0], int(rows[0].sum())
+    picked = np.arange(n)[:, None, None]
+    row_ids = rows.nonzero()[1].reshape(n, k)
+    col_ids = cols.nonzero()[1].reshape(n, k)
+    block = payoffs[picked, row_ids[:, :, None], col_ids[:, None, :]]
+    system = np.zeros((n, k + 1, k + 1))
+    system[:, k, :k] = 1.0
+    system[:, :k, k] = -1.0
     rhs = np.zeros(k + 1)
     rhs[k] = 1.0
-    block = payoff[np.ix_(rows, cols)]
     try:
-        system[:k, :k] = block.T
+        system[:, :k, :k] = block.transpose(0, 2, 1)
         row_part = np.linalg.solve(system, rhs)
-        system[:k, :k] = block
+        system[:, :k, :k] = block
         col_part = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError:
-        return None
-    x, y = row_part[:k], col_part[:k]
-    if not (np.all(x >= 0.0) and np.all(y >= 0.0)):
-        return None
-    row = np.zeros(payoff.shape[0])
-    col = np.zeros(payoff.shape[1])
-    row[rows] = x / x.sum()
-    col[cols] = y / y.sum()
-    value = float(row_part[k])
-    if not exploitability(payoff, row, col, value) <= EQUALIZER_TOL:
-        return None
-    return MatrixGameSolution(value, row, col)
+        # One singular system fails the whole stack: solve state by state.
+        if n == 1:
+            return np.zeros(1, dtype=bool), np.zeros(1), np.zeros(rows.shape), np.zeros(cols.shape)
+        parts = [_equalize(payoffs[i : i + 1], rows[i : i + 1], cols[i : i + 1]) for i in range(n)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+    x, y = row_part[:, :k], col_part[:, :k]
+    accepted = np.all(x >= 0.0, axis=1) & np.all(y >= 0.0, axis=1)
+    x, y = x[accepted], y[accepted]
+    row = np.zeros(rows.shape)
+    col = np.zeros(cols.shape)
+    row[rows & accepted[:, None]] = (x / x.sum(axis=1, keepdims=True)).ravel()
+    col[cols & accepted[:, None]] = (y / y.sum(axis=1, keepdims=True)).ravel()
+    values = row_part[:, k]
+    for i in accepted.nonzero()[0].tolist():
+        accepted[i] = exploitability(payoffs[i], row[i], col[i], values[i]) <= EQUALIZER_TOL
+    return accepted, values, row, col
+
+
+def _csr_arrays(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(data, indices, indptr)`` of a dense 2-D matrix, as ``csr_matrix``
+    stores them, from blocks of ``_SCAN_ROWS`` rows. NaN and inf are nonzero."""
+    num_rows, num_cols = matrix.shape
+    data, indices = [], []
+    indptr = np.zeros(num_rows + 1, dtype=np.intp)
+    for start in range(0, num_rows, _SCAN_ROWS):
+        block = matrix[start : start + _SCAN_ROWS].ravel()
+        flat = np.flatnonzero(block != 0.0)
+        ends = np.arange(num_cols, block.size + 1, num_cols)
+        indptr[start + 1 : start + 1 + ends.size] = indptr[start] + np.searchsorted(flat, ends)
+        data.append(block[flat])
+        indices.append(flat % num_cols)
+    return np.concatenate(data), np.concatenate(indices), indptr
 
 
 def shapley_solve_arrays(
@@ -575,9 +616,12 @@ def shapley_solve_arrays(
     A sweep backs the values up through the kernel as one sparse product,
     takes every pure saddle point at once (the same comparison, and so the
     same value and strategies, as ``matrix_game_solve``'s shortcut), and
-    solves each remaining state on the support of its last LP solution,
-    falling back to ``matrix_game_solve`` when that does not verify.
+    solves the remaining states on the supports of their last LP solutions,
+    one stacked ``_equalize`` per support size. A state whose support is not
+    square or does not verify falls back to ``matrix_game_solve``.
     """
+    from scipy.sparse import csr_matrix
+
     rewards = np.asarray(rewards, dtype=float)
     transition = np.asarray(transition, dtype=float)
     num_states, a_row, a_col = rewards.shape
@@ -585,15 +629,19 @@ def shapley_solve_arrays(
         raise ShapeError("transition shape does not match rewards")
     if not np.all(np.isfinite(rewards)):
         raise DomainError("rewards must be finite")
-    kernel = csr_matrix(transition.reshape(-1, num_states))
+    matrix = transition.reshape(-1, num_states)
+    data, indices, indptr = _csr_arrays(matrix)
     # A NaN or inf kernel entry is nonzero, so it is among the stored data.
-    if not np.all(np.isfinite(kernel.data)):
+    if not np.all(np.isfinite(data)):
         raise DomainError("transition entries must be finite")
+    kernel = csr_matrix((data, indices, indptr), shape=matrix.shape)
     states = np.arange(num_states)
     values = np.zeros(num_states)
     row_tables = np.full((num_states, a_row), 1.0 / a_row)
     col_tables = np.full((num_states, a_col), 1.0 / a_col)
-    supports: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    # The support of each state's last LP solution; empty before its first.
+    row_support = np.zeros((num_states, a_row), dtype=bool)
+    col_support = np.zeros((num_states, a_col), dtype=bool)
     converged = False
     residual = math.inf
     iterations = 0
@@ -609,14 +657,24 @@ def shapley_solve_arrays(
         row_tables[saddle, r[saddle]] = 1.0
         col_tables[saddle] = 0.0
         col_tables[saddle, c[saddle]] = 1.0
-        for s in np.flatnonzero(~saddle).tolist():
-            sol = _equalize(q[s], *supports[s]) if s in supports else None
-            if sol is None:
-                sol = matrix_game_solve(q[s])
-                supports[s] = (
-                    np.flatnonzero(sol.row_strategy > 0.0),
-                    np.flatnonzero(sol.col_strategy > 0.0),
-                )
+        mixed = np.flatnonzero(~saddle)
+        sizes = row_support[mixed].sum(axis=1)
+        square = (sizes > 0) & (sizes == col_support[mixed].sum(axis=1))
+        unsolved = np.ones(num_states, dtype=bool)
+        for k in np.unique(sizes[square]).tolist():
+            group = mixed[square & (sizes == k)]
+            accepted, group_values, rows, cols = _equalize(
+                q[group], row_support[group], col_support[group]
+            )
+            group = group[accepted]
+            new_values[group] = group_values[accepted]
+            row_tables[group] = rows[accepted]
+            col_tables[group] = cols[accepted]
+            unsolved[group] = False
+        for s in mixed[unsolved[mixed]].tolist():
+            sol = matrix_game_solve(q[s])
+            row_support[s] = sol.row_strategy > 0.0
+            col_support[s] = sol.col_strategy > 0.0
             new_values[s] = sol.value
             row_tables[s] = sol.row_strategy
             col_tables[s] = sol.col_strategy

@@ -7,7 +7,10 @@ the object-level simulators, as the experiments did before they moved to
 integer state ids and precomputed tables. ``shapley_solve_reference`` is
 the Shapley sweep as it was before the sparse backup, the all-state saddle
 test and the warm-started equalizer solves: a dense ``einsum`` backup and one
-``matrix_game_solve`` per state per sweep. The ``*_rows_reference`` functions
+``matrix_game_solve`` per state per sweep. ``shapley_sweep_reference`` is
+the sweep as it was before the stacked equalizer solves and the blocked
+kernel scan: ``csr_matrix`` of the dense kernel and one ``_equalize_reference``
+per mixed state. The ``*_rows_reference`` functions
 are the nf-* experiments' per-run loops from before the chunked replay: each
 run draws, gathers and accumulates every round of its horizon.
 ``ebh_rejection_brute_force`` searches every subset for e-BH's rejection
@@ -28,7 +31,9 @@ from itertools import combinations, product
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csr_matrix
 
+from eqsentinel import stochastic
 from eqsentinel.eprocess import BettingMixture
 from eqsentinel.envs import prey, soccer
 from eqsentinel.errors import DomainError, ErgodicityError
@@ -37,11 +42,13 @@ from eqsentinel.harness import nfstreams, scenarios
 from eqsentinel.harness.seeding import run_rng
 from eqsentinel.monitors import CE_SUPPORT_FLOOR, enumerate_hypotheses
 from eqsentinel.stochastic import (
+    EQUALIZER_TOL,
     MatrixGameSolution,
     Policy,
     ShapleySolution,
     SolverConfig,
     StochasticGameModel,
+    exploitability,
     matrix_game_solve,
 )
 
@@ -364,6 +371,93 @@ def shapley_solve_reference(
         new_values = np.empty(num_states)
         for s in range(num_states):
             sol = matrix_game_solve(q[s])
+            new_values[s] = sol.value
+            row_tables[s] = sol.row_strategy
+            col_tables[s] = sol.col_strategy
+        residual = float(np.max(np.abs(new_values - values)))
+        values = new_values
+        if residual < config.tolerance:
+            converged = True
+            break
+    return ShapleySolution(
+        values=values,
+        row_policy=Policy(row_tables),
+        col_policy=Policy(col_tables),
+        converged=converged,
+        iterations=iterations,
+        residual=residual,
+    )
+
+
+def _equalize_reference(payoff: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """One state's equalizer solution on a square support, if it verifies."""
+    k = rows.size
+    if k != cols.size:
+        return None
+    system = np.zeros((k + 1, k + 1))
+    system[k, :k] = 1.0
+    system[:k, k] = -1.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
+    block = payoff[np.ix_(rows, cols)]
+    try:
+        system[:k, :k] = block.T
+        row_part = np.linalg.solve(system, rhs)
+        system[:k, :k] = block
+        col_part = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    x, y = row_part[:k], col_part[:k]
+    if not (np.all(x >= 0.0) and np.all(y >= 0.0)):
+        return None
+    row = np.zeros(payoff.shape[0])
+    col = np.zeros(payoff.shape[1])
+    row[rows] = x / x.sum()
+    col[cols] = y / y.sum()
+    value = float(row_part[k])
+    if not exploitability(payoff, row, col, value) <= EQUALIZER_TOL:
+        return None
+    return MatrixGameSolution(value, row, col)
+
+
+def shapley_sweep_reference(
+    rewards: np.ndarray, transition: np.ndarray, config: SolverConfig
+) -> ShapleySolution:
+    """Saddle-batched, warm-started sweep with one equalizer solve per mixed
+    state. Calls ``stochastic.matrix_game_solve`` through the module, so a
+    patch of it reaches this sweep as it reaches the solver's."""
+    rewards = np.asarray(rewards, dtype=float)
+    transition = np.asarray(transition, dtype=float)
+    num_states, a_row, a_col = rewards.shape
+    kernel = csr_matrix(transition.reshape(-1, num_states))
+    states = np.arange(num_states)
+    values = np.zeros(num_states)
+    row_tables = np.full((num_states, a_row), 1.0 / a_row)
+    col_tables = np.full((num_states, a_col), 1.0 / a_col)
+    supports = {}
+    converged = False
+    residual = math.inf
+    iterations = 0
+    for iterations in range(1, config.max_iterations + 1):
+        q = rewards + config.discount * (kernel @ values).reshape(rewards.shape)
+        row_mins = q.min(axis=2)
+        col_maxs = q.max(axis=1)
+        r = row_mins.argmax(axis=1)
+        c = col_maxs.argmin(axis=1)
+        new_values = row_mins[states, r]
+        saddle = new_values == col_maxs[states, c]
+        row_tables[saddle] = 0.0
+        row_tables[saddle, r[saddle]] = 1.0
+        col_tables[saddle] = 0.0
+        col_tables[saddle, c[saddle]] = 1.0
+        for s in np.flatnonzero(~saddle).tolist():
+            sol = _equalize_reference(q[s], *supports[s]) if s in supports else None
+            if sol is None:
+                sol = stochastic.matrix_game_solve(q[s])
+                supports[s] = (
+                    np.flatnonzero(sol.row_strategy > 0.0),
+                    np.flatnonzero(sol.col_strategy > 0.0),
+                )
             new_values[s] = sol.value
             row_tables[s] = sol.row_strategy
             col_tables[s] = sol.col_strategy

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from eqsentinel import (
     LRMonitorState,
@@ -49,6 +50,7 @@ from _oracles import (
     best_response_gap,
     matrix_game_solve_lp_reference,
     shapley_solve_reference,
+    shapley_sweep_reference,
     stationary_distribution_reference,
 )
 
@@ -481,15 +483,33 @@ class TestStationaryDistribution:
         assert np.max(np.abs(mu - ref)) <= 1e-12
 
 
-def test_import_does_not_load_csgraph():
+def test_import_and_nf_slack_load_no_scipy(tmp_path):
+    # scipy loads only when a solve needs it: linprog at the first HiGHS
+    # game, csr_matrix in shapley_solve_arrays.
+    root = Path(__file__).resolve().parents[1]
     code = (
-        "import sys; sys.path.insert(0, {src!r})\n"
-        "import eqsentinel, eqsentinel.harness.cli\n"
-        "print('scipy.sparse.csgraph' in sys.modules)"
-    ).format(src=str(Path(__file__).resolve().parents[1] / "src"))
+        "import contextlib, io, sys; sys.path.insert(0, {src!r})\n"
+        "import eqsentinel, eqsentinel.harness.cli as cli\n"
+        "argv = ['nf-slack', '--config', {config!r}, '--out', {out!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = cli.main(argv)\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    ).format(
+        src=str(root / "src"),
+        config=str(root / "configs" / "nf-slack.cfg"),
+        out=str(tmp_path / "nf-slack"),
+    )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "0 []"
+
+
+def test_linprog_stays_a_module_attribute():
+    from scipy.optimize import linprog
+
+    assert stochastic.linprog is linprog
+    with pytest.raises(AttributeError):
+        stochastic.no_such_name
 
 
 def counting_lp():
@@ -699,6 +719,17 @@ def small_game(seed, num_states, a_row, a_col, coarse, dup_row, dup_col):
     return rewards, transition
 
 
+def assert_same_solution(sol, ref):
+    assert (sol.iterations, sol.converged, sol.residual) == (
+        ref.iterations,
+        ref.converged,
+        ref.residual,
+    )
+    np.testing.assert_array_equal(sol.values, ref.values)
+    np.testing.assert_array_equal(sol.row_policy.table, ref.row_policy.table)
+    np.testing.assert_array_equal(sol.col_policy.table, ref.col_policy.table)
+
+
 class TestShapleySweep:
     """The sparse, saddle-batched, warm-started sweep against the per-state
     LP sweep it replaced (``shapley_solve_reference``)."""
@@ -720,6 +751,8 @@ class TestShapleySweep:
         rewards, transition = small_game(seed, num_states, a_row, a_col, coarse, dup_row, dup_col)
         config = SolverConfig(discount=discount, tolerance=1e-6, max_iterations=25)
         sol = shapley_solve_arrays(rewards, transition, config)
+        # Bit for bit the sweep with one equalizer solve per mixed state.
+        assert_same_solution(sol, shapley_sweep_reference(rewards, transition, config))
         ref = shapley_solve_reference(rewards, transition, config)
         assert (sol.iterations, sol.converged) == (ref.iterations, ref.converged)
         np.testing.assert_allclose(sol.values, ref.values, rtol=0.0, atol=1e-9)
@@ -737,6 +770,10 @@ class TestShapleySweep:
             assert gap <= 1e-6
 
     def test_soccer_matches_reference(self, soccer_game, soccer_solution):
+        sweep = shapley_sweep_reference(
+            soccer_game.native_reward, soccer_game.model.transition, SolverConfig()
+        )
+        assert_same_solution(soccer_solution, sweep)
         ref = shapley_solve_reference(
             soccer_game.native_reward, soccer_game.model.transition, SolverConfig()
         )
@@ -779,23 +816,35 @@ class TestShapleySweep:
         # State 0's columns 1 and 2 are duplicates. The LP's basic solutions
         # never use both, but x = (1/3, 1/3, 1/3), y = (1/2, 1/4, 1/4) is an
         # equilibrium too, and on that support both equalizer systems are
-        # singular. State 0 moves to the absorbing zero state 1, so its
-        # Q-matrix is the same exact matrix in every sweep.
-        rewards = np.zeros((2, 3, 3))
+        # singular. State 2 is rock-paper-scissors, whose unique equilibrium
+        # has the same full support, so from the second sweep on both states
+        # share one stacked solve, which the singular system fails. States 0
+        # and 2 move to the absorbing zero state 1, so their Q-matrices are
+        # the same exact matrices in every sweep.
+        rewards = np.zeros((3, 3, 3))
         rewards[0] = [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.5, 0.5, 0.5]]
-        transition = np.zeros((2, 3, 3, 2))
+        rewards[2] = [[0.5, 0.0, 1.0], [1.0, 0.5, 0.0], [0.0, 1.0, 0.5]]
+        transition = np.zeros((3, 3, 3, 3))
         transition[..., 1] = 1.0
         calls = []
 
         def split_mass(payoff):
             calls.append(1)
-            value = matrix_game_solve(payoff).value
-            return MatrixGameSolution(value, np.full(3, 1 / 3), np.array([0.5, 0.25, 0.25]))
+            sol = matrix_game_solve(payoff)
+            if not np.array_equal(payoff, rewards[0]):
+                return sol
+            return MatrixGameSolution(sol.value, np.full(3, 1 / 3), np.array([0.5, 0.25, 0.25]))
 
         monkeypatch.setattr("eqsentinel.stochastic.matrix_game_solve", split_mass)
-        sol = shapley_solve_arrays(rewards, transition, SolverConfig(discount=0.5))
-        assert (sol.converged, sol.iterations, len(calls)) == (True, 2, 2)
-        assert sol.values == pytest.approx([0.5, 0.0], abs=1e-12)
+        config = SolverConfig(discount=0.5)
+        sol = shapley_solve_arrays(rewards, transition, config)
+        # Two LPs in the first sweep, then one for state 0 alone.
+        assert (sol.converged, sol.iterations, len(calls)) == (True, 2, 3)
+        assert sol.values == pytest.approx([0.5, 0.0, 0.5], abs=1e-12)
+        assert sol.row_policy.table[2] == pytest.approx(np.full(3, 1 / 3), abs=1e-12)
+        calls.clear()
+        assert_same_solution(sol, shapley_sweep_reference(rewards, transition, config))
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rewards_rejected(self, value):
@@ -810,6 +859,38 @@ class TestShapleySweep:
     def test_non_finite_kernel_entry_rejected(self, value):
         rewards, transition = small_game(1, 2, 2, 2, False, False, False)
         transition[0, 1, 1, 0] = value
+        with pytest.raises(DomainError, match="transition"):
+            shapley_solve_arrays(rewards, transition, SolverConfig())
+
+
+class TestKernelScan:
+    """The blocked nonzero scan against ``csr_matrix`` of the dense kernel."""
+
+    @pytest.mark.parametrize(
+        "num_rows",
+        [1, stochastic._SCAN_ROWS - 1, stochastic._SCAN_ROWS, 2 * stochastic._SCAN_ROWS + 37],
+    )
+    def test_matches_csr_matrix(self, num_rows):
+        rng = np.random.default_rng(num_rows)
+        dense = rng.standard_normal((num_rows, 9)) * (rng.random((num_rows, 9)) < 0.3)
+        # All-zero rows at the start, the end and a block boundary; with one
+        # row, the whole matrix is zero.
+        dense[[0, -1, min(stochastic._SCAN_ROWS, num_rows - 1)]] = 0.0
+        dense[num_rows // 2, ::2] = -0.0
+        ref = csr_matrix(dense)
+        data, indices, indptr = stochastic._csr_arrays(dense)
+        np.testing.assert_array_equal(data, ref.data)
+        np.testing.assert_array_equal(indices, ref.indices)
+        np.testing.assert_array_equal(indptr, ref.indptr)
+        if num_rows > 3:
+            assert (data < 0.0).any()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_entry_past_the_first_block_rejected(self, value):
+        # 45 * 5 * 5 = 1,125 kernel rows: one full block and a partial one.
+        rewards, transition = small_game(3, 45, 5, 5, False, False, False)
+        assert rewards.size % stochastic._SCAN_ROWS
+        transition[44, 4, 4, 3] = value
         with pytest.raises(DomainError, match="transition"):
             shapley_solve_arrays(rewards, transition, SolverConfig())
 
