@@ -14,6 +14,7 @@ import os
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -126,8 +127,8 @@ def fit_loglog_slope(points) -> tuple[float, float]:
 
 def _validate_config(config, alphas=(), fractions=()) -> None:
     """Reject a config with an empty list, a count below 1, an alpha outside
-    (0, 1), a betting fraction outside (0, 1] or an unknown mixture, before
-    any artifact directory exists."""
+    (0, 1), a betting fraction outside (0, 1], a crossing threshold not above
+    1 or an unknown mixture, before any artifact directory exists."""
     for field in dataclasses.fields(config):
         if getattr(config, field.name) == ():
             raise ConfigError(f"{field.name} must list at least one value")
@@ -142,6 +143,8 @@ def _validate_config(config, alphas=(), fractions=()) -> None:
     for lam in fractions:
         if not 0.0 < lam <= 1.0:
             raise ConfigError(f"betting fractions must lie in (0, 1], got {lam}")
+    if not getattr(config, "threshold", 2.0) > 1.0:
+        raise ConfigError(f"threshold must exceed 1, got {config.threshold}")
     if getattr(config, "mixture", "dirac") not in ("dirac", "uniform"):
         raise ConfigError(f"mixture must be dirac or uniform, got {config.mixture!r}")
 
@@ -486,8 +489,9 @@ class SoccerScalingConfig:
             raise ConfigError(f"smoothing must lie in [0, 1), got {self.smoothing}")
 
 
-#: Uniforms a soccer trial draws per ``rng.random(n)`` call; draws left over
-#: when the trial ends go unused.
+#: Uniforms a soccer trial draws per ``rng.random(n)`` call, and raw words a
+#: prey trial reads per ``random_raw(n)`` call; draws left over when the trial
+#: ends go unused.
 _DRAW_BLOCK = 256
 
 
@@ -663,40 +667,84 @@ def _prey_trial(args) -> tuple[int, int, int]:
 
     The pursuit runs over cell ids (:func:`prey.pursuit_tables`) and draws
     in the order of the object-level loop: the suspect's uniform, then, as
-    :func:`prey.prey_step` does, the honest pair's and the prey's moves. The
-    mixture is read out only once the largest log ratio comes within 1e-9 of
-    log(threshold): the weights sum to 1, so below that the log readout
-    (:func:`_log_mix`) exceeds the largest log ratio by a few ulp at most and
-    stays under log(threshold).
+    :func:`prey.prey_step` does, the honest pair's and the prey's moves.
+
+    The draws are decoded from raw PCG64 words exactly as ``rng.random()``
+    and ``rng.integers(5)`` consume them (O'Neill 2014; Lemire, TOMACS
+    2019). The uniform is ``(w >> 11) * 2**-53`` of one whole word. A move
+    is ``(h * 5) >> 32`` of a 32-bit half: a fresh word gives its low half
+    and keeps its high half for the next move, and the uniform leaves that
+    kept half alone. So a step takes one double and three halves, 5 words
+    every 2 steps. As 2**32 % 5 == 1, Lemire's method rejects a half only
+    when it is 0; the move then takes the next half.
+
+    The mixture is read out (:func:`_log_mix`) only once the largest log
+    ratio, and then a pure-Python log-sum-exp over the equal weights, come
+    within 1e-9 of log(threshold). Neither falls more than a few ulp below
+    the readout, so neither screen hides a crossing.
     """
     cell, run, seed, threshold, horizon, played_cum, log_inc = args
     moves, chase_row, _ = prey.pursuit_tables()
     start = prey.DEFAULT_START
     cells = [prey.cell_id(pos) for pos in (*start.predators, start.prey)]
     actions = prey.NUM_ACTIONS
-    rng = run_rng(seed, cell, run)
-    draw = rng.integers
+    raw = run_rng(seed, cell, run).bit_generator.random_raw
     size = len(log_inc[0][0])
     weights = np.full(size, 1.0 / size)
     log_lr = [0.0] * size
     log_b = math.log(threshold)
     near = log_b - 1e-9
+    log_size = math.log(size)
+    exp = math.exp
+    words, i, end = [], 0, -1
+    held = -1  # the kept high half, -1 when there is none
     suspect, honest_1, honest_2, target = cells
     steps = 0
     for t in range(1, horizon + 1):
         if target in (suspect, honest_1, honest_2) or steps >= start.horizon:
             suspect, honest_1, honest_2, target = cells
             steps = 0
+        if i > end:  # fewer than the 3 words a step can use
+            words = words[i:] + raw(_DRAW_BLOCK).tolist()
+            i, end = 0, len(words) - 3
         row = chase_row[suspect][target]
-        act = bisect_right(played_cum[row], rng.random())
-        log_lr = [x + d for x, d in zip(log_lr, log_inc[row][act])]
-        if max(log_lr) >= near and _log_mix(np.array(log_lr), weights) >= log_b:
+        act = bisect_right(played_cum[row], (words[i] >> 11) * 2**-53)
+        log_lr = list(map(add, log_lr, log_inc[row][act]))
+        top = max(log_lr)
+        if (
+            top >= near
+            and top + math.log(sum([exp(x - top) for x in log_lr])) - log_size >= near
+            and _log_mix(np.array(log_lr), weights) >= log_b
+        ):
             return cell, run, t
-        move_1, move_2, move_prey = draw(actions), draw(actions), draw(actions)
+        if held < 0:
+            w, x = words[i + 1], words[i + 2]
+            i += 3
+            h_1, h_2, h_3, held = w & 0xFFFFFFFF, w >> 32, x & 0xFFFFFFFF, x >> 32
+        else:
+            x = words[i + 1]
+            i += 2
+            h_1, h_2, h_3, held = held, x & 0xFFFFFFFF, x >> 32, -1
+        if not (h_1 and h_2 and h_3):
+            # The moves are the nonzero halves in stream order.
+            halves = [h for h in (h_1, h_2, h_3) if h]
+            while len(halves) < 3:
+                if held < 0:
+                    if i == len(words):
+                        words += raw(_DRAW_BLOCK).tolist()
+                        end = len(words) - 3
+                    w = words[i]
+                    i += 1
+                    h, held = w & 0xFFFFFFFF, w >> 32
+                else:
+                    h, held = held, -1
+                if h:
+                    halves.append(h)
+            h_1, h_2, h_3 = halves
         suspect = moves[suspect][act]
-        honest_1 = moves[honest_1][move_1]
-        honest_2 = moves[honest_2][move_2]
-        target = moves[target][move_prey]
+        honest_1 = moves[honest_1][(h_1 * actions) >> 32]
+        honest_2 = moves[honest_2][(h_2 * actions) >> 32]
+        target = moves[target][(h_3 * actions) >> 32]
         steps += 1
     return cell, run, -1
 

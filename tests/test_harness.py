@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles
 from _oracles import (
     nf_detect_rows_reference,
     nf_fwer_null_rows_reference,
@@ -46,7 +47,7 @@ from eqsentinel.harness.experiments import (
     run_prey_mixture,
     run_soccer_scaling,
 )
-from eqsentinel.harness.seeding import run_rng
+from eqsentinel.harness.seeding import DEFAULT_SEED, run_rng
 from eqsentinel.eprocess import BettingMixture
 from eqsentinel.games import EquilibriumMode, JointStrategy
 from eqsentinel.monitors import enumerate_hypotheses
@@ -374,9 +375,19 @@ class TestChunkedReplay:
             (DetectConfig, {"betting_fraction": float("nan")}, "betting fractions must lie in"),
             (SensitivityConfig, {"grid_nodes": 0}, "grid_nodes must be at least 1"),
             (SensitivityConfig, {"mixture": "foo"}, "mixture must be dirac or uniform"),
+            # log(threshold) is the crossing level: 0 used to fail inside a
+            # trial (in a worker process), and NaN never crossed.
+            (SoccerScalingConfig, {"threshold": 0.0}, "threshold must exceed 1"),
+            (SoccerScalingConfig, {"threshold": 1.0}, "threshold must exceed 1"),
+            (SoccerScalingConfig, {"threshold": math.nan}, "threshold must exceed 1"),
+            (PreyMixtureConfig, {"threshold": -1.0}, "threshold must exceed 1"),
+            (PreyMixtureConfig, {"threshold": 0.5}, "threshold must exceed 1"),
+            (PreyMixtureConfig, {"threshold": math.nan}, "threshold must exceed 1"),
         ],
         ids=["null-above", "null-zero", "sensitivity-nan", "detect-above", "detect-nan",
-             "sensitivity-nodes", "sensitivity-mixture"],
+             "sensitivity-nodes", "sensitivity-mixture", "soccer-threshold-zero",
+             "soccer-threshold-one", "soccer-threshold-nan", "prey-threshold-negative",
+             "prey-threshold-half", "prey-threshold-nan"],
     )
     def test_bad_fraction_nodes_or_mixture_rejected(self, cls, overrides, message):
         with pytest.raises(ConfigError, match=message):
@@ -432,6 +443,31 @@ def _trial_taus(out_dir):
     return {(float(row[0]), int(row[1])): int(row[2]) for row in rows}
 
 
+#: PCG64's 128-bit LCG multiplier, as numpy steps it.
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_with_word(word: int, lag: int) -> np.random.PCG64:
+    """A PCG64 whose raw output number ``lag`` (from 0) is ``word``.
+
+    numpy's PCG64 steps its state, then outputs XSL-RR of the new state,
+    ``rotr64(hi ^ lo, hi >> 58)``. Any high half gives a low half that
+    outputs ``word``; stepping that state back once and ``lag`` more
+    times puts ``word`` at offset ``lag``.
+    """
+    bit_generator = np.random.PCG64(DEFAULT_SEED)
+    state = bit_generator.state
+    hi = 0xD1B54A32D192ED03
+    rot = hi >> 58
+    mask = (1 << 64) - 1
+    lo = hi ^ (((word << rot) | (word >> (64 - rot))) & mask)
+    inverse = pow(_PCG64_MULTIPLIER, -1, 1 << 128)
+    state["state"]["state"] = ((((hi << 64) | lo) - state["state"]["inc"]) * inverse) % (1 << 128)
+    bit_generator.state = state
+    bit_generator.advance(-lag)
+    return bit_generator
+
+
 class TestTrialLoops:
     """The table-driven trials against the object-level loops they replaced
     (``tests/_oracles.py``): same generator keys, same taus."""
@@ -456,13 +492,24 @@ class TestTrialLoops:
         assert _trial_taus(tmp_path) == expected
         assert -1 in expected.values() and resets[0] > 0
 
+    @pytest.mark.parametrize(
+        "sizes",
+        [{"trials": 20, "horizon": 250},
+         {"trials": 3, "eps_true": (0.0, 0.2, 0.4, 0.8), "horizon": 2000}],
+        ids=["short", "long"],
+    )
+    @pytest.mark.parametrize("seed", [DEFAULT_SEED, 20260811])
     @pytest.mark.parametrize("episode", [prey.HORIZON, 40])
-    def test_prey_matches_object_loop(self, tmp_path, monkeypatch, episode):
+    def test_prey_matches_object_loop(self, tmp_path, monkeypatch, episode, seed, sizes):
         # A 40-step episode horizon makes the loops reset on exhaustion too.
+        # A trial that runs 2000 steps reads 5000 raw words, so block
+        # boundaries (every 256 words, and 256 % 5 == 1) fall at every
+        # offset of the 5-word, 2-step draw cycle: among them between a
+        # step's double and its moves, at both step parities.
         monkeypatch.setattr(
             prey, "DEFAULT_START", dataclasses.replace(prey.DEFAULT_START, horizon=episode)
         )
-        config = PreyMixtureConfig(trials=20, horizon=250)
+        config = PreyMixtureConfig(seed=seed, **sizes)
         run_prey_mixture(config, tmp_path)
         resets = _terminal_steps(monkeypatch, prey, "prey_step", 1)
         expected = {
@@ -475,6 +522,33 @@ class TestTrialLoops:
         }
         assert _trial_taus(tmp_path) == expected
         assert -1 in expected.values() and resets[0] > 0
+
+    @pytest.mark.parametrize("zero", ["low", "high"])
+    @pytest.mark.parametrize("lag", [1, 2, 4, 7])
+    def test_prey_zero_half_rejected_as_numpy_does(self, monkeypatch, lag, zero):
+        # Words 1 and 2 feed step 1's moves, word 2's kept high half and
+        # word 4 step 2's, and word 7 steps 3 and 4. A zero half is
+        # Lemire's rejection: numpy's integers(5) takes the next half.
+        word = 0x9E3779B9 << 32 if zero == "low" else 0x7F4A7C15
+        bit_generator = _pcg64_with_word(word, lag)
+        assert bit_generator.random_raw(lag + 1)[lag] == word
+
+        def forced(*key):
+            return np.random.Generator(_pcg64_with_word(word, lag))
+
+        monkeypatch.setattr(experiments, "run_rng", forced)
+        monkeypatch.setattr(_oracles, "run_rng", forced)
+        config = PreyMixtureConfig()
+        for cell, eps in enumerate(config.eps_true):
+            tables = experiments._prey_tables(eps, config.eps_grid)
+            got = experiments._prey_trial(
+                (cell, 0, config.seed, config.threshold, config.horizon, *tables)
+            )
+            expected = prey_trial(
+                (cell, 0, config.seed, eps, config.eps_grid, config.threshold, config.horizon)
+            )
+            assert got == expected
+            assert got[2] == -1 or got[2] > 4, "the trial draws past the forced word"
 
     def test_one_generator_per_trial(self, tmp_path, soccer_solution, monkeypatch):
         keys = []
@@ -884,6 +958,8 @@ class TestCliErrors:
             ("soccer-scaling", "workers = 0", "workers must be at least 1, got 0"),
             ("soccer-scaling", "t_max = 0", "t_max must be at least 1, got 0"),
             ("soccer-scaling", "smoothing = 1.5", "smoothing must lie in [0, 1), got 1.5"),
+            ("soccer-scaling", "threshold = 0", "threshold must exceed 1, got 0.0"),
+            ("prey-mixture", "threshold = nan", "threshold must exceed 1, got nan"),
         ],
         ids=["soccer-discount", "fwer-lambda", "fwer-alpha", "detect-alpha", "sensitivity-alpha",
              "sensitivity-mixture", "unparsable-int", "unparsable-float", "unparsable-game",
@@ -893,7 +969,7 @@ class TestCliErrors:
              "soccer-zero-eps", "prey-eps-above-one", "prey-negative-grid", "slack-triples",
              "oracle-streams", "oracle-matrices", "oracle-chains", "kl-dim-zero", "kl-dim-one",
              "kl-eps-above-one", "prey-negative-workers", "soccer-zero-workers", "soccer-t-max",
-             "soccer-smoothing"],
+             "soccer-smoothing", "soccer-zero-threshold", "prey-nan-threshold"],
     )
     def test_out_of_domain_value_exits_one(self, tmp_path, capsys, name, body, message):
         config = tmp_path / "bad.cfg"
