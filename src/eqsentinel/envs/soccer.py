@@ -13,10 +13,11 @@ Collision rules, applied after the defender's slip draw:
     bounces back and possession transfers to the stationary player;
   * otherwise both moves execute and possession is unchanged.
 
-:func:`successor_table` lists every post-slip outcome once, over state ids;
-the tabular model weighs those outcomes by the slip and coin probabilities,
-so its rows are exact. The simulator below draws the same branches with an
-rng and is checked against the model by Monte Carlo in the tests.
+The rules are evaluated once, as arrays over every state id, attacker action
+and effective defender action. :func:`successor_table` lists those post-slip
+outcomes over state ids; the tabular model weighs them by the slip and coin
+probabilities, so its rows are exact. The simulator below reads the same
+table and draws the slip and the coin with an rng.
 """
 
 from __future__ import annotations
@@ -79,40 +80,6 @@ def is_terminal(state: SoccerState) -> bool:
     return state.b_pos[1] == 0
 
 
-def _clipped_target(pos: tuple[int, int], action: int) -> tuple[int, int]:
-    dr, dc = _MOVES[action]
-    r, c = pos[0] + dr, pos[1] + dc
-    if not (0 <= r < HEIGHT and 0 <= c < WIDTH):
-        return pos
-    return (r, c)
-
-
-def _resolve(
-    state: SoccerState, action_a: int, effective_b: int
-) -> list[tuple[float, tuple[int, int], tuple[int, int], int]]:
-    """Post-slip outcomes as (probability, a_pos, b_pos, possession)."""
-    a_tgt = _clipped_target(state.a_pos, action_a)
-    b_tgt = _clipped_target(state.b_pos, effective_b)
-    a_moved = a_tgt != state.a_pos
-    b_moved = b_tgt != state.b_pos
-    if a_moved and b_moved and a_tgt == state.b_pos and b_tgt == state.a_pos:
-        # Simultaneous cell exchange: rebound, coin flip for the ball.
-        return [
-            (0.5, state.a_pos, state.b_pos, 0),
-            (0.5, state.a_pos, state.b_pos, 1),
-        ]
-    if a_tgt == b_tgt:
-        if not b_moved:
-            return [(1.0, state.a_pos, state.b_pos, 1)]
-        if not a_moved:
-            return [(1.0, state.a_pos, state.b_pos, 0)]
-        return [
-            (0.5, state.a_pos, state.b_pos, 0),
-            (0.5, state.a_pos, state.b_pos, 1),
-        ]
-    return [(1.0, a_tgt, b_tgt, state.possession)]
-
-
 @dataclass(frozen=True)
 class StepInfo:
     """Realized randomness of one step, for episode traces."""
@@ -130,22 +97,19 @@ def soccer_step_traced(
     """As :func:`soccer_step`, also reporting the defender's realized action."""
     if is_terminal(state):
         raise StateError("step on a terminal soccer state")
+    if state.a_pos == state.b_pos:
+        raise StateError("step on a soccer state with both players in one cell")
     if not (0 <= action_a < NUM_ACTIONS and 0 <= action_b < NUM_ACTIONS):
         raise ShapeError("soccer actions must lie in [0, 5)")
+    successors, terminal = successor_table()
     slipped = rng.random() < SLIP_PROB
     effective_b = WAIT if slipped else action_b
-    outcomes = _resolve(state, action_a, effective_b)
-    if len(outcomes) == 1:
-        _, a_pos, b_pos, possession = outcomes[0]
-    else:
-        pick = int(rng.random() < 0.5)
-        _, a_pos, b_pos, possession = outcomes[pick]
-    nxt = SoccerState(a_pos, b_pos, possession)
+    nxt = successors[state_index(state)][NUM_ACTIONS * action_a + effective_b]
+    n = nxt[0] if len(nxt) == 1 else nxt[rng.random() < 0.5]
     reward = STEP_COST
-    terminal = is_terminal(nxt)
-    if terminal:
-        reward += SCORE_REWARD if nxt.possession == 0 else CONCEDE_REWARD
-    return nxt, reward, terminal, StepInfo(effective_b, slipped and action_b != WAIT)
+    if terminal[n]:
+        reward += CONCEDE_REWARD if n % 2 else SCORE_REWARD
+    return index_state(n), reward, terminal[n], StepInfo(effective_b, slipped and action_b != WAIT)
 
 
 def soccer_step(
@@ -178,36 +142,67 @@ def index_state(index: int) -> SoccerState:
 
 
 @cache
+def _rule_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The collision rules, evaluated once for every state id, attacker action
+    and effective defender action, as read-only arrays.
+
+    Returns ``(first, coin, terminal, absorbing)``. ``first[s, a, b]`` is the
+    first successor id and ``coin[s, a, b]`` whether a fair coin picks
+    between it and ``first + 1``, the same cells with possession 1.
+    ``terminal`` flags the scoring states and ``absorbing`` adds the
+    same-cell states; an absorbing state leads to itself.
+    """
+    ids = np.arange(NUM_STATES)
+    a, b = divmod(ids // 2, NUM_CELLS)
+    moves = np.array(_MOVES)
+
+    def targets(cell):  # (S, 5): the cell each action aims at, clipped to the pitch
+        r = cell[:, None] // WIDTH + moves[:, 0]
+        c = cell[:, None] % WIDTH + moves[:, 1]
+        inside = (0 <= r) & (r < HEIGHT) & (0 <= c) & (c < WIDTH)
+        return np.where(inside, r * WIDTH + c, cell[:, None])
+
+    a_tgt, b_tgt = targets(a)[:, :, None], targets(b)[:, None, :]
+    terminal = np.where(ids % 2, b % WIDTH == 0, a % WIDTH == WIDTH - 1)
+    absorbing = terminal | (a == b)
+    a, b, possession = a[:, None, None], b[:, None, None], (ids % 2)[:, None, None]
+    a_moved, b_moved = a_tgt != a, b_tgt != b
+    exchange = a_moved & b_moved & (a_tgt == b) & (b_tgt == a)
+    contest = a_tgt == b_tgt
+    # Both rebound from an exchange or a contested cell; the ball goes to a
+    # stationary contestant, else to the coin.
+    coin = exchange | contest & a_moved & b_moved
+    rebound = (a * NUM_CELLS + b) * 2 + (contest & ~b_moved)
+    first = np.where(exchange | contest, rebound, (a_tgt * NUM_CELLS + b_tgt) * 2 + possession)
+    first[absorbing] = ids[absorbing, None, None]
+    coin[absorbing] = False
+    for array in (first, coin, terminal, absorbing):
+        array.flags.writeable = False
+    return first, coin, terminal, absorbing
+
+
+@cache
 def successor_table() -> tuple[tuple[tuple[int, ...], ...], tuple[bool, ...]]:
     """Post-slip dynamics over state ids: the one list of soccer outcomes,
     read by the tabular model and by simulation loops.
 
     ``successors[s][NUM_ACTIONS * action_a + effective_b]`` holds the ids
-    :func:`_resolve` leads to from state ``s``: one id, or two (possession
+    the collision rules lead to from state ``s``: one id, or two (possession
     0, then 1) that a fair coin picks between. Terminal and same-cell states
     absorb; ``terminal[s]`` flags the scoring states. Built on first use and
     kept for the life of the process.
     """
+    first, coin, terminal, _ = _rule_arrays()
     ids = list(range(NUM_STATES))  # one int object per id, shared by every entry
-    distinct: dict[tuple[int, ...], tuple[int, ...]] = {}
-    successors = []
-    terminal = []
-    for s in ids:
-        state = index_state(s)
-        terminal.append(is_terminal(state))
-        if terminal[-1] or state.a_pos == state.b_pos:
-            successors.append(((s,),) * NUM_ACTIONS**2)
-            continue
-        row = []
-        for action_a in range(NUM_ACTIONS):
-            for effective_b in range(NUM_ACTIONS):
-                nxt = tuple(
-                    ids[state_index(SoccerState(a_pos, b_pos, possession))]
-                    for _, a_pos, b_pos, possession in _resolve(state, action_a, effective_b)
-                )
-                row.append(distinct.setdefault(nxt, nxt))
-        successors.append(tuple(row))
-    return tuple(successors), tuple(terminal)
+    single = [(n,) for n in ids]  # one tuple per distinct outcome, shared too
+    pair = [(n, m) for n, m in zip(ids, ids[1:])]
+    successors = tuple(
+        tuple(pair[n] if flip else single[n] for n, flip in zip(row, flips))
+        for row, flips in zip(
+            first.reshape(NUM_STATES, -1).tolist(), coin.reshape(NUM_STATES, -1).tolist()
+        )
+    )
+    return successors, tuple(terminal.tolist())
 
 
 @dataclass(frozen=True)
@@ -225,7 +220,7 @@ class SoccerTabularGame:
 
 
 def soccer_build_model() -> SoccerTabularGame:
-    """Weigh every :func:`successor_table` outcome into an exact transition
+    """Weigh every outcome of the collision rules into an exact transition
     kernel: the commanded move with probability 1 - SLIP_PROB, the slip to
     Wait with SLIP_PROB (one branch when Wait was commanded), each split by
     the coin where two outcomes remain.
@@ -233,33 +228,31 @@ def soccer_build_model() -> SoccerTabularGame:
     Terminal states (and the unreachable same-cell states) are absorbing
     with zero native reward.
     """
-    successors, terminal = successor_table()
-    reward = [
-        STEP_COST + (CONCEDE_REWARD if n % 2 else SCORE_REWARD) if terminal[n] else STEP_COST
-        for n in range(NUM_STATES)
-    ]
+    first, coin, terminal, absorbing = _rule_arrays()
+    ids = np.arange(NUM_STATES)
+    goal = np.where(ids % 2, CONCEDE_REWARD, SCORE_REWARD)
+    reward = np.where(terminal, STEP_COST + goal, STEP_COST)
     transition = np.zeros((NUM_STATES, NUM_ACTIONS, NUM_ACTIONS, NUM_STATES))
     native = np.zeros((NUM_STATES, NUM_ACTIONS, NUM_ACTIONS))
-    for s, row in enumerate(successors):
-        state = index_state(s)
-        if terminal[s] or state.a_pos == state.b_pos:
-            transition[s, :, :, s] = 1.0
-            continue
-        for action_a in range(NUM_ACTIONS):
-            for action_b in range(NUM_ACTIONS):
-                branches = [(1.0 - SLIP_PROB, action_b), (SLIP_PROB, WAIT)]
-                if action_b == WAIT:
-                    branches = [(1.0, WAIT)]
-                for p_slip, effective_b in branches:
-                    nxt = row[NUM_ACTIONS * action_a + effective_b]
-                    p = p_slip * (1.0 if len(nxt) == 1 else 0.5)
-                    for n in nxt:
-                        transition[s, action_a, action_b, n] += p
-                        native[s, action_a, action_b] += p * reward[n]
+    transition[ids[absorbing], :, :, ids[absorbing]] = 1.0
+
+    def weigh(s, a, b, effective_b, p_slip):
+        # Outcome 0, then the coin's outcome 1: with the commanded branch
+        # weighed before the slip, the native reward sums in a fixed order.
+        n, flip = first[s, a, effective_b], coin[s, a, effective_b]
+        p = p_slip * np.where(flip, 0.5, 1.0)
+        for s, a, b, n, p in ((s, a, b, n, p), (s[flip], a[flip], b[flip], n[flip] + 1, p[flip])):
+            transition[s, a, b, n] += p
+            native[s, a, b] += p * reward[n]
+
+    s, a, b = np.nonzero(np.broadcast_to(~absorbing[:, None, None], first.shape))
+    weigh(s, a, b, b, np.where(b == WAIT, 1.0, 1.0 - SLIP_PROB))
+    slip = b != WAIT
+    weigh(s[slip], a[slip], b[slip], WAIT, SLIP_PROB)
     scaled = (native + NATIVE_OFFSET) / NATIVE_SCALE
     rewards = np.stack([scaled, 1.0 - scaled])
     model = StochasticGameModel(rewards=rewards, transition=transition, discount=0.95)
-    return SoccerTabularGame(model=model, native_reward=native, terminal=np.array(terminal))
+    return SoccerTabularGame(model=model, native_reward=native, terminal=terminal.copy())
 
 
 def afraid_transform(policy_row) -> np.ndarray:

@@ -128,7 +128,7 @@ def fit_loglog_slope(points) -> tuple[float, float]:
 def _validate_config(config, alphas=(), fractions=()) -> None:
     """Reject a config with an empty list, a count below 1, an alpha outside
     (0, 1), a betting fraction outside (0, 1], a crossing threshold not above
-    1 or an unknown mixture, before any artifact directory exists."""
+    1 or infinite, or an unknown mixture, before any artifact directory exists."""
     for field in dataclasses.fields(config):
         if getattr(config, field.name) == ():
             raise ConfigError(f"{field.name} must list at least one value")
@@ -143,8 +143,11 @@ def _validate_config(config, alphas=(), fractions=()) -> None:
     for lam in fractions:
         if not 0.0 < lam <= 1.0:
             raise ConfigError(f"betting fractions must lie in (0, 1], got {lam}")
-    if not getattr(config, "threshold", 2.0) > 1.0:
-        raise ConfigError(f"threshold must exceed 1, got {config.threshold}")
+    threshold = getattr(config, "threshold", 2.0)
+    if not threshold > 1.0:
+        raise ConfigError(f"threshold must exceed 1, got {threshold}")
+    if threshold == math.inf:
+        raise ConfigError("threshold must be finite: no likelihood ratio crosses inf")
     if getattr(config, "mixture", "dirac") not in ("dirac", "uniform"):
         raise ConfigError(f"mixture must be dirac or uniform, got {config.mixture!r}")
 

@@ -16,7 +16,11 @@ run draws, gathers and accumulates every round of its horizon.
 ``ebh_rejection_brute_force`` searches every subset for e-BH's rejection
 set, and ``matrix_game_solve_lp_reference`` is the HiGHS LP that solved every
 mixed matrix game before the tableau fast path. ``soccer_build_model_reference``
-is the soccer model builder from before it read ``soccer.successor_table``.
+is the soccer model builder from before it read ``soccer.successor_table``,
+and ``_resolve`` the soccer collision rules walked over one ``SoccerState``,
+as the package applied them before it evaluated them once as arrays;
+``soccer_successor_table_reference`` and ``soccer_step_reference`` are the
+table and the stepper built on it.
 ``deviation_gain_reference`` and ``equilibrium_slack_reference`` are the
 expected gains as they were before they read the increment table: separate
 sums of the played and the deviating payoff, and a loop over recommendations
@@ -282,25 +286,98 @@ def soccer_trial(args) -> tuple[int, int, int]:
     return cell, run, -1
 
 
+def _soccer_is_terminal(state):
+    if state.possession == 0:
+        return state.a_pos[1] == 4
+    return state.b_pos[1] == 0
+
+
+def _clipped_target(pos, action):
+    dr, dc = ((-1, 0), (1, 0), (0, 1), (0, -1), (0, 0))[action]
+    r, c = pos[0] + dr, pos[1] + dc
+    if not (0 <= r < 4 and 0 <= c < 5):
+        return pos
+    return (r, c)
+
+
+def _resolve(state, action_a, effective_b):
+    """Post-slip soccer outcomes as (probability, a_pos, b_pos, possession):
+    the collision rules walked over one ``SoccerState`` on the 4x5 pitch,
+    actions (N, S, E, W, Wait)."""
+    a_tgt = _clipped_target(state.a_pos, action_a)
+    b_tgt = _clipped_target(state.b_pos, effective_b)
+    a_moved = a_tgt != state.a_pos
+    b_moved = b_tgt != state.b_pos
+    if a_moved and b_moved and a_tgt == state.b_pos and b_tgt == state.a_pos:
+        # Simultaneous cell exchange: rebound, coin flip for the ball.
+        return [
+            (0.5, state.a_pos, state.b_pos, 0),
+            (0.5, state.a_pos, state.b_pos, 1),
+        ]
+    if a_tgt == b_tgt:
+        if not b_moved:
+            return [(1.0, state.a_pos, state.b_pos, 1)]
+        if not a_moved:
+            return [(1.0, state.a_pos, state.b_pos, 0)]
+        return [
+            (0.5, state.a_pos, state.b_pos, 0),
+            (0.5, state.a_pos, state.b_pos, 1),
+        ]
+    return [(1.0, a_tgt, b_tgt, state.possession)]
+
+
+def soccer_successor_table_reference():
+    """``soccer.successor_table`` as it was built before the rule arrays: one
+    ``_resolve`` call per (state, attacker action, effective defender
+    action)."""
+    successors, terminal = [], []
+    for s in range(soccer.NUM_STATES):
+        state = soccer.index_state(s)
+        terminal.append(_soccer_is_terminal(state))
+        if terminal[-1] or state.a_pos == state.b_pos:
+            successors.append(((s,),) * soccer.NUM_ACTIONS**2)
+            continue
+        successors.append(tuple(
+            tuple(
+                soccer.state_index(soccer.SoccerState(a_pos, b_pos, possession))
+                for _, a_pos, b_pos, possession in _resolve(state, action_a, effective_b)
+            )
+            for action_a in range(soccer.NUM_ACTIONS)
+            for effective_b in range(soccer.NUM_ACTIONS)
+        ))
+    return tuple(successors), tuple(terminal)
+
+
+def soccer_step_reference(state, action_a, action_b, rng):
+    """The object-level soccer step on ``_resolve``: the slip draw, then a
+    coin draw only when two outcomes remain. Returns (next state, reward,
+    terminal, effective defender action)."""
+    slipped = rng.random() < 0.25
+    effective_b = soccer.WAIT if slipped else action_b
+    outcomes = _resolve(state, action_a, effective_b)
+    pick = 0 if len(outcomes) == 1 else int(rng.random() < 0.5)
+    _, a_pos, b_pos, possession = outcomes[pick]
+    nxt = soccer.SoccerState(a_pos, b_pos, possession)
+    reward = -0.05
+    terminal = _soccer_is_terminal(nxt)
+    if terminal:
+        reward += 100.0 if possession == 0 else -100.0
+    return nxt, reward, terminal, effective_b
+
+
 def soccer_build_model_reference() -> soccer.SoccerTabularGame:
     """The soccer model builder from before it read ``successor_table``: it
     walks ``_resolve`` over ``SoccerState`` objects for every (commanded,
     slipped) branch, with the rule values (slip 0.25, step cost -0.05,
     +-100 for a goal at column 4 for A or 0 for B) as literals."""
-
-    def is_terminal(state):
-        if state.possession == 0:
-            return state.a_pos[1] == 4
-        return state.b_pos[1] == 0
-
     n, actions = soccer.NUM_STATES, soccer.NUM_ACTIONS
     transition = np.zeros((n, actions, actions, n))
     native = np.zeros((n, actions, actions))
     terminal = np.zeros(n, dtype=bool)
     for s in range(n):
         state = soccer.index_state(s)
-        absorbing = is_terminal(state) or state.a_pos == state.b_pos
-        terminal[s] = is_terminal(state)
+        absorbing = _soccer_is_terminal(state) or state.a_pos == state.b_pos
+        terminal[s] = _soccer_is_terminal(state)
         if absorbing:
             transition[s, :, :, s] = 1.0
             continue
@@ -310,13 +387,13 @@ def soccer_build_model_reference() -> soccer.SoccerTabularGame:
                 if action_b == soccer.WAIT:
                     branches = [(1.0, soccer.WAIT)]
                 for slip_prob, effective_b in branches:
-                    for prob, a_pos, b_pos, possession in soccer._resolve(
+                    for prob, a_pos, b_pos, possession in _resolve(
                         state, action_a, effective_b
                     ):
                         p = slip_prob * prob
                         nxt = soccer.SoccerState(a_pos, b_pos, possession)
                         reward = -0.05
-                        if is_terminal(nxt):
+                        if _soccer_is_terminal(nxt):
                             reward += 100.0 if nxt.possession == 0 else -100.0
                         transition[s, action_a, action_b, soccer.state_index(nxt)] += p
                         native[s, action_a, action_b] += p * reward

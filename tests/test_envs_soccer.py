@@ -1,9 +1,17 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import soccer_build_model_reference
+from _oracles import (
+    soccer_build_model_reference,
+    soccer_step_reference,
+    soccer_successor_table_reference,
+)
 from eqsentinel.envs import soccer
 from eqsentinel.errors import ShapeError, StateError
 from eqsentinel.stochastic import smooth_policy
@@ -57,6 +65,31 @@ class TestStep:
     def test_step_on_terminal_rejected(self, rng):
         with pytest.raises(StateError):
             soccer.soccer_step(soccer.SoccerState((0, 4), (0, 0), 0), 4, 4, rng)
+
+    def test_same_cell_state_rejected(self, rng):
+        # The table absorbs it and play from kickoff never reaches it.
+        with pytest.raises(StateError, match="one cell"):
+            soccer.soccer_step(soccer.SoccerState((1, 2), (1, 2), 0), 2, 3, rng)
+
+    @pytest.mark.parametrize("seed", [20260810, 20260811])
+    def test_matches_the_resolve_oracle_draw_for_draw(self, seed):
+        # Uniform actions reach exchanges, contests and goals often; equal
+        # generator states after every step mean equal draws.
+        successors, _ = soccer.successor_table()
+        actions = np.random.default_rng(seed).integers(5, size=(20_000, 2)).tolist()
+        rng, rng_ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        state = soccer.INITIAL_STATE
+        coins = goals = 0
+        for action_a, action_b in actions:
+            nxt, reward, terminal, info = soccer.soccer_step_traced(state, action_a, action_b, rng)
+            expected = soccer_step_reference(state, action_a, action_b, rng_ref)
+            assert (nxt, reward, terminal, info.effective_b) == expected
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+            entry = soccer.NUM_ACTIONS * action_a + info.effective_b
+            coins += len(successors[soccer.state_index(state)][entry]) == 2
+            goals += terminal
+            state = soccer.INITIAL_STATE if terminal else nxt
+        assert coins > 100 and goals > 100
 
     def test_wall_clipping(self, rng):
         state = soccer.SoccerState((0, 0), (3, 4), 0)
@@ -178,6 +211,29 @@ class TestSuccessorTable:
                     assert np.array_equal(row, transition[s, a_act, b_act]), (s, a_act, b_act)
                     rows += 1
         assert rows == 20_000
+
+    def test_array_rules_match_the_resolve_oracle(self):
+        # All 800 x 25 (state, action, effective action) entries, outcome
+        # order included (possession 0, then 1), and the terminal flags.
+        successors, terminal = soccer.successor_table()
+        reference = soccer_successor_table_reference()
+        assert sum(map(len, successors)) == 20_000
+        assert (successors, terminal) == reference
+
+    def test_import_builds_nothing(self):
+        # perfbench imports the package afresh on every workload, so work at
+        # import would show in every workload's set-up time.
+        root = Path(__file__).resolve().parents[1]
+        code = (
+            "import sys; sys.path.insert(0, {src!r})\n"
+            "import eqsentinel, eqsentinel.harness.cli\n"
+            "from eqsentinel.envs import soccer\n"
+            "print(soccer.successor_table.cache_info().currsize,"
+            " soccer._rule_arrays.cache_info().currsize)"
+        ).format(src=str(root / "src"))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "0 0"
 
     def test_kickoff_never_reaches_a_shared_cell(self):
         # The table absorbs same-cell states as the model does; the

@@ -383,11 +383,16 @@ class TestChunkedReplay:
             (PreyMixtureConfig, {"threshold": -1.0}, "threshold must exceed 1"),
             (PreyMixtureConfig, {"threshold": 0.5}, "threshold must exceed 1"),
             (PreyMixtureConfig, {"threshold": math.nan}, "threshold must exceed 1"),
+            # An infinite threshold is never crossed: every trial ran to the
+            # horizon and the slope fit read nan.
+            (SoccerScalingConfig, {"threshold": math.inf}, "threshold must be finite"),
+            (PreyMixtureConfig, {"threshold": math.inf}, "threshold must be finite"),
         ],
         ids=["null-above", "null-zero", "sensitivity-nan", "detect-above", "detect-nan",
              "sensitivity-nodes", "sensitivity-mixture", "soccer-threshold-zero",
              "soccer-threshold-one", "soccer-threshold-nan", "prey-threshold-negative",
-             "prey-threshold-half", "prey-threshold-nan"],
+             "prey-threshold-half", "prey-threshold-nan", "soccer-threshold-inf",
+             "prey-threshold-inf"],
     )
     def test_bad_fraction_nodes_or_mixture_rejected(self, cls, overrides, message):
         with pytest.raises(ConfigError, match=message):
@@ -960,6 +965,7 @@ class TestCliErrors:
             ("soccer-scaling", "smoothing = 1.5", "smoothing must lie in [0, 1), got 1.5"),
             ("soccer-scaling", "threshold = 0", "threshold must exceed 1, got 0.0"),
             ("prey-mixture", "threshold = nan", "threshold must exceed 1, got nan"),
+            ("prey-mixture", "threshold = inf", "threshold must be finite"),
         ],
         ids=["soccer-discount", "fwer-lambda", "fwer-alpha", "detect-alpha", "sensitivity-alpha",
              "sensitivity-mixture", "unparsable-int", "unparsable-float", "unparsable-game",
@@ -969,7 +975,8 @@ class TestCliErrors:
              "soccer-zero-eps", "prey-eps-above-one", "prey-negative-grid", "slack-triples",
              "oracle-streams", "oracle-matrices", "oracle-chains", "kl-dim-zero", "kl-dim-one",
              "kl-eps-above-one", "prey-negative-workers", "soccer-zero-workers", "soccer-t-max",
-             "soccer-smoothing", "soccer-zero-threshold", "prey-nan-threshold"],
+             "soccer-smoothing", "soccer-zero-threshold", "prey-nan-threshold",
+             "prey-inf-threshold"],
     )
     def test_out_of_domain_value_exits_one(self, tmp_path, capsys, name, body, message):
         config = tmp_path / "bad.cfg"
