@@ -14,6 +14,7 @@ import os
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 from operator import add
 from pathlib import Path
 
@@ -537,19 +538,34 @@ def _soccer_tables(eps, null_table, afraid_table) -> tuple[list, list]:
     return _cumulative_rows(alt_table), log_ratio.tolist()
 
 
+@cache
+def _kickoff_successors() -> tuple:
+    """:func:`soccer.successor_table` with every terminal outcome replaced by
+    kickoff, where a stream of concatenated episodes goes on after a goal.
+    Built on first use and kept for the life of the process."""
+    successors, terminal = soccer.successor_table()
+    start = soccer.state_index(soccer.INITIAL_STATE)
+    kickoff = [start if flag else n for n, flag in enumerate(terminal)]
+    # One copy per distinct outcome tuple, shared as the table shares them.
+    swapped = {nxt: tuple(kickoff[n] for n in nxt) for nxt in set().union(*successors)}
+    return tuple(tuple(map(swapped.__getitem__, outcomes)) for outcomes in successors)
+
+
 def _soccer_trial(args) -> tuple[int, int, int]:
     """One monitored stream of concatenated episodes; returns (cell, run, tau).
 
-    The match runs over state ids (:func:`soccer.successor_table`) and reads
+    The match runs over state ids (:func:`_kickoff_successors`) and reads
     the players' cumulative rows and the log ratios as nested lists. A step
     uses its uniforms in the order :func:`soccer.soccer_step` does: attacker,
     defender, then (unless the ratio crossed) the slip and, only when two
-    outcomes remain, the coin. ``rng.random(n)`` yields the same doubles as
-    n successive ``rng.random()`` calls.
+    outcomes remain, the coin. The defender's row is searched only when the
+    slip did not replace its action, though its uniform is used either way.
+    ``rng.random(n)`` yields the same doubles as n successive
+    ``rng.random()`` calls.
     """
     cell, run, seed, t_max, threshold, cum_b, cum_a, log_ratio = args
-    successors, terminal = soccer.successor_table()
-    start = s = soccer.state_index(soccer.INITIAL_STATE)
+    successors = _kickoff_successors()
+    s = soccer.state_index(soccer.INITIAL_STATE)
     slip = soccer.SLIP_PROB
     actions, wait = soccer.NUM_ACTIONS, soccer.WAIT
     rng = run_rng(seed, cell, run)
@@ -561,19 +577,17 @@ def _soccer_trial(args) -> tuple[int, int, int]:
             u = u[i:] + rng.random(_DRAW_BLOCK).tolist()
             i, end = 0, len(u) - 4
         a_act = bisect_right(cum_a[s], u[i])
-        b_act = bisect_right(cum_b[s], u[i + 1])
         log_lr += log_ratio[s][a_act]
         if log_lr >= log_b:
             return cell, run, t
-        nxt = successors[s][actions * a_act + (wait if u[i + 2] < slip else b_act)]
+        b_act = wait if u[i + 2] < slip else bisect_right(cum_b[s], u[i + 1])
+        nxt = successors[s][actions * a_act + b_act]
         i += 3
         if len(nxt) == 1:
             s = nxt[0]
         else:
             s = nxt[u[i] < 0.5]
             i += 1
-        if terminal[s]:
-            s = start
     return cell, run, -1
 
 

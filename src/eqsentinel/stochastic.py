@@ -25,6 +25,11 @@ logger = logging.getLogger(__name__)
 #: Sum tolerance for kernel and chain rows and the chi-square inputs.
 ROW_TOL = 1e-9
 EQUALIZER_TOL = 1e-9
+#: Relative margin around ``EQUALIZER_TOL`` inside which ``_equalize`` rechecks
+#: a stacked gain with ``exploitability``. Two orders of a sum of n products
+#: of payoffs up to M with a distribution differ by at most about
+#: 2n * 1.1e-16 * M, under 1e-12 * M up to n = 4,500 actions.
+_SCREEN_MARGIN = 1e-12
 _PIVOT_TOL = 1e-9
 
 MODEL_HEADER = "eqsentinel-model v1"
@@ -399,7 +404,7 @@ class MatrixGameSolution:
     col_strategy: np.ndarray
 
 
-def _tableau_solve(A: np.ndarray) -> MatrixGameSolution | None:
+def _tableau_solve(A: np.ndarray, entries: list) -> MatrixGameSolution | None:
     """The equilibrium of ``A`` from a dense tableau simplex, if it is unique.
 
     Solves the column player's LP ``max 1'q s.t. B q <= 1, q >= 0`` for
@@ -409,44 +414,61 @@ def _tableau_solve(A: np.ndarray) -> MatrixGameSolution | None:
     The result is returned only when the final basis is primal and dual
     nondegenerate, which makes both LP optima and so the equilibrium unique,
     and no pure deviation gains more than ``EQUALIZER_TOL``; otherwise None.
-    ``A`` must not be constant.
+    ``A`` must not be constant; ``entries`` is ``A.tolist()``.
+
+    The pivots run on nested lists of Python floats, one IEEE operation per
+    entry as numpy would do it elementwise: the row divide, ``x - f * y`` and
+    the ratio test. So the result is exact, at a cost that grows as pivots x
+    rows x cols in Python, which suits small games. A row with a zero in the
+    pivot column is left as it is, where ``x - 0 * y`` could only flip the
+    sign of a zero, which no comparison and no output reads.
     """
     rows, cols = A.shape
-    low = A.min()
-    span = A.max() - low
-    t = np.zeros((rows + 1, cols + rows + 1))
-    t[:rows, :cols] = (A - low) / span + 1.0
-    t[np.arange(rows), cols + np.arange(rows)] = 1.0
-    t[:rows, -1] = 1.0
-    t[rows, :cols] = -1.0
-    basis = np.arange(cols, cols + rows)
+    low = min(map(min, entries))
+    span = max(map(max, entries)) - low
+    t = []
+    for i, payoffs in enumerate(entries):
+        line = [(x - low) / span + 1.0 for x in payoffs] + [0.0] * rows + [1.0]
+        line[cols + i] = 1.0
+        t.append(line)
+    t.append([-1.0] * cols + [0.0] * (rows + 1))
+    basis = list(range(cols, cols + rows))
     # Bland's rule never repeats a basis: more pivots than bases means rounding
     # has made it cycle.
     for _ in range(math.comb(rows + cols, rows)):
-        entering = (t[rows, :-1] < -_PIVOT_TOL).nonzero()[0]
-        if not entering.size:
+        objective = t[rows]
+        j = next((k for k in range(cols + rows) if objective[k] < -_PIVOT_TOL), None)
+        if j is None:
             break
-        j = entering[0]
-        eligible = (t[:rows, j] > _PIVOT_TOL).nonzero()[0]
-        if not eligible.size:
+        # The least ratio, ties to the smallest basic index.
+        i = -1
+        for r in range(rows):
+            pivot = t[r][j]
+            if pivot > _PIVOT_TOL:
+                ratio = t[r][-1] / pivot
+                if i < 0 or ratio < least or ratio == least and basis[r] < basis[i]:
+                    i, least = r, ratio
+        if i < 0:
             return None
-        ratios = t[eligible, -1] / t[eligible, j]
-        ties = eligible[ratios == ratios.min()]
-        i = ties[basis[ties].argmin()]
-        t[i] /= t[i, j]
-        factor = t[:, j, None].copy()
-        factor[i] = 0.0
-        t -= factor * t[i]
+        pivot = t[i][j]
+        t[i] = pivot_row = [x / pivot for x in t[i]]
+        for r, line in enumerate(t):
+            f = line[j]
+            if r != i and f != 0.0:
+                t[r] = [x - f * y for x, y in zip(line, pivot_row)]
         basis[i] = j
     else:
         return None
+    basis = np.array(basis)
+    rhs = np.array([line[-1] for line in t[:rows]])
+    reduced = np.array(t[rows][:-1])
     nonbasic = np.ones(cols + rows, dtype=bool)
     nonbasic[basis] = False
-    if t[:rows, -1].min() <= _PIVOT_TOL or t[rows, :-1][nonbasic].min() <= _PIVOT_TOL:
+    if rhs.min() <= _PIVOT_TOL or reduced[nonbasic].min() <= _PIVOT_TOL:
         return None
     q = np.zeros(cols + rows)
-    q[basis] = t[:rows, -1]
-    duals = np.where(nonbasic[cols:], t[rows, cols:-1], 0.0)
+    q[basis] = rhs
+    duals = np.where(nonbasic[cols:], reduced[cols:], 0.0)
     total = q[:cols].sum()
     row = duals / duals.sum()
     col = q[:cols] / total
@@ -472,19 +494,24 @@ def matrix_game_solve(payoff) -> MatrixGameSolution:
     if not np.all(np.isfinite(A)):
         raise DomainError("payoff entries must be finite")
     rows, cols = A.shape
+    entries = A.tolist()
     # A pure saddle point is an exact equilibrium; skip the LP when one exists.
-    row_mins = A.min(axis=1)
-    col_maxs = A.max(axis=0)
-    r = int(np.argmax(row_mins))
-    c = int(np.argmin(col_maxs))
-    if row_mins[r] == col_maxs[c]:
+    # ``index`` finds the first of equal values, as ``argmax`` and ``argmin`` do.
+    row_mins = list(map(min, entries))
+    col_maxs = list(map(max, zip(*entries)))
+    value = max(row_mins)
+    if value == min(col_maxs):
+        r = row_mins.index(value)
+        if value == 0.0:
+            # numpy's min picks between 0.0 and -0.0 by its vector lanes.
+            value = A.min(axis=1)[r]
         row = np.zeros(rows)
         col = np.zeros(cols)
         row[r] = 1.0
-        col[c] = 1.0
-        return MatrixGameSolution(float(row_mins[r]), row, col)
+        col[col_maxs.index(value)] = 1.0
+        return MatrixGameSolution(float(value), row, col)
 
-    unique = _tableau_solve(A)
+    unique = _tableau_solve(A, entries)
     if unique is not None:
         return unique
 
@@ -522,8 +549,15 @@ def exploitability(payoff, row_strategy, col_strategy, value: float) -> float:
     """Largest pure best-response gain against the reported solution; NaN
     when a strategy or the value holds a NaN."""
     A = np.asarray(payoff, dtype=float)
-    col_gain = float(np.max(A @ np.asarray(col_strategy)) - value)
-    row_gain = float(value - np.min(np.asarray(row_strategy) @ A))
+    row = np.asarray(row_strategy)
+    col = np.asarray(col_strategy)
+    if A.ndim != 2 or row.shape != A.shape[:1] or col.shape != A.shape[1:]:
+        raise ShapeError(
+            f"strategies of shapes {row.shape} and {col.shape} do not fit "
+            f"a payoff of shape {A.shape}"
+        )
+    col_gain = float(np.max(A @ col) - value)
+    row_gain = float(value - np.min(row @ A))
     if math.isnan(col_gain + row_gain):
         return math.nan
     return max(col_gain, row_gain, 0.0)
@@ -583,7 +617,17 @@ def _equalize(payoffs: np.ndarray, rows: np.ndarray, cols: np.ndarray):
     row[rows & accepted[:, None]] = (x / x.sum(axis=1, keepdims=True)).ravel()
     col[cols & accepted[:, None]] = (y / y.sum(axis=1, keepdims=True)).ravel()
     values = row_part[:, k]
-    for i in accepted.nonzero()[0].tolist():
+    # The stacked best-response gains differ from ``exploitability``'s by the
+    # rounding of their sums, which is far below the margin, so only a gain
+    # within it of the tolerance, or a NaN, needs ``exploitability`` to decide.
+    gain = np.maximum(
+        np.einsum("nrc,nc->nr", payoffs, col).max(axis=1) - values,
+        values - np.einsum("nr,nrc->nc", row, payoffs).min(axis=1),
+    )
+    margin = _SCREEN_MARGIN * max(1.0, float(np.abs(payoffs).max()))
+    unsure = accepted & ~(np.abs(gain - EQUALIZER_TOL) > margin)
+    accepted &= gain <= EQUALIZER_TOL
+    for i in unsure.nonzero()[0].tolist():
         accepted[i] = exploitability(payoffs[i], row[i], col[i], values[i]) <= EQUALIZER_TOL
     return accepted, values, row, col
 
@@ -645,6 +689,8 @@ def shapley_solve_arrays(
     converged = False
     residual = math.inf
     iterations = 0
+    # States resolved by each path, summed over sweeps, for the debug log.
+    saddles = equalized = fallbacks = 0
     for iterations in range(1, config.max_iterations + 1):
         q = rewards + config.discount * (kernel @ values).reshape(rewards.shape)
         row_mins = q.min(axis=2)
@@ -653,10 +699,6 @@ def shapley_solve_arrays(
         c = col_maxs.argmin(axis=1)
         new_values = row_mins[states, r]
         saddle = new_values == col_maxs[states, c]
-        row_tables[saddle] = 0.0
-        row_tables[saddle, r[saddle]] = 1.0
-        col_tables[saddle] = 0.0
-        col_tables[saddle, c[saddle]] = 1.0
         mixed = np.flatnonzero(~saddle)
         sizes = row_support[mixed].sum(axis=1)
         square = (sizes > 0) & (sizes == col_support[mixed].sum(axis=1))
@@ -671,7 +713,11 @@ def shapley_solve_arrays(
             row_tables[group] = rows[accepted]
             col_tables[group] = cols[accepted]
             unsolved[group] = False
-        for s in mixed[unsolved[mixed]].tolist():
+        rest = mixed[unsolved[mixed]].tolist()
+        saddles += num_states - mixed.size
+        equalized += mixed.size - len(rest)
+        fallbacks += len(rest)
+        for s in rest:
             sol = matrix_game_solve(q[s])
             row_support[s] = sol.row_strategy > 0.0
             col_support[s] = sol.col_strategy > 0.0
@@ -683,6 +729,20 @@ def shapley_solve_arrays(
         if residual < config.tolerance:
             converged = True
             break
+    # Only the last sweep's strategies are returned, so its saddle rows are
+    # the only ones written.
+    row_tables[saddle] = 0.0
+    row_tables[saddle, r[saddle]] = 1.0
+    col_tables[saddle] = 0.0
+    col_tables[saddle, c[saddle]] = 1.0
+    logger.debug(
+        "shapley: %d sweeps; states resolved as saddle points %d, by the "
+        "equalizer %d, by matrix_game_solve %d",
+        iterations,
+        saddles,
+        equalized,
+        fallbacks,
+    )
     return ShapleySolution(
         values=values,
         row_policy=Policy(row_tables),

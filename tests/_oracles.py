@@ -15,7 +15,9 @@ are the nf-* experiments' per-run loops from before the chunked replay: each
 run draws, gathers and accumulates every round of its horizon.
 ``ebh_rejection_brute_force`` searches every subset for e-BH's rejection
 set, and ``matrix_game_solve_lp_reference`` is the HiGHS LP that solved every
-mixed matrix game before the tableau fast path. ``soccer_build_model_reference``
+mixed matrix game before the tableau fast path. ``matrix_game_solve_reference``
+and ``tableau_solve_reference`` are the solver with its saddle test and
+tableau pivots on numpy arrays, before they ran on Python floats. ``soccer_build_model_reference``
 is the soccer model builder from before it read ``soccer.successor_table``,
 and ``_resolve`` the soccer collision rules walked over one ``SoccerState``,
 as the package applied them before it evaluated them once as arrays;
@@ -237,6 +239,77 @@ def matrix_game_solve_lp_reference(payoff) -> MatrixGameSolution:
         col /= total
     return MatrixGameSolution(float(res.x[-1]), row, col)
 
+def tableau_solve_reference(A: np.ndarray) -> MatrixGameSolution | None:
+    """``stochastic._tableau_solve`` as it was before its pivots ran on Python
+    floats: the same Bland simplex on a numpy tableau, whole rows at a time."""
+    rows, cols = A.shape
+    low = A.min()
+    span = A.max() - low
+    t = np.zeros((rows + 1, cols + rows + 1))
+    t[:rows, :cols] = (A - low) / span + 1.0
+    t[np.arange(rows), cols + np.arange(rows)] = 1.0
+    t[:rows, -1] = 1.0
+    t[rows, :cols] = -1.0
+    basis = np.arange(cols, cols + rows)
+    for _ in range(math.comb(rows + cols, rows)):
+        entering = (t[rows, :-1] < -stochastic._PIVOT_TOL).nonzero()[0]
+        if not entering.size:
+            break
+        j = entering[0]
+        eligible = (t[:rows, j] > stochastic._PIVOT_TOL).nonzero()[0]
+        if not eligible.size:
+            return None
+        ratios = t[eligible, -1] / t[eligible, j]
+        ties = eligible[ratios == ratios.min()]
+        i = ties[basis[ties].argmin()]
+        t[i] /= t[i, j]
+        factor = t[:, j, None].copy()
+        factor[i] = 0.0
+        t -= factor * t[i]
+        basis[i] = j
+    else:
+        return None
+    nonbasic = np.ones(cols + rows, dtype=bool)
+    nonbasic[basis] = False
+    if (
+        t[:rows, -1].min() <= stochastic._PIVOT_TOL
+        or t[rows, :-1][nonbasic].min() <= stochastic._PIVOT_TOL
+    ):
+        return None
+    q = np.zeros(cols + rows)
+    q[basis] = t[:rows, -1]
+    duals = np.where(nonbasic[cols:], t[rows, cols:-1], 0.0)
+    total = q[:cols].sum()
+    row = duals / duals.sum()
+    col = q[:cols] / total
+    value = float((1.0 / total - 1.0) * span + low)
+    if not exploitability(A, row, col, value) <= EQUALIZER_TOL:
+        return None
+    return MatrixGameSolution(value, row, col)
+
+
+def matrix_game_solve_reference(payoff) -> MatrixGameSolution:
+    """``matrix_game_solve`` as it was before its scalar kernels: the saddle
+    shortcut on numpy reductions, then ``tableau_solve_reference``, then the
+    HiGHS LP."""
+    A = np.asarray(payoff, dtype=float)
+    rows, cols = A.shape
+    row_mins = A.min(axis=1)
+    col_maxs = A.max(axis=0)
+    r = int(np.argmax(row_mins))
+    c = int(np.argmin(col_maxs))
+    if row_mins[r] == col_maxs[c]:
+        row = np.zeros(rows)
+        col = np.zeros(cols)
+        row[r] = 1.0
+        col[c] = 1.0
+        return MatrixGameSolution(float(row_mins[r]), row, col)
+    unique = tableau_solve_reference(A)
+    if unique is not None:
+        return unique
+    return matrix_game_solve_lp_reference(A)
+
+
 TWO_SIGNAL_PAYOFFS = [
     [
         [Fraction(9, 10), Fraction(2, 10)],
@@ -260,7 +333,8 @@ TWO_SIGNAL_ALTERNATIVE = [
 
 
 def soccer_trial(args) -> tuple[int, int, int]:
-    """One monitored stream of concatenated episodes; returns (cell, run, tau)."""
+    """One monitored stream of concatenated episodes; returns (cell, run, tau).
+    Steps ``soccer_step_reference``, so no table of the package is read."""
     (cell, run, seed, eps, t_max, threshold, null_table, defender_table, afraid_table) = args
     alt_table = (1.0 - eps) * null_table + eps * afraid_table
     cum_a = np.cumsum(alt_table, axis=1)
@@ -280,7 +354,7 @@ def soccer_trial(args) -> tuple[int, int, int]:
         log_lr += log_ratio[s, a_act]
         if log_lr >= log_b:
             return cell, run, t
-        state, _, terminal = soccer.soccer_step(state, a_act, b_act, rng)
+        state, _, terminal, _ = soccer_step_reference(state, a_act, b_act, rng)
         if terminal:
             state = soccer.INITIAL_STATE
     return cell, run, -1

@@ -228,12 +228,14 @@ class TestSuccessorTable:
             "import sys; sys.path.insert(0, {src!r})\n"
             "import eqsentinel, eqsentinel.harness.cli\n"
             "from eqsentinel.envs import soccer\n"
+            "from eqsentinel.harness import experiments\n"
             "print(soccer.successor_table.cache_info().currsize,"
-            " soccer._rule_arrays.cache_info().currsize)"
+            " soccer._rule_arrays.cache_info().currsize,"
+            " experiments._kickoff_successors.cache_info().currsize)"
         ).format(src=str(root / "src"))
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "0 0"
+        assert done.stdout.strip() == "0 0 0"
 
     def test_kickoff_never_reaches_a_shared_cell(self):
         # The table absorbs same-cell states as the model does; the

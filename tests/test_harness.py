@@ -477,15 +477,16 @@ class TestTrialLoops:
     """The table-driven trials against the object-level loops they replaced
     (``tests/_oracles.py``): same generator keys, same taus."""
 
-    def test_soccer_matches_object_loop(self, tmp_path, soccer_solution, monkeypatch):
-        config = SoccerScalingConfig(trials=20, t_max=300)
+    @pytest.mark.parametrize("seed", [DEFAULT_SEED, 20260811])
+    def test_soccer_matches_object_loop(self, tmp_path, soccer_solution, monkeypatch, seed):
+        config = SoccerScalingConfig(seed=seed, trials=20, t_max=300)
         run_soccer_scaling(
             config, tmp_path, policies=(soccer_solution.row_policy, soccer_solution.col_policy)
         )
         null = smooth_policy(soccer_solution.row_policy, config.smoothing).table
         defender = smooth_policy(soccer_solution.col_policy, config.smoothing).table
         afraid = np.vstack([soccer.afraid_transform(row) for row in null])
-        resets = _terminal_steps(monkeypatch, soccer, "soccer_step", 2)
+        resets = _terminal_steps(monkeypatch, _oracles, "soccer_step_reference", 2)
         expected = {
             (eps, run): soccer_trial(
                 (cell, run, config.seed, eps, config.t_max, config.threshold,

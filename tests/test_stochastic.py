@@ -49,9 +49,11 @@ from eqsentinel.stochastic import (
 from _oracles import (
     best_response_gap,
     matrix_game_solve_lp_reference,
+    matrix_game_solve_reference,
     shapley_solve_reference,
     shapley_sweep_reference,
     stationary_distribution_reference,
+    tableau_solve_reference,
 )
 
 
@@ -654,6 +656,74 @@ class TestMatrixGame:
         np.testing.assert_array_equal(sol.col_strategy, ref.col_strategy)
 
 
+def assert_same_bits(sol, ref):
+    """Equal value and strategies, down to the sign of a zero."""
+    assert np.float64(sol.value).tobytes() == np.float64(ref.value).tobytes()
+    assert sol.row_strategy.tobytes() == ref.row_strategy.tobytes()
+    assert sol.col_strategy.tobytes() == ref.col_strategy.tobytes()
+
+
+class TestScalarKernels:
+    """The saddle test and tableau pivots on Python floats against the numpy
+    forms they replaced (``matrix_game_solve_reference``): bit for bit."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 9),
+        st.integers(1, 9),
+        st.sampled_from(["uniform", "integers", "signed-zeros"]),
+        st.sampled_from([None, "row", "col"]),
+        st.sampled_from([1.0, 1e-6, 1e6]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_numpy_reference(self, seed, rows, cols, kind, duplicate, scale):
+        rng = np.random.default_rng(seed)
+        if kind == "uniform":
+            base = rng.random((rows, cols))
+        elif kind == "integers":
+            base = rng.integers(0, 3, size=(rows, cols)).astype(float)
+        else:
+            base = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(rows, cols))
+        if duplicate == "row":
+            base[-1] = base[0]
+        elif duplicate == "col":
+            base[:, -1] = base[:, 0]
+        payoff = base * scale
+        assert_same_bits(matrix_game_solve(payoff), matrix_game_solve_reference(payoff))
+        if payoff.max() > payoff.min():
+            unique = stochastic._tableau_solve(payoff, payoff.tolist())
+            ref = tableau_solve_reference(payoff)
+            assert (unique is None) == (ref is None)
+            if unique is not None:
+                assert_same_bits(unique, ref)
+
+    @pytest.mark.parametrize(
+        "payoff",
+        [
+            [[0.0, -0.0], [-0.0, 0.0]],
+            [[-0.0, 0.0], [0.0, -0.0]],
+            [[0.0, 0.0], [-0.0, -0.0]],
+            [[0.0] * 8 + [-0.0]],
+            [[-0.0]] * 9,
+        ],
+        ids=["2x2-diagonal", "2x2-antidiagonal", "2x2-rows", "1x9", "9x1"],
+    )
+    def test_a_zero_value_keeps_numpy_sign(self, payoff):
+        # numpy's min and max choose between 0.0 and -0.0 by vector lane.
+        assert_same_bits(matrix_game_solve(payoff), matrix_game_solve_reference(payoff))
+
+    def test_zero_diagonal_game_value_is_negative_zero(self):
+        # Python's min would give 0.0 here.
+        sol = matrix_game_solve([[0.0, -0.0], [-0.0, 0.0]])
+        assert math.copysign(1.0, sol.value) == -1.0
+
+    def test_random_games_match_the_numpy_reference(self):
+        # The benchmark's game op: random 5x5 games, almost all mixed.
+        for i in range(100):
+            payoff = np.random.default_rng(i).random((5, 5))
+            assert_same_bits(matrix_game_solve(payoff), matrix_game_solve_reference(payoff))
+
+
 class TestShapley:
     def test_absorbing_zero_rewards(self):
         rewards = np.zeros((1, 2, 2))
@@ -811,6 +881,27 @@ class TestShapleySweep:
         )
         assert sol.converged
         assert 0 < len(calls) <= 200
+
+    def test_soccer_solve_logs_its_work(self, soccer_game, monkeypatch, caplog):
+        # Work counts, not timings: the debug line's per-path totals match the
+        # calls that were made.
+        inner = matrix_game_solve
+        calls = []
+
+        def counting(payoff):
+            calls.append(1)
+            return inner(payoff)
+
+        monkeypatch.setattr("eqsentinel.stochastic.matrix_game_solve", counting)
+        with counting_lp() as lp, caplog.at_level("DEBUG", logger="eqsentinel.stochastic"):
+            sol = shapley_solve_arrays(
+                soccer_game.native_reward, soccer_game.model.transition, SolverConfig()
+            )
+        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("shapley")]
+        sweeps, saddles, equalized, fallbacks = map(int, re.findall(r"\d+", line))
+        assert (sweeps, fallbacks) == (sol.iterations, len(calls)) == (78, 76)
+        assert saddles + equalized + fallbacks == sweeps * soccer_game.model.num_states
+        assert equalized > 0 and lp.call_count == 36
 
     def test_singular_support_falls_back_to_the_lp(self, monkeypatch):
         # State 0's columns 1 and 2 are duplicates. The LP's basic solutions

@@ -16,7 +16,7 @@ from eqsentinel.eprocess import (
     detection_bound_uniform,
     slack_lower_bound,
 )
-from eqsentinel.errors import PROB_TOL, DomainError
+from eqsentinel.errors import PROB_TOL, DomainError, ShapeError
 from eqsentinel.games import ActionProfile, EquilibriumMode, JointStrategy, two_player_game
 from eqsentinel.monitors import MonitorConfig, increment
 from eqsentinel.stochastic import (
@@ -26,6 +26,7 @@ from eqsentinel.stochastic import (
     SolverConfig,
     StochasticGameModel,
     chi_square_div,
+    exploitability,
     lr_detection_bound,
     stationary_distribution,
 )
@@ -154,3 +155,21 @@ class TestScalarDomainsRejectNan:
     def test_nan_raises_domain_error(self, call):
         with pytest.raises(DomainError):
             call()
+
+
+class TestExploitabilityShapes:
+    @pytest.mark.parametrize(
+        "payoff, row, col",
+        [
+            ([1.0, 0.0], [1.0], [0.5, 0.5]),
+            (np.ones((2, 2, 2)), [0.5, 0.5], [0.5, 0.5]),
+            (np.eye(2), [0.5, 0.25, 0.25], [0.5, 0.5]),
+            (np.eye(2), [0.5, 0.5], [1.0]),
+            (np.ones((2, 3)), [1 / 3] * 3, [0.5, 0.5]),
+            (np.eye(2), [[0.5, 0.5]], [0.5, 0.5]),
+        ],
+        ids=["vector-payoff", "3d-payoff", "long-row", "short-col", "swapped", "2d-row"],
+    )
+    def test_mismatch_raises_shape_error(self, payoff, row, col):
+        with pytest.raises(ShapeError, match="strategies"):
+            exploitability(payoff, row, col, 0.5)
