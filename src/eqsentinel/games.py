@@ -154,14 +154,6 @@ class JointStrategy:
             )
 
 
-def expected_payoff(game: NormalFormGame, strategy: JointStrategy, player: int) -> float:
-    """Exact expected utility of one player, by full enumeration."""
-    game._check_player(player)
-    strategy.check_compatible(game)
-    law = strategy.joint_law()
-    return float(np.sum(law * game.payoffs[player]))
-
-
 def sample_profile(strategy: JointStrategy, rng: np.random.Generator) -> ActionProfile:
     """One i.i.d. draw from the joint strategy; deterministic given the rng."""
     if strategy.kind is StrategyKind.PRODUCT:

@@ -478,15 +478,33 @@ def _tableau_solve(A: np.ndarray, entries: list) -> MatrixGameSolution | None:
     return MatrixGameSolution(value, row, col)
 
 
+def _first_copies(lines) -> list[int]:
+    """Indices of the first copy of each distinct line, in order."""
+    first = {}
+    for i, line in enumerate(lines):
+        first.setdefault(line, i)
+    return list(first.values())
+
+
 def matrix_game_solve(payoff) -> MatrixGameSolution:
     """Maximin solution of a zero-sum matrix game for the row player.
 
-    Pure saddle points, which every one-row and one-column game has, are
-    read off the matrix. Otherwise a tableau simplex solves the game
-    exactly when its equilibrium is unique (``_tableau_solve``), and HiGHS
-    solves the rest: there the column strategy is recovered from the LP
-    duals. Both strategies are valid distributions and the best-response
-    gap against either is within 1e-6 of the value.
+    Four paths, tried in order:
+
+    1. saddle: a pure saddle point, which every one-row and one-column game
+       has, is read off the matrix;
+    2. reduced tableau: a game with exactly duplicated rows or columns keeps
+       the first copy of each, and a unique equilibrium of that game from
+       the tableau simplex (``_tableau_solve``) is lifted back with zero
+       mass on the copies. A copy pays as its first instance does, so the
+       value and the exploitability carry over;
+    3. tableau: a game without copies, when its equilibrium is unique;
+    4. HiGHS on the full game otherwise, with the column strategy recovered
+       from the LP duals.
+
+    Both strategies are valid distributions and the best-response gap
+    against either is within 1e-6 of the value. A game without a saddle
+    point whose payoff range overflows a float raises ``DomainError``.
     """
     A = np.asarray(payoff, dtype=float)
     if A.ndim != 2 or A.size == 0:
@@ -510,10 +528,33 @@ def matrix_game_solve(payoff) -> MatrixGameSolution:
         row[r] = 1.0
         col[col_maxs.index(value)] = 1.0
         return MatrixGameSolution(float(value), row, col)
+    low = min(row_mins)
+    high = max(col_maxs)
+    if not math.isfinite(high - low):
+        raise DomainError(f"payoff range [{low!r}, {high!r}] overflows a float")
 
-    unique = _tableau_solve(A, entries)
-    if unique is not None:
-        return unique
+    # Copies of an action add no extreme equilibrium (Shapley & Snow 1950)
+    # but leave the tableau's final basis degenerate, so solve without them.
+    # Copies share their row minimum (column maximum), which clears most
+    # games at once. Set and dict keys take 0.0 and -0.0 as equal, as
+    # ``np.unique`` does.
+    keep_rows, keep_cols = range(rows), range(cols)
+    if len(set(row_mins)) < rows or len(set(col_maxs)) < cols:
+        keep_rows = _first_copies(map(tuple, entries))
+        keep_cols = _first_copies(zip(*(entries[i] for i in keep_rows)))
+    if len(keep_rows) == rows and len(keep_cols) == cols:
+        unique = _tableau_solve(A, entries)
+        if unique is not None:
+            return unique
+    else:
+        sub = A[np.ix_(keep_rows, keep_cols)]
+        reduced = _tableau_solve(sub, sub.tolist())
+        if reduced is not None:
+            row = np.zeros(rows)
+            col = np.zeros(cols)
+            row[keep_rows] = reduced.row_strategy
+            col[keep_cols] = reduced.col_strategy
+            return MatrixGameSolution(reduced.value, row, col)
 
     # Variables (x_1..x_R, v): maximize v subject to A^T x >= v, sum x = 1.
     c = np.zeros(rows + 1)

@@ -16,13 +16,15 @@ run draws, gathers and accumulates every round of its horizon.
 ``ebh_rejection_brute_force`` searches every subset for e-BH's rejection
 set, and ``matrix_game_solve_lp_reference`` is the HiGHS LP that solved every
 mixed matrix game before the tableau fast path. ``matrix_game_solve_reference``
-and ``tableau_solve_reference`` are the solver with its saddle test and
-tableau pivots on numpy arrays, before they ran on Python floats. ``soccer_build_model_reference``
+and ``tableau_solve_reference`` are the solver with its saddle test,
+duplicate-action reduction and tableau pivots on numpy arrays. ``soccer_build_model_reference``
 is the soccer model builder from before it read ``soccer.successor_table``,
 and ``_resolve`` the soccer collision rules walked over one ``SoccerState``,
 as the package applied them before it evaluated them once as arrays;
 ``soccer_successor_table_reference`` and ``soccer_step_reference`` are the
 table and the stepper built on it.
+``expected_payoff`` is one player's expected utility under a joint strategy,
+as the package exported it until nothing but the tests called it.
 ``deviation_gain_reference`` and ``equilibrium_slack_reference`` are the
 expected gains as they were before they read the increment table: separate
 sums of the played and the deviating payoff, and a loop over recommendations
@@ -43,7 +45,7 @@ from eqsentinel import stochastic
 from eqsentinel.eprocess import BettingMixture
 from eqsentinel.envs import prey, soccer
 from eqsentinel.errors import DomainError, ErgodicityError
-from eqsentinel.games import EquilibriumMode, StrategyKind
+from eqsentinel.games import EquilibriumMode, JointStrategy, NormalFormGame, StrategyKind
 from eqsentinel.harness import nfstreams, scenarios
 from eqsentinel.harness.seeding import run_rng
 from eqsentinel.monitors import CE_SUPPORT_FLOOR, enumerate_hypotheses
@@ -57,6 +59,14 @@ from eqsentinel.stochastic import (
     exploitability,
     matrix_game_solve,
 )
+
+
+def expected_payoff(game: NormalFormGame, strategy: JointStrategy, player: int) -> float:
+    """Exact expected utility of one player, by full enumeration."""
+    game._check_player(player)
+    strategy.check_compatible(game)
+    law = strategy.joint_law()
+    return float(np.sum(law * game.payoffs[player]))
 
 
 def frac_expected_payoff(payoffs, factors, player) -> Fraction:
@@ -288,10 +298,17 @@ def tableau_solve_reference(A: np.ndarray) -> MatrixGameSolution | None:
     return MatrixGameSolution(value, row, col)
 
 
+def _first_copies_reference(A: np.ndarray) -> np.ndarray:
+    """Indices of the first copy of each distinct row of ``A``, in order."""
+    return np.sort(np.unique(A, axis=0, return_index=True)[1])
+
+
 def matrix_game_solve_reference(payoff) -> MatrixGameSolution:
-    """``matrix_game_solve`` as it was before its scalar kernels: the saddle
-    shortcut on numpy reductions, then ``tableau_solve_reference``, then the
-    HiGHS LP."""
+    """``matrix_game_solve`` in numpy form: the saddle shortcut on numpy
+    reductions; then, for a game with duplicated rows or columns,
+    ``tableau_solve_reference`` on the game without the later copies, lifted
+    back with zero mass on them; otherwise ``tableau_solve_reference`` on the
+    game itself; then the HiGHS LP on the full game."""
     A = np.asarray(payoff, dtype=float)
     rows, cols = A.shape
     row_mins = A.min(axis=1)
@@ -304,9 +321,20 @@ def matrix_game_solve_reference(payoff) -> MatrixGameSolution:
         row[r] = 1.0
         col[c] = 1.0
         return MatrixGameSolution(float(row_mins[r]), row, col)
-    unique = tableau_solve_reference(A)
-    if unique is not None:
-        return unique
+    keep_rows = _first_copies_reference(A)
+    keep_cols = _first_copies_reference(A[keep_rows].T)
+    if keep_rows.size < rows or keep_cols.size < cols:
+        reduced = tableau_solve_reference(A[np.ix_(keep_rows, keep_cols)])
+        if reduced is not None:
+            row = np.zeros(rows)
+            col = np.zeros(cols)
+            row[keep_rows] = reduced.row_strategy
+            col[keep_cols] = reduced.col_strategy
+            return MatrixGameSolution(reduced.value, row, col)
+    else:
+        unique = tableau_solve_reference(A)
+        if unique is not None:
+            return unique
     return matrix_game_solve_lp_reference(A)
 
 

@@ -14,7 +14,6 @@ from eqsentinel import (
     two_player_game,
 )
 from eqsentinel.errors import DomainError, ShapeError
-from eqsentinel.games import expected_payoff
 from eqsentinel.harness import scenarios
 
 from _oracles import (
@@ -24,6 +23,7 @@ from _oracles import (
     deviation_gain_reference,
     enumerate_deviation_gain,
     equilibrium_slack_reference,
+    expected_payoff,
     frac_deviation_gain,
 )
 

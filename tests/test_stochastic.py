@@ -640,20 +640,85 @@ class TestMatrixGame:
         assert len(mixed) > 40
 
     @pytest.mark.parametrize("transpose", [False, True], ids=["columns", "rows"])
-    def test_non_unique_equilibrium_goes_to_the_lp(self, transpose):
+    def test_non_unique_equilibrium_of_copies_skips_the_lp(self, transpose):
         # Columns 1 and 2 are duplicates, so the column player may split its
-        # mass between them in any ratio: the tableau's final basis is dual
-        # degenerate (primal degenerate for duplicate rows, the transpose),
-        # and the game keeps the LP's equilibrium.
+        # mass between them in any ratio, and the full game's tableau basis is
+        # dual degenerate (primal degenerate for duplicate rows, the
+        # transpose). Without the copy the game is matching pennies, whose
+        # unique equilibrium the tableau finds: no LP runs, and the copy gets
+        # no mass.
         payoff = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
         payoff = payoff.T if transpose else payoff
         with counting_lp() as lp:
             sol = matrix_game_solve(payoff)
         ref = matrix_game_solve_lp_reference(payoff)
+        assert lp.call_count == 0
+        assert (sol.row_strategy if transpose else sol.col_strategy)[2] == 0.0
+        assert sol.value == pytest.approx(ref.value, rel=0, abs=1e-12)
+        assert_same_merged(payoff, sol, ref, 1e-12)
+
+    def test_degenerate_game_without_copies_goes_to_the_lp(self):
+        # No two actions are equal, but any row mix with both weights in
+        # [1/3, 2/3] is optimal against the third column: the tableau's basis
+        # is primal degenerate, and HiGHS answers on the full game.
+        payoff = np.array([[3.0, 0.0, 1.0], [0.0, 3.0, 1.0]])
+        with counting_lp() as lp:
+            sol = matrix_game_solve(payoff)
         assert lp.call_count == 1
-        assert sol.value == ref.value
-        np.testing.assert_array_equal(sol.row_strategy, ref.row_strategy)
-        np.testing.assert_array_equal(sol.col_strategy, ref.col_strategy)
+        assert_same_bits(sol, matrix_game_solve_lp_reference(payoff))
+        assert sol.value == pytest.approx(1.0, abs=1e-9)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 5),
+        st.integers(1, 5),
+        st.sampled_from(["uniform", "integers"]),
+        st.integers(0, 3),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_duplicated_actions_get_no_mass(self, seed, rows, cols, kind, extra_rows, extra_cols):
+        # Copies of random actions at random places: a copy pays as its first
+        # instance does, so where the game without copies has a unique
+        # equilibrium, summing each action's mass over its copies gives the
+        # LP's answer on the full game.
+        rng = np.random.default_rng(seed)
+        if kind == "uniform":
+            base = rng.random((rows, cols))
+        else:
+            base = rng.integers(0, 3, size=(rows, cols)).astype(float)
+        row_of = rng.permutation(np.concatenate([np.arange(rows), rng.integers(0, rows, extra_rows)]))
+        col_of = rng.permutation(np.concatenate([np.arange(cols), rng.integers(0, cols, extra_cols)]))
+        payoff = base[np.ix_(row_of, col_of)]
+        with counting_lp() as lp:
+            sol = matrix_game_solve(payoff)
+        assert exploitability(payoff, sol.row_strategy, sol.col_strategy, sol.value) <= 1e-6
+        if lp.called:
+            return
+        # Every copy after the first instance of its action gets no mass.
+        for lines, strategy in ((payoff, sol.row_strategy), (payoff.T, sol.col_strategy)):
+            first = np.unique(lines, axis=0, return_index=True)[1]
+            assert not np.delete(strategy, first).any()
+        if payoff.min(axis=1).max() == payoff.max(axis=0).min():
+            return  # a pure saddle point, maybe one of several
+        ref = matrix_game_solve_lp_reference(payoff)
+        assert sol.value == pytest.approx(ref.value, rel=0, abs=1e-9)
+        assert_same_merged(payoff, sol, ref, 1e-9)
+
+
+def assert_same_merged(payoff, sol, ref, atol):
+    """Equal strategies once each action's mass is summed over its copies."""
+    for lines, mine, theirs in (
+        (payoff, sol.row_strategy, ref.row_strategy),
+        (payoff.T, sol.col_strategy, ref.col_strategy),
+    ):
+        copy_of = np.unique(lines, axis=0, return_inverse=True)[1]
+        np.testing.assert_allclose(
+            np.bincount(copy_of, weights=mine),
+            np.bincount(copy_of, weights=theirs),
+            rtol=0,
+            atol=atol,
+        )
 
 
 def assert_same_bits(sol, ref):
@@ -901,7 +966,23 @@ class TestShapleySweep:
         sweeps, saddles, equalized, fallbacks = map(int, re.findall(r"\d+", line))
         assert (sweeps, fallbacks) == (sol.iterations, len(calls)) == (78, 76)
         assert saddles + equalized + fallbacks == sweeps * soccer_game.model.num_states
-        assert equalized > 0 and lp.call_count == 36
+        assert equalized > 0 and lp.call_count == 14
+
+    def test_soccer_solve_and_certificate_reach_highs_at_most_14_times(self, soccer_game):
+        # Most fallback games have exactly duplicated actions, which are
+        # solved without their copies; only degenerate games without copies
+        # reach HiGHS.
+        config = SolverConfig()
+        with counting_lp() as lp:
+            sol = shapley_solve_arrays(
+                soccer_game.native_reward, soccer_game.model.transition, config
+            )
+            q = soccer_game.native_reward + config.discount * np.einsum(
+                "sabt,t->sab", soccer_game.model.transition, sol.values
+            )
+            resolved = np.array([matrix_game_solve(q[s]).value for s in range(q.shape[0])])
+        assert np.max(np.abs(resolved - sol.values)) < config.tolerance
+        assert lp.call_count <= 14
 
     def test_singular_support_falls_back_to_the_lp(self, monkeypatch):
         # State 0's columns 1 and 2 are duplicates. The LP's basic solutions

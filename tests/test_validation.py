@@ -3,6 +3,7 @@ behind every strategy, policy, weight vector, kernel and chain, and scalar
 domain checks that must reject NaN."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from eqsentinel.stochastic import (
     chi_square_div,
     exploitability,
     lr_detection_bound,
+    matrix_game_solve,
     stationary_distribution,
 )
 
@@ -155,6 +157,25 @@ class TestScalarDomainsRejectNan:
     def test_nan_raises_domain_error(self, call):
         with pytest.raises(DomainError):
             call()
+
+
+class TestMatrixGameRange:
+    """A payoff range past the largest float has no finite span to normalise
+    the tableau by; it is rejected up front unless a saddle point answers."""
+
+    def test_overflowing_range_raises_domain_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="payoff range"):
+                matrix_game_solve([[1e308, -1e308], [-1e308, 1e308]])
+
+    def test_saddle_point_of_a_huge_range_is_read_off(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = matrix_game_solve([[1e308, -1e308], [1e308, 1e308]])
+        assert sol.value == 1e308
+        assert sol.row_strategy.tolist() == [0.0, 1.0]
+        assert sol.col_strategy.tolist() == [1.0, 0.0]
 
 
 class TestExploitabilityShapes:
