@@ -9,10 +9,8 @@ per-state matrix-game equilibria and runs value iteration on their values.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,8 +39,10 @@ _SCAN_ROWS = 1024
 
 
 def __getattr__(name: str):
-    # scipy.optimize loads only when a game first reaches HiGHS. ``linprog``
-    # stays a module attribute, so it can be wrapped or patched like a global.
+    # Nothing in the package calls ``linprog``. perfbench's ``--trace 1`` wraps
+    # ``stochastic.linprog`` by name (tests/test_perfbench_hooks.py checks the
+    # wrap), so it stays a lazily loaded attribute until that wrap goes with
+    # ROADMAP item 7; scipy.optimize loads only when something reads it.
     if name == "linprog":
         from scipy.optimize import linprog
 
@@ -404,17 +404,21 @@ class MatrixGameSolution:
     col_strategy: np.ndarray
 
 
-def _tableau_solve(A: np.ndarray, entries: list) -> MatrixGameSolution | None:
-    """The equilibrium of ``A`` from a dense tableau simplex, if it is unique.
+def _tableau_solve(A: np.ndarray, entries: list) -> MatrixGameSolution:
+    """An equilibrium of ``A`` from a dense tableau simplex.
 
     Solves the column player's LP ``max 1'q s.t. B q <= 1, q >= 0`` for
     ``B = (A - min A) / span + 1``, whose entries lie in [1, 2], with Bland's
     rule (Bland 1977). At the optimum, y is q over its sum, x is the slack
     duals over theirs, and the value of A is ``(1 / sum q - 1) * span + min A``.
-    The result is returned only when the final basis is primal and dual
-    nondegenerate, which makes both LP optima and so the equilibrium unique,
-    and no pure deviation gains more than ``EQUALIZER_TOL``; otherwise None.
-    ``A`` must not be constant; ``entries`` is ``A.tolist()``.
+    Bland's rule never cycles, so a degenerate game ends at an optimal basis
+    too, and the smallest index enters and leaves first, so later copies of
+    an action get no mass. Rounding below 0 in a basic value or a slack's
+    reduced cost reads as 0. The answer must gain no pure deviation more
+    than ``max(EQUALIZER_TOL, _SCREEN_MARGIN * max|A|)``; if it does not, or
+    no row can pivot, or the pivots outrun the bases, ``DomainError`` names
+    the gap, as it does a payoff range that overflows a float. ``A`` must not
+    be constant; ``entries`` is ``A.tolist()``.
 
     The pivots run on nested lists of Python floats, one IEEE operation per
     entry as numpy would do it elementwise: the row divide, ``x - f * y`` and
@@ -425,7 +429,10 @@ def _tableau_solve(A: np.ndarray, entries: list) -> MatrixGameSolution | None:
     """
     rows, cols = A.shape
     low = min(map(min, entries))
-    span = max(map(max, entries)) - low
+    high = max(map(max, entries))
+    span = high - low
+    if not math.isfinite(span):
+        raise DomainError(f"payoff range [{low!r}, {high!r}] overflows a float")
     t = []
     for i, payoffs in enumerate(entries):
         line = [(x - low) / span + 1.0 for x in payoffs] + [0.0] * rows + [1.0]
@@ -449,7 +456,7 @@ def _tableau_solve(A: np.ndarray, entries: list) -> MatrixGameSolution | None:
                 if i < 0 or ratio < least or ratio == least and basis[r] < basis[i]:
                     i, least = r, ratio
         if i < 0:
-            return None
+            break
         pivot = t[i][j]
         t[i] = pivot_row = [x / pivot for x in t[i]]
         for r, line in enumerate(t):
@@ -457,54 +464,32 @@ def _tableau_solve(A: np.ndarray, entries: list) -> MatrixGameSolution | None:
             if r != i and f != 0.0:
                 t[r] = [x - f * y for x, y in zip(line, pivot_row)]
         basis[i] = j
-    else:
-        return None
-    basis = np.array(basis)
-    rhs = np.array([line[-1] for line in t[:rows]])
-    reduced = np.array(t[rows][:-1])
-    nonbasic = np.ones(cols + rows, dtype=bool)
-    nonbasic[basis] = False
-    if rhs.min() <= _PIVOT_TOL or reduced[nonbasic].min() <= _PIVOT_TOL:
-        return None
-    q = np.zeros(cols + rows)
-    q[basis] = rhs
-    duals = np.where(nonbasic[cols:], reduced[cols:], 0.0)
-    total = q[:cols].sum()
-    row = duals / duals.sum()
-    col = q[:cols] / total
-    value = float((1.0 / total - 1.0) * span + low)
-    if not exploitability(A, row, col, value) <= EQUALIZER_TOL:
-        return None
-    return MatrixGameSolution(value, row, col)
-
-
-def _first_copies(lines) -> list[int]:
-    """Indices of the first copy of each distinct line, in order."""
-    first = {}
-    for i, line in enumerate(lines):
-        first.setdefault(line, i)
-    return list(first.values())
+    gap, bound = math.nan, max(EQUALIZER_TOL, _SCREEN_MARGIN * max(high, -low))
+    if j is None:
+        # A basic column's reduced cost is an exact zero, so clipping every
+        # slack's reduced cost at 0 leaves the nonbasic slacks' as the duals.
+        q = np.zeros(cols + rows)
+        q[basis] = [max(0.0, line[-1]) for line in t[:rows]]
+        duals = np.array([max(0.0, x) for x in t[rows][cols:-1]])
+        total = q[:cols].sum()
+        row = duals / duals.sum()
+        col = q[:cols] / total
+        value = float((1.0 / total - 1.0) * span + low)
+        gap = exploitability(A, row, col, value)
+        if gap <= bound:
+            return MatrixGameSolution(value, row, col)
+    raise DomainError(f"matrix game not solved: best-response gap {gap!r} exceeds {bound!r}")
 
 
 def matrix_game_solve(payoff) -> MatrixGameSolution:
     """Maximin solution of a zero-sum matrix game for the row player.
 
-    Four paths, tried in order:
-
-    1. saddle: a pure saddle point, which every one-row and one-column game
-       has, is read off the matrix;
-    2. reduced tableau: a game with exactly duplicated rows or columns keeps
-       the first copy of each, and a unique equilibrium of that game from
-       the tableau simplex (``_tableau_solve``) is lifted back with zero
-       mass on the copies. A copy pays as its first instance does, so the
-       value and the exploitability carry over;
-    3. tableau: a game without copies, when its equilibrium is unique;
-    4. HiGHS on the full game otherwise, with the column strategy recovered
-       from the LP duals.
-
-    Both strategies are valid distributions and the best-response gap
-    against either is within 1e-6 of the value. A game without a saddle
-    point whose payoff range overflows a float raises ``DomainError``.
+    Two paths: a pure saddle point, which every one-row and one-column game
+    has, is read off the matrix; any other game, degenerate or with copied
+    actions, goes to the tableau simplex (``_tableau_solve``). No pure
+    deviation from either strategy gains more than
+    ``max(EQUALIZER_TOL, _SCREEN_MARGIN * max|A|)`` against the value, or
+    ``DomainError`` is raised.
     """
     A = np.asarray(payoff, dtype=float)
     if A.ndim != 2 or A.size == 0:
@@ -528,62 +513,7 @@ def matrix_game_solve(payoff) -> MatrixGameSolution:
         row[r] = 1.0
         col[col_maxs.index(value)] = 1.0
         return MatrixGameSolution(float(value), row, col)
-    low = min(row_mins)
-    high = max(col_maxs)
-    if not math.isfinite(high - low):
-        raise DomainError(f"payoff range [{low!r}, {high!r}] overflows a float")
-
-    # Copies of an action add no extreme equilibrium (Shapley & Snow 1950)
-    # but leave the tableau's final basis degenerate, so solve without them.
-    # Copies share their row minimum (column maximum), which clears most
-    # games at once. Set and dict keys take 0.0 and -0.0 as equal, as
-    # ``np.unique`` does.
-    keep_rows, keep_cols = range(rows), range(cols)
-    if len(set(row_mins)) < rows or len(set(col_maxs)) < cols:
-        keep_rows = _first_copies(map(tuple, entries))
-        keep_cols = _first_copies(zip(*(entries[i] for i in keep_rows)))
-    if len(keep_rows) == rows and len(keep_cols) == cols:
-        unique = _tableau_solve(A, entries)
-        if unique is not None:
-            return unique
-    else:
-        sub = A[np.ix_(keep_rows, keep_cols)]
-        reduced = _tableau_solve(sub, sub.tolist())
-        if reduced is not None:
-            row = np.zeros(rows)
-            col = np.zeros(cols)
-            row[keep_rows] = reduced.row_strategy
-            col[keep_cols] = reduced.col_strategy
-            return MatrixGameSolution(reduced.value, row, col)
-
-    # Variables (x_1..x_R, v): maximize v subject to A^T x >= v, sum x = 1.
-    c = np.zeros(rows + 1)
-    c[-1] = -1.0
-    a_ub = np.hstack([-A.T, np.ones((cols, 1))])
-    a_eq = np.hstack([np.ones((1, rows)), np.zeros((1, 1))])
-    bounds = [(0.0, None)] * rows + [(None, None)]
-    # Read through the module, where ``__getattr__`` and patches are seen.
-    res = sys.modules[__name__].linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=np.zeros(cols),
-        A_eq=a_eq,
-        b_eq=np.ones(1),
-        bounds=bounds,
-        method="highs",
-    )
-    if not res.success:  # pragma: no cover - zero-sum LPs are always feasible
-        raise RuntimeError(f"matrix game LP failed: {res.message}")
-    row = np.clip(res.x[:rows], 0.0, None)
-    row /= row.sum()
-    col = np.clip(-np.asarray(res.ineqlin.marginals), 0.0, None)
-    total = col.sum()
-    if not 0.5 < total < 2.0:  # pragma: no cover - dual degenerate fallback
-        alt = matrix_game_solve(-A.T)
-        col = alt.row_strategy
-    else:
-        col /= total
-    return MatrixGameSolution(float(res.x[-1]), row, col)
+    return _tableau_solve(A, entries)
 
 
 def exploitability(payoff, row_strategy, col_strategy, value: float) -> float:
@@ -792,21 +722,6 @@ def shapley_solve_arrays(
         iterations=iterations,
         residual=residual,
     )
-
-
-def shapley_solve(model: StochasticGameModel, config: SolverConfig) -> ShapleySolution:
-    """Solve a two-player zero-sum (possibly affinely rescaled) model.
-
-    The model's own discount governs the iteration; ``config.discount`` only
-    applies to the raw-array entry point.
-    """
-    if model.num_players != 2:
-        raise DomainError("the solver handles two-player games")
-    total = model.rewards[0] + model.rewards[1]
-    if float(np.max(total) - np.min(total)) > 1e-9:
-        raise DomainError("rewards must be zero-sum up to an affine rescaling")
-    effective = dataclasses.replace(config, discount=model.discount)
-    return shapley_solve_arrays(model.rewards[0], model.transition, effective)
 
 
 def smooth_policy(policy: Policy, beta: float) -> Policy:

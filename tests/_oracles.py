@@ -15,9 +15,12 @@ are the nf-* experiments' per-run loops from before the chunked replay: each
 run draws, gathers and accumulates every round of its horizon.
 ``ebh_rejection_brute_force`` searches every subset for e-BH's rejection
 set, and ``matrix_game_solve_lp_reference`` is the HiGHS LP that solved every
-mixed matrix game before the tableau fast path. ``matrix_game_solve_reference``
-and ``tableau_solve_reference`` are the solver with its saddle test,
-duplicate-action reduction and tableau pivots on numpy arrays. ``soccer_build_model_reference``
+mixed matrix game before the tableau fast path; the tests keep it as the
+oracle of values. ``matrix_game_solve_reference`` and
+``tableau_solve_reference`` are the solver with its saddle test and tableau
+pivots on numpy arrays, and ``unique_equilibrium_reference`` the tableau's
+old nondegeneracy test, which tells where an equilibrium is unique.
+``soccer_build_model_reference``
 is the soccer model builder from before it read ``soccer.successor_table``,
 and ``_resolve`` the soccer collision rules walked over one ``SoccerState``,
 as the package applied them before it evaluated them once as arrays;
@@ -249,9 +252,10 @@ def matrix_game_solve_lp_reference(payoff) -> MatrixGameSolution:
         col /= total
     return MatrixGameSolution(float(res.x[-1]), row, col)
 
-def tableau_solve_reference(A: np.ndarray) -> MatrixGameSolution | None:
-    """``stochastic._tableau_solve`` as it was before its pivots ran on Python
-    floats: the same Bland simplex on a numpy tableau, whole rows at a time."""
+def _tableau_reference(A: np.ndarray):
+    """Bland's pivots on a numpy tableau, whole rows at a time: the final
+    tableau and basis, or None when no row can pivot or the pivots outrun the
+    bases."""
     rows, cols = A.shape
     low = A.min()
     span = A.max() - low
@@ -264,7 +268,7 @@ def tableau_solve_reference(A: np.ndarray) -> MatrixGameSolution | None:
     for _ in range(math.comb(rows + cols, rows)):
         entering = (t[rows, :-1] < -stochastic._PIVOT_TOL).nonzero()[0]
         if not entering.size:
-            break
+            return t, basis
         j = entering[0]
         eligible = (t[:rows, j] > stochastic._PIVOT_TOL).nonzero()[0]
         if not eligible.size:
@@ -277,38 +281,59 @@ def tableau_solve_reference(A: np.ndarray) -> MatrixGameSolution | None:
         factor[i] = 0.0
         t -= factor * t[i]
         basis[i] = j
-    else:
-        return None
+    return None
+
+
+def tableau_solve_reference(A: np.ndarray) -> MatrixGameSolution:
+    """``stochastic._tableau_solve`` on a numpy tableau, as it was before its
+    pivots ran on Python floats, with its ending: basic values and the
+    nonbasic slacks' reduced costs clipped at 0, the answer gated at
+    ``max(EQUALIZER_TOL, _SCREEN_MARGIN * max|A|)``, and ``DomainError``
+    otherwise."""
+    rows, cols = A.shape
+    final = _tableau_reference(A)
+    gap = math.nan
+    bound = max(EQUALIZER_TOL, stochastic._SCREEN_MARGIN * float(np.abs(A).max()))
+    if final is not None:
+        t, basis = final
+        nonbasic = np.ones(cols + rows, dtype=bool)
+        nonbasic[basis] = False
+        q = np.zeros(cols + rows)
+        q[basis] = np.where(t[:rows, -1] > 0.0, t[:rows, -1], 0.0)
+        reduced = t[rows, cols:-1]
+        duals = np.where(nonbasic[cols:] & (reduced > 0.0), reduced, 0.0)
+        total = q[:cols].sum()
+        row = duals / duals.sum()
+        col = q[:cols] / total
+        low = A.min()
+        value = float((1.0 / total - 1.0) * (A.max() - low) + low)
+        gap = exploitability(A, row, col, value)
+        if gap <= bound:
+            return MatrixGameSolution(value, row, col)
+    raise DomainError(f"best-response gap {gap!r} exceeds {bound!r}")
+
+
+def unique_equilibrium_reference(A: np.ndarray) -> bool:
+    """Whether the tableau's final basis is primal and dual nondegenerate,
+    which makes both LP optima, and so the game's equilibrium, unique: the
+    test ``stochastic._tableau_solve`` made before it accepted degenerate
+    bases. ``A`` must not be constant."""
+    rows, cols = A.shape
+    final = _tableau_reference(A)
+    if final is None:
+        return False
+    t, basis = final
     nonbasic = np.ones(cols + rows, dtype=bool)
     nonbasic[basis] = False
-    if (
-        t[:rows, -1].min() <= stochastic._PIVOT_TOL
-        or t[rows, :-1][nonbasic].min() <= stochastic._PIVOT_TOL
-    ):
-        return None
-    q = np.zeros(cols + rows)
-    q[basis] = t[:rows, -1]
-    duals = np.where(nonbasic[cols:], t[rows, cols:-1], 0.0)
-    total = q[:cols].sum()
-    row = duals / duals.sum()
-    col = q[:cols] / total
-    value = float((1.0 / total - 1.0) * span + low)
-    if not exploitability(A, row, col, value) <= EQUALIZER_TOL:
-        return None
-    return MatrixGameSolution(value, row, col)
-
-
-def _first_copies_reference(A: np.ndarray) -> np.ndarray:
-    """Indices of the first copy of each distinct row of ``A``, in order."""
-    return np.sort(np.unique(A, axis=0, return_index=True)[1])
+    return bool(
+        t[:rows, -1].min() > stochastic._PIVOT_TOL
+        and t[rows, :-1][nonbasic].min() > stochastic._PIVOT_TOL
+    )
 
 
 def matrix_game_solve_reference(payoff) -> MatrixGameSolution:
     """``matrix_game_solve`` in numpy form: the saddle shortcut on numpy
-    reductions; then, for a game with duplicated rows or columns,
-    ``tableau_solve_reference`` on the game without the later copies, lifted
-    back with zero mass on them; otherwise ``tableau_solve_reference`` on the
-    game itself; then the HiGHS LP on the full game."""
+    reductions, then ``tableau_solve_reference``."""
     A = np.asarray(payoff, dtype=float)
     rows, cols = A.shape
     row_mins = A.min(axis=1)
@@ -321,21 +346,7 @@ def matrix_game_solve_reference(payoff) -> MatrixGameSolution:
         row[r] = 1.0
         col[c] = 1.0
         return MatrixGameSolution(float(row_mins[r]), row, col)
-    keep_rows = _first_copies_reference(A)
-    keep_cols = _first_copies_reference(A[keep_rows].T)
-    if keep_rows.size < rows or keep_cols.size < cols:
-        reduced = tableau_solve_reference(A[np.ix_(keep_rows, keep_cols)])
-        if reduced is not None:
-            row = np.zeros(rows)
-            col = np.zeros(cols)
-            row[keep_rows] = reduced.row_strategy
-            col[keep_cols] = reduced.col_strategy
-            return MatrixGameSolution(reduced.value, row, col)
-    else:
-        unique = tableau_solve_reference(A)
-        if unique is not None:
-            return unique
-    return matrix_game_solve_lp_reference(A)
+    return tableau_solve_reference(A)
 
 
 TWO_SIGNAL_PAYOFFS = [

@@ -41,7 +41,6 @@ from eqsentinel.stochastic import (
     overshoot_constant,
     policy_from_text,
     policy_to_text,
-    shapley_solve,
     shapley_solve_arrays,
     state_avg_kl,
 )
@@ -54,6 +53,7 @@ from _oracles import (
     shapley_sweep_reference,
     stationary_distribution_reference,
     tableau_solve_reference,
+    unique_equilibrium_reference,
 )
 
 
@@ -485,25 +485,40 @@ class TestStationaryDistribution:
         assert np.max(np.abs(mu - ref)) <= 1e-12
 
 
-def test_import_and_nf_slack_load_no_scipy(tmp_path):
-    # scipy loads only when a solve needs it: linprog at the first HiGHS
-    # game, csr_matrix in shapley_solve_arrays.
+def scipy_modules_after(experiment, tmp_path):
+    """Exit code and loaded scipy modules of one CLI run in a fresh process."""
     root = Path(__file__).resolve().parents[1]
     code = (
         "import contextlib, io, sys; sys.path.insert(0, {src!r})\n"
         "import eqsentinel, eqsentinel.harness.cli as cli\n"
-        "argv = ['nf-slack', '--config', {config!r}, '--out', {out!r}]\n"
+        "argv = [{name!r}, '--config', {config!r}, '--out', {out!r}]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    rc = cli.main(argv)\n"
         "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     ).format(
         src=str(root / "src"),
-        config=str(root / "configs" / "nf-slack.cfg"),
-        out=str(tmp_path / "nf-slack"),
+        name=experiment,
+        config=str(root / "configs" / f"{experiment}.cfg"),
+        out=str(tmp_path / experiment),
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "0 []"
+    rc, modules = done.stdout.strip().split(" ", 1)
+    return int(rc), modules
+
+
+def test_import_and_nf_slack_load_no_scipy(tmp_path):
+    # scipy loads only when a solve needs it: csr_matrix in
+    # shapley_solve_arrays.
+    assert scipy_modules_after("nf-slack", tmp_path) == (0, "[]")
+
+
+def test_soccer_solve_loads_no_scipy_optimize(tmp_path):
+    # Every matrix game is solved by the tableau, so no LP solver is loaded.
+    rc, modules = scipy_modules_after("soccer-solve", tmp_path)
+    assert rc == 0
+    assert "scipy.sparse" in modules
+    assert "scipy.optimize" not in modules
 
 
 def test_linprog_stays_a_module_attribute():
@@ -609,21 +624,17 @@ class TestMatrixGame:
         payoff = base * scale
         with counting_lp() as lp:
             sol = matrix_game_solve(payoff)
+        assert not lp.called
         assert exploitability(payoff, sol.row_strategy, sol.col_strategy, sol.value) <= 1e-6
-        if lp.called:
-            # Degenerate games keep the LP's answer bit for bit.
-            ref = matrix_game_solve_lp_reference(payoff)
-            assert sol.value == ref.value
-            np.testing.assert_array_equal(sol.row_strategy, ref.row_strategy)
-            np.testing.assert_array_equal(sol.col_strategy, ref.col_strategy)
-            return
         # HiGHS's tolerances are absolute, so at scale 1e-6 its answer is off
         # by up to about 1e-3 of the scale; the reference solves the unscaled
         # game, and the value is compared relative to the payoff magnitude.
         ref = matrix_game_solve_lp_reference(base)
         tol = 1e-12 * float(np.abs(payoff).max())
         assert abs(sol.value - scale * ref.value) <= tol
-        if payoff.min(axis=1).max() < payoff.max(axis=0).min():  # no pure saddle
+        # A degenerate game has many equilibria, and HiGHS may pick another.
+        mixed = payoff.min(axis=1).max() < payoff.max(axis=0).min()
+        if mixed and unique_equilibrium_reference(payoff):
             np.testing.assert_allclose(sol.row_strategy, ref.row_strategy, rtol=0, atol=1e-12)
             np.testing.assert_allclose(sol.col_strategy, ref.col_strategy, rtol=0, atol=1e-12)
 
@@ -660,13 +671,23 @@ class TestMatrixGame:
     def test_degenerate_game_without_copies_goes_to_the_lp(self):
         # No two actions are equal, but any row mix with both weights in
         # [1/3, 2/3] is optimal against the third column: the tableau's basis
-        # is primal degenerate, and HiGHS answers on the full game.
-        payoff = np.array([[3.0, 0.0, 1.0], [0.0, 3.0, 1.0]])
-        with counting_lp() as lp:
-            sol = matrix_game_solve(payoff)
-        assert lp.call_count == 1
-        assert_same_bits(sol, matrix_game_solve_lp_reference(payoff))
-        assert sol.value == pytest.approx(1.0, abs=1e-9)
+        # is primal degenerate, and Bland's rule still ends at an optimal one.
+        # No LP runs, at unit scale or at 1e6.
+        for scale in (1.0, 1e6):
+            payoff = np.array([[3.0, 0.0, 1.0], [0.0, 3.0, 1.0]]) * scale
+            with counting_lp() as lp:
+                sol = matrix_game_solve(payoff)
+            assert lp.call_count == 0
+            assert abs(sol.value - scale) <= 1e-12 * scale
+            assert np.all((1 / 3 <= sol.row_strategy) & (sol.row_strategy <= 2 / 3))
+            gap = exploitability(payoff, sol.row_strategy, sol.col_strategy, sol.value)
+            assert gap <= 1e-9
+
+    def test_a_gap_past_the_bound_raises_domain_error(self):
+        # The one failure path: an answer whose gap fails the check.
+        with mock.patch.object(stochastic, "exploitability", return_value=math.nan):
+            with pytest.raises(DomainError, match="gap nan"):
+                matrix_game_solve([[1.0, -1.0], [-1.0, 1.0]])
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -678,10 +699,10 @@ class TestMatrixGame:
     )
     @settings(max_examples=200, deadline=None)
     def test_duplicated_actions_get_no_mass(self, seed, rows, cols, kind, extra_rows, extra_cols):
-        # Copies of random actions at random places: a copy pays as its first
-        # instance does, so where the game without copies has a unique
-        # equilibrium, summing each action's mass over its copies gives the
-        # LP's answer on the full game.
+        # Copies of random actions at random places: Bland's rule gives every
+        # later copy no mass, and a copy pays as its first instance does, so
+        # where the game without copies has a unique equilibrium, summing each
+        # action's mass over its copies gives the LP's answer on the full game.
         rng = np.random.default_rng(seed)
         if kind == "uniform":
             base = rng.random((rows, cols))
@@ -692,15 +713,18 @@ class TestMatrixGame:
         payoff = base[np.ix_(row_of, col_of)]
         with counting_lp() as lp:
             sol = matrix_game_solve(payoff)
+        assert not lp.called
         assert exploitability(payoff, sol.row_strategy, sol.col_strategy, sol.value) <= 1e-6
-        if lp.called:
-            return
         # Every copy after the first instance of its action gets no mass.
+        firsts = []
         for lines, strategy in ((payoff, sol.row_strategy), (payoff.T, sol.col_strategy)):
-            first = np.unique(lines, axis=0, return_index=True)[1]
+            first = np.sort(np.unique(lines, axis=0, return_index=True)[1])
             assert not np.delete(strategy, first).any()
+            firsts.append(first)
         if payoff.min(axis=1).max() == payoff.max(axis=0).min():
             return  # a pure saddle point, maybe one of several
+        if not unique_equilibrium_reference(payoff[np.ix_(*firsts)]):
+            return  # the game without copies has many equilibria
         ref = matrix_game_solve_lp_reference(payoff)
         assert sol.value == pytest.approx(ref.value, rel=0, abs=1e-9)
         assert_same_merged(payoff, sol, ref, 1e-9)
@@ -730,7 +754,8 @@ def assert_same_bits(sol, ref):
 
 class TestScalarKernels:
     """The saddle test and tableau pivots on Python floats against the numpy
-    forms they replaced (``matrix_game_solve_reference``): bit for bit."""
+    forms they replaced (``matrix_game_solve_reference``): bit for bit,
+    degenerate games and copied actions included."""
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -756,11 +781,9 @@ class TestScalarKernels:
         payoff = base * scale
         assert_same_bits(matrix_game_solve(payoff), matrix_game_solve_reference(payoff))
         if payoff.max() > payoff.min():
-            unique = stochastic._tableau_solve(payoff, payoff.tolist())
-            ref = tableau_solve_reference(payoff)
-            assert (unique is None) == (ref is None)
-            if unique is not None:
-                assert_same_bits(unique, ref)
+            assert_same_bits(
+                stochastic._tableau_solve(payoff, payoff.tolist()), tableau_solve_reference(payoff)
+            )
 
     @pytest.mark.parametrize(
         "payoff",
@@ -776,6 +799,26 @@ class TestScalarKernels:
     def test_a_zero_value_keeps_numpy_sign(self, payoff):
         # numpy's min and max choose between 0.0 and -0.0 by vector lane.
         assert_same_bits(matrix_game_solve(payoff), matrix_game_solve_reference(payoff))
+
+    @pytest.mark.parametrize(
+        "payoff",
+        [
+            [[10.0, 10.0, 10.0, 0.0], [20.0, 0.0, 10.0, 0.0], [10.0, 20.0, 0.0, 20.0]],
+            [
+                [0.0, 0.0, 1.9999999999999998e-05],
+                [9.999999999999999e-06, 0.0, 9.999999999999999e-06],
+                [9.999999999999999e-06, 9.999999999999999e-06, 0.0],
+            ],
+        ],
+        ids=["basic-value", "slack-reduced-cost"],
+    )
+    def test_rounding_below_zero_reads_as_zero(self, payoff):
+        # Degenerate games whose final tableau holds a basic value or a
+        # slack's reduced cost a rounding below 0: the strategies stay
+        # distributions.
+        sol = matrix_game_solve(payoff)
+        assert sol.row_strategy.min() >= 0.0 and sol.col_strategy.min() >= 0.0
+        assert_same_bits(sol, matrix_game_solve_reference(payoff))
 
     def test_zero_diagonal_game_value_is_negative_zero(self):
         # Python's min would give 0.0 here.
@@ -806,16 +849,6 @@ class TestShapley:
         assert sol.values == pytest.approx([0.0], abs=1e-8)
         assert sol.row_policy.table[0] == pytest.approx([0.5, 0.5], abs=1e-8)
 
-    def test_typed_model_requires_constant_sum(self):
-        rewards = np.zeros((2, 1, 2, 2))
-        rewards[0] = 0.6
-        rewards[1] = 0.1  # not complementary
-        rewards[1, 0, 0, 0] = 0.9
-        transition = np.ones((1, 2, 2, 1))
-        model = StochasticGameModel(rewards, transition, discount=0.5)
-        with pytest.raises(DomainError):
-            shapley_solve(model, SolverConfig())
-
     def test_typed_model_constant_sum_accepted(self):
         rng = np.random.default_rng(0)
         r1 = rng.random((2, 2, 2))
@@ -824,7 +857,10 @@ class TestShapley:
         transition[..., 0] = 0.5
         transition[..., 1] = 0.5
         model = StochasticGameModel(rewards, transition, discount=0.9)
-        sol = shapley_solve(model, SolverConfig(tolerance=1e-8, max_iterations=2000))
+        total = model.rewards[0] + model.rewards[1]
+        assert np.ptp(total) <= 1e-9  # zero-sum up to an affine rescaling
+        config = SolverConfig(discount=model.discount, tolerance=1e-8, max_iterations=2000)
+        sol = shapley_solve_arrays(model.rewards[0], model.transition, config)
         assert sol.converged
         # Fixed point: re-solving each state's matrix game leaves the values.
         q = model.rewards[0] + 0.9 * np.einsum(
@@ -964,14 +1000,13 @@ class TestShapleySweep:
             )
         (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("shapley")]
         sweeps, saddles, equalized, fallbacks = map(int, re.findall(r"\d+", line))
-        assert (sweeps, fallbacks) == (sol.iterations, len(calls)) == (78, 76)
+        assert (sweeps, fallbacks) == (sol.iterations, len(calls)) == (78, 74)
         assert saddles + equalized + fallbacks == sweeps * soccer_game.model.num_states
-        assert equalized > 0 and lp.call_count == 14
+        assert equalized > 0 and lp.call_count == 0
 
     def test_soccer_solve_and_certificate_reach_highs_at_most_14_times(self, soccer_game):
-        # Most fallback games have exactly duplicated actions, which are
-        # solved without their copies; only degenerate games without copies
-        # reach HiGHS.
+        # Every mixed game, degenerate or with copied actions, is solved by
+        # the tableau: none reaches HiGHS.
         config = SolverConfig()
         with counting_lp() as lp:
             sol = shapley_solve_arrays(
@@ -982,7 +1017,7 @@ class TestShapleySweep:
             )
             resolved = np.array([matrix_game_solve(q[s]).value for s in range(q.shape[0])])
         assert np.max(np.abs(resolved - sol.values)) < config.tolerance
-        assert lp.call_count <= 14
+        assert lp.call_count == 0
 
     def test_singular_support_falls_back_to_the_lp(self, monkeypatch):
         # State 0's columns 1 and 2 are duplicates. The LP's basic solutions
