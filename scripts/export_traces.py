@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Export sample episode traces (environment log + monitor columns) as CSV."""
 
-import sys
+import argparse
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,9 @@ from eqsentinel.stochastic import (
 )
 
 if __name__ == "__main__":
-    out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("results/traces")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", nargs="?", type=Path, default=Path("results/traces"), metavar="OUT")
+    out = parser.parse_args().out
     tab = soccer.soccer_build_model()
     solution = shapley_solve_arrays(tab.native_reward, tab.model.transition, SolverConfig())
     attacker = smooth_policy(solution.row_policy, 0.05)

@@ -5,7 +5,7 @@ Usage: run_all.py [OUT] (default ``results/``). The exit code ORs the
 experiments' exit codes.
 """
 
-import sys
+import argparse
 from pathlib import Path
 
 from eqsentinel.harness.cli import main
@@ -14,7 +14,9 @@ from eqsentinel.harness.experiments import EXPERIMENTS
 ROOT = Path(__file__).resolve().parent.parent
 
 if __name__ == "__main__":
-    out = Path(sys.argv[1]) if len(sys.argv) > 1 else ROOT / "results"
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", nargs="?", type=Path, default=ROOT / "results", metavar="OUT")
+    out = parser.parse_args().out
     rc = 0
     for name in EXPERIMENTS:
         print(f"== {name} ==")

@@ -41,6 +41,8 @@ from ..monitors import (
 from ..stochastic import (
     Policy,
     SolverConfig,
+    _backup,
+    _kernel_rows,
     exploitability,
     kl_quadratic_check,
     log_likelihood_ratios,
@@ -444,9 +446,9 @@ def run_soccer_solve(config: SolverConfig, out_dir: Path) -> ExperimentResult:
     pol_a.write_text(policy_to_text(smoothed_a))
     pol_b.write_text(policy_to_text(smoothed_b))
     # Residual of one more sweep, as a fixed-point certificate.
-    q = tab.native_reward + config.discount * np.einsum(
-        "sabt,t->sab", tab.model.transition, solution.values
-    )
+    kernel = _kernel_rows(tab.model.transition.reshape(-1, tab.model.num_states))
+    backup = _backup(*kernel, solution.values).reshape(tab.native_reward.shape)
+    q = tab.native_reward + config.discount * backup
     resolve = np.array([matrix_game_solve(q[s]).value for s in range(q.shape[0])])
     post_residual = float(np.max(np.abs(resolve - solution.values)))
     init = soccer.state_index(soccer.INITIAL_STATE)

@@ -4,7 +4,8 @@ policy smoothing, and divergence diagnostics.
 Compliance monitoring here compares observed actions against a known
 candidate policy through per-round likelihood ratios, optionally averaged
 over a finite set of hypothesized alternatives. The solver side computes
-per-state matrix-game equilibria and runs value iteration on their values.
+per-state matrix-game equilibria and runs value iteration on their values,
+backing them up through the transition kernel's nonzeros with numpy alone.
 """
 
 from __future__ import annotations
@@ -603,20 +604,35 @@ def _equalize(payoffs: np.ndarray, rows: np.ndarray, cols: np.ndarray):
     return accepted, values, row, col
 
 
-def _csr_arrays(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(data, indices, indptr)`` of a dense 2-D matrix, as ``csr_matrix``
-    stores them, from blocks of ``_SCAN_ROWS`` rows. NaN and inf are nonzero."""
+def _kernel_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(probs, cols)``, both (K, rows): each row's nonzeros in column order,
+    K for the longest row, shorter rows padded with probability 0 at column 0.
+    Scanned in blocks of ``_SCAN_ROWS`` rows; NaN and inf are nonzero."""
     num_rows, num_cols = matrix.shape
-    data, indices = [], []
-    indptr = np.zeros(num_rows + 1, dtype=np.intp)
+    data, flats = [], []
     for start in range(0, num_rows, _SCAN_ROWS):
         block = matrix[start : start + _SCAN_ROWS].ravel()
         flat = np.flatnonzero(block != 0.0)
-        ends = np.arange(num_cols, block.size + 1, num_cols)
-        indptr[start + 1 : start + 1 + ends.size] = indptr[start] + np.searchsorted(flat, ends)
         data.append(block[flat])
-        indices.append(flat % num_cols)
-    return np.concatenate(data), np.concatenate(indices), indptr
+        flats.append(flat + start * num_cols)
+    rows, cols = np.divmod(np.concatenate(flats), num_cols)
+    counts = np.bincount(rows, minlength=num_rows)
+    slots = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    probs = np.zeros((counts.max(initial=0), num_rows))
+    padded = np.zeros(probs.shape, dtype=np.intp)
+    probs[slots, rows] = np.concatenate(data)
+    padded[slots, rows] = cols
+    return probs, padded
+
+
+def _backup(probs: np.ndarray, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``sum_k probs[k] * values[cols[k]]`` per row of ``_kernel_rows``, added
+    onto zeros for k = 0, 1, ...: the order in which a CSR matrix-vector
+    product sums a row, so the two agree bit for bit."""
+    out = np.zeros(probs.shape[1])
+    for p, c in zip(probs, cols):
+        out += p * values.take(c)
+    return out
 
 
 def shapley_solve_arrays(
@@ -628,15 +644,13 @@ def shapley_solve_arrays(
     units; each sweep solves the matrix game of the discounted Q-values per
     state and stops when the value function moves less than the tolerance.
 
-    A sweep backs the values up through the kernel as one sparse product,
+    A sweep backs the values up through the kernel's nonzeros (``_backup``),
     takes every pure saddle point at once (the same comparison, and so the
     same value and strategies, as ``matrix_game_solve``'s shortcut), and
     solves the remaining states on the supports of their last LP solutions,
     one stacked ``_equalize`` per support size. A state whose support is not
     square or does not verify falls back to ``matrix_game_solve``.
     """
-    from scipy.sparse import csr_matrix
-
     rewards = np.asarray(rewards, dtype=float)
     transition = np.asarray(transition, dtype=float)
     num_states, a_row, a_col = rewards.shape
@@ -644,12 +658,10 @@ def shapley_solve_arrays(
         raise ShapeError("transition shape does not match rewards")
     if not np.all(np.isfinite(rewards)):
         raise DomainError("rewards must be finite")
-    matrix = transition.reshape(-1, num_states)
-    data, indices, indptr = _csr_arrays(matrix)
-    # A NaN or inf kernel entry is nonzero, so it is among the stored data.
-    if not np.all(np.isfinite(data)):
+    kernel = _kernel_rows(transition.reshape(-1, num_states))
+    # A NaN or inf kernel entry is nonzero, so it is among the kept entries.
+    if not np.all(np.isfinite(kernel[0])):
         raise DomainError("transition entries must be finite")
-    kernel = csr_matrix((data, indices, indptr), shape=matrix.shape)
     states = np.arange(num_states)
     values = np.zeros(num_states)
     row_tables = np.full((num_states, a_row), 1.0 / a_row)
@@ -663,7 +675,7 @@ def shapley_solve_arrays(
     # States resolved by each path, summed over sweeps, for the debug log.
     saddles = equalized = fallbacks = 0
     for iterations in range(1, config.max_iterations + 1):
-        q = rewards + config.discount * (kernel @ values).reshape(rewards.shape)
+        q = rewards + config.discount * _backup(*kernel, values).reshape(rewards.shape)
         row_mins = q.min(axis=2)
         col_maxs = q.max(axis=1)
         r = row_mins.argmax(axis=1)

@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import os
 import runpy
+import subprocess
 import typing
 import sys
 from pathlib import Path
@@ -1100,3 +1102,19 @@ class TestExportTracesScript:
             _, columns, rows = read_csv(tmp_path / name)
             assert rows, name
             assert float(rows[0][columns.index("martingale")]) == 1.0, name
+
+
+@pytest.mark.parametrize("script", ["export_traces.py", "run_all.py"])
+def test_script_help_prints_usage_and_writes_nothing(script, tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / script), "--help"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(f"usage: {script} [-h] [OUT]")
+    assert list(tmp_path.iterdir()) == []

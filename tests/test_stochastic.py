@@ -508,17 +508,15 @@ def scipy_modules_after(experiment, tmp_path):
 
 
 def test_import_and_nf_slack_load_no_scipy(tmp_path):
-    # scipy loads only when a solve needs it: csr_matrix in
-    # shapley_solve_arrays.
+    # No package path imports scipy; only stochastic.linprog loads it on
+    # demand.
     assert scipy_modules_after("nf-slack", tmp_path) == (0, "[]")
 
 
-def test_soccer_solve_loads_no_scipy_optimize(tmp_path):
-    # Every matrix game is solved by the tableau, so no LP solver is loaded.
-    rc, modules = scipy_modules_after("soccer-solve", tmp_path)
-    assert rc == 0
-    assert "scipy.sparse" in modules
-    assert "scipy.optimize" not in modules
+def test_soccer_solve_loads_no_scipy(tmp_path):
+    # The sweep and the certificate back up through numpy arrays, and the
+    # tableau solves every matrix game, so no scipy module is loaded.
+    assert scipy_modules_after("soccer-solve", tmp_path) == (0, "[]")
 
 
 def test_linprog_stays_a_module_attribute():
@@ -1071,7 +1069,8 @@ class TestShapleySweep:
 
 
 class TestKernelScan:
-    """The blocked nonzero scan against ``csr_matrix`` of the dense kernel."""
+    """The blocked nonzero scan and its backup against ``csr_matrix`` of the
+    dense kernel."""
 
     @pytest.mark.parametrize(
         "num_rows",
@@ -1085,12 +1084,20 @@ class TestKernelScan:
         dense[[0, -1, min(stochastic._SCAN_ROWS, num_rows - 1)]] = 0.0
         dense[num_rows // 2, ::2] = -0.0
         ref = csr_matrix(dense)
-        data, indices, indptr = stochastic._csr_arrays(dense)
-        np.testing.assert_array_equal(data, ref.data)
-        np.testing.assert_array_equal(indices, ref.indices)
-        np.testing.assert_array_equal(indptr, ref.indptr)
-        if num_rows > 3:
-            assert (data < 0.0).any()
+        probs, cols = stochastic._kernel_rows(dense)
+        assert probs.shape == cols.shape == (np.diff(ref.indptr).max(), num_rows)
+        # Row by row, the kept entries are the CSR arrays; the rest is padding.
+        kept = probs.T != 0.0
+        np.testing.assert_array_equal(probs.T[kept], ref.data)
+        np.testing.assert_array_equal(cols.T[kept], ref.indices)
+        assert not cols.T[~kept].any()
+        if num_rows == 1:
+            assert probs.shape[0] == 0
+        else:
+            assert (probs < 0.0).any()
+        for _ in range(3):
+            v = rng.standard_normal(9)
+            np.testing.assert_array_equal(stochastic._backup(probs, cols, v), ref @ v)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_entry_past_the_first_block_rejected(self, value):
