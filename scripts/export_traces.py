@@ -1,5 +1,9 @@
 #!/usr/bin/env python3
-"""Export sample episode traces (environment log + monitor columns) as CSV."""
+"""Export sample episode traces (environment log + monitor columns) as CSV.
+
+Usage: export_traces.py [OUT] (default ``results/traces`` under the
+repository root, wherever it is run from).
+"""
 
 import argparse
 from pathlib import Path
@@ -16,9 +20,13 @@ from eqsentinel.stochastic import (
     smooth_policy,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out", nargs="?", type=Path, default=Path("results/traces"), metavar="OUT")
+    parser.add_argument(
+        "out", nargs="?", type=Path, default=ROOT / "results" / "traces", metavar="OUT"
+    )
     out = parser.parse_args().out
     tab = soccer.soccer_build_model()
     solution = shapley_solve_arrays(tab.native_reward, tab.model.transition, SolverConfig())

@@ -10,6 +10,7 @@ backing them up through the transition kernel's nonzeros with numpy alone.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -553,7 +554,7 @@ def _equalize(payoffs: np.ndarray, rows: np.ndarray, cols: np.ndarray):
     and y summing to 1 (von Neumann's support enumeration, one support).
     ``payoffs`` is (n, A_row, A_col); ``rows`` and ``cols`` are (n, A_row) and
     (n, A_col) masks with the same number k of True entries in every row.
-    Each side's n systems go to one stacked solve, which runs LAPACK's gesv
+    Both sides' 2n systems go to one stacked solve, which runs LAPACK's gesv
     on every matrix as a single solve would.
 
     Returns ``(accepted, values, row_strategies, col_strategies)``. A state is
@@ -565,30 +566,28 @@ def _equalize(payoffs: np.ndarray, rows: np.ndarray, cols: np.ndarray):
     row_ids = rows.nonzero()[1].reshape(n, k)
     col_ids = cols.nonzero()[1].reshape(n, k)
     block = payoffs[picked, row_ids[:, :, None], col_ids[:, None, :]]
-    system = np.zeros((n, k + 1, k + 1))
-    system[:, k, :k] = 1.0
-    system[:, :k, k] = -1.0
+    system = np.zeros((2, n, k + 1, k + 1))
+    system[:, :, k, :k] = 1.0
+    system[:, :, :k, k] = -1.0
+    system[0, :, :k, :k] = block.transpose(0, 2, 1)
+    system[1, :, :k, :k] = block
     rhs = np.zeros(k + 1)
     rhs[k] = 1.0
     try:
-        system[:, :k, :k] = block.transpose(0, 2, 1)
-        row_part = np.linalg.solve(system, rhs)
-        system[:, :k, :k] = block
-        col_part = np.linalg.solve(system, rhs)
+        parts = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError:
         # One singular system fails the whole stack: solve state by state.
         if n == 1:
             return np.zeros(1, dtype=bool), np.zeros(1), np.zeros(rows.shape), np.zeros(cols.shape)
-        parts = [_equalize(payoffs[i : i + 1], rows[i : i + 1], cols[i : i + 1]) for i in range(n)]
-        return tuple(np.concatenate(part) for part in zip(*parts))
-    x, y = row_part[:, :k], col_part[:, :k]
-    accepted = np.all(x >= 0.0, axis=1) & np.all(y >= 0.0, axis=1)
-    x, y = x[accepted], y[accepted]
+        singles = [_equalize(payoffs[i : i + 1], rows[i : i + 1], cols[i : i + 1]) for i in range(n)]
+        return tuple(np.concatenate(part) for part in zip(*singles))
+    accepted = (parts[:, :, :k] >= 0.0).all(axis=(0, 2))
+    x, y = parts[:, accepted, :k]
     row = np.zeros(rows.shape)
     col = np.zeros(cols.shape)
     row[rows & accepted[:, None]] = (x / x.sum(axis=1, keepdims=True)).ravel()
     col[cols & accepted[:, None]] = (y / y.sum(axis=1, keepdims=True)).ravel()
-    values = row_part[:, k]
+    values = parts[0, :, k]
     # The stacked best-response gains differ from ``exploitability``'s by the
     # rounding of their sums, which is far below the margin, so only a gain
     # within it of the tolerance, or a NaN, needs ``exploitability`` to decide.
@@ -630,8 +629,8 @@ def _backup(probs: np.ndarray, cols: np.ndarray, values: np.ndarray) -> np.ndarr
     onto zeros for k = 0, 1, ...: the order in which a CSR matrix-vector
     product sums a row, so the two agree bit for bit."""
     out = np.zeros(probs.shape[1])
-    for p, c in zip(probs, cols):
-        out += p * values.take(c)
+    for term in probs * values.take(cols):
+        out += term
     return out
 
 
@@ -676,8 +675,12 @@ def shapley_solve_arrays(
     saddles = equalized = fallbacks = 0
     for iterations in range(1, config.max_iterations + 1):
         q = rewards + config.discount * _backup(*kernel, values).reshape(rewards.shape)
-        row_mins = q.min(axis=2)
-        col_maxs = q.max(axis=1)
+        # Running minima and maxima over the action slices. They are exact, so
+        # they can differ from q.min(axis=2) and q.max(axis=1) only in the sign
+        # of a zero, and the backup adds onto +0.0, so q holds no -0.0 unless
+        # a -0.0 reward meets a discounted backup that underflows to -0.0.
+        row_mins = functools.reduce(np.minimum, q.transpose(2, 0, 1))
+        col_maxs = functools.reduce(np.maximum, q.transpose(1, 0, 2))
         r = row_mins.argmax(axis=1)
         c = col_maxs.argmin(axis=1)
         new_values = row_mins[states, r]

@@ -1103,6 +1103,19 @@ class TestExportTracesScript:
             assert rows, name
             assert float(rows[0][columns.index("martingale")]) == 1.0, name
 
+    def test_default_out_is_under_the_repo_root(self, tmp_path, monkeypatch):
+        # Run from elsewhere with the writer patched, so nothing is written.
+        written = []
+        monkeypatch.setattr(
+            "eqsentinel.harness.csvio.write_csv", lambda path, *args: written.append(path)
+        )
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "argv", [str(self.SCRIPT)])
+        runpy.run_path(str(self.SCRIPT), run_name="__main__")
+        traces = self.SCRIPT.parents[1] / "results" / "traces"
+        assert [path.parent for path in written] == [traces] * 3
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.mark.parametrize("script", ["export_traces.py", "run_all.py"])
 def test_script_help_prints_usage_and_writes_nothing(script, tmp_path):
