@@ -14,10 +14,10 @@ Collision rules, applied after the defender's slip draw:
   * otherwise both moves execute and possession is unchanged.
 
 The rules are evaluated once, as arrays over every state id, attacker action
-and effective defender action. :func:`successor_table` lists those post-slip
-outcomes over state ids; the tabular model weighs them by the slip and coin
-probabilities, so its rows are exact. The simulator below reads the same
-table and draws the slip and the coin with an rng.
+and effective defender action: :func:`_rule_arrays`, their one encoding. The
+tabular model weighs those post-slip outcomes by the slip and coin
+probabilities, so its rows are exact; :func:`soccer_step` draws the slip and
+the coin over them, and :func:`kickoff_successors` lists them for the trials.
 """
 
 from __future__ import annotations
@@ -80,47 +80,31 @@ def is_terminal(state: SoccerState) -> bool:
     return state.b_pos[1] == 0
 
 
-@dataclass(frozen=True)
-class StepInfo:
-    """Realized randomness of one step, for episode traces."""
-
-    effective_b: int
-    slipped: bool
-
-
-def soccer_step_traced(
+def soccer_step(
     state: SoccerState,
     action_a: int,
     action_b: int,
     rng: np.random.Generator,
-) -> tuple[SoccerState, float, bool, StepInfo]:
-    """As :func:`soccer_step`, also reporting the defender's realized action."""
+) -> tuple[SoccerState, float, bool, int]:
+    """Advance the match by one joint action: the defender's slip, then a coin
+    only where the rules leave two outcomes. Returns the next state, A's
+    reward, whether a goal ended the match and the defender's effective action."""
     if is_terminal(state):
         raise StateError("step on a terminal soccer state")
     if state.a_pos == state.b_pos:
         raise StateError("step on a soccer state with both players in one cell")
     if not (0 <= action_a < NUM_ACTIONS and 0 <= action_b < NUM_ACTIONS):
         raise ShapeError("soccer actions must lie in [0, 5)")
-    successors, terminal = successor_table()
-    slipped = rng.random() < SLIP_PROB
-    effective_b = WAIT if slipped else action_b
-    nxt = successors[state_index(state)][NUM_ACTIONS * action_a + effective_b]
-    n = nxt[0] if len(nxt) == 1 else nxt[rng.random() < 0.5]
+    first, coin, terminal, _ = _rule_arrays()
+    effective_b = WAIT if rng.random() < SLIP_PROB else action_b
+    entry = state_index(state), action_a, effective_b
+    n = int(first[entry])
+    if coin[entry]:
+        n += rng.random() < 0.5
     reward = STEP_COST
     if terminal[n]:
         reward += CONCEDE_REWARD if n % 2 else SCORE_REWARD
-    return index_state(n), reward, terminal[n], StepInfo(effective_b, slipped and action_b != WAIT)
-
-
-def soccer_step(
-    state: SoccerState,
-    action_a: int,
-    action_b: int,
-    rng: np.random.Generator,
-) -> tuple[SoccerState, float, bool]:
-    """Advance the match by one joint action; reward is from A's side."""
-    nxt, reward, terminal, _ = soccer_step_traced(state, action_a, action_b, rng)
-    return nxt, reward, terminal
+    return index_state(n), reward, bool(terminal[n]), effective_b
 
 
 # -- tabular model -----------------------------------------------------------
@@ -182,27 +166,26 @@ def _rule_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 
 @cache
-def successor_table() -> tuple[tuple[tuple[int, ...], ...], tuple[bool, ...]]:
-    """Post-slip dynamics over state ids: the one list of soccer outcomes,
-    read by the tabular model and by simulation loops.
+def kickoff_successors() -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The post-slip outcomes as tuples over state ids, every scoring id
+    replaced by kickoff's, where a stream of concatenated episodes goes on.
 
-    ``successors[s][NUM_ACTIONS * action_a + effective_b]`` holds the ids
-    the collision rules lead to from state ``s``: one id, or two (possession
-    0, then 1) that a fair coin picks between. Terminal and same-cell states
-    absorb; ``terminal[s]`` flags the scoring states. Built on first use and
-    kept for the life of the process.
+    ``kickoff_successors()[s][NUM_ACTIONS * action_a + effective_b]`` holds one
+    id, or two (possession 0, then 1) that a fair coin picks between; one tuple
+    per distinct outcome is shared by every entry. Built on first use and kept
+    for the life of the process.
     """
     first, coin, terminal, _ = _rule_arrays()
-    ids = list(range(NUM_STATES))  # one int object per id, shared by every entry
-    single = [(n,) for n in ids]  # one tuple per distinct outcome, shared too
-    pair = [(n, m) for n, m in zip(ids, ids[1:])]
-    successors = tuple(
+    start = state_index(INITIAL_STATE)
+    kickoff = [start if flag else n for n, flag in enumerate(terminal.tolist())]
+    single = [(n,) for n in kickoff]
+    pair = list(zip(kickoff, kickoff[1:]))
+    return tuple(
         tuple(pair[n] if flip else single[n] for n, flip in zip(row, flips))
         for row, flips in zip(
             first.reshape(NUM_STATES, -1).tolist(), coin.reshape(NUM_STATES, -1).tolist()
         )
     )
-    return successors, tuple(terminal.tolist())
 
 
 @dataclass(frozen=True)

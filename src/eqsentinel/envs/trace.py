@@ -57,12 +57,12 @@ def soccer_episode_trace(
         act_a = int(rng.choice(soccer.NUM_ACTIONS, p=pa))
         act_b = int(rng.choice(soccer.NUM_ACTIONS, p=pb))
         evalue, martingale = _monitor_step(monitor, s, act_a, null_attacker, math.inf)
+        nxt, _, _, real_b = soccer.soccer_step(state, act_a, act_b, rng)
         rows.append(
             [
                 step, *state.a_pos, *state.b_pos,
                 soccer.ACTION_NAMES[act_a], soccer.ACTION_NAMES[act_b],
-                None,  # realized defender action, filled after the step
-                None,
+                soccer.ACTION_NAMES[real_b], int(real_b != act_b),
                 "A" if state.possession == 0 else "B",
                 *[float(v) for v in pa],
                 *[float(v) for v in pb],
@@ -70,9 +70,7 @@ def soccer_episode_trace(
                 martingale,
             ]
         )
-        state, _, _, info = soccer.soccer_step_traced(state, act_a, act_b, rng)
-        rows[-1][7] = soccer.ACTION_NAMES[info.effective_b]
-        rows[-1][8] = int(info.slipped)
+        state = nxt
     return columns, rows
 
 

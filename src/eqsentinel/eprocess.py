@@ -35,8 +35,8 @@ class BettingMixture:
     def __post_init__(self) -> None:
         lam = np.atleast_1d(np.asarray(self.lambdas, dtype=float))
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if lam.shape != w.shape or lam.ndim != 1:
-            raise ShapeError("lambdas and weights must be 1-D arrays of equal length")
+        if lam.shape != w.shape or lam.ndim != 1 or lam.size == 0:
+            raise ShapeError("lambdas and weights must be nonempty 1-D arrays of equal length")
         if self.kind not in ("dirac", "grid"):
             raise DomainError(f"unknown mixture kind {self.kind!r}")
         if self.kind == "dirac" and lam.size != 1:

@@ -31,10 +31,13 @@ class ConfigError(ValueError):
 
 
 def check_distribution(p, what: str, tol: float, positive: bool = False) -> np.ndarray:
-    """``p`` as a float array; ``DomainError`` unless every entry is
-    nonnegative (positive when asked) and each vector along the last axis sums
-    to 1 within ``tol``. NaN fails both tests, -inf the first, +inf the sum."""
+    """``p`` as a float array; ``ShapeError`` if it is empty, ``DomainError``
+    unless every entry is nonnegative (positive when asked) and each vector
+    along the last axis sums to 1 within ``tol``. NaN fails both tests, -inf
+    the first, +inf the sum."""
     p = np.asarray(p, dtype=float)
+    if p.size == 0:
+        raise ShapeError(f"{what} must not be empty")
     low = p.min()
     if not (low > 0.0 if positive else low >= 0.0):
         raise DomainError(f"{what} must be {'positive' if positive else 'nonnegative'}")

@@ -44,8 +44,8 @@ class NormalFormGame:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.payoffs, dtype=float)
-        if arr.ndim < 2:
-            raise ShapeError("payoffs must be an (n, |A_1|, ..., |A_n|) tensor")
+        if arr.ndim < 2 or arr.size == 0:
+            raise ShapeError("payoffs must be a nonempty (n, |A_1|, ..., |A_n|) tensor")
         n = arr.shape[0]
         if arr.ndim != n + 1:
             raise ShapeError(

@@ -14,7 +14,6 @@ import os
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cache
 from operator import add
 from pathlib import Path
 
@@ -190,6 +189,7 @@ def run_nf_fwer_null(
 ) -> ExperimentResult:
     game = game or scenarios.two_signal_game()
     strategy = strategy or scenarios.two_signal_nash()
+    strategy.check_compatible(game)
     hypotheses = enumerate_hypotheses(game, EquilibriumMode.NASH)
     tables = nfstreams.increment_tables(game, hypotheses)
     m = len(hypotheses)
@@ -244,6 +244,7 @@ def run_nf_detect(
 ) -> ExperimentResult:
     game = game or scenarios.two_signal_game()
     strategy = strategy or scenarios.two_signal_alternative()
+    strategy.check_compatible(game)
     hypotheses = enumerate_hypotheses(game, EquilibriumMode.NASH)
     tables = nfstreams.increment_tables(game, hypotheses)
     m = len(hypotheses)
@@ -540,33 +541,21 @@ def _soccer_tables(eps, null_table, afraid_table) -> tuple[list, list]:
     return _cumulative_rows(alt_table), log_ratio.tolist()
 
 
-@cache
-def _kickoff_successors() -> tuple:
-    """:func:`soccer.successor_table` with every terminal outcome replaced by
-    kickoff, where a stream of concatenated episodes goes on after a goal.
-    Built on first use and kept for the life of the process."""
-    successors, terminal = soccer.successor_table()
-    start = soccer.state_index(soccer.INITIAL_STATE)
-    kickoff = [start if flag else n for n, flag in enumerate(terminal)]
-    # One copy per distinct outcome tuple, shared as the table shares them.
-    swapped = {nxt: tuple(kickoff[n] for n in nxt) for nxt in set().union(*successors)}
-    return tuple(tuple(map(swapped.__getitem__, outcomes)) for outcomes in successors)
-
-
 def _soccer_trial(args) -> tuple[int, int, int]:
     """One monitored stream of concatenated episodes; returns (cell, run, tau).
 
-    The match runs over state ids (:func:`_kickoff_successors`) and reads
-    the players' cumulative rows and the log ratios as nested lists. A step
-    uses its uniforms in the order :func:`soccer.soccer_step` does: attacker,
-    defender, then (unless the ratio crossed) the slip and, only when two
-    outcomes remain, the coin. The defender's row is searched only when the
-    slip did not replace its action, though its uniform is used either way.
+    The match runs over state ids (:func:`soccer.kickoff_successors`) and
+    reads the players' cumulative rows and the log ratios as nested lists.
+    A step uses its uniforms in the order :func:`soccer.soccer_step` does:
+    attacker, defender, then (unless the ratio crossed) the slip and, only
+    when two outcomes remain, the coin. The defender's row is searched only
+    when the slip did not replace its action, though its uniform is used
+    either way.
     ``rng.random(n)`` yields the same doubles as n successive
     ``rng.random()`` calls.
     """
     cell, run, seed, t_max, threshold, cum_b, cum_a, log_ratio = args
-    successors = _kickoff_successors()
+    successors = soccer.kickoff_successors()
     s = soccer.state_index(soccer.INITIAL_STATE)
     slip = soccer.SLIP_PROB
     actions, wait = soccer.NUM_ACTIONS, soccer.WAIT

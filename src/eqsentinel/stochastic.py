@@ -68,8 +68,8 @@ class StochasticGameModel:
     def __post_init__(self) -> None:
         r = np.asarray(self.rewards, dtype=float)
         p = np.asarray(self.transition, dtype=float)
-        if r.ndim < 3:
-            raise ShapeError("rewards must be (players, states, actions...)")
+        if r.ndim < 3 or r.size == 0:
+            raise ShapeError("rewards must be a nonempty (players, states, actions...) tensor")
         n = r.shape[0]
         num_states = r.shape[1]
         if r.ndim != n + 2:

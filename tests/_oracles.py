@@ -21,11 +21,11 @@ oracle of values. ``matrix_game_solve_reference`` and
 pivots on numpy arrays, and ``unique_equilibrium_reference`` the tableau's
 old nondegeneracy test, which tells where an equilibrium is unique.
 ``soccer_build_model_reference``
-is the soccer model builder from before it read ``soccer.successor_table``,
+is the soccer model builder from before it read the rule arrays,
 and ``_resolve`` the soccer collision rules walked over one ``SoccerState``,
 as the package applied them before it evaluated them once as arrays;
 ``soccer_successor_table_reference`` and ``soccer_step_reference`` are the
-table and the stepper built on it.
+outcome table and the stepper built on it.
 ``expected_payoff`` is one player's expected utility under a joint strategy,
 as the package exported it until nothing but the tests called it.
 ``deviation_gain_reference`` and ``equilibrium_slack_reference`` are the
@@ -440,9 +440,11 @@ def _resolve(state, action_a, effective_b):
 
 
 def soccer_successor_table_reference():
-    """``soccer.successor_table`` as it was built before the rule arrays: one
-    ``_resolve`` call per (state, attacker action, effective defender
-    action)."""
+    """Soccer's post-slip outcomes as ``(successors, terminal)`` tuples over
+    state ids, one ``_resolve`` call per (state, attacker action, effective
+    defender action): ``successors[s][5 * action_a + effective_b]`` holds one
+    id, or two (possession 0, then 1) for the coin; terminal and same-cell
+    states lead to themselves."""
     successors, terminal = [], []
     for s in range(soccer.NUM_STATES):
         state = soccer.index_state(s)
@@ -479,7 +481,7 @@ def soccer_step_reference(state, action_a, action_b, rng):
 
 
 def soccer_build_model_reference() -> soccer.SoccerTabularGame:
-    """The soccer model builder from before it read ``successor_table``: it
+    """The soccer model builder from before it read the rule arrays: it
     walks ``_resolve`` over ``SoccerState`` objects for every (commanded,
     slipped) branch, with the rule values (slip 0.25, step cost -0.05,
     +-100 for a goal at column 4 for A or 0 for B) as literals."""

@@ -38,27 +38,27 @@ class TestStateSpace:
 class TestStep:
     def test_free_move_east(self, rng):
         state = soccer.SoccerState((1, 0), (3, 4), 0)
-        nxt, reward, terminal = soccer.soccer_step(state, 2, 4, rng)
+        nxt, reward, terminal, _ = soccer.soccer_step(state, 2, 4, rng)
         assert nxt.a_pos == (1, 1)
         assert reward == pytest.approx(-0.05)
         assert not terminal
 
     def test_scoring_move(self, rng):
         state = soccer.SoccerState((0, 3), (3, 0), 0)
-        nxt, reward, terminal = soccer.soccer_step(state, 2, 4, rng)
+        nxt, reward, terminal, _ = soccer.soccer_step(state, 2, 4, rng)
         assert terminal and nxt.a_pos == (0, 4)
         assert reward == pytest.approx(100.0 - 0.05)
 
     def test_defender_steal_and_score(self, rng):
         state = soccer.SoccerState((3, 4), (2, 1), 1)
-        nxt, reward, terminal = soccer.soccer_step(state, 4, 3, rng)
+        nxt, reward, terminal, _ = soccer.soccer_step(state, 4, 3, rng)
         if nxt.b_pos == (2, 0):  # the defender may slip
             assert terminal
             assert reward == pytest.approx(-100.0 - 0.05)
 
     def test_both_wait_far_apart_only_slip_noise(self, rng):
         state = soccer.SoccerState((0, 0), (3, 4), 0)
-        nxt, reward, terminal = soccer.soccer_step(state, 4, 4, rng)
+        nxt, reward, terminal, _ = soccer.soccer_step(state, 4, 4, rng)
         assert nxt == state and not terminal
         assert reward == pytest.approx(-0.05)
 
@@ -75,25 +75,24 @@ class TestStep:
     def test_matches_the_resolve_oracle_draw_for_draw(self, seed):
         # Uniform actions reach exchanges, contests and goals often; equal
         # generator states after every step mean equal draws.
-        successors, _ = soccer.successor_table()
+        _, coin, _, _ = soccer._rule_arrays()
         actions = np.random.default_rng(seed).integers(5, size=(20_000, 2)).tolist()
         rng, rng_ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
         state = soccer.INITIAL_STATE
         coins = goals = 0
         for action_a, action_b in actions:
-            nxt, reward, terminal, info = soccer.soccer_step_traced(state, action_a, action_b, rng)
-            expected = soccer_step_reference(state, action_a, action_b, rng_ref)
-            assert (nxt, reward, terminal, info.effective_b) == expected
+            step = soccer.soccer_step(state, action_a, action_b, rng)
+            assert step == soccer_step_reference(state, action_a, action_b, rng_ref)
             assert rng.bit_generator.state == rng_ref.bit_generator.state
-            entry = soccer.NUM_ACTIONS * action_a + info.effective_b
-            coins += len(successors[soccer.state_index(state)][entry]) == 2
+            nxt, _, terminal, effective_b = step
+            coins += coin[soccer.state_index(state), action_a, effective_b]
             goals += terminal
             state = soccer.INITIAL_STATE if terminal else nxt
         assert coins > 100 and goals > 100
 
     def test_wall_clipping(self, rng):
         state = soccer.SoccerState((0, 0), (3, 4), 0)
-        nxt, _, _ = soccer.soccer_step(state, 0, 4, rng)  # N at the top wall
+        nxt, _, _, _ = soccer.soccer_step(state, 0, 4, rng)  # N at the top wall
         assert nxt.a_pos == (0, 0)
 
     def test_move_into_waiting_defender_transfers_ball(self):
@@ -106,7 +105,7 @@ class TestStep:
                 return self.values.pop(0)
 
         state = soccer.SoccerState((1, 2), (1, 3), 0)
-        nxt, _, terminal = soccer.soccer_step(state, 2, 4, FakeRng([0.9]))
+        nxt, _, terminal, _ = soccer.soccer_step(state, 2, 4, FakeRng([0.9]))
         assert nxt.a_pos == (1, 2) and nxt.b_pos == (1, 3)
         assert nxt.possession == 1 and not terminal
 
@@ -115,7 +114,7 @@ class TestStep:
         flips = 0
         rng = np.random.default_rng(3)
         for _ in range(4000):
-            nxt, _, _ = soccer.soccer_step(state, 2, 3, rng)
+            nxt, _, _, _ = soccer.soccer_step(state, 2, 3, rng)
             assert nxt.a_pos == state.a_pos and nxt.b_pos == state.b_pos
             flips += nxt.possession
         # Possession flip only happens on non-slip branches: P = 0.75 * 0.5
@@ -177,7 +176,7 @@ class TestTabularModel:
             rng = np.random.default_rng(s)
             counts = np.zeros(soccer.NUM_STATES)
             for _ in range(n):
-                nxt, _, _ = soccer.soccer_step(state, a_act, b_act, rng)
+                nxt, _, _, _ = soccer.soccer_step(state, a_act, b_act, rng)
                 counts[soccer.state_index(nxt)] += 1
             freq = counts / n
             for idx in np.nonzero(expected)[0]:
@@ -189,10 +188,10 @@ class TestTabularModel:
 
 class TestSuccessorTable:
     def test_branches_rebuild_the_model_kernel_exactly(self, soccer_game):
-        successors, terminal = soccer.successor_table()
+        first, coin, terminal, _ = soccer._rule_arrays()
         transition = soccer_game.model.transition
         slip = soccer.SLIP_PROB
-        assert terminal == tuple(soccer_game.terminal.tolist())
+        assert np.array_equal(terminal, soccer_game.terminal)
         rows = 0
         for s in range(soccer.NUM_STATES):
             for a_act in range(soccer.NUM_ACTIONS):
@@ -204,21 +203,48 @@ class TestSuccessorTable:
                         branches = [(1.0, soccer.WAIT)]
                     row = np.zeros(soccer.NUM_STATES)
                     for p_slip, effective_b in branches:
-                        nxt = successors[s][soccer.NUM_ACTIONS * a_act + effective_b]
-                        coin = 1.0 if len(nxt) == 1 else 0.5
-                        for n in nxt:
-                            row[n] += p_slip * coin
+                        n = first[s, a_act, effective_b]
+                        if coin[s, a_act, effective_b]:
+                            row[n] += p_slip * 0.5
+                            row[n + 1] += p_slip * 0.5
+                        else:
+                            row[n] += p_slip
                     assert np.array_equal(row, transition[s, a_act, b_act]), (s, a_act, b_act)
                     rows += 1
         assert rows == 20_000
 
     def test_array_rules_match_the_resolve_oracle(self):
         # All 800 x 25 (state, action, effective action) entries, outcome
-        # order included (possession 0, then 1), and the terminal flags.
-        successors, terminal = soccer.successor_table()
-        reference = soccer_successor_table_reference()
-        assert sum(map(len, successors)) == 20_000
-        assert (successors, terminal) == reference
+        # order included (possession 0, then 1), and the terminal and
+        # absorbing flags.
+        first, coin, terminal, absorbing = soccer._rule_arrays()
+        reference, reference_terminal = soccer_successor_table_reference()
+        outcomes = tuple(
+            tuple((n, n + 1) if flip else (n,) for n, flip in zip(row, flips))
+            for row, flips in zip(
+                first.reshape(soccer.NUM_STATES, -1).tolist(),
+                coin.reshape(soccer.NUM_STATES, -1).tolist(),
+            )
+        )
+        assert sum(map(len, outcomes)) == 20_000
+        assert outcomes == reference
+        assert tuple(terminal.tolist()) == reference_terminal
+        states = map(soccer.index_state, range(soccer.NUM_STATES))
+        same_cell = [state.a_pos == state.b_pos for state in states]
+        assert np.array_equal(absorbing, terminal | same_cell)
+
+    def test_kickoff_table_is_the_oracle_with_kickoff_after_a_goal(self):
+        reference, terminal = soccer_successor_table_reference()
+        start = soccer.state_index(soccer.INITIAL_STATE)
+        kickoff = [start if flag else n for n, flag in enumerate(terminal)]
+        table = soccer.kickoff_successors()
+        assert table == tuple(
+            tuple(tuple(kickoff[n] for n in outcome) for outcome in row) for row in reference
+        )
+        # One tuple object per distinct outcome of the rules, shared by
+        # every entry that leads to it.
+        shared = {id(outcome) for row in table for outcome in row}
+        assert len(shared) == len({outcome for row in reference for outcome in row})
 
     def test_import_builds_nothing(self):
         # perfbench imports the package afresh on every workload, so work at
@@ -229,26 +255,24 @@ class TestSuccessorTable:
             "import eqsentinel, eqsentinel.harness.cli\n"
             "from eqsentinel.envs import soccer\n"
             "from eqsentinel.harness import experiments\n"
-            "print(soccer.successor_table.cache_info().currsize,"
-            " soccer._rule_arrays.cache_info().currsize,"
-            " experiments._kickoff_successors.cache_info().currsize)"
+            "print(soccer._rule_arrays.cache_info().currsize,"
+            " soccer.kickoff_successors.cache_info().currsize)"
         ).format(src=str(root / "src"))
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "0 0 0"
+        assert done.stdout.strip() == "0 0"
 
     def test_kickoff_never_reaches_a_shared_cell(self):
-        # The table absorbs same-cell states as the model does; the
+        # The rules absorb same-cell states as the model does; the
         # simulator never meets one.
-        successors, _ = soccer.successor_table()
+        first, coin, _, _ = soccer._rule_arrays()
         seen = {soccer.state_index(soccer.INITIAL_STATE)}
         frontier = list(seen)
         while frontier:
             s = frontier.pop()
-            for nxt in successors[s]:
-                for n in set(nxt) - seen:
-                    seen.add(n)
-                    frontier.append(n)
+            for n in {*first[s].ravel().tolist(), *(first[s][coin[s]] + 1).tolist()} - seen:
+                seen.add(n)
+                frontier.append(n)
         for s in seen:
             state = soccer.index_state(s)
             assert state.a_pos != state.b_pos
@@ -296,7 +320,7 @@ class TestEquilibrium:
                 s = soccer.state_index(state)
                 a = int(rng.choice(5, p=attacker.table[s]))
                 b = int(rng.choice(5, p=defender.table[s]))
-                state, _, terminal = soccer.soccer_step(state, a, b, rng)
+                state, _, terminal, _ = soccer.soccer_step(state, a, b, rng)
                 if terminal:
                     lengths.append(t)
                     break
@@ -306,14 +330,15 @@ class TestEquilibrium:
 
 
 class TestEpisodeTrace:
-    def test_nash_play_trace(self, soccer_solution):
+    @pytest.mark.parametrize("seed, max_steps", [(0, 12), (7, 40)])
+    def test_nash_play_trace(self, soccer_solution, seed, max_steps):
         from eqsentinel.envs import trace
 
         attacker = smooth_policy(soccer_solution.row_policy, 0.05)
         defender = smooth_policy(soccer_solution.col_policy, 0.05)
-        rng = np.random.default_rng(0)
+        rng = np.random.default_rng(seed)
         cols, rows = trace.soccer_episode_trace(
-            attacker, defender, null_attacker=attacker, rng=rng
+            attacker, defender, null_attacker=attacker, rng=rng, max_steps=max_steps
         )
         assert cols[0] == "step" and "martingale" in cols
         first = rows[0]
@@ -324,10 +349,14 @@ class TestEpisodeTrace:
         assert east == pytest.approx(0.96, abs=1e-9)
         # Monitoring the played policy against itself keeps the wealth at 1.
         assert all(r[cols.index("martingale")] == pytest.approx(1.0) for r in rows)
-        # Realized defender action is Wait whenever the slip fired.
+        # A slip turns the commanded action into Wait, and the column flags
+        # exactly the rows where the realized action differs; the longer
+        # trace holds a commanded Wait, which a slip leaves unchanged.
+        act_b, real_b, slip = (cols.index(c) for c in ("act_b", "real_b", "slip"))
         for r in rows:
-            if r[cols.index("slip")]:
-                assert r[cols.index("real_b")] == "X"
+            assert r[slip] == int(r[real_b] != r[act_b])
+            assert r[real_b] in (r[act_b], "X")
+        assert max_steps == 12 or any(r[act_b] == "X" for r in rows)
 
     def test_timid_play_drives_wealth_up(self, soccer_solution):
         from eqsentinel.envs import trace
@@ -374,7 +403,7 @@ class TestVisitAveragedDivergence:
                 visits.append(s)
                 a = int(rng.choice(5, p=alt.table[s]))
                 b = int(rng.choice(5, p=defender.table[s]))
-                state, _, terminal = soccer.soccer_step(state, a, b, rng)
+                state, _, terminal, _ = soccer.soccer_step(state, a, b, rng)
                 if terminal:
                     state = soccer.INITIAL_STATE
             mu = empirical_state_distribution(visits, soccer.NUM_STATES)

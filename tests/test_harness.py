@@ -903,6 +903,36 @@ class TestCliErrors:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["nf-fwer-null", "nf-detect"])
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (
+                "game_players = 2\ngame_actions = 3,3\n"
+                "game_payoffs_1 = 0,0,0,0,0,0,0,0,0\ngame_payoffs_2 = 0,0,0,0,0,0,0,0,0",
+                "strategy shape (2, 2) does not match game (3, 3)",
+            ),
+            (
+                "strategy_kind = product\nstrategy_1 = 0.2,0.3,0.5\nstrategy_2 = 0.2,0.3,0.5",
+                "strategy shape (3, 3) does not match game (2, 2)",
+            ),
+        ],
+        ids=["custom-game-default-strategy", "custom-strategy-default-game"],
+    )
+    def test_strategy_that_does_not_fit_the_game_exits_one(
+        self, tmp_path, capsys, name, body, message
+    ):
+        # Either side may come from the config while the other is the
+        # experiment's default; a mismatch must not replay profiles of the
+        # wrong shape.
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"experiment = {name}\nruns = 2\nhorizon = 10\n{body}\n")
+        rc = main([name, "--config", str(config), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "o" / "runs.csv").exists()
+
     @pytest.mark.parametrize(
         "name, body, message",
         [

@@ -18,7 +18,13 @@ from eqsentinel.eprocess import (
     slack_lower_bound,
 )
 from eqsentinel.errors import PROB_TOL, DomainError, ShapeError
-from eqsentinel.games import ActionProfile, EquilibriumMode, JointStrategy, two_player_game
+from eqsentinel.games import (
+    ActionProfile,
+    EquilibriumMode,
+    JointStrategy,
+    NormalFormGame,
+    two_player_game,
+)
 from eqsentinel.monitors import MonitorConfig, increment
 from eqsentinel.stochastic import (
     ROW_TOL,
@@ -119,6 +125,27 @@ class TestOneDistributionCheck:
         call, tol = ENTRY_POINTS[entry]
         v[index % v.size] += sign * tol / 2.0
         call(v)
+
+
+class TestEmptyInputs:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: Policy(np.empty((0, 3))),
+            lambda: JointStrategy.product([0.5, 0.5], []),
+            lambda: MonitorConfig(alpha=0.1, mixture=BettingMixture.dirac(0.5), weights=[]),
+            lambda: stationary_distribution(np.empty((0, 0))),
+            lambda: chi_square_div([], []),
+            lambda: BettingMixture("grid", [], []),
+            lambda: NormalFormGame(np.zeros((2, 0, 2))),
+            lambda: StochasticGameModel(np.zeros((2, 0, 1, 1)), np.zeros((0, 1, 1, 0)), 0.5),
+        ],
+        ids=["policy", "joint-product", "monitor-weights", "chain", "chi-square",
+             "betting-mixture", "game", "model"],
+    )
+    def test_empty_input_raises_shape_error(self, call):
+        with pytest.raises(ShapeError):
+            call()
 
 
 class TestScalarDomainsRejectNan:
