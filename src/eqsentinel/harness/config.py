@@ -31,7 +31,8 @@ from ..games import JointStrategy, NormalFormGame
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
-    """Parse flat key=value text; duplicate keys are an error."""
+    """Parse flat key=value text; duplicate keys and text without a single
+    pair are errors."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -45,6 +46,8 @@ def parse_kv_text(text: str) -> dict[str, str]:
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         out[key] = value
+    if not out:
+        raise ConfigError("config has no key = value line")
     return out
 
 

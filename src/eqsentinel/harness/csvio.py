@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from ..errors import DomainError, ShapeError
+
 CSV_VERSION = "eqsentinel-csv v1"
 
 
@@ -44,8 +46,10 @@ def write_figure_data(path: Path, header: list[str], rows) -> Path:
 def read_csv(path: Path) -> tuple[str, list[str], list[list[str]]]:
     """Read back a versioned CSV as (schema line, columns, raw rows)."""
     lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("#"):
-        raise ValueError(f"{path} is missing its version line")
+    if not lines or not lines[0].startswith(f"# {CSV_VERSION} "):
+        raise DomainError(f"{path}: line 1 is not an {CSV_VERSION!r} version line")
+    if len(lines) < 2:
+        raise ShapeError(f"{path}: text ends before its column header line")
     columns = lines[1].split(",")
     rows = [line.split(",") for line in lines[2:] if line]
     return lines[0], columns, rows

@@ -981,6 +981,6 @@ def run_experiment(name: str, config, out_dir: Path, **kwargs) -> ExperimentResu
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; known: {sorted(EXPERIMENTS)}")
     _, runner = EXPERIMENTS[name]
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return runner(config, out_dir, **kwargs)
+    # Each artifact writer creates the directory, so a run rejected before
+    # its first write leaves none behind.
+    return runner(config, Path(out_dir), **kwargs)

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eprocess import BettingMixture, _log_mix, log_factors
-from .errors import PROB_TOL, DomainError, ShapeError, StateError, check_distribution
+from .errors import PROB_TOL, DomainError, LineReader, ShapeError, StateError
+from .errors import check_distribution, format_floats
 from .games import ActionProfile, EquilibriumMode, JointStrategy, NormalFormGame
 
 SNAPSHOT_HEADER = "eqsentinel-monitor-snapshot v2"
@@ -369,11 +370,11 @@ class EquilibriumMonitor:
             f"eps {cfg.eps!r}",
             f"conditional_ce {int(cfg.conditional_ce)}",
             f"mixture {cfg.mixture.kind}",
-            f"lambdas {_floats(cfg.mixture.lambdas)}",
-            f"mixture_weights {_floats(cfg.mixture.weights)}",
+            f"lambdas {format_floats(cfg.mixture.lambdas)}",
+            f"mixture_weights {format_floats(cfg.mixture.weights)}",
         ]
         if self.weights is not None:
-            lines.append(f"weights {_floats(self.weights)}")
+            lines.append(f"weights {format_floats(self.weights)}")
         lines += [
             f"round {self.round}",
             f"k {rej.k}",
@@ -384,7 +385,7 @@ class EquilibriumMonitor:
             cond = -1 if h.condition is None else h.condition
             lines += [
                 f"hypothesis {h.player} {h.deviation} {cond}",
-                f"logw {_floats(self.log_wealth[j])}",
+                f"logw {format_floats(self.log_wealth[j])}",
                 f"rounds {self.updates[j]}",
                 f"logmax {float(self.log_max[j])!r}",
                 f"global_crossing {self.threshold_crossings.get(h, -1)}",
@@ -396,95 +397,62 @@ class EquilibriumMonitor:
     def from_snapshot(cls, game: NormalFormGame, text: str) -> "EquilibriumMonitor":
         """Restore a v2 snapshot, or a v1 one (linear running maxima).
 
-        A missing or malformed line raises ``DomainError`` naming its key;
-        so do NaN or +inf log wealth, a non-finite running maximum, a
-        negative round count or level, a round count, crossing, rejection
-        or stopping round past ``round``, and a level past the number of
+        Every line must sit where ``to_snapshot`` writes it, with one block
+        per hypothesis in ``hypotheses`` order; a v1 block adds its ``dead``,
+        ``runmax`` and ``crossing`` lines. Errors follow ``LineReader`` and
+        name their line and key. ``DomainError`` also for NaN or +inf log
+        wealth, a non-finite running maximum, a flag outside {0, 1}, a
+        negative round count or level, a round count, crossing, rejection or
+        stopping round past ``round``, and a level past the number of
         hypotheses.
         """
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] not in (SNAPSHOT_HEADER, SNAPSHOT_HEADER_V1):
-            raise DomainError("unrecognized snapshot header")
-        blocks: list[dict[str, str]] = [{}]
-        for line in lines[1:]:
-            key, _, value = line.partition(" ")
-            if key == "end":
-                break
-            if key == "hypothesis":
-                blocks.append({})
-            blocks[-1][key] = value
-        fields = blocks[0]
-        mixture = BettingMixture(
-            _read(fields, "mixture"),
-            _read(fields, "lambdas", _parse),
-            _read(fields, "mixture_weights", _parse),
-        )
-        config = MonitorConfig(
-            alpha=_read(fields, "alpha", float),
-            mixture=mixture,
-            mode=_read(fields, "mode", EquilibriumMode),
-            eps=_read(fields, "eps", float),
-            procedure=_read(fields, "procedure"),
-            weights=_read(fields, "weights", _parse) if "weights" in fields else None,
-            conditional_ce=bool(_read(fields, "conditional_ce", int)),
-        )
-        monitor = cls(game, config)
-        monitor.round = _read(fields, "round", int, lambda n: n >= 0)
-        last = monitor.round
-        m = len(monitor.hypotheses)
-        monitor.rejection.k = _read(fields, "k", int, lambda n: 0 <= n <= m)
-        monitor.rejection.stopped = bool(_read(fields, "stopped", int))
-        stopping = _read(fields, "stopping_round", int, lambda n: n <= last)
-        monitor.rejection.stopping_round = None if stopping < 0 else stopping
-        for block in blocks[1:]:
-            h = _read(block, "hypothesis", _hypothesis_id)
-            if h not in monitor.hypotheses:
-                raise DomainError(f"snapshot hypothesis {h} not in monitor")
-            j = monitor.hypotheses.index(h)
+        reader = LineReader(text, SNAPSHOT_HEADER, SNAPSHOT_HEADER_V1)
+        read, v1 = reader.read, reader.header == SNAPSHOT_HEADER_V1
+        flag = (0, 1).__contains__
+        (procedure,) = read("procedure", str, valid=("fwer", "fdr").__contains__)
+        (alpha,) = read("alpha")
+        (mode,) = read("mode", EquilibriumMode)
+        (eps,) = read("eps")
+        (conditional_ce,) = read("conditional_ce", int, valid=flag)
+        (kind,) = read("mixture", str)
+        lambdas = read("lambdas", count=None)
+        mixture = BettingMixture(kind, lambdas, read("mixture_weights", count=None))
+        weights = read("weights", count=None) if procedure == "fdr" else None
+        monitor = cls(game, MonitorConfig(
+            alpha, mixture, mode, eps, procedure, weights, conditional_ce=bool(conditional_ce)
+        ))
+        rejection = monitor.rejection
+        (last,) = read("round", int, valid=lambda n: n >= 0)
+        monitor.round = last
+        (rejection.k,) = read("k", int, valid=lambda n: 0 <= n <= monitor.m)
+        (stopped,) = read("stopped", int, valid=flag)
+        rejection.stopped = bool(stopped)
+        at = lambda n: -1 <= n <= last  # a round, or -1 for none
+        (stopping,) = read("stopping_round", int, valid=at)
+        rejection.stopping_round = None if stopping < 0 else stopping
+        for j, h in enumerate(monitor.hypotheses):
+            expected = [h.player, h.deviation, -1 if h.condition is None else h.condition]
+            if read("hypothesis", int, 3) != expected:
+                want = " ".join(map(str, expected))
+                raise DomainError(f"line {reader.lineno}: expected 'hypothesis {want}'")
             # -inf is a dead component; v1 kept its last finite log wealth.
-            logw = _read(block, "logw", _parse, lambda w: (w < math.inf).all())
-            dead = _read(block, "dead", _parse) == 1.0 if "dead" in block else np.isneginf(logw)
-            if not logw.size == dead.size == mixture.size:
-                raise ShapeError(f"{logw.size} log wealth entries for {mixture.size} fractions")
-            monitor.log_wealth[j] = np.where(dead, -np.inf, logw)
-            monitor.updates[j] = _read(block, "rounds", int, lambda n: 0 <= n <= last)
-            monitor.log_max[j] = (
-                _read(block, "logmax", float, math.isfinite)
-                if "logmax" in block
-                else _read(block, "runmax", lambda v: math.log(float(v)), math.isfinite)
-            )
-            crossing = _read(block, "global_crossing", int, lambda n: n <= last)
+            logw = np.array(read("logw", count=mixture.size, valid=lambda w: w < math.inf))
+            if v1:
+                logw[np.array(read("dead", int, mixture.size, valid=flag)) == 1] = -np.inf
+            monitor.log_wealth[j] = logw
+            (monitor.updates[j],) = read("rounds", int, valid=lambda n: 0 <= n <= last)
+            if v1:
+                (runmax,) = read("runmax", valid=lambda v: 0.0 < v < math.inf)
+                monitor.log_max[j] = math.log(runmax)
+                read("crossing", int, valid=at)
+            else:
+                (monitor.log_max[j],) = read("logmax", valid=math.isfinite)
+            (crossing,) = read("global_crossing", int, valid=at)
             if crossing >= 0:
                 monitor.threshold_crossings[h] = crossing
-            rejected_at = _read(block, "rejected_at", int, lambda n: n <= last)
+            (rejected_at,) = read("rejected_at", int, valid=at)
             if rejected_at >= 0:
-                monitor.rejection.rejected[h] = rejected_at
+                rejection.rejected[h] = rejected_at
+        read("end", count=0)
+        reader.end()
         return monitor
-
-
-def _read(fields: dict[str, str], key: str, convert=str, valid=lambda value: True):
-    """One snapshot line's value, converted and checked by ``valid``;
-    DomainError names a missing, malformed or invalid key."""
-    if key not in fields:
-        raise DomainError(f"snapshot has no '{key}' line")
-    try:
-        value = convert(fields[key])
-    except ValueError as exc:
-        raise DomainError(f"snapshot line '{key}' is malformed: {fields[key]!r}") from exc
-    if not valid(value):
-        raise DomainError(f"snapshot line '{key}' is invalid: {fields[key]!r}")
-    return value
-
-
-def _hypothesis_id(text: str) -> HypothesisId:
-    player, deviation, cond = (int(v) for v in text.split())
-    return HypothesisId(player, deviation, None if cond < 0 else cond)
-
-
-def _floats(values) -> str:
-    return " ".join(repr(float(v)) for v in values)
-
-
-def _parse(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split()])
-

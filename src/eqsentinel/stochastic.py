@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eprocess import _log_mix
-from .errors import PROB_TOL, DomainError, ErgodicityError, ShapeError, check_distribution
+from .errors import PROB_TOL, DomainError, ErgodicityError, LineReader, ShapeError
+from .errors import check_distribution, format_floats
 
 logger = logging.getLogger(__name__)
 
@@ -760,63 +761,19 @@ def mixture_policy(base: Policy, target: Policy, epsilon: float) -> Policy:
 # -- text serialization -------------------------------------------------------
 
 
-def _format_floats(values) -> str:
-    return " ".join(repr(float(v)) for v in values)
-
-
 def policy_to_text(policy: Policy) -> str:
     lines = [POLICY_HEADER, f"states {policy.num_states}", f"actions {policy.num_actions}"]
     for s in range(policy.num_states):
-        lines.append(_format_floats(policy.table[s]))
+        lines.append(format_floats(policy.table[s]))
     return "\n".join(lines) + "\n"
 
 
-def _text_lines(text: str, header: str) -> list[tuple[int, list[str]]]:
-    """The non-blank lines after ``header`` as (line number, fields)."""
-    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines or lines[0][1] != header:
-        raise DomainError(f"unrecognized header; expected {header!r}")
-    return [(n, ln.split()) for n, ln in lines[1:]]
-
-
-def _count(value: str) -> int:
-    n = int(value)
-    if n < 1:
-        raise ValueError(value)
-    return n
-
-
-def _read_line(lines, i: int, key: str | None, cast, count: int) -> list:
-    """The ``count`` values on the ``i``-th line after the header, cast, after
-    ``key`` (a bare row has none). Every error names the line."""
-    what = repr(key) if key else "row"
-    if i >= len(lines):
-        raise ShapeError(f"text ends before its {what} line")
-    lineno, fields = lines[i]
-    if key is not None:
-        if fields[0] != key:
-            raise DomainError(f"line {lineno}: expected {what}, got {fields[0]!r}")
-        fields = fields[1:]
-    try:
-        values = [cast(v) for v in fields]
-    except ValueError:
-        raise DomainError(f"line {lineno}: malformed {what} values") from None
-    if len(values) != count:
-        raise ShapeError(f"line {lineno}: {what} has {len(values)} values, expected {count}")
-    return values
-
-
-def _require_end(lines, count: int) -> None:
-    if len(lines) > count:
-        raise ShapeError(f"line {lines[count][0]}: text past the end of the format")
-
-
 def policy_from_text(text: str) -> Policy:
-    lines = _text_lines(text, POLICY_HEADER)
-    (num_states,) = _read_line(lines, 0, "states", _count, 1)
-    (num_actions,) = _read_line(lines, 1, "actions", _count, 1)
-    rows = [_read_line(lines, 2 + s, None, float, num_actions) for s in range(num_states)]
-    _require_end(lines, 2 + num_states)
+    reader = LineReader(text, POLICY_HEADER)
+    (num_states,) = reader.read("states", int, valid=lambda n: n >= 1)
+    (num_actions,) = reader.read("actions", int, valid=lambda n: n >= 1)
+    rows = [reader.read(None, count=num_actions) for _ in range(num_states)]
+    reader.end()
     return Policy(np.array(rows))
 
 
@@ -829,26 +786,26 @@ def model_to_text(model: StochasticGameModel) -> str:
         f"discount {model.discount!r}",
     ]
     for i in range(model.num_players):
-        lines.append(f"rewards {i} " + _format_floats(model.rewards[i].ravel()))
-    lines.append("transition " + _format_floats(model.transition.ravel()))
+        lines.append(f"rewards {i} " + format_floats(model.rewards[i].ravel()))
+    lines.append("transition " + format_floats(model.transition.ravel()))
     return "\n".join(lines) + "\n"
 
 
 def model_from_text(text: str) -> StochasticGameModel:
-    lines = _text_lines(text, MODEL_HEADER)
-    (players,) = _read_line(lines, 0, "players", _count, 1)
-    (states,) = _read_line(lines, 1, "states", _count, 1)
-    actions = tuple(_read_line(lines, 2, "actions", _count, players))
-    (discount,) = _read_line(lines, 3, "discount", float, 1)
+    reader = LineReader(text, MODEL_HEADER)
+    (players,) = reader.read("players", int, valid=lambda n: n >= 1)
+    (states,) = reader.read("states", int, valid=lambda n: n >= 1)
+    actions = tuple(reader.read("actions", int, players, valid=lambda n: n >= 1))
+    (discount,) = reader.read("discount")
     size = states * math.prod(actions)
     rewards = np.empty((players, size))
     for i in range(players):
-        values = _read_line(lines, 4 + i, "rewards", float, 1 + size)
+        values = reader.read("rewards", count=1 + size)
         if values[0] != i:
-            raise DomainError(f"line {lines[4 + i][0]}: malformed rewards block")
+            raise DomainError(f"line {reader.lineno}: malformed rewards block")
         rewards[i] = values[1:]
-    transition = np.array(_read_line(lines, 4 + players, "transition", float, size * states))
-    _require_end(lines, 5 + players)
+    transition = np.array(reader.read("transition", count=size * states))
+    reader.end()
     return StochasticGameModel(
         rewards=rewards.reshape(players, states, *actions),
         transition=transition.reshape(states, *actions, states),

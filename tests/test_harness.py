@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import runpy
 import subprocess
 import typing
@@ -22,7 +23,7 @@ from _oracles import (
     soccer_trial,
 )
 from eqsentinel.envs import prey, soccer
-from eqsentinel.errors import ConfigError, DomainError
+from eqsentinel.errors import ConfigError, DomainError, ShapeError
 from eqsentinel.harness import experiments, nfstreams, scenarios
 from eqsentinel.harness.cli import main
 from eqsentinel.harness.config import (
@@ -732,6 +733,21 @@ class TestCsvFormat:
         assert text[2] == "1,0.10000000000000001"
         assert float(text[3].split(",")[1]) == 1 / 3
 
+    @pytest.mark.parametrize(
+        "text, error, line",
+        [
+            ("# eqsentinel-csv v1 schema=demo\n", ShapeError, "column header line"),
+            ("a,b\n1,2\n", DomainError, "line 1"),
+            ("# eqsentinel-csv v9 schema=demo\na,b\n", DomainError, "line 1"),
+        ],
+        ids=["version-line-only", "no-version-line", "other-version"],
+    )
+    def test_read_errors_name_file_and_line(self, tmp_path, text, error, line):
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        with pytest.raises(error, match=f"{re.escape(str(path))}: .*{line}"):
+            read_csv(path)
+
 
 class TestCli:
     def test_slack_subcommand_passes(self, tmp_path, capsys):
@@ -931,7 +947,7 @@ class TestCliErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
-        assert not (tmp_path / "o" / "runs.csv").exists()
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "name, body, message",

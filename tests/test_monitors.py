@@ -551,6 +551,8 @@ class TestConditionalCeDetection:
 
 
 GOLDEN = __import__("pathlib").Path(__file__).parent / "golden"
+#: Its lambda=1 node dies at the first increment of exactly 1.
+HALF_ONE_GRID = BettingMixture("grid", np.array([0.5, 1.0]), np.array([0.5, 0.5]))
 
 
 def anti_coordination_stream(rounds, seed):
@@ -559,6 +561,22 @@ def anti_coordination_stream(rounds, seed):
     anti = JointStrategy.full([[0.1, 0.4], [0.4, 0.1]])
     rng = np.random.default_rng(seed)
     return [sample_profile(anti, rng) for _ in range(rounds)]
+
+
+def golden_v2_monitor():
+    """The monitor whose snapshot is ``golden/monitor_snapshot_v2.txt``."""
+    game, _ = scenarios.coordination_ce()
+    config = MonitorConfig(
+        alpha=0.2,
+        mixture=HALF_ONE_GRID,
+        mode=EquilibriumMode.CE,
+        conditional_ce=True,
+        procedure="fdr",
+    )
+    monitor = EquilibriumMonitor(game, config)
+    for actions in [(0, 0), (1, 1), (0, 0)] + [(0, 1), (1, 0), (0, 1)] * 9:
+        monitor.step_fdr(ActionProfile(actions))
+    return game, monitor
 
 
 class TestBlockSnapshot:
@@ -632,6 +650,13 @@ class TestBlockSnapshot:
         with pytest.raises(ShapeError):
             EquilibriumMonitor.from_snapshot(game, text.replace("dead 0 1", "dead 0 1 1", 1))
 
+    def test_v2_snapshot_golden_bytes(self):
+        # Conditional-CE e-BH on a two-node grid at round 30: lambda=1 dead,
+        # three rejections, two crossings of m/alpha.
+        text = (GOLDEN / "monitor_snapshot_v2.txt").read_text()
+        game, monitor = golden_v2_monitor()
+        assert monitor.to_snapshot() == text
+        assert EquilibriumMonitor.from_snapshot(game, text).to_snapshot() == text
 
     @pytest.mark.parametrize(
         "old, new, key",
@@ -648,7 +673,9 @@ class TestBlockSnapshot:
         game, _ = scenarios.coordination_ce()
         text = (GOLDEN / "monitor_snapshot_v1.txt").read_text()
         assert old in text
-        with pytest.raises(DomainError, match=f"'{key}'"):
+        # A hypothesis line with two values has the wrong count: ShapeError.
+        error = ShapeError if key == "hypothesis" else DomainError
+        with pytest.raises(error, match=f"'{key}'"):
             EquilibriumMonitor.from_snapshot(game, text.replace(old, new, 1))
 
     @pytest.mark.parametrize(
@@ -691,6 +718,103 @@ class TestBlockSnapshot:
         EquilibriumMonitor.from_snapshot(game, text.replace(old, bound, 1))
         with pytest.raises(DomainError, match=f"'{key}'"):
             EquilibriumMonitor.from_snapshot(game, text.replace(old, past, 1))
+
+    @pytest.mark.parametrize(
+        "edit, error, line",
+        [
+            (lambda ls: ls[:20] + ls[26:], DomainError, 21),
+            (lambda ls: ls[:32] + ls[38:], DomainError, 33),
+            (lambda ls: ls[:20] + ls[14:20] + ls[26:], DomainError, 21),
+            (lambda ls: ls[:11] + ["bogus 7"] + ls[11:], DomainError, 12),
+            (lambda ls: ls[:11] + ["round 9"] + ls[11:], DomainError, 12),
+            (lambda ls: ls + ["round 9"], ShapeError, 40),
+            (lambda ls: [*ls[:12], "stopped 2", *ls[13:]], DomainError, 13),
+            (lambda ls: [*ls[:5], "conditional_ce 2", *ls[6:]], DomainError, 6),
+            (lambda ls: ["eqsentinel-monitor-snapshot v3", *ls[1:]], DomainError, 1),
+            (lambda ls: [ls[0], "procedure fwer", *ls[2:]], DomainError, 10),
+        ],
+        ids=["dropped-block", "dropped-last-block", "duplicated-block", "unknown-key",
+             "second-round", "text-after-end", "stopped-2", "conditional-ce-2",
+             "unknown-version", "weights-without-fdr"],
+    )
+    def test_strict_reader_names_the_line(self, edit, error, line):
+        # Each of these restored without error under the keyed reader; a
+        # dropped block came back as a fresh process.
+        game, _ = scenarios.coordination_ce()
+        lines = (GOLDEN / "monitor_snapshot_v2.txt").read_text().splitlines()
+        with pytest.raises(error, match=f"^line {line}: "):
+            EquilibriumMonitor.from_snapshot(game, "\n".join(edit(lines)) + "\n")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        procedure=st.sampled_from(["fwer", "fdr"]),
+        grid=st.booleans(),
+        conditional_ce=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        split=st.integers(0, 40),
+    )
+    def test_restore_at_any_round_resumes_bit_for_bit(
+        self, procedure, grid, conditional_ce, seed, split
+    ):
+        game, _ = scenarios.coordination_ce()
+        config = MonitorConfig(
+            alpha=0.2,
+            mixture=HALF_ONE_GRID if grid else BettingMixture.dirac(0.5),
+            mode=EquilibriumMode.CE if conditional_ce else EquilibriumMode.NASH,
+            conditional_ce=conditional_ce,
+            procedure=procedure,
+        )
+        stream = anti_coordination_stream(40, seed)
+
+        def step(monitor, profile):
+            if procedure == "fwer":
+                return monitor.step_fwer(profile)
+            return monitor.step_fdr(profile)
+
+        monitor = EquilibriumMonitor(game, config)
+        for profile in stream[:split]:
+            if monitor.rejection.stopped:
+                break
+            step(monitor, profile)
+        text = monitor.to_snapshot()
+        restored = EquilibriumMonitor.from_snapshot(game, text)
+        assert restored.to_snapshot() == text
+        for profile in stream[split:]:
+            if monitor.rejection.stopped:
+                break
+            assert step(monitor, profile) == step(restored, profile)
+        for name in ("log_wealth", "log_max", "updates"):
+            assert getattr(monitor, name).tobytes() == getattr(restored, name).tobytes()
+        assert (monitor.round, monitor.rejection) == (restored.round, restored.rejection)
+        assert monitor.threshold_crossings == restored.threshold_crossings
+        assert monitor.to_snapshot() == restored.to_snapshot()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(["monitor_snapshot_v1.txt", "monitor_snapshot_v2.txt"]),
+        edit=st.sampled_from(["delete", "duplicate", "insert"]),
+        data=st.data(),
+    )
+    def test_one_line_corruption_never_restores(self, name, edit, data):
+        game, _ = scenarios.coordination_ce()
+        lines = (GOLDEN / name).read_text().splitlines()
+        i = data.draw(st.integers(0, len(lines) - (edit != "insert")), label="line")
+        if edit == "delete":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            known = {line.split()[0] for line in lines}
+            key = data.draw(
+                st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=16).filter(
+                    lambda k: k not in known
+                ),
+                label="key",
+            )
+            value = data.draw(st.sampled_from(["7", "-1", "0.5", "inf", "x"]), label="value")
+            lines.insert(i, f"{key} {value}")
+        with pytest.raises((DomainError, ShapeError)):
+            EquilibriumMonitor.from_snapshot(game, "\n".join(lines) + "\n")
 
 
 def ebh_snapshot_at_round_3():

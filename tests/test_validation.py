@@ -17,7 +17,7 @@ from eqsentinel.eprocess import (
     detection_bound_uniform,
     slack_lower_bound,
 )
-from eqsentinel.errors import PROB_TOL, DomainError, ShapeError
+from eqsentinel.errors import PROB_TOL, ConfigError, DomainError, ShapeError
 from eqsentinel.games import (
     ActionProfile,
     EquilibriumMode,
@@ -25,8 +25,12 @@ from eqsentinel.games import (
     NormalFormGame,
     two_player_game,
 )
-from eqsentinel.monitors import MonitorConfig, increment
+from eqsentinel.harness.config import parse_kv_text
+from eqsentinel.harness.csvio import CSV_VERSION, read_csv
+from eqsentinel.monitors import SNAPSHOT_HEADER, EquilibriumMonitor, MonitorConfig, increment
 from eqsentinel.stochastic import (
+    MODEL_HEADER,
+    POLICY_HEADER,
     ROW_TOL,
     LRMonitorState,
     Policy,
@@ -36,8 +40,12 @@ from eqsentinel.stochastic import (
     exploitability,
     lr_detection_bound,
     matrix_game_solve,
+    model_from_text,
+    policy_from_text,
     stationary_distribution,
 )
+
+GAME = two_player_game(np.eye(2), np.eye(2))
 
 
 def _uniform(k):
@@ -146,6 +154,31 @@ class TestEmptyInputs:
     def test_empty_input_raises_shape_error(self, call):
         with pytest.raises(ShapeError):
             call()
+
+
+class TestEmptyText:
+    """Every text reader refuses empty text and a header with nothing after
+    it, with the package's own errors."""
+
+    @pytest.mark.parametrize(
+        "read, header",
+        [
+            (lambda text: EquilibriumMonitor.from_snapshot(GAME, text), SNAPSHOT_HEADER),
+            (model_from_text, MODEL_HEADER),
+            (policy_from_text, POLICY_HEADER),
+            (parse_kv_text, "# experiment config"),
+            (read_csv, f"# {CSV_VERSION} schema=runs"),
+        ],
+        ids=["snapshot", "model", "policy", "config", "csv"],
+    )
+    @pytest.mark.parametrize("header_only", [False, True], ids=["empty", "header-only"])
+    def test_rejected(self, read, header, header_only, tmp_path):
+        text = header + "\n" if header_only else ""
+        if read is read_csv:  # reads a file
+            (tmp_path / "runs.csv").write_text(text)
+            text = tmp_path / "runs.csv"
+        with pytest.raises((DomainError, ShapeError, ConfigError), match="line"):
+            read(text)
 
 
 class TestScalarDomainsRejectNan:
