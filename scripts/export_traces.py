@@ -15,7 +15,6 @@ from eqsentinel.harness.csvio import write_csv
 from eqsentinel.stochastic import (
     Policy,
     SolverConfig,
-    mixture_policy,
     shapley_solve_arrays,
     smooth_policy,
 )
@@ -32,9 +31,7 @@ if __name__ == "__main__":
     solution = shapley_solve_arrays(tab.native_reward, tab.model.transition, SolverConfig())
     attacker = smooth_policy(solution.row_policy, 0.05)
     defender = smooth_policy(solution.col_policy, 0.05)
-    afraid = Policy(
-        np.vstack([soccer.afraid_transform(row) for row in attacker.table])
-    )
+    afraid = Policy(soccer.afraid_transform(attacker.table))
 
     cols, rows = trace.soccer_episode_trace(
         attacker, defender, null_attacker=attacker, rng=np.random.default_rng(0)
@@ -42,7 +39,7 @@ if __name__ == "__main__":
     write_csv(out / "soccer_equilibrium_episode.csv", "soccer-trace", cols, rows)
 
     cols, rows = trace.soccer_episode_trace(
-        mixture_policy(attacker, afraid, 1.0),
+        afraid,
         defender,
         null_attacker=attacker,
         rng=np.random.default_rng(4),

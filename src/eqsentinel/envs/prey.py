@@ -164,13 +164,10 @@ def pursuit_tables() -> tuple[
     return moves, tuple(chase_row), chase_rows
 
 
-def suspect_policy_row(
-    predator: tuple[int, int],
-    prey: tuple[int, int],
-    epsilon: float,
-) -> np.ndarray:
-    """Suspect behavior: uniform random walk blended with the chase heuristic."""
+def suspect_rows(epsilon: float) -> np.ndarray:
+    """The suspect's row for each distinct chase row of :func:`pursuit_tables`:
+    uniform play blended with the chase heuristic at weight ``epsilon``."""
     if not 0.0 <= epsilon <= 1.0:
-        raise DomainError("epsilon must lie in [0, 1]")
-    uniform = np.full(NUM_ACTIONS, 1.0 / NUM_ACTIONS)
-    return (1.0 - epsilon) * uniform + epsilon * chase_policy(predator, prey)
+        raise DomainError(f"epsilon must lie in [0, 1], got {epsilon}")
+    _, _, chase_rows = pursuit_tables()
+    return (1.0 - epsilon) * (1.0 / NUM_ACTIONS) + epsilon * chase_rows

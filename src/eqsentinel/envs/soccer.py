@@ -238,15 +238,14 @@ def soccer_build_model() -> SoccerTabularGame:
     return SoccerTabularGame(model=model, native_reward=native, terminal=terminal.copy())
 
 
-def afraid_transform(policy_row) -> np.ndarray:
-    """Timid-attacker rewrite of one action row: strip 90% of the East mass
-    and split it evenly between West and Wait."""
-    row = np.asarray(policy_row, dtype=float)
-    if row.shape != (NUM_ACTIONS,):
+def afraid_transform(policy) -> np.ndarray:
+    """Timid-attacker rewrite of an action row, or of each row of a table:
+    strip 90% of the East mass and split it evenly between West and Wait."""
+    out = np.array(policy, dtype=float)
+    if out.shape[-1:] != (NUM_ACTIONS,):
         raise ShapeError("soccer policy rows have 5 entries")
-    out = row.copy()
-    delta = 0.9 * out[2]
-    out[2] -= delta
-    out[3] += 0.5 * delta
-    out[4] += 0.5 * delta
+    delta = 0.9 * out[..., 2]
+    out[..., 2] -= delta
+    out[..., 3] += 0.5 * delta
+    out[..., 4] += 0.5 * delta
     return out

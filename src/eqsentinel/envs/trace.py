@@ -29,16 +29,14 @@ def soccer_episode_trace(
     defender: Policy,
     null_attacker: Policy,
     rng: np.random.Generator,
-    alternative: Policy | None = None,
-    start: soccer.SoccerState = soccer.INITIAL_STATE,
     max_steps: int = 12,
 ) -> tuple[list[str], list[list]]:
-    """Roll one match while monitoring the attacker's actions.
+    """Roll one match from kickoff while monitoring the attacker's actions.
 
-    The monitor's alternative defaults to the policy the attacker actually
-    plays (the known-deviation test). The monitor never stops the match.
+    The monitor's alternative is the policy the attacker actually plays (the
+    known-deviation test). The monitor never stops the match.
     """
-    monitor = LRMonitorState.fresh((alternative or attacker,))
+    monitor = LRMonitorState.fresh((attacker,))
     columns = [
         "step", "a_row", "a_col", "b_row", "b_col",
         "act_a", "act_b", "real_b", "slip", "possession",
@@ -47,7 +45,7 @@ def soccer_episode_trace(
         "evalue", "martingale",
     ]
     rows: list[list] = []
-    state = start
+    state = soccer.INITIAL_STATE
     for step in range(max_steps):
         if soccer.is_terminal(state):
             break
@@ -78,37 +76,34 @@ def prey_episode_trace(
     eps_true: float,
     eps_grid,
     rng: np.random.Generator,
-    start: prey.PreyState = prey.DEFAULT_START,
     max_steps: int = 12,
-    threshold: float = 20.0,
 ) -> tuple[list[str], list[list]]:
-    """Roll one pursuit while the mixture monitor watches the suspect.
+    """Roll one pursuit from :data:`prey.DEFAULT_START` while the mixture
+    monitor watches the suspect.
 
     The monitor's states are the distinct chase rows of
-    :func:`prey.pursuit_tables`; the pursuit stops once it crosses
-    ``threshold``.
+    :func:`prey.pursuit_tables`, and its alternatives the suspect's rows
+    (:func:`prey.suspect_rows`) at each weight of ``eps_grid``; the pursuit
+    stops once the monitor crosses 20.
     """
-    _, chase_row, chase_rows = prey.pursuit_tables()
-    uniform = 1.0 / prey.NUM_ACTIONS
-    null = Policy(np.full(chase_rows.shape, uniform))
-    monitor = LRMonitorState.fresh(
-        Policy((1.0 - eps) * uniform + eps * chase_rows)
-        for eps in np.asarray(eps_grid, dtype=float)
-    )
+    _, chase_row, _ = prey.pursuit_tables()
+    suspect = prey.suspect_rows(eps_true)
+    null = Policy(np.full(suspect.shape, 1.0 / prey.NUM_ACTIONS))
+    monitor = LRMonitorState.fresh(Policy(prey.suspect_rows(eps)) for eps in eps_grid)
     columns = [
         "step", "row", "col", "action", "martingale",
         *list(prey.ACTION_NAMES),
         "evalue",
     ]
     rows: list[list] = []
-    state = start
+    state = prey.DEFAULT_START
     for step in range(max_steps):
         if state.captured or state.exhausted:
             break
         row = chase_row[prey.cell_id(state.suspect)][prey.cell_id(state.prey)]
-        played = (1.0 - eps_true) * uniform + eps_true * chase_rows[row]
+        played = suspect[row]
         act = int(rng.choice(prey.NUM_ACTIONS, p=played))
-        evalue, martingale = _monitor_step(monitor, row, act, null, threshold)
+        evalue, martingale = _monitor_step(monitor, row, act, null, 20.0)
         rows.append(
             [
                 step, *state.suspect, prey.ACTION_NAMES[act], martingale,

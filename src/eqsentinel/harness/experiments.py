@@ -28,7 +28,7 @@ from ..eprocess import (
     exact_uniform_mixture,
     slack_lower_bound,
 )
-from ..errors import ConfigError, DomainError
+from ..errors import ConfigError, DomainError, ShapeError
 from ..games import ActionProfile, EquilibriumMode, NormalFormGame, JointStrategy
 from ..monitors import (
     EquilibriumMonitor,
@@ -593,11 +593,11 @@ def run_soccer_scaling(
     if policies is None:
         _, solution = _solve_soccer(SolverConfig())
         policies = (solution.row_policy, solution.col_policy)
+    if any(p.table.shape != (soccer.NUM_STATES, soccer.NUM_ACTIONS) for p in policies):
+        raise ShapeError(f"soccer policies are {soccer.NUM_STATES}x{soccer.NUM_ACTIONS} tables")
     null_a = smooth_policy(policies[0], config.smoothing)
     defender = smooth_policy(policies[1], config.smoothing)
-    afraid = Policy(
-        np.vstack([soccer.afraid_transform(row) for row in null_a.table])
-    )
+    afraid = Policy(soccer.afraid_transform(null_a.table))
     excluded = (null_a.table == 0.0) & (afraid.table > 0.0)
     if np.any(excluded) and any(eps > 0.0 for eps in config.epsilons):
         # The builder scores such an action -inf, which would hide the attacker.
@@ -661,12 +661,9 @@ def _prey_tables(eps_true, eps_grid) -> tuple[list, list]:
     """Per distinct chase row (:func:`prey.pursuit_tables`): the suspect's
     cumulative played row, and per action the log increments of the
     candidate grid against uniform play."""
-    _, _, chase = prey.pursuit_tables()
-    uniform = 1.0 / prey.NUM_ACTIONS
-    grid = np.asarray(eps_grid)
-    played = (1.0 - eps_true) * uniform + eps_true * chase
-    candidate = (1.0 - grid) * uniform + grid * chase[:, :, None]
-    log_inc = log_likelihood_ratios(np.full(chase.shape, uniform), candidate)
+    played = prey.suspect_rows(eps_true)
+    candidate = np.stack([prey.suspect_rows(eps) for eps in eps_grid], axis=-1)
+    log_inc = log_likelihood_ratios(np.full(played.shape, 1.0 / prey.NUM_ACTIONS), candidate)
     return _cumulative_rows(played), log_inc.tolist()
 
 
@@ -980,7 +977,9 @@ EXPERIMENTS = {
 def run_experiment(name: str, config, out_dir: Path, **kwargs) -> ExperimentResult:
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; known: {sorted(EXPERIMENTS)}")
-    _, runner = EXPERIMENTS[name]
+    config_class, runner = EXPERIMENTS[name]
+    if not isinstance(config, config_class):
+        raise ConfigError(f"{name} takes a {config_class.__name__}, got {type(config).__name__}")
     # Each artifact writer creates the directory, so a run rejected before
     # its first write leaves none behind.
     return runner(config, Path(out_dir), **kwargs)

@@ -250,34 +250,6 @@ def lr_step(
     return state
 
 
-def lr_detection_bound(
-    b: float, overshoot: float, kl_bar: float, prior_weight: float = 1.0
-) -> float:
-    """Expected-detection-time ceiling (log b + log(1/w) + C) / KL.
-
-    ``prior_weight`` is the mixture mass on the true alternative; 1 recovers
-    the single-alternative bound.
-    """
-    if not b > 1.0:
-        raise DomainError("threshold must exceed 1")
-    if not overshoot >= 0.0:
-        raise DomainError("overshoot constant must be nonnegative")
-    if not kl_bar > 0.0:
-        raise DomainError("state-averaged KL must be positive")
-    if not 0.0 < prior_weight <= 1.0:
-        raise DomainError("prior weight must lie in (0, 1]")
-    return (math.log(b) + math.log(1.0 / prior_weight) + overshoot) / kl_bar
-
-
-def overshoot_constant(null_policy: Policy, alt_policy: Policy) -> float:
-    """Largest |log ratio| over the alternative's support (inf if violated)."""
-    mask = alt_policy.table > 0.0
-    if np.any(mask & (null_policy.table == 0.0)):
-        return math.inf
-    ratios = alt_policy.table[mask] / null_policy.table[mask]
-    return float(np.max(np.abs(np.log(ratios))))
-
-
 # -- divergences ------------------------------------------------------------
 
 
@@ -291,46 +263,6 @@ def kl_divergence(p, q) -> float:
     if np.any(mask & (q == 0.0)):
         return math.inf
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
-
-
-def state_avg_kl(null_policy: Policy, alt_policy: Policy, mu) -> float:
-    """KL between alternative and null play, averaged over a state weight.
-
-    Returns infinity (with a diagnostic log line) when the alternative uses
-    an action the null excludes on a state with positive weight.
-    """
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (null_policy.num_states,):
-        raise ShapeError("mu must weight every state")
-    if null_policy.table.shape != alt_policy.table.shape:
-        raise ShapeError("policies must share a shape")
-    total = 0.0
-    for s in np.nonzero(mu > 0.0)[0]:
-        kl = kl_divergence(alt_policy.table[s], null_policy.table[s])
-        if math.isinf(kl):
-            logger.warning(
-                "support violation at state %d with weight %g", s, mu[s]
-            )
-            return math.inf
-        total += float(mu[s]) * kl
-    return total
-
-
-def empirical_state_distribution(visits, num_states: int) -> np.ndarray:
-    """Visit frequencies from a rollout, as a distribution over states.
-
-    Episodic environments are not single ergodic chains, so detection-rate
-    diagnostics average the per-state KL under the visit frequencies of a
-    long (>= 1e4 steps) rollout under the alternative instead of a
-    stationary distribution.
-    """
-    visits = np.asarray(visits, dtype=int)
-    if visits.size == 0:
-        raise DomainError("need at least one visited state")
-    if visits.min() < 0 or visits.max() >= num_states:
-        raise ShapeError("visited state index out of range")
-    counts = np.bincount(visits, minlength=num_states)
-    return counts / counts.sum()
 
 
 def chi_square_div(q, p) -> float:

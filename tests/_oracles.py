@@ -33,9 +33,16 @@ expected gains as they were before they read the increment table: separate
 sums of the played and the deviating payoff, and a loop over recommendations
 for the conditional CE gains. ``stationary_distribution_reference`` finds the
 recurrent class and its period by graph search and solves for the
-distribution in exact rationals.
+distribution in exact rationals. ``suspect_policy_row`` is the prey
+suspect's blend for one (suspect, prey) pair, as the package defined it
+before ``prey.suspect_rows`` gave every chase row at once.
+``lr_detection_bound``, ``overshoot_constant``, ``state_avg_kl`` and
+``empirical_state_distribution`` are the detection-time ceiling
+(log b + log(1/w) + C) / KL and its inputs, which the package carried
+while nothing in it called them.
 """
 
+import logging
 import math
 from fractions import Fraction
 from itertools import combinations, product
@@ -47,7 +54,7 @@ from scipy.sparse import csr_matrix
 from eqsentinel import stochastic
 from eqsentinel.eprocess import BettingMixture
 from eqsentinel.envs import prey, soccer
-from eqsentinel.errors import DomainError, ErgodicityError
+from eqsentinel.errors import DomainError, ErgodicityError, ShapeError
 from eqsentinel.games import EquilibriumMode, JointStrategy, NormalFormGame, StrategyKind
 from eqsentinel.harness import nfstreams, scenarios
 from eqsentinel.harness.seeding import run_rng
@@ -62,6 +69,8 @@ from eqsentinel.stochastic import (
     exploitability,
     matrix_game_solve,
 )
+
+logger = logging.getLogger(__name__)
 
 
 def expected_payoff(game: NormalFormGame, strategy: JointStrategy, player: int) -> float:
@@ -838,3 +847,86 @@ def nf_fwer_null_rows_reference(config, game, strategy) -> list[tuple]:
             first = _first(nfstreams.fwer_crossing_times(paths, m / alpha))
             rows.append((lam, alpha, run, int(first > 0), first))
     return rows
+
+
+def suspect_policy_row(
+    predator: tuple[int, int],
+    prey_pos: tuple[int, int],
+    epsilon: float,
+) -> np.ndarray:
+    """Suspect behavior: uniform random walk blended with the chase heuristic."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise DomainError("epsilon must lie in [0, 1]")
+    uniform = np.full(prey.NUM_ACTIONS, 1.0 / prey.NUM_ACTIONS)
+    return (1.0 - epsilon) * uniform + epsilon * prey.chase_policy(predator, prey_pos)
+
+
+# -- detection-time ceiling -------------------------------------------------
+
+
+def lr_detection_bound(
+    b: float, overshoot: float, kl_bar: float, prior_weight: float = 1.0
+) -> float:
+    """Expected-detection-time ceiling (log b + log(1/w) + C) / KL.
+
+    ``prior_weight`` is the mixture mass on the true alternative; 1 recovers
+    the single-alternative bound.
+    """
+    if not b > 1.0:
+        raise DomainError("threshold must exceed 1")
+    if not overshoot >= 0.0:
+        raise DomainError("overshoot constant must be nonnegative")
+    if not kl_bar > 0.0:
+        raise DomainError("state-averaged KL must be positive")
+    if not 0.0 < prior_weight <= 1.0:
+        raise DomainError("prior weight must lie in (0, 1]")
+    return (math.log(b) + math.log(1.0 / prior_weight) + overshoot) / kl_bar
+
+
+def overshoot_constant(null_policy: Policy, alt_policy: Policy) -> float:
+    """Largest |log ratio| over the alternative's support (inf if violated)."""
+    mask = alt_policy.table > 0.0
+    if np.any(mask & (null_policy.table == 0.0)):
+        return math.inf
+    ratios = alt_policy.table[mask] / null_policy.table[mask]
+    return float(np.max(np.abs(np.log(ratios))))
+
+
+def state_avg_kl(null_policy: Policy, alt_policy: Policy, mu) -> float:
+    """KL between alternative and null play, averaged over a state weight.
+
+    Returns infinity (with a diagnostic log line) when the alternative uses
+    an action the null excludes on a state with positive weight.
+    """
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape != (null_policy.num_states,):
+        raise ShapeError("mu must weight every state")
+    if null_policy.table.shape != alt_policy.table.shape:
+        raise ShapeError("policies must share a shape")
+    total = 0.0
+    for s in np.nonzero(mu > 0.0)[0]:
+        kl = stochastic.kl_divergence(alt_policy.table[s], null_policy.table[s])
+        if math.isinf(kl):
+            logger.warning(
+                "support violation at state %d with weight %g", s, mu[s]
+            )
+            return math.inf
+        total += float(mu[s]) * kl
+    return total
+
+
+def empirical_state_distribution(visits, num_states: int) -> np.ndarray:
+    """Visit frequencies from a rollout, as a distribution over states.
+
+    Episodic environments are not single ergodic chains, so detection-rate
+    diagnostics average the per-state KL under the visit frequencies of a
+    long (>= 1e4 steps) rollout under the alternative instead of a
+    stationary distribution.
+    """
+    visits = np.asarray(visits, dtype=int)
+    if visits.size == 0:
+        raise DomainError("need at least one visited state")
+    if visits.min() < 0 or visits.max() >= num_states:
+        raise ShapeError("visited state index out of range")
+    counts = np.bincount(visits, minlength=num_states)
+    return counts / counts.sum()

@@ -327,12 +327,10 @@ def test_criterion_13_prey_mixture(tmp_path):
     assert -2.5 <= result.summary["slope"] <= -1.5, result.summary["slope"]
 
     # Single-step mixture update at the corner-start geometry.
-    chase_state = 0
-    null = Policy(np.full((1, 5), 0.2))
-    alternatives = tuple(
-        Policy(prey.suspect_policy_row((0, 0), (5, 5), eps)[None, :])
-        for eps in config.eps_grid
-    )
+    _, chase_row, chase_rows = prey.pursuit_tables()
+    chase_state = chase_row[prey.cell_id((0, 0))][prey.cell_id((5, 5))]
+    null = Policy(np.full(chase_rows.shape, 0.2))
+    alternatives = tuple(Policy(prey.suspect_rows(eps)) for eps in config.eps_grid)
     monitor = LRMonitorState.fresh(alternatives)
     lr_step(monitor, chase_state, 2, null, threshold=20.0)  # observed: Down
     assert monitor.value() == pytest.approx(1.587, abs=1e-3)

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import suspect_policy_row
 from eqsentinel.envs import prey
 from eqsentinel.errors import DomainError, ShapeError, StateError
 
@@ -74,6 +77,8 @@ class TestStep:
         assert nxt.predators[0] == (0, 0)
 
     def test_episodes_always_end_within_horizon(self):
+        _, chase_row, _ = prey.pursuit_tables()
+        suspect = prey.suspect_rows(0.6)
         for seed in range(40):
             rng = np.random.default_rng(seed)
             state = prey.PreyState(
@@ -84,7 +89,7 @@ class TestStep:
             terminal = False
             steps = 0
             while not terminal:
-                row = prey.suspect_policy_row(state.suspect, state.prey, 0.6)
+                row = suspect[chase_row[prey.cell_id(state.suspect)][prey.cell_id(state.prey)]]
                 act = int(rng.choice(5, p=row))
                 state, terminal = prey.prey_step(state, act, rng)
                 steps += 1
@@ -148,22 +153,38 @@ class TestPursuitTables:
                     assert np.array_equal(chase_rows[chase_row[i][j]], expected)
 
 
+def _corner_row() -> int:
+    """The chase row of the corner start: suspect at (0, 0), prey at (5, 5)."""
+    _, chase_row, _ = prey.pursuit_tables()
+    return chase_row[prey.cell_id((0, 0))][prey.cell_id((5, 5))]
+
+
 class TestSuspectPolicy:
     def test_blend_endpoints(self):
         chase = prey.chase_policy((0, 0), (5, 5))
-        assert prey.suspect_policy_row((0, 0), (5, 5), 0.0) == pytest.approx(
-            np.full(5, 0.2)
-        )
-        assert prey.suspect_policy_row((0, 0), (5, 5), 1.0) == pytest.approx(chase)
+        assert prey.suspect_rows(0.0)[_corner_row()] == pytest.approx(np.full(5, 0.2))
+        assert prey.suspect_rows(1.0)[_corner_row()] == pytest.approx(chase)
 
     def test_observed_probabilities_at_true_weight(self):
-        row = prey.suspect_policy_row((0, 0), (5, 5), 0.6)
+        row = prey.suspect_rows(0.6)[_corner_row()]
         assert row[2] == pytest.approx(0.3409, abs=5e-5)
         assert row[0] == pytest.approx(0.1061, abs=5e-5)
 
     def test_weight_domain(self):
-        with pytest.raises(DomainError):
-            prey.suspect_policy_row((0, 0), (5, 5), 1.2)
+        for eps in (-0.1, 1.2, math.nan):
+            with pytest.raises(DomainError):
+                prey.suspect_rows(eps)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3, 0.6, 1.0])
+    def test_rows_match_the_pairwise_blend_bit_for_bit(self, eps):
+        _, chase_row, _ = prey.pursuit_tables()
+        rows = prey.suspect_rows(eps)
+        cells = [(r, c) for r in range(prey.GRID) for c in range(prey.GRID)]
+        for i, suspect in enumerate(cells):
+            for j, target in enumerate(cells):
+                if i != j:
+                    expected = suspect_policy_row(suspect, target, eps)
+                    assert rows[chase_row[i][j]].tobytes() == expected.tobytes()
 
 
 class TestEpisodeTrace:
@@ -183,3 +204,12 @@ class TestEpisodeTrace:
         assert rows[1][4] == pytest.approx(1.5869, abs=1e-3)
         for before, after in zip(rows, rows[1:]):
             assert after[4] == pytest.approx(before[4] * before[10], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "eps_true, eps_grid", [(-0.1, (0.1, 0.5)), (1.2, (0.1, 0.5)), (0.6, (0.1, 1.5))]
+    )
+    def test_weights_outside_the_unit_interval(self, eps_true, eps_grid):
+        from eqsentinel.envs import trace
+
+        with pytest.raises(DomainError):
+            trace.prey_episode_trace(eps_true, eps_grid, np.random.default_rng(1))

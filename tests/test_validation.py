@@ -38,12 +38,13 @@ from eqsentinel.stochastic import (
     StochasticGameModel,
     chi_square_div,
     exploitability,
-    lr_detection_bound,
     matrix_game_solve,
     model_from_text,
     policy_from_text,
     stationary_distribution,
 )
+
+from _oracles import lr_detection_bound
 
 GAME = two_player_game(np.eye(2), np.eye(2))
 
