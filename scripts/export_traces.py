@@ -28,7 +28,7 @@ if __name__ == "__main__":
     )
     out = parser.parse_args().out
     tab = soccer.soccer_build_model()
-    solution = shapley_solve_arrays(tab.native_reward, tab.model.transition, SolverConfig())
+    solution = shapley_solve_arrays(tab.native_reward, tab.model.kernel, SolverConfig())
     attacker = smooth_policy(solution.row_policy, 0.05)
     defender = smooth_policy(solution.col_policy, 0.05)
     afraid = Policy(soccer.afraid_transform(attacker.table))

@@ -28,7 +28,7 @@ from functools import cache
 import numpy as np
 
 from ..errors import ShapeError, StateError
-from ..stochastic import StochasticGameModel
+from ..stochastic import StochasticGameModel, _sparse_rows
 
 ACTION_NAMES = ("N", "S", "E", "W", "X")
 NUM_ACTIONS = 5
@@ -206,7 +206,8 @@ def soccer_build_model() -> SoccerTabularGame:
     """Weigh every outcome of the collision rules into an exact transition
     kernel: the commanded move with probability 1 - SLIP_PROB, the slip to
     Wait with SLIP_PROB (one branch when Wait was commanded), each split by
-    the coin where two outcomes remain.
+    the coin where two outcomes remain. The kernel is built as its nonzero
+    rows, never as the dense 128 MB array.
 
     Terminal states (and the unreachable same-cell states) are absorbing
     with zero native reward.
@@ -215,26 +216,30 @@ def soccer_build_model() -> SoccerTabularGame:
     ids = np.arange(NUM_STATES)
     goal = np.where(ids % 2, CONCEDE_REWARD, SCORE_REWARD)
     reward = np.where(terminal, STEP_COST + goal, STEP_COST)
-    transition = np.zeros((NUM_STATES, NUM_ACTIONS, NUM_ACTIONS, NUM_STATES))
-    native = np.zeros((NUM_STATES, NUM_ACTIONS, NUM_ACTIONS))
-    transition[ids[absorbing], :, :, ids[absorbing]] = 1.0
+    shape = (NUM_STATES, NUM_ACTIONS, NUM_ACTIONS, NUM_STATES)
+    native = np.zeros(shape[:3])
+    s, a, b = np.nonzero(np.broadcast_to(absorbing[:, None, None], first.shape))
+    # Kernel entries as flat positions in ``shape`` and probabilities.
+    flats, probs = [np.ravel_multi_index((s, a, b, s), shape)], [np.ones(s.size)]
 
     def weigh(s, a, b, effective_b, p_slip):
         # Outcome 0, then the coin's outcome 1: with the commanded branch
-        # weighed before the slip, the native reward sums in a fixed order.
+        # weighed before the slip, each sum runs in a fixed order.
         n, flip = first[s, a, effective_b], coin[s, a, effective_b]
         p = p_slip * np.where(flip, 0.5, 1.0)
         for s, a, b, n, p in ((s, a, b, n, p), (s[flip], a[flip], b[flip], n[flip] + 1, p[flip])):
-            transition[s, a, b, n] += p
+            flats.append(np.ravel_multi_index((s, a, b, n), shape))
+            probs.append(p)
             native[s, a, b] += p * reward[n]
 
     s, a, b = np.nonzero(np.broadcast_to(~absorbing[:, None, None], first.shape))
     weigh(s, a, b, b, np.where(b == WAIT, 1.0, 1.0 - SLIP_PROB))
     slip = b != WAIT
     weigh(s[slip], a[slip], b[slip], WAIT, SLIP_PROB)
+    kernel = _sparse_rows(np.concatenate(flats), np.concatenate(probs), native.size, NUM_STATES)
     scaled = (native + NATIVE_OFFSET) / NATIVE_SCALE
     rewards = np.stack([scaled, 1.0 - scaled])
-    model = StochasticGameModel(rewards=rewards, transition=transition, discount=0.95)
+    model = StochasticGameModel(rewards=rewards, transition=kernel, discount=0.95)
     return SoccerTabularGame(model=model, native_reward=native, terminal=terminal.copy())
 
 

@@ -41,7 +41,6 @@ from ..stochastic import (
     Policy,
     SolverConfig,
     _backup,
-    _kernel_rows,
     exploitability,
     kl_quadratic_check,
     log_likelihood_ratios,
@@ -434,7 +433,7 @@ SoccerSolveConfig = SolverConfig
 
 def _solve_soccer(config: SolverConfig):
     tab = soccer.soccer_build_model()
-    return tab, shapley_solve_arrays(tab.native_reward, tab.model.transition, config)
+    return tab, shapley_solve_arrays(tab.native_reward, tab.model.kernel, config)
 
 
 def run_soccer_solve(config: SolverConfig, out_dir: Path) -> ExperimentResult:
@@ -447,8 +446,7 @@ def run_soccer_solve(config: SolverConfig, out_dir: Path) -> ExperimentResult:
     pol_a.write_text(policy_to_text(smoothed_a))
     pol_b.write_text(policy_to_text(smoothed_b))
     # Residual of one more sweep, as a fixed-point certificate.
-    kernel = _kernel_rows(tab.model.transition.reshape(-1, tab.model.num_states))
-    backup = _backup(*kernel, solution.values).reshape(tab.native_reward.shape)
+    backup = _backup(*tab.model.kernel, solution.values).reshape(tab.native_reward.shape)
     q = tab.native_reward + config.discount * backup
     resolve = np.array([matrix_game_solve(q[s]).value for s in range(q.shape[0])])
     post_residual = float(np.max(np.abs(resolve - solution.values)))

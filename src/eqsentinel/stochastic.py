@@ -6,6 +6,8 @@ candidate policy through per-round likelihood ratios, optionally averaged
 over a finite set of hypothesized alternatives. The solver side computes
 per-state matrix-game equilibria and runs value iteration on their values,
 backing them up through the transition kernel's nonzeros with numpy alone.
+A tabular model stores its kernel as those nonzero rows only; the dense
+(S, actions..., S) array is a read-only view built on first read.
 """
 
 from __future__ import annotations
@@ -53,39 +55,52 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StochasticGameModel:
     """Tabular model: rewards in [0, 1], a row-stochastic kernel, a discount.
 
     Environment-native rewards outside [0, 1] are stored through an affine
     rescaling; the Shapley iteration is affine-invariant, so equilibrium
     policies are unaffected.
+
+    The kernel is stored only as its nonzero rows: ``kernel`` is the
+    ``(probs, cols)`` pair of ``_kernel_rows``, one row per state and joint
+    action in C order. ``transition`` takes those rows, or a dense
+    (S, |A_1|, ..., |A_n|, S) array, which is scanned into them once. Read
+    back, ``transition`` is that dense array as a read-only view, built on
+    first read and cached.
     """
 
     rewards: np.ndarray  # (num_players, S, |A_1|, ..., |A_n|)
-    transition: np.ndarray  # (S, |A_1|, ..., |A_n|, S)
+    kernel: tuple[np.ndarray, np.ndarray]  # (probs, cols), each (K, S * |A_1| * ... * |A_n|)
     discount: float
 
-    def __post_init__(self) -> None:
-        r = np.asarray(self.rewards, dtype=float)
-        p = np.asarray(self.transition, dtype=float)
+    def __init__(self, rewards, transition, discount: float) -> None:
+        r = np.asarray(rewards, dtype=float)
         if r.ndim < 3 or r.size == 0:
             raise ShapeError("rewards must be a nonempty (players, states, actions...) tensor")
-        n = r.shape[0]
-        num_states = r.shape[1]
-        if r.ndim != n + 2:
-            raise ShapeError(f"reward tensor rank does not match {n} players")
-        if p.shape != (num_states, *r.shape[2:], num_states):
-            raise ShapeError("transition shape does not match rewards")
+        if r.ndim != r.shape[0] + 2:
+            raise ShapeError(f"reward tensor rank does not match {r.shape[0]} players")
+        kernel = _as_rows(transition, r.shape[1:])
         # Written as not (lo <= x <= hi) so that a NaN, which min, max and
         # sum carry through, fails the test.
         if not (0.0 <= r.min() and r.max() <= 1.0):
             raise DomainError("rewards must lie in [0, 1]")
-        check_distribution(p, "transition rows", ROW_TOL)
-        if not 0.0 < self.discount < 1.0:
+        check_distribution(kernel[0].T, "transition rows", ROW_TOL)
+        if not 0.0 < discount < 1.0:
             raise DomainError("discount must lie strictly inside (0, 1)")
         object.__setattr__(self, "rewards", r)
-        object.__setattr__(self, "transition", p)
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "discount", discount)
+
+    @functools.cached_property
+    def transition(self) -> np.ndarray:
+        probs, cols = self.kernel
+        dense = np.zeros((probs.shape[1], self.num_states))
+        # Padding adds 0.0 at column 0, which leaves every entry as it is.
+        np.add.at(dense, (np.broadcast_to(np.arange(dense.shape[0]), cols.shape), cols), probs)
+        dense.flags.writeable = False
+        return dense.reshape(*self.rewards.shape[1:], self.num_states)
 
     @property
     def num_players(self) -> int:
@@ -537,9 +552,8 @@ def _equalize(payoffs: np.ndarray, rows: np.ndarray, cols: np.ndarray):
 
 
 def _kernel_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(probs, cols)``, both (K, rows): each row's nonzeros in column order,
-    K for the longest row, shorter rows padded with probability 0 at column 0.
-    Scanned in blocks of ``_SCAN_ROWS`` rows; NaN and inf are nonzero."""
+    """``_sparse_rows`` of a dense matrix's nonzeros, scanned in blocks of
+    ``_SCAN_ROWS`` rows; NaN and inf are nonzero."""
     num_rows, num_cols = matrix.shape
     data, flats = [], []
     for start in range(0, num_rows, _SCAN_ROWS):
@@ -547,14 +561,47 @@ def _kernel_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         flat = np.flatnonzero(block != 0.0)
         data.append(block[flat])
         flats.append(flat + start * num_cols)
-    rows, cols = np.divmod(np.concatenate(flats), num_cols)
+    return _sparse_rows(np.concatenate(flats), np.concatenate(data), num_rows, num_cols)
+
+
+def _sparse_rows(flats, data, num_rows: int, num_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(probs, cols)``, both (K, rows), of the matrix with entries ``data``
+    at the flat positions ``flats``; entries listed at one position are added
+    onto 0.0 in the order listed, as repeated ``matrix[flats] += data`` would
+    add them. Each row holds its entries in column order, K for the longest
+    row, shorter rows padded with probability 0 at column 0."""
+    flats, where = np.unique(flats, return_inverse=True)
+    values = np.zeros(flats.size)
+    np.add.at(values, where, data)
+    rows, cols = np.divmod(flats, num_cols)
     counts = np.bincount(rows, minlength=num_rows)
     slots = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
     probs = np.zeros((counts.max(initial=0), num_rows))
     padded = np.zeros(probs.shape, dtype=np.intp)
-    probs[slots, rows] = np.concatenate(data)
+    probs[slots, rows] = values
     padded[slots, rows] = cols
     return probs, padded
+
+
+def _as_rows(transition, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(probs, cols)`` rows of a kernel over ``shape`` = (S, actions...),
+    given as such rows or as a dense (*shape, S) array; ``ShapeError`` unless
+    it fits ``shape`` with integer columns in [0, S)."""
+    num_states, num_rows = shape[0], math.prod(shape)
+    if not isinstance(transition, tuple):
+        dense = np.asarray(transition, dtype=float)
+        if dense.shape != (*shape, num_states):
+            raise ShapeError("transition shape does not match rewards")
+        return _kernel_rows(dense.reshape(num_rows, num_states))
+    if len(transition) != 2:
+        raise ShapeError("kernel rows are a (probs, cols) pair")
+    probs, cols = np.asarray(transition[0], dtype=float), np.asarray(transition[1])
+    if not (probs.ndim == 2 and probs.shape[1] == num_rows and cols.shape == probs.shape):
+        raise ShapeError(f"kernel rows must be two (K, {num_rows}) arrays")
+    inside = cols.size == 0 or 0 <= cols.min() and cols.max() < num_states
+    if not (np.issubdtype(cols.dtype, np.integer) and inside):
+        raise ShapeError(f"kernel columns must be integers in [0, {num_states})")
+    return probs, cols
 
 
 def _backup(probs: np.ndarray, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -573,8 +620,10 @@ def shapley_solve_arrays(
     """Value iteration for a two-player zero-sum tabular game.
 
     ``rewards`` is the row player's (S, A_row, A_col) payoff in any affine
-    units; each sweep solves the matrix game of the discounted Q-values per
-    state and stops when the value function moves less than the tolerance.
+    units, and ``transition`` the kernel as ``StochasticGameModel.kernel``
+    stores it or as a dense (S, A_row, A_col, S) array. Each sweep solves the
+    matrix game of the discounted Q-values per state and stops when the value
+    function moves less than the tolerance.
 
     A sweep backs the values up through the kernel's nonzeros (``_backup``),
     takes every pure saddle point at once (the same comparison, and so the
@@ -584,14 +633,13 @@ def shapley_solve_arrays(
     square or does not verify falls back to ``matrix_game_solve``.
     """
     rewards = np.asarray(rewards, dtype=float)
-    transition = np.asarray(transition, dtype=float)
+    if rewards.ndim != 3 or rewards.size == 0:
+        raise ShapeError("rewards must be a nonempty (states, row actions, column actions) tensor")
     num_states, a_row, a_col = rewards.shape
-    if transition.shape != (num_states, a_row, a_col, num_states):
-        raise ShapeError("transition shape does not match rewards")
+    kernel = _as_rows(transition, rewards.shape)
     if not np.all(np.isfinite(rewards)):
         raise DomainError("rewards must be finite")
-    kernel = _kernel_rows(transition.reshape(-1, num_states))
-    # A NaN or inf kernel entry is nonzero, so it is among the kept entries.
+    # A NaN or inf dense entry is nonzero, so it is among the kept entries.
     if not np.all(np.isfinite(kernel[0])):
         raise DomainError("transition entries must be finite")
     states = np.arange(num_states)

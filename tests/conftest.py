@@ -52,7 +52,7 @@ def soccer_game():
 @pytest.fixture(scope="session")
 def soccer_solution(soccer_game):
     return shapley_solve_arrays(
-        soccer_game.native_reward, soccer_game.model.transition, SolverConfig()
+        soccer_game.native_reward, soccer_game.model.kernel, SolverConfig()
     )
 
 

@@ -14,7 +14,7 @@ from _oracles import (
 )
 from eqsentinel.envs import soccer
 from eqsentinel.errors import ShapeError, StateError
-from eqsentinel.stochastic import smooth_policy
+from eqsentinel.stochastic import _kernel_rows, smooth_policy
 
 
 class TestStateSpace:
@@ -157,10 +157,26 @@ class TestTabularModel:
 
     def test_matches_the_reference_builder_bit_for_bit(self, soccer_game):
         reference = soccer_build_model_reference()
-        assert np.array_equal(soccer_game.model.transition, reference.model.transition)
+        assert soccer_game.model.transition.tobytes() == reference.model.transition.tobytes()
         assert np.array_equal(soccer_game.native_reward, reference.native_reward)
         assert np.array_equal(soccer_game.terminal, reference.terminal)
         assert np.array_equal(soccer_game.model.rewards, reference.model.rewards)
+
+    def test_rows_are_the_scan_of_the_reference_kernel(self, soccer_game):
+        # The stored rows are what the blocked scan makes of the dense kernel
+        # the reference builder fills, padding and column dtype included.
+        reference = soccer_build_model_reference().model.transition
+        rows = _kernel_rows(reference.reshape(-1, soccer.NUM_STATES))
+        probs, cols = soccer_game.model.kernel
+        assert probs.tobytes() == rows[0].tobytes() and probs.shape == (3, 20_000)
+        assert cols.tobytes() == rows[1].tobytes() and cols.dtype == rows[1].dtype
+        assert np.count_nonzero(probs) == 29_796
+
+    def test_build_leaves_the_dense_view_unbuilt(self):
+        model = soccer.soccer_build_model().model
+        assert "transition" not in vars(model)
+        assert model.transition.shape == (800, 5, 5, 800)
+        assert "transition" in vars(model)
 
     def test_simulator_matches_model_rows(self, soccer_game):
         # Monte-Carlo frequencies of the simulator against the exact kernel.

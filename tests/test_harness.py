@@ -628,6 +628,63 @@ class TestTrialLoops:
         assert not (tmp_path / "out").exists()
 
 
+class TestSoccerKernelMemory:
+    """Neither soccer subcommand builds the model's dense 128 MB kernel: both
+    solve, and soccer-solve certifies, through the stored rows."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        models = []
+        real = soccer.soccer_build_model
+
+        def recording():
+            tab = real()
+            models.append(tab.model)
+            return tab
+
+        monkeypatch.setattr(soccer, "soccer_build_model", recording)
+        return models
+
+    def test_soccer_solve_leaves_the_dense_view_unbuilt(self, tmp_path, built):
+        result = experiments.run_soccer_solve(SolverConfig(), tmp_path)
+        assert all(result.checks.values())
+        (model,) = built
+        assert "transition" not in vars(model)
+
+    def test_soccer_scaling_leaves_the_dense_view_unbuilt(self, tmp_path, built):
+        run_soccer_scaling(SoccerScalingConfig(trials=1, t_max=200), tmp_path)
+        (model,) = built
+        assert "transition" not in vars(model)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, as Linux reports it")
+    def test_soccer_solve_peaks_under_the_dense_kernel_size(self, tmp_path):
+        # The dense kernel alone is 128 MB. wait4 reads one child's peak, where
+        # RUSAGE_CHILDREN would take the largest of every child so far. A
+        # child's peak also counts the process it was forked from, so the CLI
+        # starts from a small launcher, not from this test process.
+        root = Path(__file__).resolve().parents[1]
+        cli = (
+            "import sys; sys.path.insert(0, {src!r})\n"
+            "from eqsentinel.harness.cli import main\n"
+            "sys.exit(main(['soccer-solve', '--config', {config!r}, '--out', {out!r}]))"
+        ).format(
+            src=str(root / "src"),
+            config=str(root / "configs" / "soccer-solve.cfg"),
+            out=str(tmp_path),
+        )
+        launcher = (
+            "import os, subprocess, sys\n"
+            "child = subprocess.Popen([sys.executable, '-c', {cli!r}], stdout=subprocess.DEVNULL)\n"
+            "_, status, usage = os.wait4(child.pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+        ).format(cli=cli)
+        done = subprocess.run([sys.executable, "-c", launcher], capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        exit_code, peak_kib = map(int, done.stdout.split())
+        assert exit_code == 0
+        assert peak_kib / 1024 < 96
+
+
 def _detected_mean(taus):
     detected = taus[taus > 0]
     return float(detected.mean()) if detected.size else float("nan")

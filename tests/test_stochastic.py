@@ -1055,6 +1055,38 @@ class TestShapleySweep:
         assert_same_solution(sol, shapley_sweep_reference(rewards, transition, config))
         assert len(calls) == 3
 
+    @pytest.mark.parametrize(
+        "rewards, transition",
+        [
+            (np.zeros((2, 2)), np.full((2, 2, 2), 0.5)),
+            (np.zeros((0, 2, 2)), np.zeros((0, 2, 2, 0))),
+            (np.zeros((1, 2, 2)), (np.ones((1, 3)), np.zeros((1, 3), dtype=int))),
+            (np.zeros((1, 2, 2)), (np.ones((1, 4)), np.zeros((2, 4), dtype=int))),
+            (np.zeros((1, 2, 2)), (np.ones((1, 4)), np.full((1, 4), 1))),
+            (np.zeros((1, 2, 2)), (np.ones((1, 4)), np.full((1, 4), -1))),
+        ],
+        ids=["rewards-2d", "zero-states", "rows-wrong-size", "rows-cols-mismatch",
+             "column-at-S", "column-below-0"],
+    )
+    def test_malformed_input_raises_shape_error(self, rewards, transition):
+        with pytest.raises(ShapeError):
+            shapley_solve_arrays(rewards, transition, SolverConfig())
+
+    def test_soccer_rows_match_the_dense_kernel_bit_for_bit(self, soccer_game, caplog):
+        # The stored rows and the dense view reach the same sweeps, solution
+        # and per-path work counts.
+        runs = []
+        for kernel in (soccer_game.model.kernel, soccer_game.model.transition):
+            caplog.clear()
+            with caplog.at_level("DEBUG", logger="eqsentinel.stochastic"):
+                sol = shapley_solve_arrays(soccer_game.native_reward, kernel, SolverConfig())
+            lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("shapley")]
+            runs.append((sol, lines))
+        (rows, rows_log), (dense, dense_log) = runs
+        assert_same_solution(rows, dense)
+        assert rows.iterations == 78
+        assert len(rows_log) == 1 and rows_log == dense_log
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rewards_rejected(self, value):
         # An inf off the saddle point leaves (0, 0) a saddle in every sweep,
@@ -1070,6 +1102,14 @@ class TestShapleySweep:
         transition[0, 1, 1, 0] = value
         with pytest.raises(DomainError, match="transition"):
             shapley_solve_arrays(rewards, transition, SolverConfig())
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_row_entry_rejected(self, value):
+        rewards, transition = small_game(1, 2, 2, 2, False, False, False)
+        probs, cols = stochastic._kernel_rows(transition.reshape(-1, 2))
+        probs[1, 3] = value
+        with pytest.raises(DomainError, match="transition"):
+            shapley_solve_arrays(rewards, (probs, cols), SolverConfig())
 
 
 class TestKernelScan:
@@ -1218,6 +1258,74 @@ class TestMalformedText:
     def test_error_names_the_line(self, parse, text, error, message):
         with pytest.raises(error, match=re.escape(message)):
             parse(text)
+
+
+def rows_model(probs=((0.5, 1.0), (0.5, 0.0)), cols=((0, 1), (1, 0))):
+    """Two states, one action each, from kernel rows: state 0 moves to either
+    state with probability 1/2, and state 1 stays; row 1 is padded."""
+    rewards = np.full((2, 2, 1, 1), 0.5)
+    return StochasticGameModel(rewards, (np.array(probs), np.array(cols)), discount=0.5)
+
+
+class TestModelRows:
+    def test_rows_are_stored_and_the_dense_view_is_built_once(self):
+        model = rows_model()
+        assert "transition" not in vars(model)
+        np.testing.assert_array_equal(model.transition[:, 0, 0], [[0.5, 0.5], [0.0, 1.0]])
+        assert model.transition is model.transition
+
+    def test_dense_view_is_read_only(self):
+        model = rows_model()
+        with pytest.raises(ValueError, match="read-only"):
+            model.transition[0, 0, 0, 0] = 1.0
+
+    def test_dense_input_is_scanned_into_rows(self):
+        model = StochasticGameModel(np.full((2, 2, 1, 1), 0.5), rows_model().transition, 0.5)
+        for stored, expected in zip(model.kernel, rows_model().kernel):
+            assert stored.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_probability_rejected(self, value):
+        with pytest.raises(DomainError, match="transition rows"):
+            rows_model(probs=((0.5, 1.0), (value, 0.0)))
+
+    def test_negative_probability_rejected(self):
+        # Row 0 still sums to 1.
+        with pytest.raises(DomainError, match="nonnegative"):
+            rows_model(probs=((1.5, 1.0), (-0.5, 0.0)))
+
+    @pytest.mark.parametrize("column", [-1, 2, 3], ids=["below-0", "at-S", "above-S"])
+    def test_column_outside_the_states_rejected(self, column):
+        with pytest.raises(ShapeError, match="columns"):
+            rows_model(cols=((0, 1), (column, 0)))
+
+    @pytest.mark.parametrize(
+        "probs, cols",
+        [
+            (((0.5, 1.0), (0.5, 0.0)), ((0, 1),)),
+            (((0.5, 1.0, 0.0), (0.5, 0.0, 0.0)), ((0, 1, 0), (1, 0, 0))),
+            ((0.5, 1.0), (0, 1)),
+        ],
+        ids=["mismatched", "three-rows", "one-dimensional"],
+    )
+    def test_misshapen_rows_rejected(self, probs, cols):
+        with pytest.raises(ShapeError):
+            rows_model(probs, cols)
+
+    def test_rows_other_than_a_pair_rejected(self):
+        probs, cols = rows_model().kernel
+        with pytest.raises(ShapeError, match="pair"):
+            StochasticGameModel(np.full((2, 2, 1, 1), 0.5), (probs, cols, cols), 0.5)
+
+    def test_float_columns_rejected(self):
+        with pytest.raises(ShapeError, match="integers"):
+            rows_model(cols=((0.0, 1.0), (1.0, 0.0)))
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_row_sum_off_by_more_than_row_tol_rejected(self, sign):
+        rows_model(probs=((0.5, 1.0), (0.5 + sign * stochastic.ROW_TOL / 2, 0.0)))
+        with pytest.raises(DomainError, match="sum to 1"):
+            rows_model(probs=((0.5, 1.0), (0.5 + sign * 2 * stochastic.ROW_TOL, 0.0)))
 
 
 class TestModelValidation:
