@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from ..errors import ConfigError, DomainError, ShapeError
-from .config import config_from_mapping, game_from_mapping, load_config, strategy_from_mapping
+from .config import config_from_mapping, parse_kv_text
 from .csvio import format_value
 from .experiments import EXPERIMENTS, run_experiment
 
@@ -29,7 +29,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name, (config_cls, _) in sorted(EXPERIMENTS.items()):
         fields = [f.name for f in dataclasses.fields(config_cls)]
-        defaults = ", ".join(f"{f}={getattr(config_cls(), f)}" for f in fields)
+        defaults = ", ".join(
+            f"{f}={v}" for f in fields if (v := getattr(config_cls(), f)) is not None
+        )
         p = sub.add_parser(name, help=f"defaults: {defaults}")
         p.add_argument("--config", type=Path, help="flat key=value config file")
         if "seed" in fields:
@@ -51,25 +53,16 @@ def main(argv: list[str] | None = None) -> int:
     name = args.experiment
     config_cls, _ = EXPERIMENTS[name]
     try:
-        mapping = load_config(args.config) if args.config else {}
-        declared = mapping.get("experiment")
+        mapping = parse_kv_text(args.config.read_text()) if args.config else {}
+        declared = mapping.pop("experiment", None)
         if declared is not None and declared != name:
             raise ConfigError(
                 f"config declares experiment {declared!r}, command was {name!r}"
             )
         # --seed and --workers, where registered, override the file's keys.
         flags = {k: str(v) for k in ("seed", "workers") if (v := vars(args).get(k)) is not None}
-        config = config_from_mapping(config_cls, {**mapping, **flags}, ignore=("experiment",))
-        out_dir = args.out or Path("results") / name
-        kwargs = {}
-        if name in ("nf-fwer-null", "nf-detect"):
-            game = game_from_mapping(mapping)
-            strategy = strategy_from_mapping(mapping)
-            if game is not None:
-                kwargs["game"] = game
-            if strategy is not None:
-                kwargs["strategy"] = strategy
-        result = run_experiment(name, config, out_dir, **kwargs)
+        config = config_from_mapping(config_cls, {**mapping, **flags})
+        result = run_experiment(name, config, args.out or Path("results") / name)
     except (ConfigError, DomainError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,10 +3,13 @@
 A config file is plain text: one ``key = value`` pair per line, ``#`` starts
 a comment, and the ``experiment`` key selects the subcommand whose dataclass
 the remaining keys populate. Values are coerced from the dataclass field
-types; comma-separated lists map to tuples.
+types; comma-separated lists map to tuples. The dataclass then checks the
+values: a negative ``seed``, for one, is a ``ConfigError``.
 
-The same format can describe a custom normal-form game and generating
-strategy::
+A key that the selected config does not read is an error. Only the configs
+with ``game``/``strategy`` fields (nf-fwer-null and nf-detect) read the
+``game_*``/``strategy_*`` keys, which describe a custom normal-form game and
+generating strategy; for any other experiment they are unknown keys::
 
     game_players = 2
     game_actions = 2,2
@@ -21,7 +24,6 @@ strategy::
 from __future__ import annotations
 
 import dataclasses
-from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -51,10 +53,6 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return out
 
 
-def load_config(path: str | Path) -> dict[str, str]:
-    return parse_kv_text(Path(path).read_text())
-
-
 def _coerce(value: str, annotation: Any, key: str) -> Any:
     if get_origin(annotation) is tuple:
         item_type = get_args(annotation)[0]
@@ -67,42 +65,46 @@ def _coerce(value: str, annotation: Any, key: str) -> Any:
         raise ConfigError(f"{key}: expected {annotation.__name__}, got {value!r}") from None
 
 
-def _values(mapping: dict[str, str], key: str, kind: type = float) -> tuple:
-    """The comma-separated values of a required key."""
+def _take(mapping: dict[str, str], key: str, kind: type = float) -> tuple:
+    """Remove a required key from ``mapping``; returns its comma-separated values."""
     if key not in mapping:
         raise ConfigError(f"missing {key}")
-    return _coerce(mapping[key], tuple[kind, ...], key)
+    return _coerce(mapping.pop(key), tuple[kind, ...], key)
 
 
-def config_from_mapping(cls, mapping: dict[str, str], ignore: tuple[str, ...] = ()):
-    """Build an experiment config dataclass from parsed key=value pairs."""
+def config_from_mapping(cls, mapping: dict[str, str]):
+    """Build an experiment config dataclass from parsed key=value pairs; a
+    key that no field reads is an error."""
     hints = get_type_hints(cls)
     fields = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+    rest = dict(mapping)
     kwargs = {}
-    for key, value in mapping.items():
-        if key in ignore or key.startswith(("game_", "strategy_")):
-            continue
+    custom = "game" in fields
+    if custom:
+        # Each reader removes the keys it reads; the rest go to the fields.
+        kwargs = {"game": game_from_mapping(rest), "strategy": strategy_from_mapping(rest)}
+        del fields["game"], fields["strategy"]
+    for key, value in rest.items():
         if key not in fields:
-            raise ConfigError(
-                f"unknown key {key!r} for {cls.__name__}; "
-                f"valid keys: {sorted(fields)}"
-            )
+            valid = sorted(fields) + (["game_*", "strategy_*"] if custom else [])
+            raise ConfigError(f"unknown key {key!r} for {cls.__name__}; valid keys: {valid}")
         kwargs[key] = _coerce(value, fields[key], key)
     return cls(**kwargs)
 
 
 def game_from_mapping(mapping: dict[str, str]) -> NormalFormGame | None:
-    """Build a game from ``game_*`` keys, or None when they are absent."""
+    """Build a game from the ``game_*`` keys it removes from ``mapping``, or
+    None when ``game_players`` is absent."""
     if "game_players" not in mapping:
         return None
-    players = _coerce(mapping["game_players"], int, "game_players")
-    counts = _values(mapping, "game_actions", int)
+    players = _coerce(mapping.pop("game_players"), int, "game_players")
+    counts = _take(mapping, "game_actions", int)
     if len(counts) != players or min(counts, default=0) < 1:
         raise ConfigError("game_actions must list one positive count per player")
     payoffs = []
     for i in range(1, players + 1):
         key = f"game_payoffs_{i}"
-        flat = np.array(_values(mapping, key))
+        flat = np.array(_take(mapping, key))
         if flat.size != int(np.prod(counts)):
             raise ConfigError(f"{key}: expected {int(np.prod(counts))} entries")
         payoffs.append(flat.reshape(counts))
@@ -110,15 +112,16 @@ def game_from_mapping(mapping: dict[str, str]) -> NormalFormGame | None:
 
 
 def strategy_from_mapping(mapping: dict[str, str]) -> JointStrategy | None:
-    """Build a strategy from ``strategy_*`` keys, or None when absent."""
+    """Build a strategy from the ``strategy_*`` keys it removes from
+    ``mapping``, or None when ``strategy_kind`` is absent."""
     if "strategy_kind" not in mapping:
         return None
-    kind = mapping["strategy_kind"].strip().lower()
+    kind = mapping.pop("strategy_kind").strip().lower()
     if kind == "product":
         factors = []
         i = 1
         while f"strategy_{i}" in mapping:
-            factors.append(np.array(_values(mapping, f"strategy_{i}")))
+            factors.append(np.array(_take(mapping, f"strategy_{i}")))
             i += 1
         if not factors:
             raise ConfigError("product strategy needs strategy_1, strategy_2, ...")
@@ -126,8 +129,8 @@ def strategy_from_mapping(mapping: dict[str, str]) -> JointStrategy | None:
     if kind == "full":
         if "strategy_joint" not in mapping or "strategy_shape" not in mapping:
             raise ConfigError("full strategy needs strategy_joint and strategy_shape")
-        shape = _values(mapping, "strategy_shape", int)
-        flat = np.array(_values(mapping, "strategy_joint"))
+        shape = _take(mapping, "strategy_shape", int)
+        flat = np.array(_take(mapping, "strategy_joint"))
         if min(shape, default=0) < 1 or flat.size != int(np.prod(shape)):
             raise ConfigError(f"strategy_joint has {flat.size} entries; strategy_shape is {shape}")
         return JointStrategy.full(flat.reshape(shape))

@@ -127,9 +127,12 @@ def fit_loglog_slope(points) -> tuple[float, float]:
 
 
 def _validate_config(config, alphas=(), fractions=()) -> None:
-    """Reject a config with an empty list, a count below 1, an alpha outside
-    (0, 1), a betting fraction outside (0, 1], a crossing threshold not above
-    1 or infinite, or an unknown mixture, before any artifact directory exists."""
+    """Reject a config with a negative seed, an empty list, a count below 1,
+    an alpha outside (0, 1), a betting fraction outside (0, 1], a crossing
+    threshold not above 1 or infinite, or an unknown mixture, before any
+    artifact directory exists."""
+    if config.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {config.seed}")
     for field in dataclasses.fields(config):
         if getattr(config, field.name) == ():
             raise ConfigError(f"{field.name} must list at least one value")
@@ -175,19 +178,17 @@ class NullGridConfig:
     horizon: int = 4000
     lambdas: tuple[float, ...] = (0.05, 0.1, 0.15, 0.4)
     alphas: tuple[float, ...] = (0.2, 0.1, 0.05)
+    #: A custom game and generating strategy; None plays the two-signal scenario's.
+    game: NormalFormGame | None = None
+    strategy: JointStrategy | None = None
 
     def __post_init__(self) -> None:
         _validate_config(self, self.alphas, self.lambdas)
 
 
-def run_nf_fwer_null(
-    config: NullGridConfig,
-    out_dir: Path,
-    game: NormalFormGame | None = None,
-    strategy: JointStrategy | None = None,
-) -> ExperimentResult:
-    game = game or scenarios.two_signal_game()
-    strategy = strategy or scenarios.two_signal_nash()
+def run_nf_fwer_null(config: NullGridConfig, out_dir: Path) -> ExperimentResult:
+    game = config.game or scenarios.two_signal_game()
+    strategy = config.strategy or scenarios.two_signal_nash()
     strategy.check_compatible(game)
     hypotheses = enumerate_hypotheses(game, EquilibriumMode.NASH)
     tables = nfstreams.increment_tables(game, hypotheses)
@@ -230,19 +231,17 @@ class DetectConfig:
     horizon: int = 4000
     alpha: float = 0.2
     betting_fraction: float = 0.05
+    #: A custom game and generating strategy; None plays the two-signal scenario's.
+    game: NormalFormGame | None = None
+    strategy: JointStrategy | None = None
 
     def __post_init__(self) -> None:
         _validate_config(self, (self.alpha,), (self.betting_fraction,))
 
 
-def run_nf_detect(
-    config: DetectConfig,
-    out_dir: Path,
-    game: NormalFormGame | None = None,
-    strategy: JointStrategy | None = None,
-) -> ExperimentResult:
-    game = game or scenarios.two_signal_game()
-    strategy = strategy or scenarios.two_signal_alternative()
+def run_nf_detect(config: DetectConfig, out_dir: Path) -> ExperimentResult:
+    game = config.game or scenarios.two_signal_game()
+    strategy = config.strategy or scenarios.two_signal_alternative()
     strategy.check_compatible(game)
     hypotheses = enumerate_hypotheses(game, EquilibriumMode.NASH)
     tables = nfstreams.increment_tables(game, hypotheses)
@@ -513,14 +512,14 @@ def _cumulative_rows(table) -> list:
 def _trial_taus(trial, tables, fixed: tuple, trials: int, workers: int) -> np.ndarray:
     """Run ``trial((cell, run, *fixed, *tables[cell]))`` for every cell of the
     lazy ``tables`` and every run, over ``workers`` processes; returns the
-    (cells, trials) float array of taus, -1 where a trial never crossed."""
+    (cells, trials) float array of taus, -1 where a trial never crossed.
+    ``_pmap`` returns results in task order, cell by cell."""
     tasks = (
         (cell, run, *fixed, *table)
         for cell, table in enumerate(tables)
         for run in range(trials)
     )
-    results = sorted(_pmap(trial, tasks, workers))
-    return np.array([tau for _, _, tau in results], dtype=float).reshape(-1, trials)
+    return np.array(_pmap(trial, tasks, workers), dtype=float).reshape(-1, trials)
 
 
 def _trial_rows(values, taus) -> list:
@@ -539,8 +538,9 @@ def _soccer_tables(eps, null_table, afraid_table) -> tuple[list, list]:
     return _cumulative_rows(alt_table), log_ratio.tolist()
 
 
-def _soccer_trial(args) -> tuple[int, int, int]:
-    """One monitored stream of concatenated episodes; returns (cell, run, tau).
+def _soccer_trial(args) -> int:
+    """One monitored stream of concatenated episodes; returns the crossing
+    round tau, or -1.
 
     The match runs over state ids (:func:`soccer.kickoff_successors`) and
     reads the players' cumulative rows and the log ratios as nested lists.
@@ -568,7 +568,7 @@ def _soccer_trial(args) -> tuple[int, int, int]:
         a_act = bisect_right(cum_a[s], u[i])
         log_lr += log_ratio[s][a_act]
         if log_lr >= log_b:
-            return cell, run, t
+            return t
         b_act = wait if u[i + 2] < slip else bisect_right(cum_b[s], u[i + 1])
         nxt = successors[s][actions * a_act + b_act]
         i += 3
@@ -577,7 +577,7 @@ def _soccer_trial(args) -> tuple[int, int, int]:
         else:
             s = nxt[u[i] < 0.5]
             i += 1
-    return cell, run, -1
+    return -1
 
 
 def run_soccer_scaling(
@@ -665,8 +665,8 @@ def _prey_tables(eps_true, eps_grid) -> tuple[list, list]:
     return _cumulative_rows(played), log_inc.tolist()
 
 
-def _prey_trial(args) -> tuple[int, int, int]:
-    """One monitored pursuit stream; returns (cell, run, tau).
+def _prey_trial(args) -> int:
+    """One monitored pursuit stream; returns the crossing round tau, or -1.
 
     The pursuit runs over cell ids (:func:`prey.pursuit_tables`) and draws
     in the order of the object-level loop: the suspect's uniform, then, as
@@ -719,7 +719,7 @@ def _prey_trial(args) -> tuple[int, int, int]:
             and top + math.log(sum([exp(x - top) for x in log_lr])) - log_size >= near
             and _log_mix(np.array(log_lr), weights) >= log_b
         ):
-            return cell, run, t
+            return t
         if held < 0:
             w, x = words[i + 1], words[i + 2]
             i += 3
@@ -749,7 +749,7 @@ def _prey_trial(args) -> tuple[int, int, int]:
         honest_2 = moves[honest_2][(h_2 * actions) >> 32]
         target = moves[target][(h_3 * actions) >> 32]
         steps += 1
-    return cell, run, -1
+    return -1
 
 
 def run_prey_mixture(config: PreyMixtureConfig, out_dir: Path) -> ExperimentResult:
