@@ -52,7 +52,7 @@ from ..stochastic import (
 )
 from . import nfstreams, scenarios
 from .csvio import write_csv, write_figure_data, write_summary
-from .seeding import DEFAULT_SEED, run_rng
+from .seeding import DEFAULT_SEED, run_rng, run_rngs
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,7 @@ def run_nf_fwer_null(config: NullGridConfig, out_dir: Path) -> ExperimentResult:
     for cell, (lam, alpha) in enumerate(cells):
         mixture = BettingMixture.dirac(lam)
         factors = nfstreams.log_factors(tables, mixture)
-        rngs = [run_rng(config.seed, cell, run) for run in range(config.runs)]
+        rngs = run_rngs(config.seed, cell, config.runs)
         levels = np.full((1, m), math.log(m / alpha))
         rounds, _ = nfstreams.replay_runs(strategy, factors, mixture, config.horizon, rngs, levels)
         for run, first in enumerate(_first(rounds[0])):
@@ -249,7 +249,7 @@ def run_nf_detect(config: DetectConfig, out_dir: Path) -> ExperimentResult:
     weights = np.full(m, 1.0 / m)
     mixture = BettingMixture.dirac(config.betting_fraction)
     factors = nfstreams.log_factors(tables, mixture)
-    rngs = [run_rng(config.seed, 0, run) for run in range(config.runs)]
+    rngs = run_rngs(config.seed, 0, config.runs)
     # Level stack: the FWER threshold m/alpha, then the e-BH ladder.
     levels = np.vstack([np.full(m, math.log(m / config.alpha)), _log_ladder(config.alpha, weights)])
     rounds, last = nfstreams.replay_runs(strategy, factors, mixture, config.horizon, rngs, levels)
@@ -337,7 +337,7 @@ def run_nf_sensitivity(config: SensitivityConfig, out_dir: Path) -> ExperimentRe
     factors = {name: nfstreams.log_factors(tables, mix) for name, mix in mixtures}
     for cell, (alpha, eta, name, mix) in enumerate(cells):
         strategy = scenarios.sensitivity_profile(eta)
-        rngs = [run_rng(config.seed, cell, run) for run in range(config.runs)]
+        rngs = run_rngs(config.seed, cell, config.runs)
         # Any crossing before the signal's is evaluated by the time it is
         # reached, so the run ends there and tau_stop is already settled.
         rounds, _ = nfstreams.replay_runs(
@@ -898,8 +898,7 @@ def run_oracle_suite(config: OracleSuiteConfig, out_dir: Path) -> ExperimentResu
 
     # Midpoint quadrature against exact polynomial integration.
     mixture = BettingMixture.uniform_grid(ORACLE_GRID_NODES)
-    for i in range(config.streams):
-        rng = run_rng(config.seed, 0, i)
+    for i, rng in enumerate(run_rngs(config.seed, 0, config.streams)):
         length = int(rng.integers(1, STREAM_MAX_LEN + 1))
         xs = rng.uniform(-0.9, 0.9, size=length)
         exact = exact_uniform_mixture(xs)
@@ -909,16 +908,14 @@ def run_oracle_suite(config: OracleSuiteConfig, out_dir: Path) -> ExperimentResu
         rows.append(("quadrature", i, rel))
 
     # LP solutions against pure best-response enumeration.
-    for i in range(config.matrices):
-        rng = run_rng(config.seed, 1, i)
+    for i, rng in enumerate(run_rngs(config.seed, 1, config.matrices)):
         payoff = rng.random((MATRIX_DIM, MATRIX_DIM))
         sol = matrix_game_solve(payoff)
         gap = exploitability(payoff, sol.row_strategy, sol.col_strategy, sol.value)
         rows.append(("matrix-exploitability", i, gap))
 
     # Exact state reduction (GTH) against a dense eigensolver.
-    for i in range(config.chains):
-        rng = run_rng(config.seed, 2, i)
+    for i, rng in enumerate(run_rngs(config.seed, 2, config.chains)):
         chain = rng.random((CHAIN_DIM, CHAIN_DIM)) + 0.05
         chain /= chain.sum(axis=1, keepdims=True)
         mu = stationary_distribution(chain)
@@ -930,8 +927,8 @@ def run_oracle_suite(config: OracleSuiteConfig, out_dir: Path) -> ExperimentResu
         rows.append(("stationary", i, err))
 
     # Expected-payoff path against exact rational enumeration.
-    for i in range(RATIONAL_GAMES):
-        err = _rational_gain_error(run_rng(config.seed, 3, i))
+    for i, rng in enumerate(run_rngs(config.seed, 3, RATIONAL_GAMES)):
+        err = _rational_gain_error(rng)
         rows.append(("rational-gain", i, err))
 
     # numpy's max, unlike Python's, keeps a NaN error, so its gate fails.

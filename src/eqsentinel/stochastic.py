@@ -35,7 +35,6 @@ EQUALIZER_TOL = 1e-9
 _SCREEN_MARGIN = 1e-12
 _PIVOT_TOL = 1e-9
 
-MODEL_HEADER = "eqsentinel-model v1"
 POLICY_HEADER = "eqsentinel-policy v1"
 
 #: Rows of the dense kernel scanned for nonzeros at a time, so the scan's mask
@@ -101,10 +100,6 @@ class StochasticGameModel:
         np.add.at(dense, (np.broadcast_to(np.arange(dense.shape[0]), cols.shape), cols), probs)
         dense.flags.writeable = False
         return dense.reshape(*self.rewards.shape[1:], self.num_states)
-
-    @property
-    def num_players(self) -> int:
-        return self.rewards.shape[0]
 
     @property
     def num_states(self) -> int:
@@ -755,39 +750,3 @@ def policy_from_text(text: str) -> Policy:
     rows = [reader.read(None, count=num_actions) for _ in range(num_states)]
     reader.end()
     return Policy(np.array(rows))
-
-
-def model_to_text(model: StochasticGameModel) -> str:
-    lines = [
-        MODEL_HEADER,
-        f"players {model.num_players}",
-        f"states {model.num_states}",
-        "actions " + " ".join(str(a) for a in model.action_counts),
-        f"discount {model.discount!r}",
-    ]
-    for i in range(model.num_players):
-        lines.append(f"rewards {i} " + format_floats(model.rewards[i].ravel()))
-    lines.append("transition " + format_floats(model.transition.ravel()))
-    return "\n".join(lines) + "\n"
-
-
-def model_from_text(text: str) -> StochasticGameModel:
-    reader = LineReader(text, MODEL_HEADER)
-    (players,) = reader.read("players", int, valid=lambda n: n >= 1)
-    (states,) = reader.read("states", int, valid=lambda n: n >= 1)
-    actions = tuple(reader.read("actions", int, players, valid=lambda n: n >= 1))
-    (discount,) = reader.read("discount")
-    size = states * math.prod(actions)
-    rewards = np.empty((players, size))
-    for i in range(players):
-        values = reader.read("rewards", count=1 + size)
-        if values[0] != i:
-            raise DomainError(f"line {reader.lineno}: malformed rewards block")
-        rewards[i] = values[1:]
-    transition = np.array(reader.read("transition", count=size * states))
-    reader.end()
-    return StochasticGameModel(
-        rewards=rewards.reshape(players, states, *actions),
-        transition=transition.reshape(states, *actions, states),
-        discount=discount,
-    )

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles
@@ -50,7 +50,7 @@ from eqsentinel.harness.experiments import (
     run_prey_mixture,
     run_soccer_scaling,
 )
-from eqsentinel.harness.seeding import DEFAULT_SEED, run_rng
+from eqsentinel.harness.seeding import DEFAULT_SEED, run_rng, run_rngs
 from eqsentinel.eprocess import BettingMixture
 from eqsentinel.games import EquilibriumMode, JointStrategy
 from eqsentinel.monitors import enumerate_hypotheses
@@ -144,6 +144,46 @@ class TestSeeding:
         a = run_rng(123, 4, 5).random(8)
         b = run_rng(123, 4, 6).random(8)
         assert not np.array_equal(a, b)
+
+    @settings(deadline=None)
+    @given(
+        master=st.integers(0, 2**160 - 1),
+        cell=st.integers(0, 2**40 - 1),
+        runs=st.integers(0, 70),
+    )
+    # Multi-word keys, always: a master past the pool's 4 words, a 2-word cell.
+    @example(master=2**130 + 9, cell=2**33 + 1, runs=3)
+    @example(master=2**64 - 1, cell=2**32, runs=1)
+    def test_batch_equals_one_generator_per_run(self, master, cell, runs):
+        batch = run_rngs(master, cell, runs)
+        assert len(batch) == runs
+        for run, rng in enumerate(batch):
+            reference = run_rng(master, cell, run)
+            assert rng.bit_generator.state == reference.bit_generator.state
+            assert np.array_equal(rng.random(8), reference.random(8))
+
+    @pytest.mark.parametrize("master, cell", [(-1, 0), (5, -1)], ids=["master", "cell"])
+    def test_batch_refuses_a_negative_key_as_run_rng_does(self, master, cell):
+        for make in (run_rng, run_rngs):
+            with pytest.raises(ValueError, match="non-negative"):
+                make(master, cell, 2)
+
+    @pytest.mark.parametrize(
+        "name, config",
+        [
+            ("nf-fwer-null", NullGridConfig(runs=3, horizon=200)),
+            ("nf-detect", DetectConfig(runs=3, horizon=200)),
+            ("nf-sensitivity", SensitivityConfig(runs=3, horizon=200, etas=(0.1,))),
+            ("oracle-suite", experiments.OracleSuiteConfig(streams=3, matrices=3, chains=3)),
+        ],
+    )
+    def test_batch_runners_never_seed_one_run(self, tmp_path, monkeypatch, name, config):
+        def refused(*key):
+            raise AssertionError(f"run_rng{key} called")
+
+        monkeypatch.setattr(experiments, "run_rng", refused)
+        experiments.run_experiment(name, config, tmp_path)
+        assert (tmp_path / "runs.csv").is_file()
 
 
 class TestSlopeFit:
@@ -1290,6 +1330,43 @@ class TestExportTracesScript:
         traces = self.SCRIPT.parents[1] / "results" / "traces"
         assert [path.parent for path in written] == [traces] * 3
         assert list(tmp_path.iterdir()) == []
+
+
+class TestRunAllArtifacts:
+    """Every file ``scripts/run_all.py`` writes for the checked-in configs is
+    pinned by its sha256 in ``tests/golden/artifacts.sha256``, so a change
+    that moves any byte of any artifact fails here. The bytes depend on the
+    numpy release, which the table's header names."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+    TABLE = ROOT / "tests" / "golden" / "artifacts.sha256"
+
+    def test_every_artifact_matches_its_digest(self, tmp_path, monkeypatch):
+        text = self.TABLE.read_text()
+        recorded = re.search(r"numpy (\S+?)\.?$", text.splitlines()[0]).group(1)
+        expected = dict(
+            line.split("  ")[::-1] for line in text.splitlines() if not line.startswith("#")
+        )
+        script = self.ROOT / "scripts" / "run_all.py"
+        monkeypatch.setattr(sys, "argv", [str(script), str(tmp_path)])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_path(str(script), run_name="__main__")
+        assert done.value.code == 0
+        got = {
+            path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.rglob("*")
+            if path.is_file()
+        }
+        assert sorted(got) == sorted(expected)
+        mismatched = [
+            f"{name}: table {expected[name]}, written {got[name]}"
+            for name in sorted(got)
+            if got[name] != expected[name]
+        ]
+        assert not mismatched, (
+            f"recorded under numpy {recorded}, running numpy {np.__version__}:\n"
+            + "\n".join(mismatched)
+        )
 
 
 @pytest.mark.parametrize("script", ["export_traces.py", "run_all.py"])

@@ -35,8 +35,6 @@ from eqsentinel.stochastic import (
     MatrixGameSolution,
     kl_divergence,
     log_likelihood_ratios,
-    model_from_text,
-    model_to_text,
     policy_from_text,
     policy_to_text,
     shapley_solve_arrays,
@@ -1205,17 +1203,6 @@ class TestSerialization:
             policy.table, rel=0, abs=0
         )
 
-    def test_model_round_trip(self):
-        rng = np.random.default_rng(10)
-        rewards = rng.random((2, 3, 2, 2))
-        transition = rng.random((3, 2, 2, 3)) + 0.01
-        transition /= transition.sum(axis=-1, keepdims=True)
-        model = StochasticGameModel(rewards, transition, discount=0.9)
-        restored = model_from_text(model_to_text(model))
-        assert restored.rewards == pytest.approx(model.rewards, rel=0, abs=0)
-        assert restored.transition == pytest.approx(model.transition, rel=0, abs=0)
-        assert restored.discount == model.discount
-
     def test_kl_divergence_helper(self):
         assert kl_divergence([0.5, 0.5], [0.5, 0.5]) == 0.0
         assert kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(math.log(2))
@@ -1224,10 +1211,6 @@ class TestSerialization:
 
 class TestMalformedText:
     POLICY = "eqsentinel-policy v1\nstates 2\nactions 2\n0.5 0.5\n1.0 0.0\n"
-    MODEL = (
-        "eqsentinel-model v1\nplayers 2\nstates 1\nactions 1 1\ndiscount 0.5\n"
-        "rewards 0 0.25\nrewards 1 0.75\ntransition 1.0\n"
-    )
 
     @pytest.mark.parametrize(
         "parse, text, error, message",
@@ -1238,21 +1221,17 @@ class TestMalformedText:
             (policy_from_text, POLICY.replace("actions 2", "action 2"), DomainError, "line 3"),
             (policy_from_text, POLICY.replace("\n1.0 0.0", "\n1.0"), ShapeError, "line 5"),
             (policy_from_text, POLICY.replace("\n1.0 0.0\n", "\n"), ShapeError, "row line"),
-            (model_from_text, MODEL.replace("transition 1.0", "transition"), ShapeError, "line 8"),
-            (model_from_text, MODEL.replace("actions 1 1", "actions 1"), ShapeError, "line 4"),
-            (model_from_text, MODEL.replace("rewards 1", "rewards 0"), DomainError, "line 7"),
-            (model_from_text, MODEL.replace("0.75", "high"), DomainError, "line 7"),
-            (model_from_text, MODEL.replace("discount 0.5\n", ""), DomainError, "line 5"),
-            (model_from_text, MODEL[: MODEL.index("transition")], ShapeError, "'transition'"),
+            (policy_from_text, POLICY.replace("states 2", "states"), ShapeError, "line 2"),
+            (policy_from_text, POLICY.replace("actions 2", "actions 2 2"), ShapeError, "line 3"),
+            (policy_from_text, POLICY.replace("0.5 0.5", "0.5 high"), DomainError, "line 4"),
             (policy_from_text, POLICY + "0.3 0.7\n", ShapeError, "line 6"),
-            (model_from_text, MODEL + "transition 1.0\n", ShapeError, "line 9"),
+            (policy_from_text, POLICY + "states 2\n", ShapeError, "line 6"),
         ],
         ids=[
             "policy-truncated-header", "policy-states-not-int", "policy-zero-states",
             "policy-wrong-key", "policy-short-row", "policy-missing-row",
-            "model-empty-transition", "model-actions-short", "model-rewards-index",
-            "model-reward-not-float", "model-no-discount", "model-no-transition",
-            "policy-extra-row", "model-extra-line",
+            "policy-empty-states", "policy-actions-count", "policy-row-not-float",
+            "policy-extra-row", "policy-extra-line",
         ],
     )
     def test_error_names_the_line(self, parse, text, error, message):
@@ -1348,13 +1327,6 @@ class TestGoldenFormats:
         policy = policy_from_text(text)
         assert policy_to_text(policy) == text
         assert policy.table[1] == pytest.approx([1.0, 0.0])
-
-    def test_model_golden_bytes(self):
-        text = (self.GOLDEN / "model_small.txt").read_text()
-        model = model_from_text(text)
-        assert model_to_text(model) == text
-        assert model.discount == 0.9375
-        assert model.transition[0, 0, 0] == pytest.approx([0.625, 0.375])
 
 
 class TestLrNullImpossibleAction:

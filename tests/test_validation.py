@@ -29,7 +29,6 @@ from eqsentinel.harness.config import parse_kv_text
 from eqsentinel.harness.csvio import CSV_VERSION, read_csv
 from eqsentinel.monitors import SNAPSHOT_HEADER, EquilibriumMonitor, MonitorConfig, increment
 from eqsentinel.stochastic import (
-    MODEL_HEADER,
     POLICY_HEADER,
     ROW_TOL,
     LRMonitorState,
@@ -39,7 +38,6 @@ from eqsentinel.stochastic import (
     chi_square_div,
     exploitability,
     matrix_game_solve,
-    model_from_text,
     policy_from_text,
     stationary_distribution,
 )
@@ -165,12 +163,11 @@ class TestEmptyText:
         "read, header",
         [
             (lambda text: EquilibriumMonitor.from_snapshot(GAME, text), SNAPSHOT_HEADER),
-            (model_from_text, MODEL_HEADER),
             (policy_from_text, POLICY_HEADER),
             (parse_kv_text, "# experiment config"),
             (read_csv, f"# {CSV_VERSION} schema=runs"),
         ],
-        ids=["snapshot", "model", "policy", "config", "csv"],
+        ids=["snapshot", "policy", "config", "csv"],
     )
     @pytest.mark.parametrize("header_only", [False, True], ids=["empty", "header-only"])
     def test_rejected(self, read, header, header_only, tmp_path):
