@@ -4,27 +4,36 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 from ..errors import DomainError, ShapeError
 
 CSV_VERSION = "eqsentinel-csv v1"
 
 
 def format_value(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
+    """Bools as 1/0, floats at 17 significant digits; numpy's through float()."""
     if isinstance(value, float):
         return f"{value:.17g}"
+    if type(value) is int:
+        return str(value)
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, (np.bool_, np.floating)):
+        return f"{float(value):.17g}"
     return str(value)
+
+
+def _write_lines(path: Path, head: list[str], rows, sep: str) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    body = [sep.join(map(format_value, row)) for row in rows]
+    path.write_text("\n".join(head + body) + "\n")
+    return path
 
 
 def write_csv(path: Path, schema: str, columns: list[str], rows) -> Path:
     """Write rows with a version/schema comment line above the header."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# {CSV_VERSION} schema={schema}", ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return _write_lines(path, [f"# {CSV_VERSION} schema={schema}", ",".join(columns)], rows, ",")
 
 
 def write_summary(path: Path, schema: str, entries: dict) -> Path:
@@ -35,12 +44,7 @@ def write_summary(path: Path, schema: str, entries: dict) -> Path:
 
 def write_figure_data(path: Path, header: list[str], rows) -> Path:
     """Whitespace-delimited data file, one block per figure."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["# " + " ".join(header)]
-    for row in rows:
-        lines.append(" ".join(format_value(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return _write_lines(path, ["# " + " ".join(header)], rows, " ")
 
 
 def read_csv(path: Path) -> tuple[str, list[str], list[list[str]]]:

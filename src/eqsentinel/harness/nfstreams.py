@@ -11,16 +11,16 @@ Within one run the per-player action streams are drawn in player order
 (all of player 1's rounds, then player 2's, ...), which is part of the
 determinism contract for run-level reproducibility: player k draws the
 ``horizon`` uniforms that start ``(k - 1) * horizon`` outputs into the
-run's PCG64 stream. :func:`sample_action_stream` draws them in turn from
-the generator. :func:`replay_runs` keeps those streams while drawing a
+run's PCG64 stream. :func:`replay_runs` keeps those streams while drawing a
 chunk at a time: player 1 reads the run's generator itself, and player
-k >= 2 reads one scratch PCG64 whose ``state`` is set to the run's initial
-state and moved on with ``advance((k - 1) * horizon + start)`` for the
-chunk at round ``start``. PCG64 ``random()`` spends one 64-bit output per
-double, so the chunked draws are the full-stream draws, value for value,
-however the runs and rounds are split into blocks. A uniform u becomes the
-action ``sum_j [u >= cdf_j]`` over the cumulative probabilities before the
-last action, which is ``min(searchsorted(cdf, u, "right"), k - 1)``.
+k >= 2 reads one scratch PCG64 set to the run's initial state and moved on
+with ``advance((k - 1) * horizon + start)`` for the chunk at round
+``start``. PCG64 ``random()`` spends one 64-bit output per double, so the
+chunked draws are the full-stream draws, value for value, however the runs
+and rounds are split. One intp array takes each player's action ``sum_j [u
+>= cdf_j]`` over its cumulative probabilities before the last action, which
+is ``min(searchsorted(cdf, u, "right"), k - 1)``, into the flat profile
+index in C order.
 
 Each cell builds its log-factor table once with ``eprocess.log_factors``,
 ``log1p(-lambda * x)`` over the increment table's (m, P) profiles (with a
@@ -33,9 +33,10 @@ log levels with an ``argmax`` along rounds. Every partial sum is the one a
 single ``cumsum`` over the horizon forms, and the readout works element by
 element, so no result depends on the block sizes. A block holds at most
 ``BLOCK_BYTES`` of log factors, or one run and one round. A run with a stop
-rule ends after the chunk of ``CHUNK_ROUNDS`` in which its stop row first
-reaches its level (early exit), and the rounds after it are never drawn. A
-run without one is a single chunk of the horizon when the budget allows.
+rule ends after the chunk in which its stop row first reaches its level
+(early exit), and the rounds after it are never drawn; its chunks double
+from a sixteenth of their cap, ``CHUNK_ROUNDS`` within the budget, to it. A
+run without one is a single chunk of the horizon if the budget allows.
 The grid mixture of bets follows Waudby-Smith & Ramdas, "Estimating means
 of bounded random variables by betting" (JRSS-B 2024).
 """
@@ -63,28 +64,20 @@ BLOCK_BYTES = 512 * 1024
 def _cuts(strategy: JointStrategy) -> list[np.ndarray]:
     """Per drawn factor (each player of a product strategy, or the joint law
     of a full one), the cumulative probabilities before its last action."""
-    product = strategy.kind is StrategyKind.PRODUCT
-    probs = strategy.factors if product else [strategy.joint.ravel()]
+    probs = strategy.factors if strategy.kind is StrategyKind.PRODUCT else [strategy.joint.ravel()]
     return [np.cumsum(p)[:-1] for p in probs]
 
 
-def _action_index(cuts: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``sum_j [u >= cuts_j]``: for ``cuts = cdf[:-1]`` of a nondecreasing
-    cdf this is ``min(searchsorted(cdf, u, "right"), k - 1)``, exactly."""
-    idx = np.zeros(u.shape, dtype=np.intp)
-    for cut in cuts:
-        idx += u >= cut
-    return idx
-
-
-def _profiles(strategy: JointStrategy, cuts: list, uniforms) -> np.ndarray:
+def _profiles(cuts: list, uniforms) -> np.ndarray:
     """Flattened joint-profile indices from uniforms, one leading row per
     drawn factor. Raw uniforms through the cumulative table keep the streams
     tied to the bit generator only, not to Generator.choice."""
-    idx = [_action_index(c, u) for c, u in zip(cuts, uniforms)]
-    if strategy.kind is StrategyKind.PRODUCT:
-        return np.ravel_multi_index(idx, strategy.action_counts)
-    return idx[0]
+    idx = np.zeros(uniforms[0].shape, dtype=np.intp)
+    for factor_cuts, u in zip(cuts, uniforms):
+        idx *= factor_cuts.size + 1
+        for cut in factor_cuts:
+            idx += u >= cut
+    return idx
 
 
 def sample_action_stream(
@@ -93,7 +86,7 @@ def sample_action_stream(
     """Flattened joint-profile indices for one run, shape (horizon,): each
     drawn factor's ``horizon`` uniforms from ``rng`` in turn."""
     cuts = _cuts(strategy)
-    return _profiles(strategy, cuts, [rng.random(horizon) for _ in cuts])
+    return _profiles(cuts, [rng.random(horizon) for _ in cuts])
 
 
 def _profile_sampler(strategy: JointStrategy, horizon: int, rngs):
@@ -118,7 +111,7 @@ def _profile_sampler(strategy: JointStrategy, horizon: int, rngs):
                 bits.state = initial[r]
                 bits.advance(k * horizon + start)
                 scratch.random(out=u[k, row])
-        return _profiles(strategy, cuts, u)
+        return _profiles(cuts, u)
 
     return draw
 
@@ -182,23 +175,24 @@ def replay_runs(
     last)``: ``rounds[l, j, r]`` is the first round at which run r's path j
     reaches ``levels[l, j]`` (-1 if it never does) and ``last[j, r]`` path
     j's value at the run's last replayed round. Without a stop rule every
-    run replays its horizon. With ``stop = j`` runs advance in chunks of at
-    most ``CHUNK_ROUNDS``, and a run leaves after the chunk in which path j
-    first reaches ``levels[0, j]``; its later crossings are not looked for.
-    Chunks and blocks are cut to ``BLOCK_BYTES``; no result depends on them.
+    run replays its horizon. With ``stop = j`` a run leaves after the chunk in
+    which path j first reaches ``levels[0, j]``, not looking for its later
+    crossings; its chunks double from a sixteenth of their cap, ``CHUNK_ROUNDS``
+    cut to ``BLOCK_BYTES``, to it. No result depends on chunks or blocks.
     """
     levels = np.asarray(levels, dtype=float)
     m, runs = factors.shape[0], len(rngs)
     round_bytes = factors[:, :1].nbytes
-    chunk = min(horizon if stop is None else CHUNK_ROUNDS, max(1, BLOCK_BYTES // round_bytes))
-    per_block = max(1, BLOCK_BYTES // (round_bytes * chunk))
+    cap = min(horizon if stop is None else CHUNK_ROUNDS, max(1, BLOCK_BYTES // round_bytes))
+    chunk = cap if stop is None else max(1, cap // 16)
     draw = _profile_sampler(strategy, horizon, rngs)
     rounds = np.full((levels.shape[0], m, runs), -1)
     last = np.empty((m, runs))
     carry = np.empty((m, runs, *factors.shape[2:]))
-    active = np.arange(runs)
-    for start in range(0, horizon, chunk):
+    active, start = np.arange(runs), 0
+    while start < horizon and active.size:
         n = min(chunk, horizon - start)
+        per_block = max(1, BLOCK_BYTES // (round_bytes * n))
         for i in range(0, active.size, per_block):
             block = active[i : i + per_block]
             logw = np.take(factors, draw(block.tolist(), start, n), axis=1)
@@ -211,8 +205,10 @@ def replay_runs(
             rounds[:, :, block] = np.where((found > 0) & (seen < 0), found + start, seen)
             last[:, block] = paths[:, :, -1]
             del paths
+        start += n
         if stop is not None:
             active = active[rounds[0, stop, active] < 0]
+            chunk = min(2 * chunk, cap)
     return rounds, last
 
 

@@ -33,7 +33,7 @@ from eqsentinel.harness.config import (
     parse_kv_text,
     strategy_from_mapping,
 )
-from eqsentinel.harness.csvio import read_csv, write_csv
+from eqsentinel.harness.csvio import format_value, read_csv, write_csv
 from eqsentinel.harness.experiments import (
     DetectConfig,
     KlCheckConfig,
@@ -250,18 +250,23 @@ class TestChunkedReplay:
         # Three runs drawn chunk by chunk in blocks of two runs and one.
         strategy = DRAW_STRATEGIES[name]
         keys = [(9, 4), (9, 5), (9, 6)]
-        draw = nfstreams._profile_sampler(strategy, horizon, [run_rng(*key) for key in keys])
-        chunk = nfstreams.CHUNK_ROUNDS
-        parts = [[], [], []]
-        for start in range(0, horizon, chunk):
-            for block in ([0, 1], [2]):
-                for run, row in zip(block, draw(block, start, min(chunk, horizon - start))):
-                    parts[run].append(row)
-        for key, part in zip(keys, parts):
-            full = nfstreams.sample_action_stream(strategy, horizon, run_rng(*key))
-            assert np.array_equal(np.concatenate(part), full)
-            reference = sample_action_stream_reference(strategy, horizon, run_rng(*key))
-            assert np.array_equal(full, reference)
+        cap = nfstreams.CHUNK_ROUNDS
+        # Equal chunks of the cap, then the early-exit replay's chunks, which
+        # double from a sixteenth of the cap (64, 128, ..., 1024, 1024, ...).
+        for first in (cap, cap // 16):
+            draw = nfstreams._profile_sampler(strategy, horizon, [run_rng(*key) for key in keys])
+            parts, start, chunk = [[], [], []], 0, first
+            while start < horizon:
+                n = min(chunk, horizon - start)
+                for block in ([0, 1], [2]):
+                    for run, row in zip(block, draw(block, start, n)):
+                        parts[run].append(row)
+                start, chunk = start + n, min(2 * chunk, cap)
+            for key, part in zip(keys, parts):
+                full = nfstreams.sample_action_stream(strategy, horizon, run_rng(*key))
+                assert np.array_equal(np.concatenate(part), full)
+                reference = sample_action_stream_reference(strategy, horizon, run_rng(*key))
+                assert np.array_equal(full, reference)
 
     @pytest.mark.parametrize("actions", [1, 2, 3, 4, 5, 6])
     def test_comparison_index_is_clamped_searchsorted(self, actions):
@@ -272,8 +277,65 @@ class TestChunkedReplay:
             # Uniforms, every cut point exactly and the values around the top.
             u = np.concatenate([rng.random(4000), cdf, [0.0, cdf[-1], 1.0 - 2**-53]])
             expected = np.minimum(np.searchsorted(cdf, u, side="right"), actions - 1)
-            got = nfstreams._action_index(cdf[:-1], u)
+            got = nfstreams._profiles([cdf[:-1]], [u])
             assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("name", sorted(DRAW_STRATEGIES))
+    def test_profile_index_is_ravelled_clamped_searchsorted(self, name):
+        strategy = DRAW_STRATEGIES[name]
+        cuts = nfstreams._cuts(strategy)
+        cdfs = [np.append(c, 1.0) for c in cuts]
+        # Every combination of each factor's cut points, 0 and 1 - 2**-53,
+        # then random uniforms.
+        points = [np.concatenate([cdf, [0.0, 1.0 - 2**-53]]) for cdf in cdfs]
+        grid = [g.ravel() for g in np.meshgrid(*points, indexing="ij")]
+        rng = np.random.default_rng(len(name))
+        uniforms = np.array([np.concatenate([g, rng.random(4000)]) for g in grid])
+        actions = [
+            np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+            for cdf, u in zip(cdfs, uniforms)
+        ]
+        expected = np.ravel_multi_index(actions, [cdf.size for cdf in cdfs])
+        got = nfstreams._profiles(cuts, uniforms)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("eta, fraction", [(0.1, 0.2), (0.05, 0.05)], ids=["doubling", "capped"])
+    def test_early_exit_gathers_at_most_about_twice_the_exit_round(self, monkeypatch, eta, fraction):
+        # Rounds each run's blocks hold when _accumulate sums them: the
+        # sampler records which runs the block it draws belongs to.
+        gathered, block_runs = np.zeros(300, dtype=int), []
+        accumulate, sampler = nfstreams._accumulate, nfstreams._profile_sampler
+
+        def counting(block, carry):
+            gathered[block_runs[-1]] += block.shape[2]
+            return accumulate(block, carry)
+
+        def recording(strategy, horizon, rngs):
+            draw = sampler(strategy, horizon, rngs)
+
+            def recorded(runs, start, n):
+                block_runs.append(runs)
+                return draw(runs, start, n)
+
+            return recorded
+
+        monkeypatch.setattr(nfstreams, "_accumulate", counting)
+        monkeypatch.setattr(nfstreams, "_profile_sampler", recording)
+        game, strategy = scenarios.two_signal_game(), scenarios.sensitivity_profile(eta)
+        tables = nfstreams.increment_tables(game, enumerate_hypotheses(game, EquilibriumMode.NASH))
+        mixture = BettingMixture.dirac(fraction)
+        factors = nfstreams.log_factors(tables, mixture)
+        levels = np.full((1, len(tables)), math.log(len(tables) / 0.05))
+        rounds, _ = nfstreams.replay_runs(
+            strategy, factors, mixture, 20000, run_rngs(7, 0, 300), levels, stop=0
+        )
+        tau, first, cap = rounds[0, 0], nfstreams.CHUNK_ROUNDS // 16, nfstreams.CHUNK_ROUNDS
+        # The doubling chunks (64 to 512 rounds) end at round 960; the first
+        # cell's runs all leave in them, the second's all after them.
+        doubling = tau <= cap - first
+        assert (tau > 0).all() and len(set(doubling)) == 1
+        bound = 2 * tau + first if doubling[0] else tau + cap
+        assert (gathered < bound).all()
 
     @staticmethod
     def _reference_csv(tmp_path, produced, rows):
@@ -845,6 +907,32 @@ class TestCsvFormat:
         assert text[0].startswith("# eqsentinel-csv v1")
         assert text[2] == "1,0.10000000000000001"
         assert float(text[3].split(",")[1]) == 1 / 3
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (True, "1"),
+            (False, "0"),
+            (np.True_, "1"),
+            (np.False_, "0"),
+            (0.1, "0.10000000000000001"),
+            (np.float64(0.1), "0.10000000000000001"),
+            (np.float32(0.1), "0.10000000149011612"),
+            (np.float16(0.1), "0.0999755859375"),
+            (3, "3"),
+            (np.int64(-7), "-7"),
+            ("fwer[lambda=0.05]", "fwer[lambda=0.05]"),
+        ],
+        ids=["true", "false", "np-true", "np-false", "float", "np-float64", "np-float32",
+             "np-float16", "int", "np-int64", "str"],
+    )
+    def test_numpy_scalars_are_written_as_python_ones(self, tmp_path, value, text):
+        # A numpy bool or float reads back as the Python value it holds.
+        assert format_value(value) == text
+        path = write_csv(tmp_path / "x.csv", "demo", ["v", "w"], [(value, value)])
+        assert path.read_text().splitlines()[2] == f"{text},{text}"
+        if isinstance(value, (float, np.floating)):
+            assert float(text) == float(value)
 
     @pytest.mark.parametrize(
         "text, error, line",
