@@ -9,9 +9,11 @@ update, so the martingale column starts at 1).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
+from ..games import cumulative_cuts
 from ..stochastic import LRMonitorState, Policy, lr_step
 from . import prey, soccer
 
@@ -45,15 +47,14 @@ def soccer_episode_trace(
         "evalue", "martingale",
     ]
     rows: list[list] = []
+    cuts_a, cuts_b = (cumulative_cuts(p.table).tolist() for p in (attacker, defender))
     state = soccer.INITIAL_STATE
     for step in range(max_steps):
         if soccer.is_terminal(state):
             break
         s = soccer.state_index(state)
-        pa = attacker.table[s]
-        pb = defender.table[s]
-        act_a = int(rng.choice(soccer.NUM_ACTIONS, p=pa))
-        act_b = int(rng.choice(soccer.NUM_ACTIONS, p=pb))
+        act_a = bisect_right(cuts_a[s], rng.random())
+        act_b = bisect_right(cuts_b[s], rng.random())
         evalue, martingale = _monitor_step(monitor, s, act_a, null_attacker, math.inf)
         nxt, _, _, real_b = soccer.soccer_step(state, act_a, act_b, rng)
         rows.append(
@@ -62,8 +63,8 @@ def soccer_episode_trace(
                 soccer.ACTION_NAMES[act_a], soccer.ACTION_NAMES[act_b],
                 soccer.ACTION_NAMES[real_b], int(real_b != act_b),
                 "A" if state.possession == 0 else "B",
-                *[float(v) for v in pa],
-                *[float(v) for v in pb],
+                *attacker.table[s].tolist(),
+                *defender.table[s].tolist(),
                 evalue,
                 martingale,
             ]
@@ -88,6 +89,7 @@ def prey_episode_trace(
     """
     _, chase_row, _ = prey.pursuit_tables()
     suspect = prey.suspect_rows(eps_true)
+    cuts = cumulative_cuts(suspect).tolist()
     null = Policy(np.full(suspect.shape, 1.0 / prey.NUM_ACTIONS))
     monitor = LRMonitorState.fresh(Policy(prey.suspect_rows(eps)) for eps in eps_grid)
     columns = [
@@ -101,13 +103,12 @@ def prey_episode_trace(
         if state.captured or state.exhausted:
             break
         row = chase_row[prey.cell_id(state.suspect)][prey.cell_id(state.prey)]
-        played = suspect[row]
-        act = int(rng.choice(prey.NUM_ACTIONS, p=played))
+        act = bisect_right(cuts[row], rng.random())
         evalue, martingale = _monitor_step(monitor, row, act, null, 20.0)
         rows.append(
             [
                 step, *state.suspect, prey.ACTION_NAMES[act], martingale,
-                *[float(v) for v in played],
+                *suspect[row].tolist(),
                 evalue,
             ]
         )

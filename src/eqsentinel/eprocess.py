@@ -107,6 +107,20 @@ def _log_mix(log_wealth: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return shift + np.log((weights * np.exp(log_wealth - shift[..., None])).sum(axis=-1))
 
 
+def _check_log_wealth(log_wealth, size: int, what: str) -> np.ndarray:
+    """A state's log-wealth vector, zeros when none is supplied: ``ShapeError``
+    unless it has ``size`` entries, ``DomainError`` for NaN or +inf. -inf is a
+    dead component."""
+    if log_wealth is None:
+        return np.zeros(size)
+    v = np.asarray(log_wealth, dtype=float)
+    if v.shape != (size,):
+        raise ShapeError(f"{what} has shape {v.shape}, expected ({size},)")
+    if not (v < math.inf).all():
+        raise DomainError(f"{what} must not hold NaN or +inf")
+    return v
+
+
 @dataclass
 class EProcessState:
     """Per-fraction log wealth for one hypothesis, with its running extremes.
@@ -124,8 +138,7 @@ class EProcessState:
     crossing_time: int | None = None
 
     def __post_init__(self) -> None:
-        if self.log_wealth is None:
-            self.log_wealth = np.zeros(self.mixture.size)
+        self.log_wealth = _check_log_wealth(self.log_wealth, self.mixture.size, "log_wealth")
         if self.threshold is not None and not self.threshold > 1.0:
             raise DomainError("a registered threshold must exceed 1")
 

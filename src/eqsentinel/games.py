@@ -6,11 +6,22 @@ carried by :class:`JointStrategy` with a kind tag so downstream code accepts
 either, and reduce to one dense joint law. Deviation gains and equilibrium
 slack are expectations of the monitors' increment table under that law, so
 they live in :mod:`eqsentinel.monitors`.
+
+Every sampled action in the package is drawn by one rule: a uniform ``u``
+picks the number of cuts at or below it, ``bisect_right(cuts, u)``, in the
+distribution's cut table (:func:`cumulative_cuts`, its cumulative sums before
+the last), which is ``searchsorted(cdf, u, "right")`` clamped to the last
+action. A strategy draws one uniform per drawn factor (:func:`strategy_cuts`)
+and joins the actions in C order (:func:`_profiles`). The draws follow the bit
+generator's stream, which NumPy keeps stable (NEP 19); ``Generator.choice``,
+whose output it does not, divides the cdf by its last entry, so it differs
+from the rule only for a ``u`` within that entry's distance from 1 of a cut.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,13 +165,31 @@ class JointStrategy:
             )
 
 
+def cumulative_cuts(probs) -> np.ndarray:
+    """The draw rule's cut table: cumulative sums along the last axis, less the last."""
+    return np.cumsum(probs, axis=-1)[..., :-1]
+
+
+def strategy_cuts(strategy: JointStrategy) -> list[np.ndarray]:
+    """One cut table per drawn factor: each player's marginal of a product
+    strategy, or the flattened joint law of a full one."""
+    probs = strategy.factors if strategy.kind is StrategyKind.PRODUCT else [strategy.joint.ravel()]
+    return [cumulative_cuts(p) for p in probs]
+
+
+def _profiles(cuts: list, uniforms) -> np.ndarray:
+    """Flat joint-profile indices from uniforms, one leading row per drawn factor."""
+    idx = np.zeros(np.shape(uniforms[0]), dtype=np.intp)
+    for factor_cuts, u in zip(cuts, uniforms):
+        idx *= factor_cuts.size + 1
+        for cut in factor_cuts:
+            idx += u >= cut
+    return idx
+
+
 def sample_profile(strategy: JointStrategy, rng: np.random.Generator) -> ActionProfile:
-    """One i.i.d. draw from the joint strategy; deterministic given the rng."""
-    if strategy.kind is StrategyKind.PRODUCT:
-        actions = tuple(
-            int(rng.choice(len(f), p=f)) for f in strategy.factors
-        )
-        return ActionProfile(actions)
-    flat = strategy.joint.ravel()
-    idx = int(rng.choice(flat.size, p=flat))
-    return ActionProfile(tuple(int(a) for a in np.unravel_index(idx, strategy.joint.shape)))
+    """One i.i.d. draw from the joint strategy: one ``rng.random()`` per drawn factor."""
+    flat = 0
+    for cuts in strategy_cuts(strategy):
+        flat = flat * (cuts.size + 1) + bisect_right(cuts.tolist(), rng.random())
+    return ActionProfile(np.unravel_index(flat, strategy.action_counts))

@@ -29,7 +29,7 @@ from ..eprocess import (
     slack_lower_bound,
 )
 from ..errors import ConfigError, DomainError, ShapeError
-from ..games import ActionProfile, EquilibriumMode, NormalFormGame, JointStrategy
+from ..games import ActionProfile, EquilibriumMode, JointStrategy, NormalFormGame, cumulative_cuts
 from ..monitors import (
     EquilibriumMonitor,
     MonitorConfig,
@@ -305,7 +305,9 @@ class SensitivityConfig:
     alphas: tuple[float, ...] = (0.2, 0.1, 0.05)
     lambdas: tuple[float, ...] = (0.05, 0.1, 0.15, 0.4)
     etas: tuple[float, ...] = (0.05, 0.1, 0.15)
-    mixture: str = "dirac"  # "dirac" sweeps lambdas; "uniform" uses the grid
+    # "dirac" sweeps lambdas; "uniform" uses one grid of grid_nodes. Only
+    # dirac reads lambdas, and only uniform reads grid_nodes.
+    mixture: str = "dirac"
     grid_nodes: int = 101
 
     def __post_init__(self) -> None:
@@ -474,6 +476,8 @@ def run_soccer_solve(config: SolverConfig, out_dir: Path) -> ExperimentResult:
 
 #: The band both scaling laws' fitted log-log slope must fall in (inverse square).
 SLOPE_BAND = (-2.5, -1.5)
+#: Largest |KL / (eps^2 * chi-square) - 1| at check_eps that kl-check passes.
+KL_RATIO_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -499,16 +503,6 @@ class SoccerScalingConfig:
 _DRAW_BLOCK = 256
 
 
-def _cumulative_rows(table) -> list:
-    """Row-wise cumulative sums without the last entry, as nested lists.
-
-    ``bisect_right(row, u)`` on such a row is ``searchsorted(side="right")``
-    on the full row clamped to the last action, which is the action a draw
-    at or past the full sum gets when a row sums to just under 1.
-    """
-    return np.cumsum(table, axis=-1)[..., :-1].tolist()
-
-
 def _trial_taus(trial, tables, fixed: tuple, trials: int, workers: int) -> np.ndarray:
     """Run ``trial((cell, run, *fixed, *tables[cell]))`` for every cell of the
     lazy ``tables`` and every run, over ``workers`` processes; returns the
@@ -532,10 +526,10 @@ def _trial_rows(values, taus) -> list:
 
 
 def _soccer_tables(eps, null_table, afraid_table) -> tuple[list, list]:
-    """The attacker's cumulative rows and log-likelihood ratios at weight eps."""
+    """The attacker's cut rows (``games.cumulative_cuts``) and log ratios at weight eps."""
     alt_table = (1.0 - eps) * null_table + eps * afraid_table
     log_ratio = log_likelihood_ratios(null_table, alt_table[..., None])[..., 0]
-    return _cumulative_rows(alt_table), log_ratio.tolist()
+    return cumulative_cuts(alt_table).tolist(), log_ratio.tolist()
 
 
 def _soccer_trial(args) -> int:
@@ -543,7 +537,7 @@ def _soccer_trial(args) -> int:
     round tau, or -1.
 
     The match runs over state ids (:func:`soccer.kickoff_successors`) and
-    reads the players' cumulative rows and the log ratios as nested lists.
+    reads the players' cut rows and the log ratios as nested lists.
     A step uses its uniforms in the order :func:`soccer.soccer_step` does:
     attacker, defender, then (unless the ratio crossed) the slip and, only
     when two outcomes remain, the coin. The defender's row is searched only
@@ -552,7 +546,7 @@ def _soccer_trial(args) -> int:
     ``rng.random(n)`` yields the same doubles as n successive
     ``rng.random()`` calls.
     """
-    cell, run, seed, t_max, threshold, cum_b, cum_a, log_ratio = args
+    cell, run, seed, t_max, threshold, cuts_b, cuts_a, log_ratio = args
     successors = soccer.kickoff_successors()
     s = soccer.state_index(soccer.INITIAL_STATE)
     slip = soccer.SLIP_PROB
@@ -565,11 +559,11 @@ def _soccer_trial(args) -> int:
         if i > end:  # fewer than the 4 uniforms a step can use
             u = u[i:] + rng.random(_DRAW_BLOCK).tolist()
             i, end = 0, len(u) - 4
-        a_act = bisect_right(cum_a[s], u[i])
+        a_act = bisect_right(cuts_a[s], u[i])
         log_lr += log_ratio[s][a_act]
         if log_lr >= log_b:
             return t
-        b_act = wait if u[i + 2] < slip else bisect_right(cum_b[s], u[i + 1])
+        b_act = wait if u[i + 2] < slip else bisect_right(cuts_b[s], u[i + 1])
         nxt = successors[s][actions * a_act + b_act]
         i += 3
         if len(nxt) == 1:
@@ -603,10 +597,10 @@ def run_soccer_scaling(
             "the null attacker policy puts no mass on an action the timid "
             "deviation plays; use smoothing > 0"
         )
-    cum_b = _cumulative_rows(defender.table)
+    cuts_b = cumulative_cuts(defender.table).tolist()
     # Lazy, so that in-process runs keep one cell's tables alive at a time.
     tables = (_soccer_tables(eps, null_a.table, afraid.table) for eps in config.epsilons)
-    fixed = (config.seed, config.t_max, config.threshold, cum_b)
+    fixed = (config.seed, config.t_max, config.threshold, cuts_b)
     taus = _trial_taus(_soccer_trial, tables, fixed, config.trials, config.workers)
     summary: dict = {"seed": config.seed, "trials_per_epsilon": config.trials}
     points = []
@@ -657,12 +651,12 @@ class PreyMixtureConfig:
 
 def _prey_tables(eps_true, eps_grid) -> tuple[list, list]:
     """Per distinct chase row (:func:`prey.pursuit_tables`): the suspect's
-    cumulative played row, and per action the log increments of the
-    candidate grid against uniform play."""
+    cut row (``games.cumulative_cuts``), and per action the log increments
+    of the candidate grid against uniform play."""
     played = prey.suspect_rows(eps_true)
     candidate = np.stack([prey.suspect_rows(eps) for eps in eps_grid], axis=-1)
     log_inc = log_likelihood_ratios(np.full(played.shape, 1.0 / prey.NUM_ACTIONS), candidate)
-    return _cumulative_rows(played), log_inc.tolist()
+    return cumulative_cuts(played).tolist(), log_inc.tolist()
 
 
 def _prey_trial(args) -> int:
@@ -686,7 +680,7 @@ def _prey_trial(args) -> int:
     within 1e-9 of log(threshold). Neither falls more than a few ulp below
     the readout, so neither screen hides a crossing.
     """
-    cell, run, seed, threshold, horizon, played_cum, log_inc = args
+    cell, run, seed, threshold, horizon, played_cuts, log_inc = args
     moves, chase_row, _ = prey.pursuit_tables()
     start = prey.DEFAULT_START
     cells = [prey.cell_id(pos) for pos in (*start.predators, start.prey)]
@@ -711,7 +705,7 @@ def _prey_trial(args) -> int:
             words = words[i:] + raw(_DRAW_BLOCK).tolist()
             i, end = 0, len(words) - 3
         row = chase_row[suspect][target]
-        act = bisect_right(played_cum[row], (words[i] >> 11) * 2**-53)
+        act = bisect_right(played_cuts[row], (words[i] >> 11) * 2**-53)
         log_lr = list(map(add, log_lr, log_inc[row][act]))
         top = max(log_lr)
         if (
@@ -795,7 +789,6 @@ class KlCheckConfig:
     dim: int = 5
     epsilons: tuple[float, ...] = (0.1, 0.01, 0.001)
     check_eps: float = 0.001
-    tol: float = 0.05
 
     def __post_init__(self) -> None:
         _validate_config(self)
@@ -828,7 +821,7 @@ def run_kl_check(config: KlCheckConfig, out_dir: Path) -> ExperimentResult:
         "check_eps": config.check_eps,
         "worst_ratio_error": worst,
     }
-    checks = {"quadratic_at_small_eps": worst <= config.tol}
+    checks = {"quadratic_at_small_eps": worst <= KL_RATIO_TOL}
     runs = (["pair", "epsilon", "kl", "eps2_chi2", "ratio"], rows)
     return _finish("kl-check", out_dir, summary, checks, runs)
 

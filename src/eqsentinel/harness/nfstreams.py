@@ -17,10 +17,8 @@ k >= 2 reads one scratch PCG64 set to the run's initial state and moved on
 with ``advance((k - 1) * horizon + start)`` for the chunk at round
 ``start``. PCG64 ``random()`` spends one 64-bit output per double, so the
 chunked draws are the full-stream draws, value for value, however the runs
-and rounds are split. One intp array takes each player's action ``sum_j [u
->= cdf_j]`` over its cumulative probabilities before the last action, which
-is ``min(searchsorted(cdf, u, "right"), k - 1)``, into the flat profile
-index in C order.
+and rounds are split. The uniforms become flat profile indices by the
+package's one draw rule (:mod:`eqsentinel.games`).
 
 Each cell builds its log-factor table once with ``eprocess.log_factors``,
 ``log1p(-lambda * x)`` over the increment table's (m, P) profiles (with a
@@ -52,7 +50,7 @@ import numpy as np
 # builders; they stay resolvable here because the harness, the tests and
 # perfbench's --trace 1 use them by this module's name.
 from ..eprocess import BettingMixture, log_factors
-from ..games import JointStrategy, StrategyKind
+from ..games import JointStrategy, _profiles, strategy_cuts
 from ..monitors import _ebh, _log_ladder, increment_tables  # noqa: F401
 
 #: Rounds per chunk of a run replayed with a stop rule.
@@ -61,31 +59,12 @@ CHUNK_ROUNDS = 1024
 BLOCK_BYTES = 512 * 1024
 
 
-def _cuts(strategy: JointStrategy) -> list[np.ndarray]:
-    """Per drawn factor (each player of a product strategy, or the joint law
-    of a full one), the cumulative probabilities before its last action."""
-    probs = strategy.factors if strategy.kind is StrategyKind.PRODUCT else [strategy.joint.ravel()]
-    return [np.cumsum(p)[:-1] for p in probs]
-
-
-def _profiles(cuts: list, uniforms) -> np.ndarray:
-    """Flattened joint-profile indices from uniforms, one leading row per
-    drawn factor. Raw uniforms through the cumulative table keep the streams
-    tied to the bit generator only, not to Generator.choice."""
-    idx = np.zeros(uniforms[0].shape, dtype=np.intp)
-    for factor_cuts, u in zip(cuts, uniforms):
-        idx *= factor_cuts.size + 1
-        for cut in factor_cuts:
-            idx += u >= cut
-    return idx
-
-
 def sample_action_stream(
     strategy: JointStrategy, horizon: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Flattened joint-profile indices for one run, shape (horizon,): each
     drawn factor's ``horizon`` uniforms from ``rng`` in turn."""
-    cuts = _cuts(strategy)
+    cuts = strategy_cuts(strategy)
     return _profiles(cuts, [rng.random(horizon) for _ in cuts])
 
 
@@ -97,7 +76,7 @@ def _profile_sampler(strategy: JointStrategy, horizon: int, rngs):
     when each run's chunks are drawn in order from round 0: player 1 reads
     ``rngs[r]``, the others the scratch generator at their stream offset.
     """
-    cuts = _cuts(strategy)
+    cuts = strategy_cuts(strategy)
     # Seeded, because an unseeded PCG64() reads OS entropy first.
     bits = np.random.PCG64(0)
     scratch = np.random.Generator(bits)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eprocess import _log_mix
+from .eprocess import _check_log_wealth, _log_mix
 from .errors import PROB_TOL, DomainError, ErgodicityError, LineReader, ShapeError
 from .errors import check_distribution, format_floats
 
@@ -207,8 +207,7 @@ class LRMonitorState:
         self.prior_weights = check_distribution(
             self.prior_weights, "prior weights", PROB_TOL, positive=True
         )
-        if self.log_lr is None:
-            self.log_lr = np.zeros(k)
+        self.log_lr = _check_log_wealth(self.log_lr, k, "log_lr")
 
     @classmethod
     def fresh(cls, alternatives, prior_weights=None) -> "LRMonitorState":

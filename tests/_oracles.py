@@ -26,6 +26,8 @@ and ``_resolve`` the soccer collision rules walked over one ``SoccerState``,
 as the package applied them before it evaluated them once as arrays;
 ``soccer_successor_table_reference`` and ``soccer_step_reference`` are the
 outcome table and the stepper built on it.
+``sample_profile_reference`` is ``games.sample_profile`` as it drew through
+``Generator.choice`` before the package's own draw rule.
 ``expected_payoff`` is one player's expected utility under a joint strategy,
 as the package exported it until nothing but the tests called it.
 ``deviation_gain_reference`` and ``equilibrium_slack_reference`` are the
@@ -55,7 +57,13 @@ from eqsentinel import stochastic
 from eqsentinel.eprocess import BettingMixture
 from eqsentinel.envs import prey, soccer
 from eqsentinel.errors import DomainError, ErgodicityError, ShapeError
-from eqsentinel.games import EquilibriumMode, JointStrategy, NormalFormGame, StrategyKind
+from eqsentinel.games import (
+    ActionProfile,
+    EquilibriumMode,
+    JointStrategy,
+    NormalFormGame,
+    StrategyKind,
+)
 from eqsentinel.harness import nfstreams, scenarios
 from eqsentinel.harness.seeding import run_rng
 from eqsentinel.monitors import CE_SUPPORT_FLOOR, enumerate_hypotheses
@@ -744,6 +752,16 @@ def _increment_tables(game, hypotheses) -> np.ndarray:
         u_dev = np.expand_dims(np.take(u, h.deviation, axis=h.player), axis=h.player)
         tables[j] = (u - u_dev).ravel()
     return tables
+
+
+def sample_profile_reference(strategy, rng) -> ActionProfile:
+    """One draw through ``Generator.choice``, per player of a product strategy
+    or once over the flattened joint law of a full one."""
+    if strategy.kind is StrategyKind.PRODUCT:
+        return ActionProfile(tuple(int(rng.choice(len(f), p=f)) for f in strategy.factors))
+    flat = strategy.joint.ravel()
+    idx = int(rng.choice(flat.size, p=flat))
+    return ActionProfile(tuple(int(a) for a in np.unravel_index(idx, strategy.joint.shape)))
 
 
 def sample_action_stream_reference(strategy, horizon, rng) -> np.ndarray:

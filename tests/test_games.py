@@ -25,6 +25,7 @@ from _oracles import (
     equilibrium_slack_reference,
     expected_payoff,
     frac_deviation_gain,
+    sample_profile_reference,
 )
 
 
@@ -215,6 +216,26 @@ class TestGainsMatchReference:
                 )
 
 
+def _dirichlet_strategy(seed: int) -> JointStrategy:
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, 6, size=rng.integers(1, 4))
+    if seed % 2:
+        return JointStrategy.product(*(rng.dirichlet(np.ones(k)) for k in counts))
+    return JointStrategy.full(rng.dirichlet(np.ones(counts.prod())).reshape(counts))
+
+
+CHOICE_STRATEGIES = {
+    "two-signal-nash": scenarios.two_signal_nash(),
+    "two-signal-alternative": scenarios.two_signal_alternative(),
+    **{
+        f"sensitivity-{eta}": scenarios.sensitivity_profile(eta)
+        for eta in scenarios.SENSITIVITY_ROWS
+    },
+    "coordination-ce": scenarios.coordination_ce()[1],
+    **{f"dirichlet-{seed}": _dirichlet_strategy(seed) for seed in range(20)},
+}
+
+
 class TestSampling:
     def test_point_mass(self, game, rng):
         point = JointStrategy.product([0.0, 1.0], [1.0, 0.0])
@@ -241,3 +262,12 @@ class TestSampling:
         joint = JointStrategy.full([[0.7, 0.0], [0.0, 0.3]])
         seen = {sample_profile(joint, rng).actions for _ in range(200)}
         assert seen == {(0, 0), (1, 1)}
+
+    @pytest.mark.parametrize("name", sorted(CHOICE_STRATEGIES))
+    def test_draw_rule_equals_generator_choice(self, name):
+        # The cut rule against the Generator.choice draws it replaced, on the
+        # same stream: 10,000 draws at a fixed seed per strategy.
+        strategy, seed = CHOICE_STRATEGIES[name], list(CHOICE_STRATEGIES).index(name)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(10_000):
+            assert sample_profile(strategy, ours) == sample_profile_reference(strategy, theirs)

@@ -7,6 +7,7 @@ import runpy
 import subprocess
 import typing
 import sys
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +24,10 @@ from _oracles import (
     sample_action_stream_reference,
     soccer_trial,
 )
+from eqsentinel import games
 from eqsentinel.envs import prey, soccer
 from eqsentinel.errors import ConfigError, DomainError, ShapeError
-from eqsentinel.harness import experiments, nfstreams, scenarios
+from eqsentinel.harness import cli, experiments, nfstreams, scenarios
 from eqsentinel.harness.cli import main
 from eqsentinel.harness.config import (
     config_from_mapping,
@@ -270,20 +272,27 @@ class TestChunkedReplay:
 
     @pytest.mark.parametrize("actions", [1, 2, 3, 4, 5, 6])
     def test_comparison_index_is_clamped_searchsorted(self, actions):
+        # Both readers of the draw rule: the batch comparison count and the
+        # bisect_right of the trial loops, traces and sample_profile.
         rng = np.random.default_rng(actions)
         probs = rng.dirichlet(np.ones(actions))
         short = probs * (1.0 - 1e-9)  # the cdf's last entry is below 1
-        for cdf in (np.cumsum(probs), np.cumsum(short)):
-            # Uniforms, every cut point exactly and the values around the top.
-            u = np.concatenate([rng.random(4000), cdf, [0.0, cdf[-1], 1.0 - 2**-53]])
+        for p in (probs, short):
+            cdf, cuts = np.cumsum(p), games.cumulative_cuts(p)
+            # Uniforms, every cut point exactly and one step either side of
+            # it, and the values around the top.
+            near = [np.nextafter(cdf, 0.0), cdf, np.nextafter(cdf, 1.0)]
+            u = np.concatenate([rng.random(4000), *near, [0.0, 1.0 - 2**-53]])
             expected = np.minimum(np.searchsorted(cdf, u, side="right"), actions - 1)
-            got = nfstreams._profiles([cdf[:-1]], [u])
+            got = games._profiles([cuts], [u])
             assert got.dtype == expected.dtype and np.array_equal(got, expected)
+            read = [bisect_right(cuts.tolist(), x) for x in u.tolist()]
+            assert read == expected.tolist()
 
     @pytest.mark.parametrize("name", sorted(DRAW_STRATEGIES))
     def test_profile_index_is_ravelled_clamped_searchsorted(self, name):
         strategy = DRAW_STRATEGIES[name]
-        cuts = nfstreams._cuts(strategy)
+        cuts = games.strategy_cuts(strategy)
         cdfs = [np.append(c, 1.0) for c in cuts]
         # Every combination of each factor's cut points, 0 and 1 - 2**-53,
         # then random uniforms.
@@ -296,7 +305,7 @@ class TestChunkedReplay:
             for cdf, u in zip(cdfs, uniforms)
         ]
         expected = np.ravel_multi_index(actions, [cdf.size for cdf in cdfs])
-        got = nfstreams._profiles(cuts, uniforms)
+        got = games._profiles(cuts, uniforms)
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
     @pytest.mark.parametrize("eta, fraction", [(0.1, 0.2), (0.05, 0.05)], ids=["doubling", "capped"])
@@ -966,9 +975,11 @@ class TestCli:
         assert rc == 0
         assert "check all_rounds_exact: pass" in captured
 
-    def test_failing_assertion_exits_two(self, tmp_path, write=None):
+    def test_failing_assertion_exits_two(self, tmp_path, monkeypatch):
+        # No config key moves a gate, so the test tightens the module constant.
+        monkeypatch.setattr(experiments, "KL_RATIO_TOL", 1e-9)
         config = tmp_path / "kl.cfg"
-        config.write_text("experiment = kl-check\ntol = 1e-9\npairs = 5\n")
+        config.write_text("experiment = kl-check\npairs = 5\n")
         rc = main(
             ["kl-check", "--config", str(config), "--out", str(tmp_path / "o"), "--assert"]
         )
@@ -1189,6 +1200,7 @@ class TestCliErrors:
             ("prey-mixture", "trials = -2", "trials must be at least 1, got -2"),
             ("kl-check", "pairs = 0", "pairs must be at least 1, got 0"),
             ("kl-check", "check_eps = 0.5", "check_eps must be one of epsilons"),
+            ("kl-check", "tol = 1", "unknown key 'tol' for KlCheckConfig"),
             (
                 "prey-mixture",
                 "eps_true = 0.2, 0.4",
@@ -1264,7 +1276,7 @@ class TestCliErrors:
              "sensitivity-mixture", "unparsable-int", "unparsable-float", "unparsable-game",
              "strategy-length", "negative-game-count", "negative-strategy-shape", "empty-alphas",
              "empty-lambdas", "empty-etas", "uncalibrated-eta", "soccer-trials", "prey-trials",
-             "kl-pairs", "kl-check-eps", "prey-slope-points", "soccer-slope-points",
+             "kl-pairs", "kl-check-eps", "kl-tol", "prey-slope-points", "soccer-slope-points",
              "soccer-zero-eps", "prey-eps-above-one", "prey-negative-grid", "slack-triples",
              "oracle-streams", "oracle-matrices", "oracle-chains", "kl-dim-zero", "kl-dim-one",
              "kl-eps-above-one", "prey-negative-workers", "soccer-zero-workers", "soccer-t-max",
@@ -1471,3 +1483,24 @@ def test_script_help_prints_usage_and_writes_nothing(script, tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith(f"usage: {script} [-h] [OUT]")
     assert list(tmp_path.iterdir()) == []
+
+
+class TestReadmeCli:
+    """README's CLI section documents the parser it describes."""
+
+    @staticmethod
+    def section() -> str:
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        start = text.index("\n## CLI\n")
+        return text[start : text.index("\n## ", start + 1)]
+
+    def test_synopsis_equals_the_cli_docstring(self):
+        readme = re.search(r"```\n(eqsentinel .*)\n```", self.section()).group(1)
+        docstring = re.search(r"^    (eqsentinel .*)$", cli.__doc__, re.M).group(1)
+        assert readme == docstring
+
+    def test_subcommand_table_lists_the_parser_subcommands(self):
+        table = self.section().split("| subcommand ", 1)[1].split("\n\n", 1)[0]
+        listed = re.findall(r"^\| `([^`]+)` ", table, re.M)
+        parsed = re.search(r"\{([^}]+)\}", cli.build_parser().format_usage()).group(1)
+        assert sorted(listed) == parsed.split(",")

@@ -134,6 +134,37 @@ class TestOneDistributionCheck:
         call(v)
 
 
+#: Each state that takes a supplied log-wealth vector, of three entries.
+LOG_WEALTH_ENTRY_POINTS = {
+    "eprocess-state": lambda v: EProcessState(BettingMixture.uniform_grid(3), log_wealth=v),
+    "lr-monitor-state": lambda v: LRMonitorState((Policy(np.full((1, 2), 0.5)),) * 3, log_lr=v),
+}
+
+#: Faults of a log-wealth vector and the error each raises; -inf is a dead
+#: component, not a fault.
+LOG_WEALTH_FAULTS = {
+    "short": (lambda v: v[:1], ShapeError),
+    "long": (lambda v: np.zeros(4), ShapeError),
+    "matrix": (lambda v: v[None, :], ShapeError),
+    "nan": (lambda v: np.where(v == 0.5, math.nan, v), DomainError),
+    "inf": (lambda v: np.where(v == 0.5, math.inf, v), DomainError),
+}
+
+
+class TestLogWealthCheck:
+    @pytest.mark.parametrize("fault", list(LOG_WEALTH_FAULTS))
+    @pytest.mark.parametrize("entry", list(LOG_WEALTH_ENTRY_POINTS))
+    def test_malformed_log_wealth_raises(self, entry, fault):
+        make, error = LOG_WEALTH_FAULTS[fault]
+        with pytest.raises(error):
+            LOG_WEALTH_ENTRY_POINTS[entry](make(np.array([-math.inf, 0.5, -2.0])))
+
+    @pytest.mark.parametrize("entry", list(LOG_WEALTH_ENTRY_POINTS))
+    def test_dead_component_is_read_out(self, entry):
+        state = LOG_WEALTH_ENTRY_POINTS[entry]([-math.inf, 0.5, -2.0])
+        assert state.value() == pytest.approx((math.exp(0.5) + math.exp(-2.0)) / 3.0)
+
+
 class TestEmptyInputs:
     @pytest.mark.parametrize(
         "call",
