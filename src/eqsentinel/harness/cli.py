@@ -1,11 +1,12 @@
 """Command-line entry point.
 
-    eqsentinel <subcommand> --config <path> [--seed N] [--out DIR] [--assert] [--workers N]
+    eqsentinel <subcommand> --config <path> [--seed N] [--out DIR] [--assert]
 
 ``--seed`` is offered where the config has a seed (every subcommand but
-soccer-solve), ``--workers`` where it has workers (soccer-scaling and
-prey-mixture). Exit codes: 0 on success, 2 when --assert is given and an
-acceptance statistic fails or on an argparse usage error, 1 on errors.
+soccer-solve). Every subcommand runs in one process; soccer-scaling and
+prey-mixture run their trials one after another. Exit codes: 0 on success,
+2 when --assert is given and an acceptance statistic fails or on an argparse
+usage error, 1 on errors.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="exit 2 if any acceptance statistic fails",
         )
-        if "workers" in fields:
-            p.add_argument("--workers", type=int, help="parallel worker processes over trials")
     return parser
 
 
@@ -59,9 +58,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(
                 f"config declares experiment {declared!r}, command was {name!r}"
             )
-        # --seed and --workers, where registered, override the file's keys.
-        flags = {k: str(v) for k in ("seed", "workers") if (v := vars(args).get(k)) is not None}
-        config = config_from_mapping(config_cls, {**mapping, **flags})
+        # --seed, where registered, overrides the file's key.
+        if vars(args).get("seed") is not None:
+            mapping["seed"] = str(args.seed)
+        config = config_from_mapping(config_cls, mapping)
         result = run_experiment(name, config, args.out or Path("results") / name)
     except (ConfigError, DomainError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,7 +24,8 @@ generating strategy; for any other experiment they are unknown keys::
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, get_args, get_origin, get_type_hints
+import sys
+from typing import Any, get_args, get_origin
 
 import numpy as np
 
@@ -72,11 +73,18 @@ def _take(mapping: dict[str, str], key: str, kind: type = float) -> tuple:
     return _coerce(mapping.pop(key), tuple[kind, ...], key)
 
 
+def field_types(cls) -> dict[str, Any]:
+    """Each dataclass field's type. ``InitVar`` hints, which ``get_type_hints``
+    refuses before Python 3.11, are no fields and are never evaluated."""
+    namespace = vars(sys.modules[cls.__module__])
+    hints = ((f.name, f.type) for f in dataclasses.fields(cls))
+    return {name: eval(hint, namespace) if isinstance(hint, str) else hint for name, hint in hints}
+
+
 def config_from_mapping(cls, mapping: dict[str, str]):
     """Build an experiment config dataclass from parsed key=value pairs; a
     key that no field reads is an error."""
-    hints = get_type_hints(cls)
-    fields = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+    fields = field_types(cls)
     rest = dict(mapping)
     kwargs = {}
     custom = "game" in fields

@@ -3,17 +3,15 @@
 Every experiment is deterministic given its config: per-run rng substreams
 are keyed by (cell, run) indices, artifacts print floats with 17 significant
 digits, and each summary statistic is a pure function of the rows in
-``runs.csv``. Parallelism (where offered) is across runs only.
+``runs.csv``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from operator import add
 from pathlib import Path
 
@@ -65,19 +63,6 @@ class ExperimentResult:
     @property
     def passed(self) -> bool:
         return all(self.checks.values())
-
-
-def _pmap(fn, items, workers: int):
-    """``fn`` over ``items`` on at most ``workers`` processes, items or CPUs."""
-    if workers > 1:
-        items = list(items)
-        workers = min(workers, len(items), os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(item) for item in items]
-    # Trials of one cell share their tables, which a chunk pickles only once.
-    chunksize = max(1, len(items) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
 
 
 def _finish(
@@ -137,7 +122,7 @@ def _validate_config(config, alphas=(), fractions=()) -> None:
         if getattr(config, field.name) == ():
             raise ConfigError(f"{field.name} must list at least one value")
     counts = ("runs", "horizon", "grid_nodes", "trials", "pairs", "triples", "t_max",
-              "streams", "matrices", "chains", "workers")
+              "streams", "matrices", "chains")
     for name in counts:
         if not getattr(config, name, 1) >= 1:
             raise ConfigError(f"{name} must be at least 1, got {getattr(config, name)}")
@@ -311,7 +296,7 @@ class SensitivityConfig:
     grid_nodes: int = 101
 
     def __post_init__(self) -> None:
-        _validate_config(self, self.alphas, self.lambdas)
+        _validate_config(self, self.alphas, self.lambdas if self.mixture == "dirac" else ())
         calibrated = sorted(scenarios.SENSITIVITY_ROWS)
         for eta in self.etas:
             if eta not in calibrated:
@@ -488,9 +473,12 @@ class SoccerScalingConfig:
     threshold: float = 20.0
     t_max: int = 200000
     smoothing: float = 0.05
-    workers: int = 1
+    # Trials run in one process; 1, which perfbench's workloads pass, is the one value taken.
+    workers: InitVar[int] = 1
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, workers: int) -> None:
+        if workers != 1:
+            raise ConfigError(f"trials run in one process; workers must be 1, got {workers}")
         _validate_config(self)
         _validate_weights("epsilons", self.epsilons, positive=True, fit_from=0.0)
         if not 0.0 <= self.smoothing < 1.0:
@@ -503,17 +491,17 @@ class SoccerScalingConfig:
 _DRAW_BLOCK = 256
 
 
-def _trial_taus(trial, tables, fixed: tuple, trials: int, workers: int) -> np.ndarray:
-    """Run ``trial((cell, run, *fixed, *tables[cell]))`` for every cell of the
-    lazy ``tables`` and every run, over ``workers`` processes; returns the
-    (cells, trials) float array of taus, -1 where a trial never crossed.
-    ``_pmap`` returns results in task order, cell by cell."""
-    tasks = (
-        (cell, run, *fixed, *table)
+def _trial_taus(trial, tables, fixed: tuple, trials: int) -> np.ndarray:
+    """Run ``trial(cell, run, *fixed, *tables[cell])`` for every cell of the
+    lazy ``tables`` and every run, in one process and cell by cell, so that
+    one cell's tables are alive at a time; returns the (cells, trials) float
+    array of taus, -1 where a trial never crossed."""
+    taus = [
+        trial(cell, run, *fixed, *table)
         for cell, table in enumerate(tables)
         for run in range(trials)
-    )
-    return np.array(_pmap(trial, tasks, workers), dtype=float).reshape(-1, trials)
+    ]
+    return np.array(taus, dtype=float).reshape(-1, trials)
 
 
 def _trial_rows(values, taus) -> list:
@@ -532,7 +520,7 @@ def _soccer_tables(eps, null_table, afraid_table) -> tuple[list, list]:
     return cumulative_cuts(alt_table).tolist(), log_ratio.tolist()
 
 
-def _soccer_trial(args) -> int:
+def _soccer_trial(cell, run, seed, t_max, threshold, cuts_b, cuts_a, log_ratio) -> int:
     """One monitored stream of concatenated episodes; returns the crossing
     round tau, or -1.
 
@@ -546,7 +534,6 @@ def _soccer_trial(args) -> int:
     ``rng.random(n)`` yields the same doubles as n successive
     ``rng.random()`` calls.
     """
-    cell, run, seed, t_max, threshold, cuts_b, cuts_a, log_ratio = args
     successors = soccer.kickoff_successors()
     s = soccer.state_index(soccer.INITIAL_STATE)
     slip = soccer.SLIP_PROB
@@ -598,10 +585,10 @@ def run_soccer_scaling(
             "deviation plays; use smoothing > 0"
         )
     cuts_b = cumulative_cuts(defender.table).tolist()
-    # Lazy, so that in-process runs keep one cell's tables alive at a time.
+    # Lazy, so that one cell's tables are alive at a time.
     tables = (_soccer_tables(eps, null_a.table, afraid.table) for eps in config.epsilons)
     fixed = (config.seed, config.t_max, config.threshold, cuts_b)
-    taus = _trial_taus(_soccer_trial, tables, fixed, config.trials, config.workers)
+    taus = _trial_taus(_soccer_trial, tables, fixed, config.trials)
     summary: dict = {"seed": config.seed, "trials_per_epsilon": config.trials}
     points = []
     fig_rows = []
@@ -641,9 +628,12 @@ class PreyMixtureConfig:
     eps_grid: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9)
     threshold: float = 20.0
     horizon: int = 5000
-    workers: int = 1
+    # As in SoccerScalingConfig: trials run in one process.
+    workers: InitVar[int] = 1
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, workers: int) -> None:
+        if workers != 1:
+            raise ConfigError(f"trials run in one process; workers must be 1, got {workers}")
         _validate_config(self)
         _validate_weights("eps_true", self.eps_true, fit_from=SLOPE_MIN_EPS)
         _validate_weights("eps_grid", self.eps_grid)
@@ -659,7 +649,7 @@ def _prey_tables(eps_true, eps_grid) -> tuple[list, list]:
     return cumulative_cuts(played).tolist(), log_inc.tolist()
 
 
-def _prey_trial(args) -> int:
+def _prey_trial(cell, run, seed, threshold, horizon, played_cuts, log_inc) -> int:
     """One monitored pursuit stream; returns the crossing round tau, or -1.
 
     The pursuit runs over cell ids (:func:`prey.pursuit_tables`) and draws
@@ -680,7 +670,6 @@ def _prey_trial(args) -> int:
     within 1e-9 of log(threshold). Neither falls more than a few ulp below
     the readout, so neither screen hides a crossing.
     """
-    cell, run, seed, threshold, horizon, played_cuts, log_inc = args
     moves, chase_row, _ = prey.pursuit_tables()
     start = prey.DEFAULT_START
     cells = [prey.cell_id(pos) for pos in (*start.predators, start.prey)]
@@ -747,10 +736,10 @@ def _prey_trial(args) -> int:
 
 
 def run_prey_mixture(config: PreyMixtureConfig, out_dir: Path) -> ExperimentResult:
-    # Lazy, so that in-process runs keep one cell's tables alive at a time.
+    # Lazy, so that one cell's tables are alive at a time.
     tables = (_prey_tables(eps, config.eps_grid) for eps in config.eps_true)
     fixed = (config.seed, config.threshold, config.horizon)
-    taus = _trial_taus(_prey_trial, tables, fixed, config.trials, config.workers)
+    taus = _trial_taus(_prey_trial, tables, fixed, config.trials)
     summary: dict = {
         "seed": config.seed,
         "trials_per_eps": config.trials,

@@ -2,8 +2,8 @@
 
 Run ``i`` of cell ``c`` always draws from the generator seeded by
 ``SeedSequence(entropy=master_seed, spawn_key=(c, i))``, so any single run
-is reproducible in isolation and results do not depend on execution order
-or on how runs are spread over workers. ``run_rngs`` seeds a cell's runs at once.
+is reproducible in isolation and results do not depend on execution order.
+Runs execute in one process. ``run_rngs`` seeds a cell's runs at once.
 """
 
 from __future__ import annotations

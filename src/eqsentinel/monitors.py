@@ -193,6 +193,8 @@ class MonitorConfig:
         if self.conditional_ce and self.mode is not EquilibriumMode.CE:
             raise DomainError("conditional_ce is only meaningful in CE mode")
         if self.weights is not None:
+            if self.procedure != "fdr":
+                raise DomainError("weights are only meaningful for the fdr procedure")
             if np.ndim(self.weights) != 1:
                 raise ShapeError("weights must be a 1-D array")
             w = check_distribution(self.weights, "weights", PROB_TOL, positive=True)

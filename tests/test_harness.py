@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import math
@@ -5,8 +6,8 @@ import os
 import re
 import runpy
 import subprocess
-import typing
 import sys
+import typing
 from bisect import bisect_right
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from eqsentinel.harness import cli, experiments, nfstreams, scenarios
 from eqsentinel.harness.cli import main
 from eqsentinel.harness.config import (
     config_from_mapping,
+    field_types,
     game_from_mapping,
     parse_kv_text,
     strategy_from_mapping,
@@ -531,25 +533,6 @@ class TestDeterminism:
         ).read_bytes()
         assert first.summary == second.summary
 
-    def test_prey_workers_do_not_change_artifacts(self, tmp_path):
-        base = PreyMixtureConfig(trials=6, eps_true=(0.3, 0.5, 0.8), workers=1)
-        parallel = PreyMixtureConfig(trials=6, eps_true=(0.3, 0.5, 0.8), workers=2)
-        run_prey_mixture(base, tmp_path / "w1")
-        run_prey_mixture(parallel, tmp_path / "w2")
-        assert (tmp_path / "w1" / "runs.csv").read_bytes() == (
-            tmp_path / "w2" / "runs.csv"
-        ).read_bytes()
-
-    def test_soccer_workers_do_not_change_artifacts(self, tmp_path, soccer_solution):
-        policies = (soccer_solution.row_policy, soccer_solution.col_policy)
-        cfg1 = SoccerScalingConfig(trials=4, epsilons=(0.2, 0.3, 0.5), workers=1)
-        cfg2 = SoccerScalingConfig(trials=4, epsilons=(0.2, 0.3, 0.5), workers=2)
-        run_soccer_scaling(cfg1, tmp_path / "w1", policies=policies)
-        run_soccer_scaling(cfg2, tmp_path / "w2", policies=policies)
-        assert (tmp_path / "w1" / "runs.csv").read_bytes() == (
-            tmp_path / "w2" / "runs.csv"
-        ).read_bytes()
-
 
 def _terminal_steps(monkeypatch, module, name, done_at):
     """Count the steps of ``module.name`` that end an episode."""
@@ -670,7 +653,7 @@ class TestTrialLoops:
         for cell, eps in enumerate(config.eps_true):
             tables = experiments._prey_tables(eps, config.eps_grid)
             got = experiments._prey_trial(
-                (cell, 0, config.seed, config.threshold, config.horizon, *tables)
+                cell, 0, config.seed, config.threshold, config.horizon, *tables
             )
             expected = prey_trial(
                 (cell, 0, config.seed, eps, config.eps_grid, config.threshold, config.horizon)
@@ -994,6 +977,9 @@ class TestCli:
             ("soccer-scaling", "slope_low = -10"),
             ("prey-mixture", "min_detection_rate = 0.1"),
             ("oracle-suite", "matrix_dim = 3"),
+            # Trials run in one process, so no config sets workers.
+            ("prey-mixture", "workers = 1"),
+            ("soccer-scaling", "workers = 2"),
         ]:
             config = tmp_path / "bad.cfg"
             config.write_text(f"experiment = {name}\n{body}\n")
@@ -1004,8 +990,13 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "argv",
-        [["nf-slack", "--workers", "2"], ["soccer-solve", "--seed", "5"]],
-        ids=["slack-workers", "solve-seed"],
+        [
+            ["nf-slack", "--workers", "2"],
+            ["soccer-solve", "--seed", "5"],
+            ["soccer-scaling", "--workers", "2"],
+            ["prey-mixture", "--workers", "1"],
+        ],
+        ids=["slack-workers", "solve-seed", "soccer-workers", "prey-workers"],
     )
     def test_flag_without_a_config_field_is_a_usage_error(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -1015,7 +1006,7 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("name", ["soccer-scaling", "prey-mixture"])
-    def test_seed_and_workers_reach_the_config(self, tmp_path, monkeypatch, name):
+    def test_seed_reaches_the_config(self, tmp_path, monkeypatch, name):
         seen = []
 
         def record(experiment, config, out_dir, **kwargs):
@@ -1024,10 +1015,10 @@ class TestCli:
 
         monkeypatch.setattr("eqsentinel.harness.cli.run_experiment", record)
         config = tmp_path / "run.cfg"
-        config.write_text(f"experiment = {name}\nseed = 1\nworkers = 1\n")
-        argv = [name, "--config", str(config), "--seed", "5", "--workers", "2"]
+        config.write_text(f"experiment = {name}\nseed = 1\n")
+        argv = [name, "--config", str(config), "--seed", "5"]
         assert main([*argv, "--out", str(tmp_path / "o")]) == 0
-        assert (seen[0].seed, seen[0].workers) == (5, 2)
+        assert seen[0].seed == 5
 
     def test_experiment_mismatch_exits_one(self, tmp_path):
         config = tmp_path / "bad.cfg"
@@ -1079,6 +1070,32 @@ class TestSensitivityAnchors:
         assert low == pytest.approx(775.0, rel=0.05)
         assert high == pytest.approx(911.0, rel=0.05)
         assert high > low
+
+
+class TestSensitivityLambdas:
+    """Only the dirac mixture reads ``lambdas``, so only it checks them."""
+
+    BODY = "experiment = nf-sensitivity\nruns = 3\nhorizon = 200\nalphas = 0.2\netas = 0.1\n"
+
+    def run(self, tmp_path, name, body):
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(self.BODY + body)
+        return main(["nf-sensitivity", "--config", str(config), "--out", str(tmp_path / name)])
+
+    def test_uniform_ignores_out_of_range_lambdas(self, tmp_path):
+        uniform = "mixture = uniform\ngrid_nodes = 11\n"
+        assert self.run(tmp_path, "plain", uniform) == 0
+        assert self.run(tmp_path, "keyed", uniform + "lambdas = 2.0\n") == 0
+        names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "keyed").iterdir())
+        for name in names:
+            plain = (tmp_path / "plain" / name).read_bytes()
+            assert plain == (tmp_path / "keyed" / name).read_bytes(), name
+
+    def test_dirac_rejects_out_of_range_lambdas(self, tmp_path, capsys):
+        assert self.run(tmp_path, "dirac", "mixture = dirac\nlambdas = 2.0\n") == 1
+        assert "betting fractions must lie in (0, 1], got 2.0" in capsys.readouterr().err
+        assert not (tmp_path / "dirac").exists()
 
 
 class TestEbhAlarmFuzz:
@@ -1221,8 +1238,6 @@ class TestCliErrors:
             ("kl-check", "dim = 0", "dim must be at least 2, got 0"),
             ("kl-check", "dim = 1", "dim must be at least 2, got 1"),
             ("kl-check", "epsilons = 1.5, 0.001", "epsilons must lie in (0, 1], got 1.5"),
-            ("prey-mixture", "workers = -4", "workers must be at least 1, got -4"),
-            ("soccer-scaling", "workers = 0", "workers must be at least 1, got 0"),
             ("soccer-scaling", "t_max = 0", "t_max must be at least 1, got 0"),
             ("soccer-scaling", "smoothing = 1.5", "smoothing must lie in [0, 1), got 1.5"),
             ("soccer-scaling", "threshold = 0", "threshold must exceed 1, got 0.0"),
@@ -1279,7 +1294,7 @@ class TestCliErrors:
              "kl-pairs", "kl-check-eps", "kl-tol", "prey-slope-points", "soccer-slope-points",
              "soccer-zero-eps", "prey-eps-above-one", "prey-negative-grid", "slack-triples",
              "oracle-streams", "oracle-matrices", "oracle-chains", "kl-dim-zero", "kl-dim-one",
-             "kl-eps-above-one", "prey-negative-workers", "soccer-zero-workers", "soccer-t-max",
+             "kl-eps-above-one", "soccer-t-max",
              "soccer-smoothing", "soccer-zero-threshold", "prey-nan-threshold",
              "prey-inf-threshold", "slack-game-keys", "sensitivity-game-keys",
              "soccer-game-keys", "detect-game-bogus", "game-without-players",
@@ -1302,7 +1317,7 @@ class TestCliErrors:
 COUNT_FIELDS = [
     (name, field)
     for name, (config_cls, _) in experiments.EXPERIMENTS.items()
-    for field, hint in typing.get_type_hints(config_cls).items()
+    for field, hint in field_types(config_cls).items()
     if hint is int and field != "seed"
 ]
 
@@ -1318,28 +1333,56 @@ class TestConfigCounts:
         with pytest.raises(error):
             config_cls(**{field: 0})
 
-    def test_pmap_starts_no_more_processes_than_items_or_cpus(self, monkeypatch):
-        started = []
 
-        class Pool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
+@pytest.mark.parametrize("config_cls", [SoccerScalingConfig, PreyMixtureConfig])
+class TestOneProcess:
+    """Trials run in one process: ``workers`` is no config field, and only the
+    value 1 is taken at construction."""
 
-            def __enter__(self):
-                return self
+    def test_workers_is_not_a_field(self, config_cls):
+        assert "workers" not in {f.name for f in dataclasses.fields(config_cls)}
 
-            def __exit__(self, *exc):
-                return False
+    def test_one_worker_builds_the_default_config(self, config_cls):
+        assert config_cls(workers=1) == config_cls()
 
-            def map(self, fn, items, chunksize):
-                return map(fn, items)
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_other_worker_counts_rejected(self, config_cls, workers):
+        message = f"trials run in one process; workers must be 1, got {workers}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_cls(workers=workers)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Pool)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
-        assert experiments._pmap(abs, [-1, -2, -3], workers=64) == [1, 2, 3]
-        assert experiments._pmap(abs, range(-9, 0), workers=64) == list(range(9, 0, -1))
-        assert experiments._pmap(abs, [-5], workers=64) == [5]  # one item runs serially
-        assert started == [3, 4]
+    def test_config_file_builds_the_config(self, config_cls):
+        config = config_from_mapping(config_cls, {"trials": "3", "seed": "5"})
+        assert config == config_cls(trials=3, seed=5)
+
+
+def test_init_only_annotation_is_not_evaluated():
+    # Before Python 3.11, typing.get_type_hints refuses an InitVar hint; an
+    # undefined name stands in for it here, so evaluating it raises.
+    @dataclasses.dataclass
+    class Config:
+        n: "int" = 1
+        extra: "dataclasses.InitVar[Undefined]" = None  # noqa: F821
+
+        def __post_init__(self, extra):
+            pass
+
+    with pytest.raises(NameError):
+        typing.get_type_hints(Config)
+    assert field_types(Config) == {"n": int}
+    assert config_from_mapping(Config, {"n": "4"}) == Config(n=4)
+
+
+def test_cli_import_starts_no_process_pool():
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(root / 'src')!r})\n"
+        "import eqsentinel.harness.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestGatesSeeNan:
@@ -1498,6 +1541,20 @@ class TestReadmeCli:
         readme = re.search(r"```\n(eqsentinel .*)\n```", self.section()).group(1)
         docstring = re.search(r"^    (eqsentinel .*)$", cli.__doc__, re.M).group(1)
         assert readme == docstring
+
+    def test_synopsis_lists_the_parser_flags(self):
+        synopsis = re.search(r"^    (eqsentinel .*)$", cli.__doc__, re.M).group(1)
+        listed = set(re.findall(r"--[a-z-]+", synopsis))
+        sub = next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        registered = {
+            option
+            for parser in sub.choices.values()
+            for action in parser._actions
+            for option in action.option_strings
+        }
+        assert listed == registered - {"-h", "--help"}
 
     def test_subcommand_table_lists_the_parser_subcommands(self):
         table = self.section().split("| subcommand ", 1)[1].split("\n\n", 1)[0]

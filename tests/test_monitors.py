@@ -112,6 +112,13 @@ class TestMonitorConfig:
                 weights=np.array([0.5, 0.4]),
             )
 
+    def test_weights_refused_under_fwer(self):
+        # The family-wise threshold is m/alpha; it would drop the weights.
+        with pytest.raises(DomainError, match="weights are only meaningful for the fdr procedure"):
+            MonitorConfig(
+                alpha=0.1, mixture=BettingMixture.dirac(0.1), weights=np.array([0.5, 0.5])
+            )
+
 
 class TestFwer:
     def test_zero_increments_never_reject(self, two_signal):

@@ -85,7 +85,9 @@ ENTRY_POINTS = {
         PROB_TOL,
     ),
     "monitor-weights": (
-        lambda v: MonitorConfig(alpha=0.1, mixture=BettingMixture.dirac(0.5), weights=v),
+        lambda v: MonitorConfig(
+            alpha=0.1, mixture=BettingMixture.dirac(0.5), procedure="fdr", weights=v
+        ),
         PROB_TOL,
     ),
     "lr-prior": (
@@ -171,7 +173,9 @@ class TestEmptyInputs:
         [
             lambda: Policy(np.empty((0, 3))),
             lambda: JointStrategy.product([0.5, 0.5], []),
-            lambda: MonitorConfig(alpha=0.1, mixture=BettingMixture.dirac(0.5), weights=[]),
+            lambda: MonitorConfig(
+                alpha=0.1, mixture=BettingMixture.dirac(0.5), procedure="fdr", weights=[]
+            ),
             lambda: stationary_distribution(np.empty((0, 0))),
             lambda: chi_square_div([], []),
             lambda: BettingMixture("grid", [], []),
