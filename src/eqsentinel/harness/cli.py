@@ -18,7 +18,7 @@ from pathlib import Path
 
 from ..errors import ConfigError, DomainError, ShapeError
 from .config import config_from_mapping, parse_kv_text
-from .csvio import format_value
+from .csvio import format_value, read_utf8
 from .experiments import EXPERIMENTS, run_experiment
 
 
@@ -52,7 +52,7 @@ def main(argv: list[str] | None = None) -> int:
     name = args.experiment
     config_cls, _ = EXPERIMENTS[name]
     try:
-        mapping = parse_kv_text(args.config.read_text()) if args.config else {}
+        mapping = parse_kv_text(read_utf8(args.config, ConfigError)) if args.config else {}
         declared = mapping.pop("experiment", None)
         if declared is not None and declared != name:
             raise ConfigError(

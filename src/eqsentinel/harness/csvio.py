@@ -47,9 +47,19 @@ def write_figure_data(path: Path, header: list[str], rows) -> Path:
     return _write_lines(path, ["# " + " ".join(header)], rows, " ")
 
 
+def read_utf8(path: Path, error: type[Exception] = DomainError) -> str:
+    """A file's UTF-8 text; else ``error``, naming the path and the line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line} is not UTF-8 text") from None
+
+
 def read_csv(path: Path) -> tuple[str, list[str], list[list[str]]]:
     """Read back a versioned CSV as (schema line, columns, raw rows)."""
-    lines = Path(path).read_text().splitlines()
+    lines = read_utf8(path).splitlines()
     if not lines or not lines[0].startswith(f"# {CSV_VERSION} "):
         raise DomainError(f"{path}: line 1 is not an {CSV_VERSION!r} version line")
     if len(lines) < 2:

@@ -182,10 +182,9 @@ def run_nf_fwer_null(config: NullGridConfig, out_dir: Path) -> ExperimentResult:
     cells = [(lam, alpha) for lam in config.lambdas for alpha in config.alphas]
     for cell, (lam, alpha) in enumerate(cells):
         mixture = BettingMixture.dirac(lam)
-        factors = nfstreams.log_factors(tables, mixture)
         rngs = run_rngs(config.seed, cell, config.runs)
         levels = np.full((1, m), math.log(m / alpha))
-        rounds, _ = nfstreams.replay_runs(strategy, factors, mixture, config.horizon, rngs, levels)
+        rounds, _ = nfstreams.replay_runs(strategy, tables, mixture, config.horizon, rngs, levels)
         for run, first in enumerate(_first(rounds[0])):
             rows.append((lam, alpha, run, int(first > 0), first))
     summary: dict = {"seed": config.seed, "runs_per_cell": config.runs}
@@ -233,11 +232,10 @@ def run_nf_detect(config: DetectConfig, out_dir: Path) -> ExperimentResult:
     m = len(hypotheses)
     weights = np.full(m, 1.0 / m)
     mixture = BettingMixture.dirac(config.betting_fraction)
-    factors = nfstreams.log_factors(tables, mixture)
     rngs = run_rngs(config.seed, 0, config.runs)
     # Level stack: the FWER threshold m/alpha, then the e-BH ladder.
     levels = np.vstack([np.full(m, math.log(m / config.alpha)), _log_ladder(config.alpha, weights)])
-    rounds, last = nfstreams.replay_runs(strategy, factors, mixture, config.horizon, rngs, levels)
+    rounds, last = nfstreams.replay_runs(strategy, tables, mixture, config.horizon, rngs, levels)
     rows = []
     for run, tau_fwer in enumerate(_first(rounds[0])):
         tau_fdr, k_at_alarm, rejected = nfstreams.first_alarm(rounds[1:, :, run])
@@ -321,14 +319,13 @@ def run_nf_sensitivity(config: SensitivityConfig, out_dir: Path) -> ExperimentRe
         for eta in config.etas
         for name, mix in mixtures
     ]
-    factors = {name: nfstreams.log_factors(tables, mix) for name, mix in mixtures}
     for cell, (alpha, eta, name, mix) in enumerate(cells):
         strategy = scenarios.sensitivity_profile(eta)
         rngs = run_rngs(config.seed, cell, config.runs)
         # Any crossing before the signal's is evaluated by the time it is
         # reached, so the run ends there and tau_stop is already settled.
         rounds, _ = nfstreams.replay_runs(
-            strategy, factors[name], mix, config.horizon, rngs,
+            strategy, tables, mix, config.horizon, rngs,
             np.full((1, m), math.log(m / alpha)), stop=signal_index,
         )
         signal = rounds[0, signal_index].tolist()
@@ -491,19 +488,6 @@ class SoccerScalingConfig:
 _DRAW_BLOCK = 256
 
 
-def _trial_taus(trial, tables, fixed: tuple, trials: int) -> np.ndarray:
-    """Run ``trial(cell, run, *fixed, *tables[cell])`` for every cell of the
-    lazy ``tables`` and every run, in one process and cell by cell, so that
-    one cell's tables are alive at a time; returns the (cells, trials) float
-    array of taus, -1 where a trial never crossed."""
-    taus = [
-        trial(cell, run, *fixed, *table)
-        for cell, table in enumerate(tables)
-        for run in range(trials)
-    ]
-    return np.array(taus, dtype=float).reshape(-1, trials)
-
-
 def _trial_rows(values, taus) -> list:
     """One ``runs.csv`` row (cell value, trial, tau, detected) per trial."""
     return [
@@ -520,9 +504,9 @@ def _soccer_tables(eps, null_table, afraid_table) -> tuple[list, list]:
     return cumulative_cuts(alt_table).tolist(), log_ratio.tolist()
 
 
-def _soccer_trial(cell, run, seed, t_max, threshold, cuts_b, cuts_a, log_ratio) -> int:
-    """One monitored stream of concatenated episodes; returns the crossing
-    round tau, or -1.
+def _soccer_trial(rng, t_max, threshold, cuts_b, cuts_a, log_ratio) -> int:
+    """One monitored stream of concatenated episodes, drawn from ``rng``;
+    returns the crossing round tau, or -1.
 
     The match runs over state ids (:func:`soccer.kickoff_successors`) and
     reads the players' cut rows and the log ratios as nested lists.
@@ -538,7 +522,6 @@ def _soccer_trial(cell, run, seed, t_max, threshold, cuts_b, cuts_a, log_ratio) 
     s = soccer.state_index(soccer.INITIAL_STATE)
     slip = soccer.SLIP_PROB
     actions, wait = soccer.NUM_ACTIONS, soccer.WAIT
-    rng = run_rng(seed, cell, run)
     log_b = math.log(threshold)
     log_lr = 0.0
     u, i, end = [], 0, -1
@@ -585,10 +568,12 @@ def run_soccer_scaling(
             "deviation plays; use smoothing > 0"
         )
     cuts_b = cumulative_cuts(defender.table).tolist()
-    # Lazy, so that one cell's tables are alive at a time.
-    tables = (_soccer_tables(eps, null_a.table, afraid.table) for eps in config.epsilons)
-    fixed = (config.seed, config.t_max, config.threshold, cuts_b)
-    taus = _trial_taus(_soccer_trial, tables, fixed, config.trials)
+    taus = np.empty((len(config.epsilons), config.trials))
+    for cell, eps in enumerate(config.epsilons):
+        tables = _soccer_tables(eps, null_a.table, afraid.table)
+        for run in range(config.trials):
+            rng = run_rng(config.seed, cell, run)
+            taus[cell, run] = _soccer_trial(rng, config.t_max, config.threshold, cuts_b, *tables)
     summary: dict = {"seed": config.seed, "trials_per_epsilon": config.trials}
     points = []
     fig_rows = []
@@ -649,8 +634,9 @@ def _prey_tables(eps_true, eps_grid) -> tuple[list, list]:
     return cumulative_cuts(played).tolist(), log_inc.tolist()
 
 
-def _prey_trial(cell, run, seed, threshold, horizon, played_cuts, log_inc) -> int:
-    """One monitored pursuit stream; returns the crossing round tau, or -1.
+def _prey_trial(rng, threshold, horizon, played_cuts, log_inc) -> int:
+    """One monitored pursuit stream, drawn from ``rng``; returns the crossing
+    round tau, or -1.
 
     The pursuit runs over cell ids (:func:`prey.pursuit_tables`) and draws
     in the order of the object-level loop: the suspect's uniform, then, as
@@ -674,7 +660,7 @@ def _prey_trial(cell, run, seed, threshold, horizon, played_cuts, log_inc) -> in
     start = prey.DEFAULT_START
     cells = [prey.cell_id(pos) for pos in (*start.predators, start.prey)]
     actions = prey.NUM_ACTIONS
-    raw = run_rng(seed, cell, run).bit_generator.random_raw
+    raw = rng.bit_generator.random_raw
     size = len(log_inc[0][0])
     weights = np.full(size, 1.0 / size)
     log_lr = [0.0] * size
@@ -736,10 +722,12 @@ def _prey_trial(cell, run, seed, threshold, horizon, played_cuts, log_inc) -> in
 
 
 def run_prey_mixture(config: PreyMixtureConfig, out_dir: Path) -> ExperimentResult:
-    # Lazy, so that one cell's tables are alive at a time.
-    tables = (_prey_tables(eps, config.eps_grid) for eps in config.eps_true)
-    fixed = (config.seed, config.threshold, config.horizon)
-    taus = _trial_taus(_prey_trial, tables, fixed, config.trials)
+    taus = np.empty((len(config.eps_true), config.trials))
+    for cell, eps in enumerate(config.eps_true):
+        tables = _prey_tables(eps, config.eps_grid)
+        for run in range(config.trials):
+            rng = run_rng(config.seed, cell, run)
+            taus[cell, run] = _prey_trial(rng, config.threshold, config.horizon, *tables)
     summary: dict = {
         "seed": config.seed,
         "trials_per_eps": config.trials,

@@ -20,8 +20,8 @@ chunked draws are the full-stream draws, value for value, however the runs
 and rounds are split. The uniforms become flat profile indices by the
 package's one draw rule (:mod:`eqsentinel.games`).
 
-Each cell builds its log-factor table once with ``eprocess.log_factors``,
-``log1p(-lambda * x)`` over the increment table's (m, P) profiles (with a
+:func:`replay_runs` builds a cell's log-factor table once from its (m, P)
+increment table with ``eprocess.log_factors``, ``log1p(-lambda * x)`` (with a
 trailing fraction axis for a grid mixture); the object monitor steps the
 same table round by round. The replay gathers an (m, R, n[, G]) block of it
 (m hypotheses, R runs, n rounds, G fractions), accumulates it with one
@@ -46,9 +46,9 @@ import math
 import numpy as np
 
 # ``increment_tables`` (the one deviation-gain table, zero where a conditional
-# hypothesis is inactive) and ``log_factors`` (the one bet) are the monitor's
-# builders; they stay resolvable here because the harness, the tests and
-# perfbench's --trace 1 use them by this module's name.
+# hypothesis is inactive) is the monitor's builder; it stays resolvable here
+# because the harness, the tests and perfbench's --trace 1 use it by this
+# module's name. ``log_factors`` (the one bet) is what the replays build from it.
 from ..eprocess import BettingMixture, log_factors
 from ..games import JointStrategy, _profiles, strategy_cuts
 from ..monitors import _ebh, _log_ladder, increment_tables  # noqa: F401
@@ -138,7 +138,7 @@ def _crossings(paths: np.ndarray, levels: np.ndarray) -> np.ndarray:
 
 def replay_runs(
     strategy: JointStrategy,
-    factors: np.ndarray,
+    tables: np.ndarray,
     mixture: BettingMixture,
     horizon: int,
     rngs,
@@ -147,8 +147,8 @@ def replay_runs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """First crossing rounds and last log wealth of a cell's runs.
 
-    ``factors`` is the cell's ``log_factors(tables, mixture)``, and run r
-    replays ``log_wealth_paths(tables[:, stream], mixture)`` for ``stream =
+    ``tables`` is the cell's (m, P) increment table, and run r replays
+    ``log_wealth_paths(tables[:, stream], mixture)`` for ``stream =
     sample_action_stream(strategy, horizon, rngs[r])``. ``levels`` is an
     (L, m) stack of log levels, one per hypothesis. Returns ``(rounds,
     last)``: ``rounds[l, j, r]`` is the first round at which run r's path j
@@ -160,6 +160,7 @@ def replay_runs(
     cut to ``BLOCK_BYTES``, to it. No result depends on chunks or blocks.
     """
     levels = np.asarray(levels, dtype=float)
+    factors = log_factors(tables, mixture)
     m, runs = factors.shape[0], len(rngs)
     round_bytes = factors[:, :1].nbytes
     cap = min(horizon if stop is None else CHUNK_ROUNDS, max(1, BLOCK_BYTES // round_bytes))

@@ -335,10 +335,9 @@ class TestChunkedReplay:
         game, strategy = scenarios.two_signal_game(), scenarios.sensitivity_profile(eta)
         tables = nfstreams.increment_tables(game, enumerate_hypotheses(game, EquilibriumMode.NASH))
         mixture = BettingMixture.dirac(fraction)
-        factors = nfstreams.log_factors(tables, mixture)
         levels = np.full((1, len(tables)), math.log(len(tables) / 0.05))
         rounds, _ = nfstreams.replay_runs(
-            strategy, factors, mixture, 20000, run_rngs(7, 0, 300), levels, stop=0
+            strategy, tables, mixture, 20000, run_rngs(7, 0, 300), levels, stop=0
         )
         tau, first, cap = rounds[0, 0], nfstreams.CHUNK_ROUNDS // 16, nfstreams.CHUNK_ROUNDS
         # The doubling chunks (64 to 512 rounds) end at round 960; the first
@@ -396,9 +395,8 @@ class TestChunkedReplay:
         stream = nfstreams.sample_action_stream(strategy, 3000, run_rng(3, 1))
         full = nfstreams.log_wealth_paths(tables[:, stream], mixture)
         levels = np.vstack([np.full(len(full), np.inf), full[:, ::97].T])
-        factors = nfstreams.log_factors(tables, mixture)
         rounds, last = nfstreams.replay_runs(
-            strategy, factors, mixture, 3000, [run_rng(3, 1)], levels, stop=0
+            strategy, tables, mixture, 3000, [run_rng(3, 1)], levels, stop=0
         )
         assert np.array_equal(rounds[..., 0], nfstreams._crossings(full, levels))
         assert (rounds[1:, :, 0] <= np.arange(1, 3001, 97)[:, None]).all()
@@ -469,12 +467,11 @@ class TestChunkedReplay:
         game, strategy = scenarios.two_signal_game(), scenarios.sensitivity_profile(0.1)
         tables = nfstreams.increment_tables(game, enumerate_hypotheses(game, EquilibriumMode.NASH))
         mixture = BettingMixture.uniform_grid(101)
-        factors = nfstreams.log_factors(tables, mixture)
         rngs = [run_rng(5, 0, run) for run in range(40)]
         levels = np.full((1, len(tables)), np.inf)  # no run stops early
         tracemalloc.start()
         try:
-            rounds, _ = nfstreams.replay_runs(strategy, factors, mixture, 1500, rngs, levels, stop=0)
+            rounds, _ = nfstreams.replay_runs(strategy, tables, mixture, 1500, rngs, levels, stop=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -647,13 +644,12 @@ class TestTrialLoops:
         def forced(*key):
             return np.random.Generator(_pcg64_with_word(word, lag))
 
-        monkeypatch.setattr(experiments, "run_rng", forced)
         monkeypatch.setattr(_oracles, "run_rng", forced)
         config = PreyMixtureConfig()
         for cell, eps in enumerate(config.eps_true):
             tables = experiments._prey_tables(eps, config.eps_grid)
             got = experiments._prey_trial(
-                cell, 0, config.seed, config.threshold, config.horizon, *tables
+                forced(config.seed, cell, 0), config.threshold, config.horizon, *tables
             )
             expected = prey_trial(
                 (cell, 0, config.seed, eps, config.eps_grid, config.threshold, config.horizon)
@@ -1147,6 +1143,15 @@ class TestCliErrors:
         rc = main(["nf-slack", "--out", str(blocker / "nested")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8_exits_one(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"experiment = nf-slack\ntriples = 1\n\xff\xfe\n")
+        rc = main(["nf-slack", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {config}: line 3 is not UTF-8 text\n"
+        assert not (tmp_path / "o").exists(), "no output directory is made"
 
     @pytest.mark.parametrize("name", ["nf-fwer-null", "nf-detect"])
     @pytest.mark.parametrize(

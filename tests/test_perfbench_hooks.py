@@ -1,9 +1,11 @@
-"""The benchmark's --trace 1 hooks still find every entry point they wrap.
+"""The benchmark still runs against the package as it is.
 
 ``perfbench/run.py`` wraps package functions by module attribute name, so a
 function that moves or is renamed breaks ``--trace 1`` without failing any
-other test. This runs the benchmark's own ``install_spans`` and
-``unwrap_all`` in a fresh interpreter, writing no bytecode into the
+other test; and its workloads build configs and monitors through the
+package's own names and check the artifacts against recorded digests. These
+tests run the benchmark's own ``install_spans`` and ``unwrap_all``, and one
+pass of each workload, in fresh interpreters, writing no bytecode into the
 benchmark directory.
 """
 
@@ -12,6 +14,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -46,3 +50,18 @@ def test_install_spans_wraps_and_restores_every_entry_point():
     # module attribute (stochastic.linprog).
     for name in ("eprocess.increment", "nfstreams.increment_tables", "stochastic.linprog"):
         assert name in report["names"]
+
+
+@pytest.mark.parametrize("workload", ["nf-batch", "online", "stochastic"])
+def test_one_pass_of_each_workload_is_correct(workload):
+    # --seconds 0 runs the six set-ups and one pass of every op.
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "0"]
+    done = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    report = json.loads(lines[-1])
+    assert report["correct"] and report["failed"] == 0, done.stdout
+    if workload != "online":  # the only workload without artifacts
+        digests = [line for line in lines if line.startswith("digest ")]
+        assert digests and all(d.endswith("(matches recorded)") for d in digests), digests

@@ -214,6 +214,14 @@ class TestEmptyText:
             read(text)
 
 
+def test_csv_that_is_not_utf8_rejected(tmp_path):
+    path = tmp_path / "runs.csv"
+    path.write_bytes(f"# {CSV_VERSION} schema=runs\nrun,tau\n0,\xff\n".encode("latin-1"))
+    with pytest.raises(DomainError) as caught:
+        read_csv(path)
+    assert str(caught.value) == f"{path}: line 3 is not UTF-8 text"
+
+
 class TestScalarDomainsRejectNan:
     @pytest.mark.parametrize(
         "call",
