@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PROB_TOL, CapacityError, DomainError, ShapeError, check_distribution
+from .errors import PROB_TOL, CapacityError, ConfigError, DomainError, ShapeError
+from .errors import check_distribution
 
 #: Grid resolution used by monitors; oracle comparisons use 1001 nodes.
 DEFAULT_GRID_NODES = 101
@@ -38,13 +39,14 @@ class BettingMixture:
         if lam.shape != w.shape or lam.ndim != 1 or lam.size == 0:
             raise ShapeError("lambdas and weights must be nonempty 1-D arrays of equal length")
         if self.kind not in ("dirac", "grid"):
-            raise DomainError(f"unknown mixture kind {self.kind!r}")
+            raise ConfigError(f"unknown mixture kind {self.kind!r}")
         if self.kind == "dirac" and lam.size != 1:
             raise ShapeError("a dirac mixture has exactly one node")
         if not (0.0 < lam.min() and lam.max() <= 1.0):
-            raise DomainError("betting fractions must lie in (0, 1]")
+            bad = lam.max() if lam.min() > 0.0 else lam.min()
+            raise ConfigError(f"betting fractions must lie in (0, 1], got {bad}")
         if lam.size > 1 and np.any(np.diff(lam) <= 0.0):
-            raise DomainError("grid nodes must be strictly increasing")
+            raise ConfigError("grid nodes must be strictly increasing")
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "weights", check_distribution(w, "mixture weights", PROB_TOL))
 
@@ -62,9 +64,9 @@ class BettingMixture:
         an exact zero factor while increments stay in [-1, 1].
         """
         if not nodes >= 1:
-            raise DomainError("grid needs at least one node")
+            raise ConfigError(f"grid needs at least one node, got {nodes}")
         if not 0.0 < upper <= 1.0:
-            raise DomainError("upper must lie in (0, 1]")
+            raise ConfigError(f"upper must lie in (0, 1], got {upper}")
         lam = upper * (np.arange(nodes) + 0.5) / nodes
         return cls("grid", lam, np.full(nodes, 1.0 / nodes))
 
@@ -140,7 +142,7 @@ class EProcessState:
     def __post_init__(self) -> None:
         self.log_wealth = _check_log_wealth(self.log_wealth, self.mixture.size, "log_wealth")
         if self.threshold is not None and not self.threshold > 1.0:
-            raise DomainError("a registered threshold must exceed 1")
+            raise DomainError(f"a registered threshold must exceed 1, got {self.threshold}")
 
     @property
     def dead(self) -> np.ndarray:
@@ -193,7 +195,7 @@ def detection_bound_uniform(b: float, eta: float) -> float:
     """Ceiling on the expected crossing time of threshold ``b`` under the
     uniform mixture, for an alternative with slack ``eta``."""
     if not b > 1.0:
-        raise DomainError("threshold must exceed 1")
+        raise DomainError(f"threshold must exceed 1, got {b}")
     if not 0.0 < eta <= 1.0:
         raise DomainError("eta must lie in (0, 1]")
     return 12.0 * (math.log(b) + math.log(4.0 / eta) + math.log(1.5)) / eta**2
@@ -202,7 +204,7 @@ def detection_bound_uniform(b: float, eta: float) -> float:
 def slack_lower_bound(b: float, lam: float, eta: float) -> int:
     """Exact stopping round of the deterministic constant-gap stream."""
     if not b > 1.0:
-        raise DomainError("threshold must exceed 1")
+        raise DomainError(f"threshold must exceed 1, got {b}")
     if not 0.0 < lam < 1.0:
         raise DomainError("lambda must lie in (0, 1)")
     if not eta > 0.0:

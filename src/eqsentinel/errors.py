@@ -27,8 +27,8 @@ class ErgodicityError(RuntimeError):
     """The chain has no unique reachable stationary distribution."""
 
 
-class ConfigError(ValueError):
-    """An experiment configuration is malformed."""
+class ConfigError(DomainError):
+    """A config file or a library config object holds a malformed value."""
 
 
 def check_distribution(p, what: str, tol: float, positive: bool = False) -> np.ndarray:

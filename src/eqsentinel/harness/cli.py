@@ -63,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
             mapping["seed"] = str(args.seed)
         config = config_from_mapping(config_cls, mapping)
         result = run_experiment(name, config, args.out or Path("results") / name)
-    except (ConfigError, DomainError, ShapeError, OSError) as exc:
+    except (DomainError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for key, value in result.summary.items():

@@ -8,7 +8,6 @@ digits, and each summary statistic is a pure function of the rows in
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from bisect import bisect_right
 from dataclasses import InitVar, dataclass
@@ -111,27 +110,20 @@ def fit_loglog_slope(points) -> tuple[float, float]:
     return float(slope), float(intercept)
 
 
-def _validate_config(config, alphas=(), fractions=()) -> None:
-    """Reject a config with a negative seed, an empty list, a count below 1,
-    an alpha outside (0, 1), a betting fraction outside (0, 1], a crossing
-    threshold not above 1 or infinite, or an unknown mixture, before any
-    artifact directory exists."""
+def _validate_config(config, unread=()) -> None:
+    """Reject, before any artifact directory exists, what no library config
+    object checks: a negative seed, an empty list, an int field other than
+    ``seed`` (each counts something) below 1, a crossing threshold not above
+    1 or infinite, or an unknown mixture. Fields in ``unread`` go unchecked."""
     if config.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {config.seed}")
-    for field in dataclasses.fields(config):
-        if getattr(config, field.name) == ():
-            raise ConfigError(f"{field.name} must list at least one value")
-    counts = ("runs", "horizon", "grid_nodes", "trials", "pairs", "triples", "t_max",
-              "streams", "matrices", "chains")
-    for name in counts:
-        if not getattr(config, name, 1) >= 1:
-            raise ConfigError(f"{name} must be at least 1, got {getattr(config, name)}")
-    for alpha in alphas:
-        if not 0.0 < alpha < 1.0:
-            raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    for lam in fractions:
-        if not 0.0 < lam <= 1.0:
-            raise ConfigError(f"betting fractions must lie in (0, 1], got {lam}")
+    for name, value in vars(config).items():
+        if name in (*unread, "seed"):
+            continue
+        if value == ():
+            raise ConfigError(f"{name} must list at least one value")
+        if isinstance(value, int) and not value >= 1:
+            raise ConfigError(f"{name} must be at least 1, got {value}")
     threshold = getattr(config, "threshold", 2.0)
     if not threshold > 1.0:
         raise ConfigError(f"threshold must exceed 1, got {threshold}")
@@ -168,7 +160,10 @@ class NullGridConfig:
     strategy: JointStrategy | None = None
 
     def __post_init__(self) -> None:
-        _validate_config(self, self.alphas, self.lambdas)
+        _validate_config(self)
+        for lam in self.lambdas:
+            for alpha in self.alphas:
+                MonitorConfig(alpha, BettingMixture.dirac(lam))
 
 
 def run_nf_fwer_null(config: NullGridConfig, out_dir: Path) -> ExperimentResult:
@@ -220,7 +215,8 @@ class DetectConfig:
     strategy: JointStrategy | None = None
 
     def __post_init__(self) -> None:
-        _validate_config(self, (self.alpha,), (self.betting_fraction,))
+        _validate_config(self)
+        MonitorConfig(self.alpha, BettingMixture.dirac(self.betting_fraction))
 
 
 def run_nf_detect(config: DetectConfig, out_dir: Path) -> ExperimentResult:
@@ -294,11 +290,20 @@ class SensitivityConfig:
     grid_nodes: int = 101
 
     def __post_init__(self) -> None:
-        _validate_config(self, self.alphas, self.lambdas if self.mixture == "dirac" else ())
+        _validate_config(self, unread=("grid_nodes",) if self.mixture == "dirac" else ("lambdas",))
+        for _, mixture in self.mixtures():
+            for alpha in self.alphas:
+                MonitorConfig(alpha, mixture)
         calibrated = sorted(scenarios.SENSITIVITY_ROWS)
         for eta in self.etas:
             if eta not in calibrated:
                 raise ConfigError(f"etas must be in {calibrated}, got {eta}")
+
+    def mixtures(self) -> list[tuple[str, BettingMixture]]:
+        """(cell name, mixture): one Dirac mass per lambda, or one grid."""
+        if self.mixture == "uniform":
+            return [(f"uniform[{self.grid_nodes}]", BettingMixture.uniform_grid(self.grid_nodes))]
+        return [(f"dirac[{lam}]", BettingMixture.dirac(lam)) for lam in self.lambdas]
 
 
 def run_nf_sensitivity(config: SensitivityConfig, out_dir: Path) -> ExperimentResult:
@@ -307,11 +312,7 @@ def run_nf_sensitivity(config: SensitivityConfig, out_dir: Path) -> ExperimentRe
     tables = nfstreams.increment_tables(game, hypotheses)
     m = len(hypotheses)
     signal_index = 0  # hypothesis (player 1, deviation 0) carries the signal
-    mixtures = (
-        [(f"uniform[{config.grid_nodes}]", BettingMixture.uniform_grid(config.grid_nodes))]
-        if config.mixture == "uniform"
-        else [(f"dirac[{lam}]", BettingMixture.dirac(lam)) for lam in config.lambdas]
-    )
+    mixtures = config.mixtures()
     rows = []
     cells = [
         (alpha, eta, name, mix)
@@ -478,8 +479,7 @@ class SoccerScalingConfig:
             raise ConfigError(f"trials run in one process; workers must be 1, got {workers}")
         _validate_config(self)
         _validate_weights("epsilons", self.epsilons, positive=True, fit_from=0.0)
-        if not 0.0 <= self.smoothing < 1.0:
-            raise ConfigError(f"smoothing must lie in [0, 1), got {self.smoothing}")
+        SolverConfig(smoothing=self.smoothing)
 
 
 #: Uniforms a soccer trial draws per ``rng.random(n)`` call, and raw words a
@@ -768,9 +768,9 @@ class KlCheckConfig:
     check_eps: float = 0.001
 
     def __post_init__(self) -> None:
-        _validate_config(self)
         if not self.dim >= 2:
             raise ConfigError(f"dim must be at least 2, got {self.dim}")
+        _validate_config(self)
         _validate_weights("epsilons", self.epsilons, positive=True)
         if self.check_eps not in self.epsilons:
             raise ConfigError(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eprocess import BettingMixture, _log_mix, log_factors
-from .errors import PROB_TOL, DomainError, LineReader, ShapeError, StateError
+from .errors import PROB_TOL, ConfigError, DomainError, LineReader, ShapeError, StateError
 from .errors import check_distribution, format_floats
 from .games import ActionProfile, EquilibriumMode, JointStrategy, NormalFormGame
 
@@ -176,25 +176,25 @@ class MonitorConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
-            raise DomainError("alpha must lie in (0, 1)")
+            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.procedure not in ("fwer", "fdr"):
-            raise DomainError(f"unknown procedure {self.procedure!r}")
+            raise ConfigError(f"unknown procedure {self.procedure!r}")
         if self.mode is EquilibriumMode.EPS_APPROX:
             if not self.eps > 0.0:
-                raise DomainError("EPS_APPROX mode needs eps > 0")
+                raise ConfigError(f"EPS_APPROX mode needs eps > 0, got {self.eps}")
             # Shifted increments reach 1 + eps; capping lambda keeps every
             # e-value factor nonnegative.
             if self.mixture.lambdas.max() > 1.0 / (1.0 + self.eps):
-                raise DomainError(
+                raise ConfigError(
                     "mixture fractions must not exceed 1/(1+eps) under a shift"
                 )
         elif self.eps != 0.0:
-            raise DomainError("eps is only meaningful in EPS_APPROX mode")
+            raise ConfigError("eps is only meaningful in EPS_APPROX mode")
         if self.conditional_ce and self.mode is not EquilibriumMode.CE:
-            raise DomainError("conditional_ce is only meaningful in CE mode")
+            raise ConfigError("conditional_ce is only meaningful in CE mode")
         if self.weights is not None:
             if self.procedure != "fdr":
-                raise DomainError("weights are only meaningful for the fdr procedure")
+                raise ConfigError("weights are only meaningful for the fdr procedure")
             if np.ndim(self.weights) != 1:
                 raise ShapeError("weights must be a 1-D array")
             w = check_distribution(self.weights, "weights", PROB_TOL, positive=True)

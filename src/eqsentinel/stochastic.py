@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eprocess import _check_log_wealth, _log_mix
-from .errors import PROB_TOL, DomainError, ErgodicityError, LineReader, ShapeError
+from .errors import PROB_TOL, ConfigError, DomainError, ErgodicityError, LineReader, ShapeError
 from .errors import check_distribution, format_floats
 
 logger = logging.getLogger(__name__)
@@ -139,11 +139,13 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.discount < 1.0:
-            raise DomainError("discount must lie in (0, 1)")
-        if not (self.tolerance > 0.0 and self.max_iterations > 0):
-            raise DomainError("tolerance and max_iterations must be positive")
+            raise ConfigError(f"discount must lie in (0, 1), got {self.discount}")
+        if not self.tolerance > 0.0:
+            raise ConfigError(f"tolerance must be positive, got {self.tolerance}")
+        if not self.max_iterations >= 1:
+            raise ConfigError(f"max_iterations must be at least 1, got {self.max_iterations}")
         if not 0.0 <= self.smoothing < 1.0:
-            raise DomainError("smoothing must lie in [0, 1)")
+            raise ConfigError(f"smoothing must lie in [0, 1), got {self.smoothing}")
 
 
 # -- likelihood-ratio monitoring -------------------------------------------
@@ -237,7 +239,7 @@ def lr_step(
     ``DomainError`` when the threshold does not exceed 1.
     """
     if not threshold > 1.0:
-        raise DomainError("threshold must exceed 1")
+        raise DomainError(f"threshold must exceed 1, got {threshold}")
     num_states, num_actions, _ = state.probs.shape
     if null_policy.table.shape != (num_states, num_actions):
         raise ShapeError("null policy and alternatives must share a shape")

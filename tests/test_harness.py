@@ -494,7 +494,9 @@ class TestChunkedReplay:
             (SensitivityConfig, {"lambdas": (float("nan"),)}, "betting fractions must lie in"),
             (DetectConfig, {"betting_fraction": 1.5}, "betting fractions must lie in"),
             (DetectConfig, {"betting_fraction": float("nan")}, "betting fractions must lie in"),
-            (SensitivityConfig, {"grid_nodes": 0}, "grid_nodes must be at least 1"),
+            # Only the uniform mixture reads grid_nodes, so only it checks them.
+            (SensitivityConfig, {"mixture": "uniform", "grid_nodes": 0},
+             "grid_nodes must be at least 1"),
             (SensitivityConfig, {"mixture": "foo"}, "mixture must be dirac or uniform"),
             # log(threshold) is the crossing level: 0 used to fail inside a
             # trial (in a worker process), and NaN never crossed.
@@ -508,12 +510,13 @@ class TestChunkedReplay:
             # horizon and the slope fit read nan.
             (SoccerScalingConfig, {"threshold": math.inf}, "threshold must be finite"),
             (PreyMixtureConfig, {"threshold": math.inf}, "threshold must be finite"),
+            (SensitivityConfig, {"mixture": "uniform", "alphas": (1.5,)}, "alpha must lie in"),
         ],
         ids=["null-above", "null-zero", "sensitivity-nan", "detect-above", "detect-nan",
              "sensitivity-nodes", "sensitivity-mixture", "soccer-threshold-zero",
              "soccer-threshold-one", "soccer-threshold-nan", "prey-threshold-negative",
              "prey-threshold-half", "prey-threshold-nan", "soccer-threshold-inf",
-             "prey-threshold-inf"],
+             "prey-threshold-inf", "sensitivity-uniform-alpha"],
     )
     def test_bad_fraction_nodes_or_mixture_rejected(self, cls, overrides, message):
         with pytest.raises(ConfigError, match=message):
@@ -1093,6 +1096,16 @@ class TestSensitivityLambdas:
         assert "betting fractions must lie in (0, 1], got 2.0" in capsys.readouterr().err
         assert not (tmp_path / "dirac").exists()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"grid_nodes": 0}, {"mixture": "uniform", "lambdas": ()}],
+        ids=["dirac-zero-nodes", "uniform-empty-lambdas"],
+    )
+    def test_key_the_mixture_does_not_read_is_not_checked(self, overrides):
+        config = SensitivityConfig(**overrides)
+        names = [name for name, _ in config.mixtures()]
+        assert names == [name for name, _ in SensitivityConfig(mixture=config.mixture).mixtures()]
+
 
 class TestEbhAlarmFuzz:
     @given(st.data())
@@ -1333,10 +1346,43 @@ class TestConfigCounts:
     )
     def test_zero_count_rejected_at_construction(self, name, field):
         config_cls, _ = experiments.EXPERIMENTS[name]
-        # soccer-solve's config is the solver's own, which raises DomainError.
-        error = DomainError if config_cls is SolverConfig else ConfigError
-        with pytest.raises(error):
-            config_cls(**{field: 0})
+        # nf-sensitivity reads grid_nodes only under the uniform mixture.
+        extra = {"mixture": "uniform"} if field == "grid_nodes" else {}
+        with pytest.raises(ConfigError):
+            config_cls(**{field: 0}, **extra)
+
+
+#: (experiment, field, hint) for every float or float-tuple config field.
+FLOAT_FIELDS = [
+    (name, field, hint)
+    for name, (config_cls, _) in experiments.EXPERIMENTS.items()
+    for field, hint in field_types(config_cls).items()
+    if hint in (float, tuple[float, ...])
+]
+
+
+class TestConfigFloats:
+    """A library config object's own check is a ``ConfigError``, so every
+    config builds from any float, NaN and infinities included, or rejects
+    it with a ``ConfigError``."""
+
+    def test_config_error_is_a_domain_error(self):
+        assert issubclass(ConfigError, DomainError)
+
+    @pytest.mark.parametrize(
+        "name, field, hint", FLOAT_FIELDS, ids=[f"{n}-{field}" for n, field, _ in FLOAT_FIELDS]
+    )
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_any_float_builds_or_raises_config_error(self, name, field, hint, data):
+        floats = st.floats(allow_nan=True, allow_infinity=True)
+        value = data.draw(floats if hint is float else st.lists(floats, max_size=4).map(tuple))
+        config_cls, _ = experiments.EXPERIMENTS[name]
+        with np.errstate(all="raise"):
+            try:
+                config_cls(**{field: value})
+            except ConfigError:
+                pass
 
 
 @pytest.mark.parametrize("config_cls", [SoccerScalingConfig, PreyMixtureConfig])
