@@ -49,7 +49,7 @@ from ..stochastic import (
 )
 from . import nfstreams, scenarios
 from .csvio import write_csv, write_figure_data, write_summary
-from .seeding import DEFAULT_SEED, run_rng, run_rngs
+from .seeding import DEFAULT_SEED, run_rng, run_rngs, run_streams
 
 
 @dataclass(frozen=True)
@@ -173,13 +173,16 @@ def run_nf_fwer_null(config: NullGridConfig, out_dir: Path) -> ExperimentResult:
     hypotheses = enumerate_hypotheses(game, EquilibriumMode.NASH)
     tables = nfstreams.increment_tables(game, hypotheses)
     m = len(hypotheses)
+    offsets = nfstreams.stream_offsets(strategy, config.horizon)
     rows = []
     cells = [(lam, alpha) for lam in config.lambdas for alpha in config.alphas]
     for cell, (lam, alpha) in enumerate(cells):
         mixture = BettingMixture.dirac(lam)
-        rngs = run_rngs(config.seed, cell, config.runs)
+        streams = run_streams(config.seed, cell, config.runs, offsets)
         levels = np.full((1, m), math.log(m / alpha))
-        rounds, _ = nfstreams.replay_runs(strategy, tables, mixture, config.horizon, rngs, levels)
+        rounds, _ = nfstreams.replay_runs(
+            strategy, tables, mixture, config.horizon, streams, levels
+        )
         for run, first in enumerate(_first(rounds[0])):
             rows.append((lam, alpha, run, int(first > 0), first))
     summary: dict = {"seed": config.seed, "runs_per_cell": config.runs}
@@ -228,10 +231,11 @@ def run_nf_detect(config: DetectConfig, out_dir: Path) -> ExperimentResult:
     m = len(hypotheses)
     weights = np.full(m, 1.0 / m)
     mixture = BettingMixture.dirac(config.betting_fraction)
-    rngs = run_rngs(config.seed, 0, config.runs)
+    offsets = nfstreams.stream_offsets(strategy, config.horizon)
+    streams = run_streams(config.seed, 0, config.runs, offsets)
     # Level stack: the FWER threshold m/alpha, then the e-BH ladder.
     levels = np.vstack([np.full(m, math.log(m / config.alpha)), _log_ladder(config.alpha, weights)])
-    rounds, last = nfstreams.replay_runs(strategy, tables, mixture, config.horizon, rngs, levels)
+    rounds, last = nfstreams.replay_runs(strategy, tables, mixture, config.horizon, streams, levels)
     rows = []
     for run, tau_fwer in enumerate(_first(rounds[0])):
         tau_fdr, k_at_alarm, rejected = nfstreams.first_alarm(rounds[1:, :, run])
@@ -322,11 +326,12 @@ def run_nf_sensitivity(config: SensitivityConfig, out_dir: Path) -> ExperimentRe
     ]
     for cell, (alpha, eta, name, mix) in enumerate(cells):
         strategy = scenarios.sensitivity_profile(eta)
-        rngs = run_rngs(config.seed, cell, config.runs)
+        offsets = nfstreams.stream_offsets(strategy, config.horizon)
+        streams = run_streams(config.seed, cell, config.runs, offsets)
         # Any crossing before the signal's is evaluated by the time it is
         # reached, so the run ends there and tau_stop is already settled.
         rounds, _ = nfstreams.replay_runs(
-            strategy, tables, mix, config.horizon, rngs,
+            strategy, tables, mix, config.horizon, streams,
             np.full((1, m), math.log(m / alpha)), stop=signal_index,
         )
         signal = rounds[0, signal_index].tolist()
@@ -341,11 +346,7 @@ def run_nf_sensitivity(config: SensitivityConfig, out_dir: Path) -> ExperimentRe
         key = f"alpha={alpha},eta={eta},mixture={name}"
         mean_tau = summary[f"mean_tau[{key}]"] = _mean(detected)
         summary[f"detect_rate[{key}]"] = float((taus > 0).mean())
-        q25, q75 = (
-            (float(np.percentile(detected, 25)), float(np.percentile(detected, 75)))
-            if detected.size
-            else (math.nan, math.nan)
-        )
+        q25, q75 = np.percentile(detected, [25, 75]).tolist() if detected.size else (math.nan,) * 2
         fig_rows.append((alpha, eta, name, mean_tau, q25, q75))
         if config.mixture == "uniform":
             bound = detection_bound_uniform(m / alpha, eta)

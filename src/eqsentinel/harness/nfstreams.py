@@ -12,13 +12,13 @@ Within one run the per-player action streams are drawn in player order
 determinism contract for run-level reproducibility: player k draws the
 ``horizon`` uniforms that start ``(k - 1) * horizon`` outputs into the
 run's PCG64 stream. :func:`replay_runs` keeps those streams while drawing a
-chunk at a time: player 1 reads the run's generator itself, and player
-k >= 2 reads one scratch PCG64 set to the run's initial state and moved on
-with ``advance((k - 1) * horizon + start)`` for the chunk at round
-``start``. PCG64 ``random()`` spends one 64-bit output per double, so the
-chunked draws are the full-stream draws, value for value, however the runs
-and rounds are split. The uniforms become flat profile indices by the
-package's one draw rule (:mod:`eqsentinel.games`).
+chunk at a time: each run holds one generator per player, built once from
+the run's seed words and moved on by its offset in :func:`stream_offsets`
+(``seeding.run_streams``), and a chunk of ``n`` rounds reads the next ``n``
+uniforms of each. PCG64 ``random()`` spends one 64-bit output per double and
+its ``advance`` is exact, so the chunked draws are the full-stream draws,
+value for value, however the runs and rounds are split. The uniforms become
+flat profile indices by the package's one draw rule (:mod:`eqsentinel.games`).
 
 :func:`replay_runs` builds a cell's log-factor table once from its (m, P)
 increment table with ``eprocess.log_factors``, ``log1p(-lambda * x)`` (with a
@@ -68,28 +68,22 @@ def sample_action_stream(
     return _profiles(cuts, [rng.random(horizon) for _ in cuts])
 
 
-def _profile_sampler(strategy: JointStrategy, horizon: int, rngs):
-    """``draw(runs, start, n)``: rounds ``start`` to ``start + n - 1`` of the
-    listed runs' flattened joint-profile indices, (len(runs), n).
+def stream_offsets(strategy: JointStrategy, horizon: int) -> range:
+    """Where each drawn factor's ``horizon`` uniforms start in a run's stream."""
+    return range(0, len(strategy_cuts(strategy)) * horizon, horizon)
 
-    Run r's streams are ``sample_action_stream(strategy, horizon, rngs[r])``
-    when each run's chunks are drawn in order from round 0: player 1 reads
-    ``rngs[r]``, the others the scratch generator at their stream offset.
-    """
+
+def _profile_sampler(strategy: JointStrategy, streams):
+    """``draw(runs, n)``: the listed runs' next ``n`` flattened joint-profile
+    indices, (len(runs), n), each drawn factor's from its generator in
+    ``streams[r]``, which a chunk reads and leaves where it ended."""
     cuts = strategy_cuts(strategy)
-    # Seeded, because an unseeded PCG64() reads OS entropy first.
-    bits = np.random.PCG64(0)
-    scratch = np.random.Generator(bits)
-    initial = [g.bit_generator.state for g in rngs] if len(cuts) > 1 else []
 
-    def draw(runs, start: int, n: int) -> np.ndarray:
+    def draw(runs, n: int) -> np.ndarray:
         u = np.empty((len(cuts), len(runs), n))
         for row, r in enumerate(runs):
-            rngs[r].random(out=u[0, row])
-            for k in range(1, len(cuts)):
-                bits.state = initial[r]
-                bits.advance(k * horizon + start)
-                scratch.random(out=u[k, row])
+            for k, rng in enumerate(streams[r]):
+                rng.random(out=u[k, row])
         return _profiles(cuts, u)
 
     return draw
@@ -141,7 +135,7 @@ def replay_runs(
     tables: np.ndarray,
     mixture: BettingMixture,
     horizon: int,
-    rngs,
+    streams,
     levels,
     stop: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -149,7 +143,9 @@ def replay_runs(
 
     ``tables`` is the cell's (m, P) increment table, and run r replays
     ``log_wealth_paths(tables[:, stream], mixture)`` for ``stream =
-    sample_action_stream(strategy, horizon, rngs[r])``. ``levels`` is an
+    sample_action_stream(strategy, horizon, rng)``: ``streams[r]`` holds one
+    generator per drawn factor, ``rng`` moved on by each offset of
+    :func:`stream_offsets`, which the replay reads in order. ``levels`` is an
     (L, m) stack of log levels, one per hypothesis. Returns ``(rounds,
     last)``: ``rounds[l, j, r]`` is the first round at which run r's path j
     reaches ``levels[l, j]`` (-1 if it never does) and ``last[j, r]`` path
@@ -161,11 +157,11 @@ def replay_runs(
     """
     levels = np.asarray(levels, dtype=float)
     factors = log_factors(tables, mixture)
-    m, runs = factors.shape[0], len(rngs)
+    m, runs = factors.shape[0], len(streams)
     round_bytes = factors[:, :1].nbytes
     cap = min(horizon if stop is None else CHUNK_ROUNDS, max(1, BLOCK_BYTES // round_bytes))
     chunk = cap if stop is None else max(1, cap // 16)
-    draw = _profile_sampler(strategy, horizon, rngs)
+    draw = _profile_sampler(strategy, streams)
     rounds = np.full((levels.shape[0], m, runs), -1)
     last = np.empty((m, runs))
     carry = np.empty((m, runs, *factors.shape[2:]))
@@ -175,7 +171,7 @@ def replay_runs(
         per_block = max(1, BLOCK_BYTES // (round_bytes * n))
         for i in range(0, active.size, per_block):
             block = active[i : i + per_block]
-            logw = np.take(factors, draw(block.tolist(), start, n), axis=1)
+            logw = np.take(factors, draw(block.tolist(), n), axis=1)
             _accumulate(logw, carry[:, block] if start else None)
             carry[:, block] = logw[:, :, -1]
             paths = _readout(logw, mixture)

@@ -3,7 +3,9 @@
 Run ``i`` of cell ``c`` always draws from the generator seeded by
 ``SeedSequence(entropy=master_seed, spawn_key=(c, i))``, so any single run
 is reproducible in isolation and results do not depend on execution order.
-Runs execute in one process. ``run_rngs`` seeds a cell's runs at once.
+Runs execute in one process. ``run_rngs`` seeds a cell's runs at once, and
+``run_streams`` gives each run one generator per stream offset, built from
+the same seed words and moved on once with PCG64's exact ``advance``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ def run_rng(master_seed: int, *key: int) -> np.random.Generator:
 
 
 class _SeedWords:
-    """Precomputed seed words, which PCG64 asks for once, as 4 uint64. ``run_rngs``
+    """Precomputed seed words, which PCG64 asks for once, as 4 uint64. ``run_streams``
     registers it as an ISeedSequence, so importing this module skips numpy.random."""
 
     def __init__(self, words: np.ndarray) -> None:
@@ -41,7 +43,13 @@ _STATE_HASHES = _hashes(0x8B51F9DD, 0x58F38DED, 8)  # numpy's INIT_B and MULT_B
 
 
 def run_rngs(master_seed: int, cell: int, runs: int) -> list[np.random.Generator]:
-    """``[run_rng(master_seed, cell, r) for r in range(runs)]``, bit for bit.
+    """``[run_rng(master_seed, cell, r) for r in range(runs)]``, bit for bit."""
+    return [rng for rng, in run_streams(master_seed, cell, runs, (0,))]
+
+
+def run_streams(master_seed: int, cell: int, runs: int, offsets) -> list[tuple]:
+    """Per run r, one generator per offset: ``run_rng(master_seed, cell, r)``
+    moved on by that many outputs.
 
     numpy's SeedSequence (O'Neill's seed_seq_fe) hashes the master's uint32
     words, zero-padded to a pool of 4, then each spawn-key word into the
@@ -62,4 +70,7 @@ def run_rngs(master_seed: int, cell: int, runs: int) -> list[np.random.Generator
     pool ^= pool >> 16
     state = (np.tile(pool, 2) ^ _STATE_HASHES[:-1]) * _STATE_HASHES[1:]
     state ^= state >> 16
-    return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in state.view(np.uint64)]
+    return [
+        tuple(np.random.Generator(np.random.PCG64(_SeedWords(w)).advance(k)) for k in offsets)
+        for w in state.view(np.uint64)
+    ]

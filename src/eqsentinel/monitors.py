@@ -261,7 +261,7 @@ def ebh_rejection(maxima, alpha: float, weights) -> tuple[int, tuple[int, ...]]:
     if maxima.shape != w.shape or maxima.ndim != 1:
         raise ShapeError("maxima and weights must be 1-D arrays of equal length")
     if not 0.0 < alpha < 1.0:
-        raise DomainError("alpha must lie in (0, 1)")
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     inv_w = np.where(w > 0.0, 1.0 / (alpha * np.where(w > 0.0, w, 1.0)), np.inf)
     return _ebh(maxima >= inv_w / np.arange(1, maxima.size + 1)[:, None])
 

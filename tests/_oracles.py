@@ -28,6 +28,10 @@ as the package applied them before it evaluated them once as arrays;
 outcome table and the stepper built on it.
 ``sample_profile_reference`` is ``games.sample_profile`` as it drew through
 ``Generator.choice`` before the package's own draw rule.
+``profile_sampler_reference`` is the chunked replay's sampler as it was before
+each run held one generator per player: one scratch PCG64 for the later
+players, set to the run's initial state and moved on with ``advance`` for
+every run and chunk; ``advanced_reference`` places one generator that way.
 ``expected_payoff`` is one player's expected utility under a joint strategy,
 as the package exported it until nothing but the tests called it.
 ``deviation_gain_reference`` and ``equilibrium_slack_reference`` are the
@@ -63,6 +67,8 @@ from eqsentinel.games import (
     JointStrategy,
     NormalFormGame,
     StrategyKind,
+    _profiles,
+    strategy_cuts,
 )
 from eqsentinel.harness import nfstreams, scenarios
 from eqsentinel.harness.seeding import run_rng
@@ -777,6 +783,38 @@ def sample_action_stream_reference(strategy, horizon, rng) -> np.ndarray:
             [draws(f) for f in strategy.factors], strategy.action_counts
         )
     return draws(strategy.joint.ravel())
+
+
+def advanced_reference(rng, offset: int) -> np.random.Generator:
+    """A generator ``offset`` outputs into ``rng``'s stream: a PCG64 set to
+    ``rng``'s state, then moved on with ``advance``."""
+    bits = np.random.PCG64(0)
+    bits.state = rng.bit_generator.state
+    bits.advance(offset)
+    return np.random.Generator(bits)
+
+
+def profile_sampler_reference(strategy, horizon, rngs):
+    """``draw(runs, start, n)``: rounds ``start`` to ``start + n - 1`` of the
+    listed runs' flattened joint-profile indices. Player 1 reads ``rngs[r]``,
+    and player k >= 2 one scratch PCG64 set to the run's initial state and
+    moved on with ``advance((k - 1) * horizon + start)`` for every chunk."""
+    cuts = strategy_cuts(strategy)
+    bits = np.random.PCG64(0)
+    scratch = np.random.Generator(bits)
+    initial = [g.bit_generator.state for g in rngs]
+
+    def draw(runs, start, n):
+        u = np.empty((len(cuts), len(runs), n))
+        for row, r in enumerate(runs):
+            rngs[r].random(out=u[0, row])
+            for k in range(1, len(cuts)):
+                bits.state = initial[r]
+                bits.advance(k * horizon + start)
+                scratch.random(out=u[k, row])
+        return _profiles(cuts, u)
+
+    return draw
 
 
 def _log_wealth_paths(increments, mixture) -> np.ndarray:

@@ -18,10 +18,12 @@ from hypothesis import strategies as st
 
 import _oracles
 from _oracles import (
+    advanced_reference,
     nf_detect_rows_reference,
     nf_fwer_null_rows_reference,
     nf_sensitivity_rows_reference,
     prey_trial,
+    profile_sampler_reference,
     sample_action_stream_reference,
     soccer_trial,
 )
@@ -54,7 +56,7 @@ from eqsentinel.harness.experiments import (
     run_prey_mixture,
     run_soccer_scaling,
 )
-from eqsentinel.harness.seeding import DEFAULT_SEED, run_rng, run_rngs
+from eqsentinel.harness.seeding import DEFAULT_SEED, run_rng, run_rngs, run_streams
 from eqsentinel.eprocess import BettingMixture
 from eqsentinel.games import EquilibriumMode, JointStrategy
 from eqsentinel.monitors import enumerate_hypotheses
@@ -251,19 +253,25 @@ class TestChunkedReplay:
     @pytest.mark.parametrize("horizon", [1, 1023, 1024, 1025, 20000])
     @pytest.mark.parametrize("name", sorted(DRAW_STRATEGIES))
     def test_chunked_draws_equal_the_full_stream(self, name, horizon):
-        # Three runs drawn chunk by chunk in blocks of two runs and one.
+        # Three runs drawn chunk by chunk in blocks of two runs and one, each
+        # chunk also by the scratch-generator sampler the replay used before.
         strategy = DRAW_STRATEGIES[name]
         keys = [(9, 4), (9, 5), (9, 6)]
+        offsets = nfstreams.stream_offsets(strategy, horizon)
         cap = nfstreams.CHUNK_ROUNDS
         # Equal chunks of the cap, then the early-exit replay's chunks, which
         # double from a sixteenth of the cap (64, 128, ..., 1024, 1024, ...).
         for first in (cap, cap // 16):
-            draw = nfstreams._profile_sampler(strategy, horizon, [run_rng(*key) for key in keys])
+            streams = [tuple(advanced_reference(run_rng(*key), k) for k in offsets) for key in keys]
+            draw = nfstreams._profile_sampler(strategy, streams)
+            scratch = profile_sampler_reference(strategy, horizon, [run_rng(*key) for key in keys])
             parts, start, chunk = [[], [], []], 0, first
             while start < horizon:
                 n = min(chunk, horizon - start)
                 for block in ([0, 1], [2]):
-                    for run, row in zip(block, draw(block, start, n)):
+                    rows = draw(block, n)
+                    assert np.array_equal(rows, scratch(block, start, n))
+                    for run, row in zip(block, rows):
                         parts[run].append(row)
                 start, chunk = start + n, min(2 * chunk, cap)
             for key, part in zip(keys, parts):
@@ -271,6 +279,58 @@ class TestChunkedReplay:
                 assert np.array_equal(np.concatenate(part), full)
                 reference = sample_action_stream_reference(strategy, horizon, run_rng(*key))
                 assert np.array_equal(full, reference)
+
+    @pytest.mark.parametrize("horizon", [1, 1023, 1024, 1025, 20000])
+    @pytest.mark.parametrize("name", sorted(DRAW_STRATEGIES))
+    def test_run_streams_place_each_factor_as_the_scratch_scheme(self, name, horizon):
+        # One, two and three drawn factors: factor 0 is the run's generator,
+        # factor k the scratch PCG64 at k * horizon; run_rngs keeps factor 0.
+        strategy = DRAW_STRATEGIES[name]
+        offsets = nfstreams.stream_offsets(strategy, horizon)
+        assert len(offsets) == len(games.strategy_cuts(strategy))
+        batch = zip(run_streams(9, 4, 3, offsets), run_rngs(9, 4, 3))
+        for run, (streams, rng) in enumerate(batch):
+            assert rng.bit_generator.state == run_rng(9, 4, run).bit_generator.state
+            assert len(streams) == len(offsets)
+            for k, stream in enumerate(streams):
+                expected = advanced_reference(run_rng(9, 4, run), k * horizon)
+                assert stream.bit_generator.state == expected.bit_generator.state
+                assert np.array_equal(stream.random(8), expected.random(8))
+
+    def test_each_chunk_reads_each_generator_once(self):
+        # Stub generators log every attribute read or set: a per-chunk reset,
+        # a state assignment or an advance, would show up in the log.
+        calls = []
+
+        class Recording:
+            def __init__(self, key):
+                object.__setattr__(self, "key", key)
+
+            def __setattr__(self, name, value):
+                calls.append((object.__getattribute__(self, "key"), "set " + name))
+
+            def __getattribute__(self, name):
+                key = object.__getattribute__(self, "key")
+                if name != "random":
+                    calls.append((key, name))
+                    raise AttributeError(name)
+
+                def random(*args, **kwargs):
+                    assert not args and list(kwargs) == ["out"]
+                    calls.append((key, "random", kwargs["out"].shape))
+                    kwargs["out"][...] = 0.5
+
+                return random
+
+        strategy = DRAW_STRATEGIES["product-3"]
+        draw = nfstreams._profile_sampler(
+            strategy, [tuple(Recording((r, k)) for k in range(3)) for r in range(4)]
+        )
+        # The whole cell, then blocks of the runs left after early exits.
+        for runs, n in [([0, 1, 2, 3], 64), ([0, 2], 128), ([3], 256), ([3], 1)]:
+            calls.clear()
+            assert draw(runs, n).shape == (len(runs), n)
+            assert calls == [((r, k), "random", (n,)) for r in runs for k in range(3)]
 
     @pytest.mark.parametrize("actions", [1, 2, 3, 4, 5, 6])
     def test_comparison_index_is_clamped_searchsorted(self, actions):
@@ -321,12 +381,12 @@ class TestChunkedReplay:
             gathered[block_runs[-1]] += block.shape[2]
             return accumulate(block, carry)
 
-        def recording(strategy, horizon, rngs):
-            draw = sampler(strategy, horizon, rngs)
+        def recording(strategy, streams):
+            draw = sampler(strategy, streams)
 
-            def recorded(runs, start, n):
+            def recorded(runs, n):
                 block_runs.append(runs)
-                return draw(runs, start, n)
+                return draw(runs, n)
 
             return recorded
 
@@ -336,9 +396,8 @@ class TestChunkedReplay:
         tables = nfstreams.increment_tables(game, enumerate_hypotheses(game, EquilibriumMode.NASH))
         mixture = BettingMixture.dirac(fraction)
         levels = np.full((1, len(tables)), math.log(len(tables) / 0.05))
-        rounds, _ = nfstreams.replay_runs(
-            strategy, tables, mixture, 20000, run_rngs(7, 0, 300), levels, stop=0
-        )
+        streams = run_streams(7, 0, 300, nfstreams.stream_offsets(strategy, 20000))
+        rounds, _ = nfstreams.replay_runs(strategy, tables, mixture, 20000, streams, levels, stop=0)
         tau, first, cap = rounds[0, 0], nfstreams.CHUNK_ROUNDS // 16, nfstreams.CHUNK_ROUNDS
         # The doubling chunks (64 to 512 rounds) end at round 960; the first
         # cell's runs all leave in them, the second's all after them.
@@ -395,8 +454,10 @@ class TestChunkedReplay:
         stream = nfstreams.sample_action_stream(strategy, 3000, run_rng(3, 1))
         full = nfstreams.log_wealth_paths(tables[:, stream], mixture)
         levels = np.vstack([np.full(len(full), np.inf), full[:, ::97].T])
+        offsets = nfstreams.stream_offsets(strategy, 3000)
+        streams = [tuple(advanced_reference(run_rng(3, 1), k) for k in offsets)]
         rounds, last = nfstreams.replay_runs(
-            strategy, tables, mixture, 3000, [run_rng(3, 1)], levels, stop=0
+            strategy, tables, mixture, 3000, streams, levels, stop=0
         )
         assert np.array_equal(rounds[..., 0], nfstreams._crossings(full, levels))
         assert (rounds[1:, :, 0] <= np.arange(1, 3001, 97)[:, None]).all()
@@ -467,11 +528,11 @@ class TestChunkedReplay:
         game, strategy = scenarios.two_signal_game(), scenarios.sensitivity_profile(0.1)
         tables = nfstreams.increment_tables(game, enumerate_hypotheses(game, EquilibriumMode.NASH))
         mixture = BettingMixture.uniform_grid(101)
-        rngs = [run_rng(5, 0, run) for run in range(40)]
+        streams = run_streams(5, 0, 40, nfstreams.stream_offsets(strategy, 1500))
         levels = np.full((1, len(tables)), np.inf)  # no run stops early
         tracemalloc.start()
         try:
-            rounds, _ = nfstreams.replay_runs(strategy, tables, mixture, 1500, rngs, levels, stop=0)
+            rounds, _ = nfstreams.replay_runs(strategy, tables, mixture, 1500, streams, levels, stop=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

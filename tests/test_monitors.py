@@ -220,6 +220,17 @@ class TestEbhRejection:
         with pytest.raises(ShapeError):
             ebh_rejection([1.0, 2.0], 0.1, [0.5, 0.25, 0.25])
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, float("nan")])
+    def test_alpha_outside_the_unit_interval_rejected(self, alpha):
+        # Worded as MonitorConfig words it, with the offending value.
+        message = f"alpha must lie in (0, 1), got {alpha}"
+        with pytest.raises(DomainError) as raised:
+            ebh_rejection([1.0, 2.0], alpha, [0.5, 0.5])
+        assert str(raised.value) == message
+        with pytest.raises(DomainError) as raised:
+            MonitorConfig(alpha, BettingMixture.dirac(0.1))
+        assert str(raised.value) == message
+
     @given(st.data())
     @settings(max_examples=50, deadline=None)
     def test_reported_level_is_maximal(self, data):
