@@ -24,11 +24,20 @@ def format_value(value) -> str:
     return str(value)
 
 
-def _write_lines(path: Path, head: list[str], rows, sep: str) -> Path:
+def write_text(path: Path, text: str) -> Path:
+    """Write ``text`` as a new file at ``path``. An existing file or link
+    there is removed first, so a link is replaced, not written through, and
+    ext4 does not flush the old file's blocks on close as it does for a
+    file truncated and rewritten in place."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    body = [sep.join(map(format_value, row)) for row in rows]
-    path.write_text("\n".join(head + body) + "\n")
+    path.unlink(missing_ok=True)
+    path.write_text(text)
     return path
+
+
+def _write_lines(path: Path, head: list[str], rows, sep: str) -> Path:
+    body = [sep.join(map(format_value, row)) for row in rows]
+    return write_text(path, "\n".join(head + body) + "\n")
 
 
 def write_csv(path: Path, schema: str, columns: list[str], rows) -> Path:

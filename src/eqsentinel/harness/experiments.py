@@ -48,7 +48,7 @@ from ..stochastic import (
     stationary_distribution,
 )
 from . import nfstreams, scenarios
-from .csvio import write_csv, write_figure_data, write_summary
+from .csvio import write_csv, write_figure_data, write_summary, write_text
 from .seeding import DEFAULT_SEED, run_rng, run_rngs, run_streams
 
 
@@ -236,23 +236,15 @@ def run_nf_detect(config: DetectConfig, out_dir: Path) -> ExperimentResult:
     # Level stack: the FWER threshold m/alpha, then the e-BH ladder.
     levels = np.vstack([np.full(m, math.log(m / config.alpha)), _log_ladder(config.alpha, weights)])
     rounds, last = nfstreams.replay_runs(strategy, tables, mixture, config.horizon, streams, levels)
+    labels = [h.label() for h in hypotheses]
     rows = []
-    for run, tau_fwer in enumerate(_first(rounds[0])):
+    for run, (tau_fwer, wealth) in enumerate(zip(_first(rounds[0]), np.exp(last).T.tolist())):
         tau_fdr, k_at_alarm, rejected = nfstreams.first_alarm(rounds[1:, :, run])
         fdr_dominates = tau_fdr != -1 and (tau_fwer == -1 or tau_fdr <= tau_fwer)
-        rows.append(
-            (
-                run,
-                tau_fwer,
-                tau_fdr,
-                k_at_alarm,
-                "|".join(hypotheses[j].label() for j in rejected),
-                int(fdr_dominates),
-                *(float(np.exp(last[j, run])) for j in range(m)),
-            )
-        )
+        rejected = "|".join(labels[j] for j in rejected)
+        rows.append((run, tau_fwer, tau_fdr, k_at_alarm, rejected, int(fdr_dominates), *wealth))
     columns = ["run", "tau_fwer", "tau_fdr", "k_at_alarm", "rejected", "fdr_dominates"]
-    columns += [f"final_wealth[{h.label()}]" for h in hypotheses]
+    columns += [f"final_wealth[{label}]" for label in labels]
     tau_fwer = np.array([r[1] for r in rows], dtype=float)
     tau_fdr = np.array([r[2] for r in rows], dtype=float)
     all_detected = bool((tau_fwer > 0).all() and (tau_fdr > 0).all())
@@ -317,6 +309,8 @@ def run_nf_sensitivity(config: SensitivityConfig, out_dir: Path) -> ExperimentRe
     m = len(hypotheses)
     signal_index = 0  # hypothesis (player 1, deviation 0) carries the signal
     mixtures = config.mixtures()
+    profiles = {eta: scenarios.sensitivity_profile(eta) for eta in config.etas}
+    offsets = {eta: nfstreams.stream_offsets(p, config.horizon) for eta, p in profiles.items()}
     rows = []
     cells = [
         (alpha, eta, name, mix)
@@ -325,9 +319,8 @@ def run_nf_sensitivity(config: SensitivityConfig, out_dir: Path) -> ExperimentRe
         for name, mix in mixtures
     ]
     for cell, (alpha, eta, name, mix) in enumerate(cells):
-        strategy = scenarios.sensitivity_profile(eta)
-        offsets = nfstreams.stream_offsets(strategy, config.horizon)
-        streams = run_streams(config.seed, cell, config.runs, offsets)
+        strategy = profiles[eta]
+        streams = run_streams(config.seed, cell, config.runs, offsets[eta])
         # Any crossing before the signal's is evaluated by the time it is
         # reached, so the run ends there and tau_stop is already settled.
         rounds, _ = nfstreams.replay_runs(
@@ -425,11 +418,8 @@ def run_soccer_solve(config: SolverConfig, out_dir: Path) -> ExperimentResult:
     tab, solution = _solve_soccer(config)
     smoothed_a = smooth_policy(solution.row_policy, config.smoothing)
     smoothed_b = smooth_policy(solution.col_policy, config.smoothing)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    pol_a = out_dir / "policy_attacker.txt"
-    pol_b = out_dir / "policy_defender.txt"
-    pol_a.write_text(policy_to_text(smoothed_a))
-    pol_b.write_text(policy_to_text(smoothed_b))
+    pol_a = write_text(out_dir / "policy_attacker.txt", policy_to_text(smoothed_a))
+    pol_b = write_text(out_dir / "policy_defender.txt", policy_to_text(smoothed_b))
     # Residual of one more sweep, as a fixed-point certificate.
     backup = _backup(*tab.model.kernel, solution.values).reshape(tab.native_reward.shape)
     q = tab.native_reward + config.discount * backup

@@ -5,7 +5,9 @@ Run ``i`` of cell ``c`` always draws from the generator seeded by
 is reproducible in isolation and results do not depend on execution order.
 Runs execute in one process. ``run_rngs`` seeds a cell's runs at once, and
 ``run_streams`` gives each run one generator per stream offset, built from
-the same seed words and moved on once with PCG64's exact ``advance``.
+the same seed words; a generator at a later offset is moved on once with
+PCG64's exact ``advance``, and the first stream, at offset 0, is not
+advanced.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ def run_rngs(master_seed: int, cell: int, runs: int) -> list[np.random.Generator
 
 def run_streams(master_seed: int, cell: int, runs: int, offsets) -> list[tuple]:
     """Per run r, one generator per offset: ``run_rng(master_seed, cell, r)``
-    moved on by that many outputs.
+    moved on by that many outputs. Offset 0 is built without an ``advance``.
 
     numpy's SeedSequence (O'Neill's seed_seq_fe) hashes the master's uint32
     words, zero-padded to a pool of 4, then each spawn-key word into the
@@ -71,6 +73,11 @@ def run_streams(master_seed: int, cell: int, runs: int, offsets) -> list[tuple]:
     state = (np.tile(pool, 2) ^ _STATE_HASHES[:-1]) * _STATE_HASHES[1:]
     state ^= state >> 16
     return [
-        tuple(np.random.Generator(np.random.PCG64(_SeedWords(w)).advance(k)) for k in offsets)
-        for w in state.view(np.uint64)
+        tuple(np.random.Generator(_pcg64(w, k)) for k in offsets) for w in state.view(np.uint64)
     ]
+
+
+def _pcg64(words: np.ndarray, offset: int) -> np.random.PCG64:
+    """PCG64 seeded by ``words``, advanced by ``offset`` outputs unless 0."""
+    bitgen = np.random.PCG64(_SeedWords(words))
+    return bitgen.advance(offset) if offset else bitgen

@@ -1080,6 +1080,27 @@ class TestCli:
         assert main([*argv, "--out", str(tmp_path / "o")]) == 0
         assert seen[0].seed == 5
 
+    def test_rerun_into_a_used_directory_writes_new_files(self, tmp_path):
+        # Each artifact is written as a new file: a longer stale file leaves
+        # no tail, and a link at an artifact path is replaced, not written through.
+        config = tmp_path / "detect.cfg"
+        config.write_text("experiment = nf-detect\nruns = 8\nhorizon = 400\n")
+        fresh, used = tmp_path / "fresh", tmp_path / "used"
+        for out in (fresh, used):
+            assert main(["nf-detect", "--config", str(config), "--out", str(out)]) == 0
+        (used / "runs.csv").write_bytes((fresh / "runs.csv").read_bytes() * 3)
+        target = tmp_path / "outside.txt"
+        target.write_text("not an artifact\n")
+        (used / "summary.csv").unlink()
+        (used / "summary.csv").symlink_to(target)
+        assert main(["nf-detect", "--config", str(config), "--out", str(used)]) == 0
+        assert not (used / "summary.csv").is_symlink()
+        assert (used / "summary.csv").is_file()
+        assert target.read_text() == "not an artifact\n"
+        assert sorted(p.name for p in used.iterdir()) == sorted(p.name for p in fresh.iterdir())
+        for path in fresh.iterdir():
+            assert (used / path.name).read_bytes() == path.read_bytes(), path.name
+
     def test_experiment_mismatch_exits_one(self, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("experiment = nf-detect\n")
