@@ -8,6 +8,9 @@ decreases the row. Off-grid moves resolve to staying in place.
 The dynamics of the honest predators and the prey are not pinned down by
 the protocol; both move uniformly at random here, as a documented modeling
 default isolated behind this module.
+
+The pursuit rules are written once, as the arrays of :func:`pursuit_tables`;
+:func:`prey_step`, :func:`chase_policy`, the trials and the trace read them.
 """
 
 from __future__ import annotations
@@ -31,6 +34,12 @@ CHASE_NEUTRAL = 1.0
 CHASE_FARTHER = 0.1
 
 
+def _check_on_grid(pos: tuple[int, int]) -> None:
+    r, c = pos
+    if not (0 <= r < GRID and 0 <= c < GRID):
+        raise ShapeError(f"position {pos} off the {GRID}x{GRID} grid")
+
+
 @dataclass(frozen=True)
 class PreyState:
     predators: tuple[tuple[int, int], ...]  # suspect first
@@ -42,9 +51,7 @@ class PreyState:
         if len(self.predators) != 3:
             raise ShapeError("the pursuit runs 3 predators")
         for pos in (*self.predators, self.prey):
-            r, c = pos
-            if not (0 <= r < GRID and 0 <= c < GRID):
-                raise ShapeError(f"position {pos} off the {GRID}x{GRID} grid")
+            _check_on_grid(pos)
         if not self.horizon > 0:
             raise DomainError("horizon must be positive")
 
@@ -66,18 +73,11 @@ DEFAULT_START = PreyState(
 )
 
 
-def _move(pos: tuple[int, int], action: int) -> tuple[int, int]:
-    dr, dc = _MOVES[action]
-    r, c = pos[0] + dr, pos[1] + dc
-    if not (0 <= r < GRID and 0 <= c < GRID):
-        return pos
-    return (r, c)
-
-
 def prey_step(
     state: PreyState, suspect_action: int, rng: np.random.Generator
 ) -> tuple[PreyState, bool]:
-    """One synchronous step: suspect as commanded, everyone else uniform.
+    """One synchronous step: suspect as commanded, everyone else uniform,
+    each landing where the ``moves`` table of :func:`pursuit_tables` sends it.
 
     Capture is checked after all four moves; running out the horizon is
     terminal without capture. Draw order is fixed (honest pair, then prey).
@@ -86,13 +86,15 @@ def prey_step(
         raise StateError("step on a terminal pursuit state")
     if not 0 <= suspect_action < NUM_ACTIONS:
         raise ShapeError("actions must lie in [0, 5)")
-    moved = [_move(state.suspect, suspect_action)]
-    for honest in state.predators[1:]:
-        moved.append(_move(honest, int(rng.integers(NUM_ACTIONS))))
-    new_prey = _move(state.prey, int(rng.integers(NUM_ACTIONS)))
+    moves, _, _ = pursuit_tables()
+    actions = [suspect_action, *(int(rng.integers(NUM_ACTIONS)) for _ in range(3))]
+    landed = [
+        divmod(moves[cell_id(pos)][action], GRID)
+        for pos, action in zip((*state.predators, state.prey), actions)
+    ]
     nxt = PreyState(
-        predators=tuple(moved),
-        prey=new_prey,
+        predators=tuple(landed[:3]),
+        prey=landed[3],
         step_count=state.step_count + 1,
         horizon=state.horizon,
     )
@@ -100,30 +102,14 @@ def prey_step(
 
 
 def chase_policy(predator: tuple[int, int], prey: tuple[int, int]) -> np.ndarray:
-    """Heuristic pursuit distribution over (Stay, Up, Down, Left, Right).
-
-    Each action is rated by where :func:`_move` lands it (off-grid resolves
-    to staying, hence counts as neutral): weight 10 when the Euclidean distance
-    to the prey strictly decreases, 1 when unchanged, 0.1 when it grows.
-    Distances are compared on integer squares, so ties are exact.
-    """
+    """Heuristic pursuit distribution over (Stay, Up, Down, Left, Right): a
+    copy of the pair's chase row of :func:`pursuit_tables`."""
+    for pos in (predator, prey):
+        _check_on_grid(pos)
     if predator == prey:
         raise DomainError("chase policy is undefined on a captured state")
-
-    def sqdist(pos: tuple[int, int]) -> int:
-        return (pos[0] - prey[0]) ** 2 + (pos[1] - prey[1]) ** 2
-
-    here = sqdist(predator)
-    weights = np.empty(NUM_ACTIONS)
-    for action in range(NUM_ACTIONS):
-        there = sqdist(_move(predator, action))
-        if there < here:
-            weights[action] = CHASE_CLOSER
-        elif there == here:
-            weights[action] = CHASE_NEUTRAL
-        else:
-            weights[action] = CHASE_FARTHER
-    return weights / weights.sum()
+    _, chase_row, chase_rows = pursuit_tables()
+    return chase_rows[chase_row[cell_id(predator)][cell_id(prey)]].copy()
 
 
 def cell_id(pos: tuple[int, int]) -> int:
@@ -137,31 +123,39 @@ def pursuit_tables() -> tuple[
 ]:
     """The pursuit rules over cell ids (:func:`cell_id`), for simulation loops.
 
-    ``moves[cell][action]`` is the cell :func:`_move` lands on.
-    ``chase_rows`` stacks the distinct :func:`chase_policy` rows (read-only),
-    and ``chase_row[suspect][prey]`` is the index of that pair's row, or -1
-    where the two share a cell and the policy is undefined. Built on first
-    use and kept for the life of the process.
+    ``moves[cell][action]`` is the cell an action lands on, the cell itself
+    for an off-grid move. The chase heuristic weighs each action by where it
+    lands: 10 when the Euclidean distance to the prey strictly decreases, 1
+    when unchanged (staying included), 0.1 when it grows; distances compare
+    as integer squares, so ties are exact. ``chase_rows`` stacks the distinct
+    normalised rows (read-only) in the order a scan over (predator, prey)
+    first meets them, and ``chase_row[predator][prey]`` is the pair's row, or
+    -1 where the two share a cell and the heuristic is undefined. Built on
+    first use and kept for the life of the process.
     """
-    cells = [divmod(i, GRID) for i in range(GRID * GRID)]
-    moves = tuple(
-        tuple(cell_id(_move(pos, action)) for action in range(NUM_ACTIONS))
-        for pos in cells
+    cells = np.arange(GRID * GRID)
+    r, c = np.divmod(cells, GRID)
+    dr, dc = np.array(_MOVES).T
+    land_r, land_c = r[:, None] + dr, c[:, None] + dc
+    inside = (0 <= land_r) & (land_r < GRID) & (0 <= land_c) & (land_c < GRID)
+    moves = np.where(inside, land_r * GRID + land_c, cells[:, None])
+    # Squared distances to the prey as (predator, prey, action); action 0
+    # stays, so its distance is the one to beat. Codes: 0 closer, 1 the
+    # same, 2 farther; a pair's five codes key its row.
+    to_r, to_c = np.divmod(moves[:, None, :], GRID)
+    there = (to_r - r[:, None]) ** 2 + (to_c - c[:, None]) ** 2
+    pairs = ~np.eye(cells.size, dtype=bool)
+    codes = np.sign(there - there[:, :, :1])[pairs] + 1
+    _, first, inverse = np.unique(
+        codes @ 3 ** np.arange(NUM_ACTIONS), return_index=True, return_inverse=True
     )
-    distinct: dict[tuple[float, ...], int] = {}
-    chase_row = []
-    for predator in cells:
-        ids = []
-        for target in cells:
-            if predator == target:
-                ids.append(-1)
-                continue
-            key = tuple(chase_policy(predator, target).tolist())
-            ids.append(distinct.setdefault(key, len(distinct)))
-        chase_row.append(tuple(ids))
-    chase_rows = np.array(list(distinct))
+    order = np.argsort(first)
+    chase_row = np.full(pairs.shape, -1)
+    chase_row[pairs] = np.argsort(order)[inverse]
+    weights = np.array([CHASE_CLOSER, CHASE_NEUTRAL, CHASE_FARTHER])[codes[first[order]]]
+    chase_rows = weights / weights.sum(axis=1, keepdims=True)
     chase_rows.flags.writeable = False
-    return moves, tuple(chase_row), chase_rows
+    return tuple(map(tuple, moves.tolist())), tuple(map(tuple, chase_row.tolist())), chase_rows
 
 
 def suspect_rows(epsilon: float) -> np.ndarray:

@@ -74,10 +74,9 @@ INITIAL_STATE = SoccerState((1, 0), (1, 4), 0)
 
 
 def is_terminal(state: SoccerState) -> bool:
-    """Whether the carrier stands on its goal column (A: the last, B: the first)."""
-    if state.possession == 0:
-        return state.a_pos[1] == WIDTH - 1
-    return state.b_pos[1] == 0
+    """Whether the carrier stands on its goal column (A: the last, B: the
+    first): the ``terminal`` flag of :func:`_rule_arrays`."""
+    return bool(_rule_arrays()[2][state_index(state)])
 
 
 def soccer_step(
@@ -89,15 +88,16 @@ def soccer_step(
     """Advance the match by one joint action: the defender's slip, then a coin
     only where the rules leave two outcomes. Returns the next state, A's
     reward, whether a goal ended the match and the defender's effective action."""
-    if is_terminal(state):
+    first, coin, terminal, _ = _rule_arrays()
+    s = state_index(state)
+    if terminal[s]:
         raise StateError("step on a terminal soccer state")
     if state.a_pos == state.b_pos:
         raise StateError("step on a soccer state with both players in one cell")
     if not (0 <= action_a < NUM_ACTIONS and 0 <= action_b < NUM_ACTIONS):
         raise ShapeError("soccer actions must lie in [0, 5)")
-    first, coin, terminal, _ = _rule_arrays()
     effective_b = WAIT if rng.random() < SLIP_PROB else action_b
-    entry = state_index(state), action_a, effective_b
+    entry = s, action_a, effective_b
     n = int(first[entry])
     if coin[entry]:
         n += rng.random() < 0.5

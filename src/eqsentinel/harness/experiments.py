@@ -236,10 +236,11 @@ def run_nf_detect(config: DetectConfig, out_dir: Path) -> ExperimentResult:
     # Level stack: the FWER threshold m/alpha, then the e-BH ladder.
     levels = np.vstack([np.full(m, math.log(m / config.alpha)), _log_ladder(config.alpha, weights)])
     rounds, last = nfstreams.replay_runs(strategy, tables, mixture, config.horizon, streams, levels)
+    alarms = nfstreams.first_alarms(rounds[1:])
     labels = [h.label() for h in hypotheses]
     rows = []
     for run, (tau_fwer, wealth) in enumerate(zip(_first(rounds[0]), np.exp(last).T.tolist())):
-        tau_fdr, k_at_alarm, rejected = nfstreams.first_alarm(rounds[1:, :, run])
+        tau_fdr, k_at_alarm, rejected = alarms[run]
         fdr_dominates = tau_fdr != -1 and (tau_fwer == -1 or tau_fdr <= tau_fwer)
         rejected = "|".join(labels[j] for j in rejected)
         rows.append((run, tau_fwer, tau_fdr, k_at_alarm, rejected, int(fdr_dominates), *wealth))

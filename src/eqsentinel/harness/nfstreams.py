@@ -193,26 +193,28 @@ def fwer_crossing_times(log_paths: np.ndarray, b: float) -> np.ndarray:
     return _crossings(log_paths, np.full((1, len(log_paths)), math.log(b)))[0]
 
 
-def first_alarm(rounds: np.ndarray) -> tuple[int, int, tuple[int, ...]]:
-    """First e-BH alarm from the (m, m) first crossing rounds of the ladder,
-    row k-1 at level k (-1 = never).
+def first_alarms(rounds: np.ndarray) -> list[tuple[int, int, tuple[int, ...]]]:
+    """First e-BH alarms from the (m, m, runs) first crossing rounds of the
+    ladder, row k-1 at level k (-1 = never).
 
-    Returns (alarm round or -1, level k at the alarm, rejected indices at
-    the alarm), as ``step_fdr`` recomputing e-BH every round finds them.
-    With running suprema the level-k count first reaches k at the k-th
+    Returns per run (alarm round or -1, level k at the alarm, rejected
+    indices at the alarm), as ``step_fdr`` recomputing e-BH every round finds
+    them. With running suprema the level-k count first reaches k at the k-th
     smallest level-k crossing round, so the alarm is the least of those;
-    ``step_fdr``'s level search then runs on the crossings up to it.
+    ``step_fdr``'s level search then runs, for the runs that alarm, on the
+    crossings up to it.
     """
     rounds = np.where(rounds > 0, rounds, np.inf)
-    alarm = np.sort(rounds, axis=1).diagonal().min()
-    if alarm == np.inf:
-        return -1, 0, ()
-    k, rejected = _ebh(rounds <= alarm)
-    return int(alarm), k, rejected
+    alarms = np.sort(rounds, axis=1).diagonal(axis1=0, axis2=1).min(axis=1)
+    found = [(-1, 0, ())] * len(alarms)
+    for run in np.flatnonzero(alarms < np.inf).tolist():
+        k, rejected = _ebh(rounds[:, :, run] <= alarms[run])
+        found[run] = (int(alarms[run]), k, rejected)
+    return found
 
 
 def ebh_alarm(
     log_paths: np.ndarray, alpha: float, weights: np.ndarray
 ) -> tuple[int, int, tuple[int, ...]]:
-    """First e-BH alarm from full wealth paths; see :func:`first_alarm`."""
-    return first_alarm(_crossings(log_paths, _log_ladder(alpha, weights)))
+    """First e-BH alarm of one run's (m, T) log paths; see :func:`first_alarms`."""
+    return first_alarms(_crossings(log_paths[:, None], _log_ladder(alpha, weights)))[0]

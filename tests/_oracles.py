@@ -25,7 +25,12 @@ is the soccer model builder from before it read the rule arrays,
 and ``_resolve`` the soccer collision rules walked over one ``SoccerState``,
 as the package applied them before it evaluated them once as arrays;
 ``soccer_successor_table_reference`` and ``soccer_step_reference`` are the
-outcome table and the stepper built on it.
+outcome table and the stepper built on it. ``_prey_move`` and
+``chase_policy_reference`` are the pursuit rules walked over one cell and
+one (predator, prey) pair, as the package applied them before it built them
+once as arrays; ``pursuit_tables_reference`` and ``prey_step_reference`` are
+the tables and the stepper built on them, and ``prey_trial`` the monitored
+pursuit stepped on them.
 ``sample_profile_reference`` is ``games.sample_profile`` as it drew through
 ``Generator.choice`` before the package's own draw rule.
 ``profile_sampler_reference`` is the chunked replay's sampler as it was before
@@ -541,7 +546,81 @@ def soccer_build_model_reference() -> soccer.SoccerTabularGame:
     return soccer.SoccerTabularGame(model=model, native_reward=native, terminal=terminal)
 
 
+def _prey_move(pos, action):
+    """Where a pursuit action lands one piece; off-grid resolves to staying."""
+    dr, dc = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))[action]
+    r, c = pos[0] + dr, pos[1] + dc
+    if not (0 <= r < prey.GRID and 0 <= c < prey.GRID):
+        return pos
+    return (r, c)
+
+
+def chase_policy_reference(predator, prey_pos) -> np.ndarray:
+    """The chase heuristic for one pair, each action rated by where
+    ``_prey_move`` lands it: 10 closer, 1 unchanged, 0.1 farther, on integer
+    squared distances; the weights divided by their sum."""
+    if predator == prey_pos:
+        raise DomainError("chase policy is undefined on a captured state")
+
+    def sqdist(pos):
+        return (pos[0] - prey_pos[0]) ** 2 + (pos[1] - prey_pos[1]) ** 2
+
+    here = sqdist(predator)
+    weights = np.empty(prey.NUM_ACTIONS)
+    for action in range(prey.NUM_ACTIONS):
+        there = sqdist(_prey_move(predator, action))
+        if there < here:
+            weights[action] = prey.CHASE_CLOSER
+        elif there == here:
+            weights[action] = prey.CHASE_NEUTRAL
+        else:
+            weights[action] = prey.CHASE_FARTHER
+    return weights / weights.sum()
+
+
+def pursuit_tables_reference():
+    """``prey.pursuit_tables`` built pair by pair: ``_prey_move`` per cell and
+    action, and one ``chase_policy_reference`` per ordered pair of distinct
+    cells, its row numbered on first appearance."""
+    cells = [divmod(i, prey.GRID) for i in range(prey.GRID * prey.GRID)]
+    moves = tuple(
+        tuple(prey.cell_id(_prey_move(pos, action)) for action in range(prey.NUM_ACTIONS))
+        for pos in cells
+    )
+    distinct: dict[tuple[float, ...], int] = {}
+    chase_row = []
+    for predator in cells:
+        ids = []
+        for target in cells:
+            if predator == target:
+                ids.append(-1)
+                continue
+            key = tuple(chase_policy_reference(predator, target).tolist())
+            ids.append(distinct.setdefault(key, len(distinct)))
+        chase_row.append(tuple(ids))
+    return moves, tuple(chase_row), np.array(list(distinct))
+
+
+def prey_step_reference(state, suspect_action, rng):
+    """The object-level pursuit step on ``_prey_move``: the suspect as
+    commanded, then the honest pair's and the prey's uniform moves."""
+    moved = [_prey_move(state.suspect, suspect_action)]
+    for honest in state.predators[1:]:
+        moved.append(_prey_move(honest, int(rng.integers(prey.NUM_ACTIONS))))
+    new_prey = _prey_move(state.prey, int(rng.integers(prey.NUM_ACTIONS)))
+    nxt = prey.PreyState(
+        predators=tuple(moved),
+        prey=new_prey,
+        step_count=state.step_count + 1,
+        horizon=state.horizon,
+    )
+    return nxt, nxt.captured or nxt.exhausted
+
+
 def prey_trial(args) -> tuple[int, int, int]:
+    """One monitored pursuit stream; returns (cell, run, tau). Steps
+    ``prey_step_reference`` on ``chase_policy_reference``, so no table of
+    the package is read."""
     cell, run, seed, eps_true, eps_grid, threshold, horizon = args
     rng = run_rng(seed, cell, run)
     grid = np.asarray(eps_grid)
@@ -552,7 +631,7 @@ def prey_trial(args) -> tuple[int, int, int]:
     for t in range(1, horizon + 1):
         if state.captured or state.exhausted:
             state = prey.DEFAULT_START
-        chase = prey.chase_policy(state.suspect, state.prey)
+        chase = chase_policy_reference(state.suspect, state.prey)
         played = (1.0 - eps_true) * uniform + eps_true * chase
         act = int(np.searchsorted(np.cumsum(played), rng.random(), side="right"))
         act = min(act, prey.NUM_ACTIONS - 1)
@@ -562,7 +641,7 @@ def prey_trial(args) -> tuple[int, int, int]:
         value = math.exp(shift) * float(np.sum(weights * np.exp(log_lr - shift)))
         if value >= threshold:
             return cell, run, t
-        state, _ = prey.prey_step(state, act, rng)
+        state, _ = prey_step_reference(state, act, rng)
     return cell, run, -1
 
 
@@ -914,7 +993,7 @@ def suspect_policy_row(
     if not 0.0 <= epsilon <= 1.0:
         raise DomainError("epsilon must lie in [0, 1]")
     uniform = np.full(prey.NUM_ACTIONS, 1.0 / prey.NUM_ACTIONS)
-    return (1.0 - epsilon) * uniform + epsilon * prey.chase_policy(predator, prey_pos)
+    return (1.0 - epsilon) * uniform + epsilon * chase_policy_reference(predator, prey_pos)
 
 
 # -- detection-time ceiling -------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import suspect_policy_row
+from _oracles import (
+    _prey_move,
+    chase_policy_reference,
+    prey_step_reference,
+    pursuit_tables_reference,
+    suspect_policy_row,
+)
 from eqsentinel.envs import prey
 from eqsentinel.errors import DomainError, ShapeError, StateError
 
@@ -76,6 +83,26 @@ class TestStep:
         nxt, _ = prey.prey_step(state, 1, StayRng())  # Up from the top row
         assert nxt.predators[0] == (0, 0)
 
+    def test_steps_match_the_object_stepper_draw_for_draw(self):
+        # Short episodes from the corner start: the suspect's random actions
+        # push it off the grid often, and most episodes run out the horizon.
+        off_grid = exhausted = 0
+        for seed in range(6):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            actions = np.random.default_rng(1000 + seed).integers(prey.NUM_ACTIONS, size=400)
+            start = dataclasses.replace(prey.DEFAULT_START, horizon=30)
+            state = ref_state = start
+            for action in actions.tolist():
+                off_grid += action != 0 and _prey_move(state.suspect, action) == state.suspect
+                state, terminal = prey.prey_step(state, action, rng)
+                ref_state, ref_terminal = prey_step_reference(ref_state, action, ref_rng)
+                assert (state, terminal) == (ref_state, ref_terminal)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                if terminal:
+                    exhausted += not state.captured
+                    state = ref_state = start
+        assert off_grid > 0 and exhausted > 0
+
     def test_episodes_always_end_within_horizon(self):
         _, chase_row, _ = prey.pursuit_tables()
         suspect = prey.suspect_rows(0.6)
@@ -113,6 +140,18 @@ class TestChasePolicy:
         with pytest.raises(DomainError):
             prey.chase_policy((3, 3), (3, 3))
 
+    @pytest.mark.parametrize("pos", [(-1, 0), (0, 10), (10, 3)])
+    @pytest.mark.parametrize("side", ["predator", "prey"])
+    def test_off_grid_position_rejected(self, pos, side):
+        pair = (pos, (4, 4)) if side == "predator" else ((4, 4), pos)
+        with pytest.raises(ShapeError, match=r"off the 10x10 grid"):
+            prey.chase_policy(*pair)
+
+    def test_returns_a_copy(self):
+        row = prey.chase_policy((0, 0), (5, 5))
+        row[:] = 0.0
+        assert prey.chase_policy((0, 0), (5, 5)).sum() == pytest.approx(1.0)
+
     @given(
         pr=st.tuples(st.integers(2, 7), st.integers(2, 7)),
         dr=st.integers(-2, 2),
@@ -139,18 +178,25 @@ class TestChasePolicy:
 class TestPursuitTables:
     def test_tables_follow_the_rules(self):
         moves, chase_row, chase_rows = prey.pursuit_tables()
-        cells = [(r, c) for r in range(prey.GRID) for c in range(prey.GRID)]
+        ref_moves, ref_chase_row, ref_chase_rows = pursuit_tables_reference()
         assert chase_rows.shape == (40, prey.NUM_ACTIONS)
+        assert moves == ref_moves
+        assert chase_row == ref_chase_row
+        assert chase_rows.dtype == ref_chase_rows.dtype
+        assert chase_rows.tobytes() == ref_chase_rows.tobytes()
+        cells = [(r, c) for r in range(prey.GRID) for c in range(prey.GRID)]
         for i, pos in enumerate(cells):
             assert prey.cell_id(pos) == i
-            for action in range(prey.NUM_ACTIONS):
-                assert moves[i][action] == prey.cell_id(prey._move(pos, action))
-            for j, target in enumerate(cells):
-                if i == j:
-                    assert chase_row[i][j] == -1
-                else:
-                    expected = prey.chase_policy(pos, target)
-                    assert np.array_equal(chase_rows[chase_row[i][j]], expected)
+            for target in cells:
+                if pos != target:
+                    expected = chase_policy_reference(pos, target)
+                    assert prey.chase_policy(pos, target).tobytes() == expected.tobytes()
+
+    def test_chase_rows_are_read_only(self):
+        _, _, chase_rows = prey.pursuit_tables()
+        assert not chase_rows.flags.writeable
+        with pytest.raises(ValueError):
+            chase_rows[0, 0] = 0.0
 
 
 def _corner_row() -> int:

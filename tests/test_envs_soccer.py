@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    _soccer_is_terminal,
     soccer_build_model_reference,
     soccer_step_reference,
     soccer_successor_table_reference,
@@ -33,6 +34,11 @@ class TestStateSpace:
         assert not soccer.is_terminal(soccer.SoccerState((2, 4), (0, 1), 1))
         assert soccer.is_terminal(soccer.SoccerState((2, 2), (3, 0), 1))
         assert not soccer.is_terminal(soccer.SoccerState((2, 2), (3, 0), 0))
+
+    def test_terminal_flag_matches_the_goal_columns(self):
+        for idx in range(soccer.NUM_STATES):
+            state = soccer.index_state(idx)
+            assert soccer.is_terminal(state) is _soccer_is_terminal(state)
 
 
 class TestStep:

@@ -683,7 +683,7 @@ class TestTrialLoops:
         )
         config = PreyMixtureConfig(seed=seed, **sizes)
         run_prey_mixture(config, tmp_path)
-        resets = _terminal_steps(monkeypatch, prey, "prey_step", 1)
+        resets = _terminal_steps(monkeypatch, _oracles, "prey_step_reference", 1)
         expected = {
             (eps, run): prey_trial(
                 (cell, run, config.seed, eps, config.eps_grid, config.threshold,
@@ -1189,7 +1189,45 @@ class TestSensitivityLambdas:
         assert names == [name for name, _ in SensitivityConfig(mixture=config.mixture).mixtures()]
 
 
+def _alarm_by_round(rounds):
+    """e-BH recomputed at each crossing round of one run's (m, m) ladder
+    crossings (row k-1 at level k, -1 = never): the first round with a
+    level k of at least k crossings, the largest such k, and its row."""
+    m = rounds.shape[0]
+    for t in sorted(set(rounds[rounds > 0].tolist())):
+        crossed = (rounds > 0) & (rounds <= t)
+        levels = [k for k in range(1, m + 1) if crossed[k - 1].sum() >= k]
+        if levels:
+            k = levels[-1]
+            return t, k, tuple(np.flatnonzero(crossed[k - 1]).tolist())
+    return -1, 0, ()
+
+
 class TestEbhAlarmFuzz:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_batched_alarms_match_per_round_recomputation(self, data):
+        # Few distinct rounds, so ties are common, -1 for never, and runs
+        # whose crossings never fill a level.
+        m = data.draw(st.integers(1, 5))
+        runs = data.draw(st.integers(1, 6))
+        entries = st.sampled_from([-1, -1, 1, 2, 3, 7])
+        rounds = np.array(
+            data.draw(st.lists(entries, min_size=m * m * runs, max_size=m * m * runs))
+        ).reshape(m, m, runs)
+        got = nfstreams.first_alarms(rounds)
+        assert got == [_alarm_by_round(rounds[:, :, run]) for run in range(runs)]
+
+    def test_batched_alarms_on_fixed_runs(self):
+        never = np.full((3, 3), -1)
+        short = np.array([[-1, -1, -1], [4, -1, -1], [2, 5, -1]])  # no level fills
+        tied = np.array([[-1, -1, -1], [3, 3, -1], [3, 3, 3]])  # k = 3 at round 3
+        late = np.array([[6, -1, -1], [2, 6, -1], [2, 4, 9]])  # k = 2 at round 6
+        rounds = np.stack([never, short, tied, late], axis=-1)
+        expected = [(-1, 0, ()), (-1, 0, ()), (3, 3, (0, 1, 2)), (6, 2, (0, 1))]
+        assert nfstreams.first_alarms(rounds) == expected
+        assert [_alarm_by_round(rounds[:, :, run]) for run in range(4)] == expected
+
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_alarm_matches_per_round_recomputation(self, data):
