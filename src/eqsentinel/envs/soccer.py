@@ -199,7 +199,6 @@ class SoccerTabularGame:
 
     model: StochasticGameModel
     native_reward: np.ndarray  # (S, 5, 5), expected reward to A
-    terminal: np.ndarray  # (S,) bool
 
 
 def soccer_build_model() -> SoccerTabularGame:
@@ -239,8 +238,8 @@ def soccer_build_model() -> SoccerTabularGame:
     kernel = _sparse_rows(np.concatenate(flats), np.concatenate(probs), native.size, NUM_STATES)
     scaled = (native + NATIVE_OFFSET) / NATIVE_SCALE
     rewards = np.stack([scaled, 1.0 - scaled])
-    model = StochasticGameModel(rewards=rewards, transition=kernel, discount=0.95)
-    return SoccerTabularGame(model=model, native_reward=native, terminal=terminal.copy())
+    model = StochasticGameModel(rewards=rewards, transition=kernel)
+    return SoccerTabularGame(model=model, native_reward=native)
 
 
 def afraid_transform(policy) -> np.ndarray:

@@ -411,14 +411,15 @@ SoccerSolveConfig = SolverConfig
 
 
 def _solve_soccer(config: SolverConfig):
+    """Soccer's tab and solution, and both policies smoothed by ``config``."""
     tab = soccer.soccer_build_model()
-    return tab, shapley_solve_arrays(tab.native_reward, tab.model.kernel, config)
+    solution = shapley_solve_arrays(tab.native_reward, tab.model.kernel, config)
+    policies = (solution.row_policy, solution.col_policy)
+    return tab, solution, *(smooth_policy(p, config.smoothing) for p in policies)
 
 
 def run_soccer_solve(config: SolverConfig, out_dir: Path) -> ExperimentResult:
-    tab, solution = _solve_soccer(config)
-    smoothed_a = smooth_policy(solution.row_policy, config.smoothing)
-    smoothed_b = smooth_policy(solution.col_policy, config.smoothing)
+    tab, solution, smoothed_a, smoothed_b = _solve_soccer(config)
     pol_a = write_text(out_dir / "policy_attacker.txt", policy_to_text(smoothed_a))
     pol_b = write_text(out_dir / "policy_defender.txt", policy_to_text(smoothed_b))
     # Residual of one more sweep, as a fixed-point certificate.
@@ -545,7 +546,7 @@ def run_soccer_scaling(
     against the mixture actually played, so each cell is a known-alternative
     likelihood-ratio test on concatenated episodes."""
     if policies is None:
-        _, solution = _solve_soccer(SolverConfig())
+        _, solution, *_ = _solve_soccer(SolverConfig())
         policies = (solution.row_policy, solution.col_policy)
     if any(p.table.shape != (soccer.NUM_STATES, soccer.NUM_ACTIONS) for p in policies):
         raise ShapeError(f"soccer policies are {soccer.NUM_STATES}x{soccer.NUM_ACTIONS} tables")

@@ -56,7 +56,7 @@ def __getattr__(name: str):
 
 @dataclass(frozen=True, init=False)
 class StochasticGameModel:
-    """Tabular model: rewards in [0, 1], a row-stochastic kernel, a discount.
+    """Tabular model: rewards in [0, 1] and a row-stochastic kernel.
 
     Environment-native rewards outside [0, 1] are stored through an affine
     rescaling; the Shapley iteration is affine-invariant, so equilibrium
@@ -72,9 +72,8 @@ class StochasticGameModel:
 
     rewards: np.ndarray  # (num_players, S, |A_1|, ..., |A_n|)
     kernel: tuple[np.ndarray, np.ndarray]  # (probs, cols), each (K, S * |A_1| * ... * |A_n|)
-    discount: float
 
-    def __init__(self, rewards, transition, discount: float) -> None:
+    def __init__(self, rewards, transition) -> None:
         r = np.asarray(rewards, dtype=float)
         if r.ndim < 3 or r.size == 0:
             raise ShapeError("rewards must be a nonempty (players, states, actions...) tensor")
@@ -86,11 +85,8 @@ class StochasticGameModel:
         if not (0.0 <= r.min() and r.max() <= 1.0):
             raise DomainError("rewards must lie in [0, 1]")
         check_distribution(kernel[0].T, "transition rows", ROW_TOL)
-        if not 0.0 < discount < 1.0:
-            raise DomainError("discount must lie strictly inside (0, 1)")
         object.__setattr__(self, "rewards", r)
         object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "discount", discount)
 
     @functools.cached_property
     def transition(self) -> np.ndarray:

@@ -516,11 +516,9 @@ def soccer_build_model_reference() -> soccer.SoccerTabularGame:
     n, actions = soccer.NUM_STATES, soccer.NUM_ACTIONS
     transition = np.zeros((n, actions, actions, n))
     native = np.zeros((n, actions, actions))
-    terminal = np.zeros(n, dtype=bool)
     for s in range(n):
         state = soccer.index_state(s)
         absorbing = _soccer_is_terminal(state) or state.a_pos == state.b_pos
-        terminal[s] = _soccer_is_terminal(state)
         if absorbing:
             transition[s, :, :, s] = 1.0
             continue
@@ -542,8 +540,8 @@ def soccer_build_model_reference() -> soccer.SoccerTabularGame:
                         native[s, action_a, action_b] += p * reward
     scaled = (native + soccer.NATIVE_OFFSET) / soccer.NATIVE_SCALE
     rewards = np.stack([scaled, 1.0 - scaled])
-    model = StochasticGameModel(rewards=rewards, transition=transition, discount=0.95)
-    return soccer.SoccerTabularGame(model=model, native_reward=native, terminal=terminal)
+    model = StochasticGameModel(rewards=rewards, transition=transition)
+    return soccer.SoccerTabularGame(model=model, native_reward=native)
 
 
 def _prey_move(pos, action):

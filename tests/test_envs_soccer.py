@@ -149,7 +149,7 @@ class TestTabularModel:
         assert row.sum() == pytest.approx(1.0)
 
     def test_terminal_states_absorbing_with_zero_native_reward(self, soccer_game):
-        for s in np.nonzero(soccer_game.terminal)[0]:
+        for s in np.nonzero(soccer._rule_arrays()[2])[0]:
             assert soccer_game.model.transition[s, :, :, s].min() == 1.0
             assert np.all(soccer_game.native_reward[s] == 0.0)
 
@@ -158,14 +158,13 @@ class TestTabularModel:
         assert np.max(np.abs(total - 1.0)) < 1e-12
 
     def test_native_zero_maps_to_half(self, soccer_game):
-        terminal = np.nonzero(soccer_game.terminal)[0][0]
+        terminal = np.nonzero(soccer._rule_arrays()[2])[0][0]
         assert soccer_game.model.rewards[0][terminal].max() == pytest.approx(0.5)
 
     def test_matches_the_reference_builder_bit_for_bit(self, soccer_game):
         reference = soccer_build_model_reference()
         assert soccer_game.model.transition.tobytes() == reference.model.transition.tobytes()
         assert np.array_equal(soccer_game.native_reward, reference.native_reward)
-        assert np.array_equal(soccer_game.terminal, reference.terminal)
         assert np.array_equal(soccer_game.model.rewards, reference.model.rewards)
 
     def test_rows_are_the_scan_of_the_reference_kernel(self, soccer_game):
@@ -210,10 +209,9 @@ class TestTabularModel:
 
 class TestSuccessorTable:
     def test_branches_rebuild_the_model_kernel_exactly(self, soccer_game):
-        first, coin, terminal, _ = soccer._rule_arrays()
+        first, coin, _, _ = soccer._rule_arrays()
         transition = soccer_game.model.transition
         slip = soccer.SLIP_PROB
-        assert np.array_equal(terminal, soccer_game.terminal)
         rows = 0
         for s in range(soccer.NUM_STATES):
             for a_act in range(soccer.NUM_ACTIONS):

@@ -852,10 +852,10 @@ class TestShapley:
         transition = np.zeros((2, 2, 2, 2))
         transition[..., 0] = 0.5
         transition[..., 1] = 0.5
-        model = StochasticGameModel(rewards, transition, discount=0.9)
+        model = StochasticGameModel(rewards, transition)
         total = model.rewards[0] + model.rewards[1]
         assert np.ptp(total) <= 1e-9  # zero-sum up to an affine rescaling
-        config = SolverConfig(discount=model.discount, tolerance=1e-8, max_iterations=2000)
+        config = SolverConfig(discount=0.9, tolerance=1e-8, max_iterations=2000)
         sol = shapley_solve_arrays(model.rewards[0], model.transition, config)
         assert sol.converged
         # Fixed point: re-solving each state's matrix game leaves the values.
@@ -1243,7 +1243,7 @@ def rows_model(probs=((0.5, 1.0), (0.5, 0.0)), cols=((0, 1), (1, 0))):
     """Two states, one action each, from kernel rows: state 0 moves to either
     state with probability 1/2, and state 1 stays; row 1 is padded."""
     rewards = np.full((2, 2, 1, 1), 0.5)
-    return StochasticGameModel(rewards, (np.array(probs), np.array(cols)), discount=0.5)
+    return StochasticGameModel(rewards, (np.array(probs), np.array(cols)))
 
 
 class TestModelRows:
@@ -1259,7 +1259,7 @@ class TestModelRows:
             model.transition[0, 0, 0, 0] = 1.0
 
     def test_dense_input_is_scanned_into_rows(self):
-        model = StochasticGameModel(np.full((2, 2, 1, 1), 0.5), rows_model().transition, 0.5)
+        model = StochasticGameModel(np.full((2, 2, 1, 1), 0.5), rows_model().transition)
         for stored, expected in zip(model.kernel, rows_model().kernel):
             assert stored.tobytes() == expected.tobytes()
 
@@ -1294,7 +1294,7 @@ class TestModelRows:
     def test_rows_other_than_a_pair_rejected(self):
         probs, cols = rows_model().kernel
         with pytest.raises(ShapeError, match="pair"):
-            StochasticGameModel(np.full((2, 2, 1, 1), 0.5), (probs, cols, cols), 0.5)
+            StochasticGameModel(np.full((2, 2, 1, 1), 0.5), (probs, cols, cols))
 
     def test_float_columns_rejected(self):
         with pytest.raises(ShapeError, match="integers"):
@@ -1316,7 +1316,7 @@ class TestModelValidation:
         }
         arrays[field][0, 0, 0, 0] = np.nan
         with pytest.raises(DomainError):
-            StochasticGameModel(discount=0.5, **arrays)
+            StochasticGameModel(**arrays)
 
 
 class TestGoldenFormats:

@@ -54,7 +54,7 @@ def _uniform(k):
 def _model(v):
     transition = np.tile(_uniform(v.size), (v.size, 1, 1, 1))
     transition[0, 0, 0] = v
-    return StochasticGameModel(np.zeros((2, v.size, 1, 1)), transition, discount=0.5)
+    return StochasticGameModel(np.zeros((2, v.size, 1, 1)), transition)
 
 
 def _chain(v):
@@ -180,7 +180,7 @@ class TestEmptyInputs:
             lambda: chi_square_div([], []),
             lambda: BettingMixture("grid", [], []),
             lambda: NormalFormGame(np.zeros((2, 0, 2))),
-            lambda: StochasticGameModel(np.zeros((2, 0, 1, 1)), np.zeros((0, 1, 1, 0)), 0.5),
+            lambda: StochasticGameModel(np.zeros((2, 0, 1, 1)), np.zeros((0, 1, 1, 0))),
         ],
         ids=["policy", "joint-product", "monitor-weights", "chain", "chi-square",
              "betting-mixture", "game", "model"],
